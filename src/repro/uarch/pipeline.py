@@ -44,7 +44,7 @@ from ..kernel.syscalls import EXIT_CODE_OFFSET
 from .branch import BranchPredictor
 from .cache import Cache, MemoryPort, TaintProbe
 from .config import MicroarchConfig
-from .cpu import CoreAccess, MachineState, execute
+from .cpu import KERNEL_MODE, CoreAccess, MachineState, execute
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
 from .functional import RunStatus, cached_decode
@@ -52,6 +52,12 @@ from .lsq import LoadStoreQueue
 from .regfile import PhysRegFile
 
 _LINK32, _LINK64 = 14, 30
+
+#: execution kinds of a decode record, by what the run loop does for
+#: them beyond the timing arithmetic (memory kinds sort last)
+_COMPUTE, _BRANCH, _SYS, _LOAD, _STORE = range(5)
+_KIND_OF_CLASS = {"branch": _BRANCH, "sys": _SYS, "load": _LOAD,
+                  "store": _STORE}
 
 
 def fold_coordinates(engine: "PipelineEngine", spec) -> tuple[int, int, int]:
@@ -336,21 +342,16 @@ class PipelineEngine:
                 self._trace_landing(f"{structure}: no valid line")
                 return
             set_index, way = live[(a * cache.assoc + b) % len(live)]
-        if getattr(spec, "kind", "data") == "tag":
-            for k in range(n_bits):
-                info = cache.flip_tag_bit(
-                    set_index, way, (c + k) % cache.tag_bits)
-                self.fault_live = self.fault_live or info["live"]
-        else:
-            line_bits = cache.line_size * 8
-            for k in range(n_bits):
-                info = cache.flip_bit(set_index, way,
-                                      (c + k) % line_bits)
-                self.fault_live = self.fault_live or info["live"]
+        is_tag = getattr(spec, "kind", "data") == "tag"
+        # the field's width folds c, as faults.fault_site_bit does
+        width = cache.tag_bits if is_tag else cache.line_size * 8
+        flip = cache.flip_tag_bit if is_tag else cache.flip_bit
+        for k in range(n_bits):
+            info = flip(set_index, way, (c + k) % width)
+            self.fault_live = self.fault_live or info["live"]
         self._trace_landing(
             f"{structure}: set {set_index}, way {way}, "
-            f"{'tag' if getattr(spec, 'kind', 'data') == 'tag' else 'line'}"
-            f" bit {c}")
+            f"{'tag' if is_tag else 'line'} bit {c % width}")
         if self.fault_live:
             # invalidate the fetch fast path if we hit its line
             self._fetch_line_base = -1
@@ -446,48 +447,6 @@ class PipelineEngine:
     # ------------------------------------------------------------------
     # fetch
     # ------------------------------------------------------------------
-    def _fetch(self) -> tuple[Decoded, float]:
-        """Fetch + decode at the current PC; returns (instr, extra_lat)."""
-        ms = self.ms
-        pc = ms.pc
-        if pc & 3:
-            raise SimException(FaultKind.MISALIGNED, pc, detail="pc",
-                               in_kernel=ms.in_kernel)
-        addr = pc & 0xFFFF_FFFF
-        region = self.memory.region_of(addr)
-        if region is None:
-            raise SimException(FaultKind.FETCH_FAULT, addr,
-                               in_kernel=ms.in_kernel)
-        if region.kernel_only and not ms.in_kernel:
-            raise SimException(FaultKind.PRIVILEGE_FAULT, addr,
-                               detail="fetch", in_kernel=False)
-
-        line_size = self.l1i.line_size
-        base = addr & ~(line_size - 1)
-        extra = 0.0
-        line = self._fetch_line
-        if (base != self._fetch_line_base or line is None
-                or not line.valid or line.tag != self._fetch_line_tag):
-            # slow path: go through the I-cache
-            _, latency, _ = self.l1i.read(addr, 4, self.probe)
-            if latency > self.l1i.hit_latency:
-                extra = latency - self.l1i.hit_latency
-            index, tag = self.l1i._index_tag(addr)
-            line = self.l1i._find(index, tag)
-            self._fetch_line = line
-            self._fetch_line_base = base
-            self._fetch_line_tag = tag
-
-        off = addr - base
-        word = int.from_bytes(line.data[off:off + 4], "little")
-        if line.taint and any(off <= t < off + 4 for t in line.taint):
-            self._classify_fetch_corruption(addr, word)
-        try:
-            return cached_decode(word, self.regs_meta), extra
-        except DecodeError:
-            raise SimException(FaultKind.ILLEGAL_INSTRUCTION, pc,
-                               in_kernel=ms.in_kernel) from None
-
     def _classify_fetch_corruption(self, addr: int, word: int) -> None:
         if self.crossing is not None:
             return
@@ -503,29 +462,37 @@ class PipelineEngine:
             classify_instruction_corruption(pristine, word).value,
             mem_addr=addr)
 
-    # ------------------------------------------------------------------
-    # per-instruction register usage
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _sources(instr: Decoded) -> tuple[int, int]:
-        """(rs1, rs2) architectural sources; 0 means none/zero-reg."""
-        fmt = instr.d.fmt
-        if fmt in ("R", "S", "B"):
-            return instr.rs1, instr.rs2
-        if fmt in ("I", "RJ"):
-            return instr.rs1, 0
-        return 0, 0
+    def _decode_record(self, instr: Decoded, latencies: dict) -> tuple:
+        """Everything the run loop needs to know about one instruction
+        word: ``(instr, rs1, rs2, dest, kind, fu_pool, other_units,
+        fu_busy, latency)``.
 
-    def _dest(self, instr: Decoded) -> int:
-        """Architectural destination register, 0 if none."""
-        fmt = instr.d.fmt
-        if fmt in ("R", "I", "U"):
-            return instr.rd
-        if instr.op == "jalr":
-            return instr.rd
-        if instr.op == "jal":
-            return (_LINK32 if self.regs_meta.xlen == 32 else _LINK64)
-        return 0
+        ``rs1``/``rs2`` are the architectural sources and ``dest`` the
+        architectural destination (0 means none).  ``fu_pool`` is the
+        list of per-unit free times of the functional units that
+        execute the instruction, ``other_units`` the indices after 0
+        in it, ``fu_busy`` how long the instruction occupies its unit
+        and ``latency`` its base execution latency (loads add the
+        D-cache latency at run time).
+        """
+        d = instr.d
+        fmt = d.fmt
+        cls = d.cls
+        rs1 = instr.rs1 if fmt in ("R", "S", "B", "I", "RJ") else 0
+        rs2 = instr.rs2 if fmt in ("R", "S", "B") else 0
+        if fmt in ("R", "I", "U") or instr.op == "jalr":
+            dest = instr.rd
+        elif instr.op == "jal":
+            dest = _LINK32 if self.regs_meta.xlen == 32 else _LINK64
+        else:
+            dest = 0
+        kind = _KIND_OF_CLASS.get(cls, _COMPUTE)
+        fu = self.fu
+        pool = fu["mem"] if kind >= _LOAD else fu.get(cls, fu["alu"])
+        busy = latencies["div"] if cls == "div" else 1.0
+        return (instr, rs1, rs2, dest, kind, pool,
+                tuple(range(1, len(pool))), busy,
+                latencies.get(cls, 1.0))
 
     # ------------------------------------------------------------------
     # main loop
@@ -544,6 +511,8 @@ class PipelineEngine:
         penalty = float(config.penalty)
         rob_size = config.rob_size
         iq_size = config.iq_size
+        max_instructions = self.max_instructions
+        max_cycles = self.max_cycles
         latencies = {"alu": float(config.alu_latency),
                      "mul": float(config.mul_latency),
                      "div": float(config.div_latency),
@@ -552,16 +521,58 @@ class PipelineEngine:
         status = RunStatus.COMPLETED
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
-        have_faults = bool(self.faults)
+        faults_pending = self._next_fault < len(self.faults)
+
+        # Observers and per-run state, hoisted to locals.  Hooks are
+        # attached and checkpoints restored before run(); nothing
+        # rebinds these objects while the loop runs (they are only
+        # mutated in place).
         arch_probe = self.arch_probe
         fastpath = self.fastpath
         profiler = self.profiler
         profile_every = profiler.every if profiler is not None else 0
+        tracker = self.lifetime_tracker
+        collect_stats = self.collect_stats
+        core = self._core
+        src_vals = self.src_vals
+        rf = self.rf
+        values = rf.values
+        rename_map = rf.rename_map
+        tainted = rf.tainted
+        pending_free = rf.pending_free
+        rf_allocate = rf.allocate
+        reg_ready = self.reg_ready
+        rob_commits = self.rob_commits
+        iq_issues = self.iq_issues
+        lsq = self.lsq
+        lsq_allocate = lsq.allocate
+        predictor_update = self.predictor.update
+        region_of = self.memory.region_of
+        l1i = self.l1i
+        probe = self.probe
+        line_size = l1i.line_size
+        line_mask = ~(line_size - 1)
+        hit_latency = l1i.hit_latency
+        regs_meta = self.regs_meta
+        never = float("inf")
+
+        # raw instruction word -> decode record (see _decode_record);
+        # a corrupted word is simply another key
+        records: dict[int, tuple] = {}
+        # I-cache line base -> whether its (single) region is
+        # kernel-only: the region is looked up once per line per run,
+        # the privilege check still runs on every fetch
+        line_kernel_only: dict[int, bool] = {}
+        # the fetch fast path's line (mirrors self._fetch_line*)
+        fetch_line = self._fetch_line
+        fetch_base = self._fetch_line_base
+        fetch_tag = self._fetch_line_tag
+        instructions = self.instructions
 
         try:
             while not ms.halted:
                 if fastpath is not None \
-                        and self.instructions >= fastpath.next_check:
+                        and instructions >= fastpath.next_check:
                     early = fastpath.poll(self)
                     if early is not None:
                         if registry.enabled:
@@ -569,119 +580,176 @@ class PipelineEngine:
                                 registry,
                                 time.perf_counter() - wall_started)
                         return early
-                if self.instructions >= self.max_instructions \
-                        or self.fetch_time > self.max_cycles:
+                if instructions >= max_instructions \
+                        or self.fetch_time > max_cycles:
                     status = RunStatus.TIMEOUT
                     break
-                if have_faults and self._next_fault < len(self.faults):
+                if faults_pending:
                     self._apply_due_faults()
+                    faults_pending = self._next_fault < len(self.faults)
+                    # a live flip invalidates the fetch fast path
+                    fetch_base = self._fetch_line_base
 
                 # ---- fetch ------------------------------------------
                 fetch = self.fetch_time + inv_fetch
-                if len(self.rob_commits) >= rob_size:
-                    fetch = max(fetch, self.rob_commits[0])
-                if len(self.iq_issues) >= iq_size:
-                    fetch = max(fetch, self.iq_issues[0])
+                if len(rob_commits) >= rob_size:
+                    oldest = rob_commits[0]
+                    if oldest > fetch:
+                        fetch = oldest
+                if len(iq_issues) >= iq_size:
+                    oldest = iq_issues[0]
+                    if oldest > fetch:
+                        fetch = oldest
                 self.fetch_time = fetch
                 pc = ms.pc
-                instr, icache_extra = self._fetch()
-                fetch += icache_extra
-                self.fetch_time = fetch
+                if pc & 3:
+                    raise SimException(FaultKind.MISALIGNED, pc,
+                                       detail="pc",
+                                       in_kernel=ms.in_kernel)
+                addr = pc & 0xFFFF_FFFF
+                base = addr & line_mask
+                kernel_only = line_kernel_only.get(base)
+                if kernel_only is None:
+                    region = region_of(addr)
+                    if region is None:
+                        raise SimException(FaultKind.FETCH_FAULT, addr,
+                                           in_kernel=ms.in_kernel)
+                    kernel_only = region.kernel_only
+                    if region.base <= base \
+                            and base + line_size <= region.end:
+                        line_kernel_only[base] = kernel_only
+                if kernel_only and ms.mode != KERNEL_MODE:
+                    raise SimException(FaultKind.PRIVILEGE_FAULT, addr,
+                                       detail="fetch", in_kernel=False)
+                icache_extra = 0
+                line = fetch_line
+                if (base != fetch_base or line is None
+                        or not line.valid or line.tag != fetch_tag):
+                    # slow path: go through the I-cache
+                    _, icache_latency, _ = l1i.read(addr, 4, probe)
+                    if icache_latency > hit_latency:
+                        icache_extra = icache_latency - hit_latency
+                    index, fetch_tag = l1i._index_tag(addr)
+                    line = fetch_line = l1i._find(index, fetch_tag)
+                    fetch_base = base
+                    self._fetch_line = line
+                    self._fetch_line_base = base
+                    self._fetch_line_tag = fetch_tag
+                off = addr - base
+                word = int.from_bytes(line.data[off:off + 4], "little")
+                if line.taint and any(off <= t < off + 4
+                                      for t in line.taint):
+                    self._classify_fetch_corruption(addr, word)
+                record = records.get(word)
+                if record is None:
+                    try:
+                        instr = cached_decode(word, regs_meta)
+                    except DecodeError:
+                        raise SimException(
+                            FaultKind.ILLEGAL_INSTRUCTION, pc,
+                            in_kernel=ms.in_kernel) from None
+                    record = records[word] = self._decode_record(
+                        instr, latencies)
+                (instr, rs1, rs2, dest, kind, fu_pool, other_units,
+                 fu_busy, latency) = record
+                if icache_extra:
+                    fetch += icache_extra
+                    self.fetch_time = fetch
 
                 # ---- rename / dispatch ------------------------------
                 dispatch = fetch + depth
-                rs1, rs2 = self._sources(instr)
                 ready = dispatch
-                self.src_vals.clear()
-                tracker = self.lifetime_tracker
+                src_vals.clear()
                 tainted_src = 0
                 if rs1:
-                    value, phys = self.rf.read(rs1)
-                    self.src_vals[rs1] = value
-                    ready = max(ready, self.reg_ready[phys])
-                    if phys in self.rf.tainted:
+                    phys = rename_map[rs1]
+                    src_vals[rs1] = values[phys]
+                    if reg_ready[phys] > ready:
+                        ready = reg_ready[phys]
+                    if phys in tainted:
                         tainted_src = rs1
                     if tracker is not None:
                         tracker.reg_read(phys, ready)
                 if rs2:
-                    value, phys = self.rf.read(rs2)
-                    self.src_vals.setdefault(rs2, value)
-                    ready = max(ready, self.reg_ready[phys])
-                    if not tainted_src and phys in self.rf.tainted:
+                    phys = rename_map[rs2]
+                    src_vals[rs2] = values[phys]
+                    if reg_ready[phys] > ready:
+                        ready = reg_ready[phys]
+                    if not tainted_src and phys in tainted:
                         tainted_src = rs2
                     if tracker is not None:
                         tracker.reg_read(phys, ready)
                 if tainted_src:
                     self.record_crossing("WD", arch_reg=tainted_src)
-                dest_arch = self._dest(instr)
-                if dest_arch:
+                if dest:
                     # writer_commit patched after commit is known (the
                     # entry just appended is at the deque's tail)
-                    self.dest_phys, stall = self.rf.allocate(
-                        dest_arch, dispatch, float("inf"))
-                    has_pending = True
-                    dispatch = max(dispatch, stall)
-                    ready = max(ready, dispatch)
+                    dest_phys, stall = rf_allocate(dest, dispatch, never)
+                    if stall > dispatch:
+                        dispatch = stall
+                        if dispatch > ready:
+                            ready = dispatch
                 else:
-                    has_pending = False
-                    self.dest_phys = -1
+                    dest_phys = -1
+                self.dest_phys = dest_phys
 
-                cls = instr.d.cls
                 lsq_entry = None
-                if cls in ("load", "store"):
-                    lsq_entry, stall = self.lsq.allocate(dispatch)
-                    dispatch = max(dispatch, stall)
-                    ready = max(ready, dispatch)
+                if kind >= _LOAD:
+                    lsq_entry, stall = lsq_allocate(dispatch)
+                    if stall > dispatch:
+                        dispatch = stall
+                        if dispatch > ready:
+                            ready = dispatch
 
                 # ---- execute (functional, eager) ---------------------
                 self.mem_latency = 0
                 self.pending_mem = None
-                next_pc = execute(instr, ms, self._core)
+                next_pc = execute(instr, ms, core)
 
                 # ---- issue / complete timing -------------------------
-                fu_pool = self.fu["mem"] if cls in ("load", "store") \
-                    else self.fu.get(cls, self.fu["alu"])
-                unit = min(range(len(fu_pool)), key=fu_pool.__getitem__)
-                start = max(ready, fu_pool[unit])
-                if cls == "div":
-                    fu_pool[unit] = start + latencies["div"]
-                else:
-                    fu_pool[unit] = start + 1.0
-                latency = latencies.get(cls, 1.0)
-                if cls == "load":
+                # the first unit that frees up earliest
+                unit = 0
+                start = fu_pool[0]
+                for k in other_units:
+                    if fu_pool[k] < start:
+                        unit = k
+                        start = fu_pool[k]
+                if ready >= start:
+                    start = ready
+                fu_pool[unit] = start + fu_busy
+                if kind == _LOAD:
                     latency = 1.0 + self.mem_latency
                 complete = start + latency
 
                 # ---- commit -----------------------------------------
-                commit = max(complete + 1.0,
-                             self.last_commit + inv_commit)
+                commit = complete + 1.0
+                in_order = self.last_commit + inv_commit
+                if in_order > commit:
+                    commit = in_order
                 self.last_commit = commit
-                self.rob_commits.append(commit)
-                if len(self.rob_commits) > rob_size:
-                    self.rob_commits.popleft()
-                self.iq_issues.append(start)
-                if len(self.iq_issues) > iq_size:
-                    self.iq_issues.popleft()
+                rob_commits.append(commit)
+                if len(rob_commits) > rob_size:
+                    rob_commits.popleft()
+                iq_issues.append(start)
+                if len(iq_issues) > iq_size:
+                    iq_issues.popleft()
 
-                if self.dest_phys >= 0:
-                    self.reg_ready[self.dest_phys] = complete
-                    if has_pending and self.rf.pending_free:
+                if dest_phys >= 0:
+                    reg_ready[dest_phys] = complete
+                    if pending_free:
                         # patch the reclamation cycle of the old mapping
-                        old = self.rf.pending_free[-1][1]
-                        self.rf.pending_free[-1] = (commit, old)
-                        if self.lifetime_tracker is not None:
-                            self.lifetime_tracker.reg_write(
-                                self.dest_phys, complete)
-                            self.lifetime_tracker.reg_release(old,
-                                                              commit)
+                        old = pending_free[-1][1]
+                        pending_free[-1] = (commit, old)
+                        if tracker is not None:
+                            tracker.reg_write(dest_phys, complete)
+                            tracker.reg_release(old, commit)
                 if lsq_entry is not None:
                     mem = self.pending_mem
-                    if mem is not None and self.lifetime_tracker \
-                            is not None:
-                        self.lifetime_tracker.mem_access(
-                            mem[1], mem[2], mem[0] == "store", start)
-                        self.lifetime_tracker.lsq_op(dispatch, commit)
                     if mem is not None:
+                        if tracker is not None:
+                            tracker.mem_access(mem[1], mem[2],
+                                               mem[0] == "store", start)
+                            tracker.lsq_op(dispatch, commit)
                         lsq_entry.is_store = mem[0] == "store"
                         lsq_entry.addr = mem[1]
                         lsq_entry.nbytes = mem[2]
@@ -691,38 +759,38 @@ class PipelineEngine:
                             lsq_entry.dest_phys = -1
                         else:
                             lsq_entry.data = 0
-                            lsq_entry.dest_phys = self.dest_phys
+                            lsq_entry.dest_phys = dest_phys
                         lsq_entry.alloc_cycle = dispatch
                         lsq_entry.commit_cycle = commit
                         lsq_entry.in_kernel = ms.in_kernel
                     else:
                         # the op faulted before reaching memory
                         lsq_entry.valid = False
-                        self.lsq.valid_count -= 1
+                        lsq.valid_count -= 1
 
                 # ---- control flow ------------------------------------
-                if cls == "branch":
-                    taken = next_pc != pc + 4
-                    mispredicted = self.predictor.update(pc, taken,
-                                                         next_pc)
-                    if mispredicted:
-                        self.fetch_time = max(self.fetch_time,
-                                              complete + penalty)
-                elif cls == "sys":
+                if kind == _BRANCH:
+                    if predictor_update(pc, next_pc != pc + 4, next_pc):
+                        redirect = complete + penalty
+                        if redirect > fetch:
+                            self.fetch_time = redirect
+                elif kind == _SYS:
                     # syscall / eret serialise the frontend
-                    self.fetch_time = max(self.fetch_time,
-                                          commit + penalty)
+                    redirect = commit + penalty
+                    if redirect > fetch:
+                        self.fetch_time = redirect
                 ms.pc = next_pc
 
                 # ---- bookkeeping -------------------------------------
-                self.instructions += 1
-                if ms.in_kernel:
+                instructions += 1
+                self.instructions = instructions
+                if ms.mode == KERNEL_MODE:
                     self.kernel_instructions += 1
                 if arch_probe is not None:
                     arch_probe(self)
-                if profile_every and not self.instructions % profile_every:
+                if profile_every and not instructions % profile_every:
                     profiler.sample(self)
-                if self.collect_stats and not self.instructions % 64:
+                if collect_stats and not instructions % 64:
                     self._sample_occupancy()
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION

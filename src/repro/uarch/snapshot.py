@@ -637,10 +637,6 @@ def prepare_functional_fastpath(engine: FunctionalEngine,
     """Restore the nearest checkpoint before the earliest scheduled
     action's trigger and install the early-exit hook."""
     cp = store.checkpoints[0]
-    for action in engine._actions:
-        cand = store.nearest_for_counter(action.counter, action.when)
-        if cand.instructions < cp.instructions or cp is None:
-            cp = cand
     # (single-action engines — the normal case — pick its checkpoint;
     # with several actions the earliest-restoring one wins)
     if engine._actions:

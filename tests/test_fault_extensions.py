@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.fault import FaultSpec
+from repro.faults.fault import FaultSpec, fault_site_bit
 from repro.faults.outcomes import Outcome
 from repro.injectors.gefin import run_one_injection
 from repro.injectors.golden import golden_run
+from repro.obs.tracing import FaultTracer
 from repro.uarch.cache import Cache, MemoryPort, TaintProbe
 from repro.uarch.config import CORTEX_A72
 from repro.uarch.memory import Memory, Region
@@ -73,6 +74,20 @@ class TestTagFaults:
         result = run_one_injection("crc32", CORTEX_A72, spec, golden)
         assert result.fault_applied
         assert result.outcome in {o.value for o in Outcome}
+
+    def test_landing_text_reports_folded_tag_bit(self):
+        golden = golden_run("crc32", "cortex-a72")
+        # c lies far beyond the tag width, so the flip folds it
+        spec = FaultSpec("L1D", golden.cycles * 0.3, a=0, b=0, c=300,
+                         kind="tag", prefer_live=True)
+        tracer = FaultTracer()
+        run_one_injection("crc32", CORTEX_A72, spec, golden,
+                          tracer=tracer)
+        landed = [e.detail for e in tracer.events if e.kind == "landed"]
+        assert len(landed) == 1
+        folded = fault_site_bit(CORTEX_A72, spec)
+        assert folded < 300
+        assert f"tag bit {folded} " in landed[0]
 
 
 class TestMultiBitFaults:

@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from repro.faults.fault import FaultSpec
+from repro.faults.outcomes import classify
+from repro.injectors.golden import golden_run
+from repro.isa import layout
 from repro.isa.assembler import assemble
 from repro.isa.registers import MR32, MR64
+from repro.kernel.loader import build_system_image
 from repro.uarch.config import ALL_CONFIGS, CORTEX_A9, CORTEX_A72
+from repro.uarch.exceptions import FaultKind
 from repro.uarch.functional import run_functional
-from repro.uarch.pipeline import run_pipeline
+from repro.uarch.pipeline import PipelineEngine, run_pipeline
 from repro.workloads.suite import load_workload
 
 FAST_WORKLOADS = ("crc32", "sha", "qsort")
+
+#: fault-free timing ledger of FAST_WORKLOADS x ALL_CONFIGS; golden and
+#: checkpoint caches are keyed by schema and package version, not by the
+#: engine code, so a timing-model change must show up here instead
+LEDGER = json.loads((Path(__file__).parent / "corpus" / "ledger"
+                     / "pipeline-fault-free.json").read_text())["runs"]
 
 
 class TestArchitecturalEquivalence:
@@ -23,11 +39,17 @@ class TestArchitecturalEquivalence:
     def test_outputs_match_functional(self, workload, config):
         program = load_workload(workload, config.isa)
         functional = run_functional(program, kernel="sim")
-        pipeline = run_pipeline(program, config)
+        pipeline = run_pipeline(program, config, collect_stats=True)
         assert pipeline.status.value == "completed"
         assert pipeline.output == functional.output
         assert pipeline.exit_code == functional.exit_code
         assert pipeline.instructions == functional.instructions
+        pinned = LEDGER[f"{workload}/{config.name}"]
+        assert repr(pipeline.cycles) == pinned["cycles"]
+        assert pipeline.instructions == pinned["instructions"]
+        assert pipeline.kernel_instructions \
+            == pinned["kernel_instructions"]
+        assert pipeline.occupancy == pinned["occupancy"]
 
     def test_crash_matches_functional(self):
         src = ".text\n_start:\n    li r4, 0\n    lw r5, 0(r4)\n"
@@ -131,3 +153,65 @@ msg: .ascii "data"
         program = assemble(src, MR64)
         result = run_pipeline(program, CORTEX_A72)
         assert result.output == b"data"
+
+
+class TestRunLoopCaches:
+    """The run loop decodes each raw word once per run and checks the
+    fetch region once per I-cache line; neither cache may change what
+    a run does."""
+
+    def test_flip_in_already_executed_word(self):
+        golden = golden_run("crc32", "cortex-a72")
+        # lands in crc32's inner-loop line, mid-run
+        spec = FaultSpec("L1I", golden.cycles * 0.5, a=1, b=0, c=5)
+        engine = PipelineEngine(
+            build_system_image(load_workload("crc32", MR64)), CORTEX_A72,
+            faults=[spec], max_instructions=golden.max_instructions,
+            max_cycles=golden.max_cycles)
+        fetched = Counter()
+
+        def before_flip(eng):
+            if not eng.fault_applied:
+                fetched[eng.ms.pc] += 1
+
+        engine.arch_probe = before_flip
+        result = engine.run()
+        crossing = result.crossing
+        # the corrupted word had run many times before the flip
+        assert fetched[crossing.mem_addr] > 10
+        verdict = classify(result.status.value, result.output,
+                           result.exit_code, golden.output,
+                           golden.exit_code,
+                           fault_kind=result.fault_kind,
+                           fault_in_kernel=result.fault_in_kernel)
+        # pinned from an engine that decoded every fetch afresh
+        assert crossing.fpm == "WOI"
+        assert repr(crossing.cycle) == "3409.6666666666674"
+        assert verdict.outcome.value == "sdc"
+        assert repr(result.cycles) == "5198.999999999981"
+
+    def test_kernel_code_line_is_privileged_in_user_mode(self):
+        # the write syscall runs kernel code from KERNEL_CODE_BASE, so
+        # that line's region is already checked when user code jumps
+        # into it
+        src = f"""
+.text
+_start:
+    la r2, msg
+    li r3, 2
+    li r1, 1
+    syscall
+    li r4, {layout.KERNEL_CODE_BASE}
+    jr r4
+.data
+msg: .ascii "ok"
+"""
+        program = assemble(src, MR64)
+        functional = run_functional(program)
+        pipeline = run_pipeline(program, CORTEX_A72)
+        assert functional.fault_kind is FaultKind.PRIVILEGE_FAULT
+        assert pipeline.status.value == "sim-exception"
+        assert pipeline.fault_kind is functional.fault_kind
+        assert pipeline.fault_in_kernel is functional.fault_in_kernel \
+            is False
+        assert pipeline.output == functional.output == b"ok"
