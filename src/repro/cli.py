@@ -34,12 +34,9 @@ Commands
     Live campaign observatory: serves the dashboard as a
     self-updating page (SSE tail of events.jsonl), JSON APIs over
     the cached sidecars, and a Prometheus ``/metrics`` endpoint.
-    Renders from sidecars/events only; per-run trace replay is off
-    unless ``--allow-replay``.  With ``--jobs`` it also runs the
-    durable campaign job service: a crash-safe on-disk queue behind
-    ``POST /api/jobs`` with supervised workers, idempotent
-    content-addressed submissions, cancellation, and 429 load
-    shedding when the bounded queue fills.
+    Renders from sidecars/events only; the per-run ``/diff``
+    drill-down (the one route that simulates) is off unless
+    ``--allow-replay``.
 ``study``
     Cross-layer comparison over a workload set (mini Fig. 4/Table III).
 ``casestudy WORKLOAD``
@@ -365,10 +362,7 @@ def _cmd_serve(args) -> int:
     serve(host=args.host, port=args.port, announce=announce,
           cache_path=args.cache, events_path=args.events,
           allow_replay=args.allow_replay,
-          poll_interval=args.poll_interval,
-          jobs=args.jobs, max_concurrent=args.max_concurrent,
-          queue_depth=args.queue_depth,
-          job_timeout=args.job_timeout)
+          poll_interval=args.poll_interval)
     return 0
 
 
@@ -672,21 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poll-interval", type=float, default=0.5,
                    help="SSE tail poll period in seconds "
                         "(default 0.5)")
-    p.add_argument("--jobs", action="store_true",
-                   help="enable the durable campaign job service "
-                        "(POST /api/jobs write path with a "
-                        "crash-safe on-disk queue)")
-    p.add_argument("--max-concurrent", type=int, default=2,
-                   help="worker threads draining the job queue "
-                        "(default 2) — the gate that keeps serving "
-                        "responsive while simulating")
-    p.add_argument("--queue-depth", type=int, default=64,
-                   help="bounded queue capacity; beyond it "
-                        "submissions shed with 429 Retry-After "
-                        "(default 64)")
-    p.add_argument("--job-timeout", type=float, default=None,
-                   help="per-job wall-clock deadline in seconds "
-                        "(default: none)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("trace", help="dynamic instruction trace")

@@ -51,13 +51,13 @@ the naive campaign's 99% Wilson interval.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from ..faults.fault import fault_site_bit, sample_uniform
+from ..faults.fault import fault_site_bit
 from ..faults.sampling import wilson_interval
+from ..injectors.campaign import draw_fault
 from ..injectors.gefin import InjectionResult
 from ..obs import EventLog
 from ..obs.metrics import get_registry
@@ -254,9 +254,9 @@ def enumerate_stream(workload: str, config: MicroarchConfig,
                      n_regions: int = PLAN_REGIONS) -> list:
     """Classify the naive campaign's ``n``-draw site stream by class.
 
-    Replays the exact per-index RNG stream of the naive gefin worker
-    (``(seed, "gefin", workload, config, structure, index)``) without
-    running any simulation, and returns one list of naive draw
+    Replays the naive gefin worker's per-index draw
+    (:func:`repro.injectors.campaign.draw_fault`) without running any
+    simulation, and returns one list of naive draw
     indices per ``phase * n_regions + region`` class — the finite
     fault population the planner subsamples.  Injecting a planned
     draw therefore reproduces the naive campaign's result at that
@@ -267,10 +267,9 @@ def enumerate_stream(workload: str, config: MicroarchConfig,
     width = _entry_width(config, structure)
     members = [[] for _ in range(n_phases * n_regions)]
     for index in range(n):
-        rng = random.Random(repr((seed, "gefin", workload,
-                                  config.name, structure, index)))
-        spec = sample_uniform(config, structure, t_max, rng,
-                              prefer_live=prefer_live)
+        spec = draw_fault("gefin", index, workload=workload,
+                          config=config, seed=seed, structure=structure,
+                          prefer_live=prefer_live, t_max=t_max)
         phase = (min(int(spec.cycle / t_max * n_phases), n_phases - 1)
                  if t_max > 0 else 0)
         bit = fault_site_bit(config, spec)
@@ -450,12 +449,15 @@ def run_planned_campaign(workload: str,
     from ..injectors.engine import atomic_write_text, run_sharded
     from ..injectors.golden import (cache_dir, config_digest,
                                     golden_run, workload_digest)
+    from ..injectors.llfi import require_svf_isa
     from ..uarch.snapshot import fastpath_enabled
 
     if injector not in campaign_mod.INJECTORS:
         raise ValueError(f"unknown injector {injector!r}")
     config_name = config if isinstance(config, str) else config.name
     cfg = config_by_name(config_name)
+    if injector == "svf":
+        require_svf_isa(cfg.isa)
     use_fastpath = fastpath_enabled(fastpath)
 
     digest = (workload_digest(workload, cfg.isa, hardened)

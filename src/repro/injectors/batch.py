@@ -2,8 +2,8 @@
 
 Bridges :class:`repro.uarch.batch.BatchedFunctionalEngine` into the
 campaign layer: rebuilds the exact per-index fault actions a scalar
-campaign would draw (same RNG recipes as ``campaign._one_pvf`` /
-``_one_svf``), groups them into lane batches sorted by trigger time
+campaign would draw (:func:`repro.injectors.campaign.draw_fault`),
+groups them into lane batches sorted by trigger time
 (lanes that fire close together share the same checkpoint restore and
 retire quickly), runs each batch, and finishes evicted lanes on the
 scalar engines so every :class:`InjectionResult` is byte-identical to
@@ -12,21 +12,21 @@ the scalar path.
 
 from __future__ import annotations
 
-import random
-
 from ..kernel.loader import build_system_image
 from ..uarch.batch import MAX_LANES, BatchedFunctionalEngine
+from ..uarch.config import config_by_name
 from ..uarch.exceptions import ContainmentError
 from ..uarch.functional import FaultAction, FunctionalEngine
 from ..uarch.snapshot import fastpath_enabled, restore_functional
 from ..workloads.suite import load_workload
-from .archinj import build_pvf_action, pvf_result, run_one_pvf
+from .archinj import pvf_result, run_one_pvf
+from .campaign import draw_fault
 from .golden import GoldenRun, checkpoint_store, golden_run
-from .llfi import _dest_flip_action, run_one_svf, svf_result
+from .llfi import run_one_svf, svf_result
 
 
 # ---------------------------------------------------------------------------
-# deterministic action rebuilds (the campaign's exact RNG recipes)
+# deterministic action rebuilds (the campaign's own draw)
 # ---------------------------------------------------------------------------
 def build_campaign_action(injector: str, index: int, *, workload: str,
                           config_name: str, seed: int, xlen: int,
@@ -34,15 +34,11 @@ def build_campaign_action(injector: str, index: int, *, workload: str,
                           model: "str | None" = None) -> FaultAction:
     """The fault action campaign run *index* would draw on the scalar
     path — bit-for-bit, so batched campaigns inherit the cache key."""
-    if injector == "pvf":
-        rng = random.Random(repr((seed, "pvf", model, workload,
-                             config_name, index)))
-        return build_pvf_action(model, rng, golden, xlen)
-    if injector == "svf":
-        rng = random.Random(repr((seed, "svf", workload, config_name,
-                             index)))
-        return _dest_flip_action(rng, golden, xlen)
-    raise ValueError(f"injector {injector!r} has no batched mode")
+    if injector not in ("pvf", "svf"):
+        raise ValueError(f"injector {injector!r} has no batched mode")
+    return draw_fault(injector, index, workload=workload,
+                      config=config_by_name(config_name), seed=seed,
+                      golden=golden, model=model, xlen=xlen)
 
 
 def plan_lane_groups(injector: str, n: int, lanes: int, *, workload: str,
@@ -171,16 +167,11 @@ def run_batched_svf(workload: str, isa: str, actions, golden: GoldenRun,
 def _one_pvf_batch(args: tuple) -> list:
     (workload, config_name, model, seed, indices, hardened,
      fastpath) = args
-    from ..isa.registers import register_set
-    from ..uarch.config import config_by_name
-
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(config.isa).xlen
-    actions = [build_campaign_action(
-        "pvf", index, workload=workload, config_name=config_name,
-        seed=seed, xlen=xlen, golden=golden, model=model)
-        for index in indices]
+    actions = [draw_fault("pvf", index, workload=workload, config=config,
+                          seed=seed, golden=golden, model=model)
+               for index in indices]
     try:
         return run_batched_pvf(workload, config.isa, actions, golden,
                                hardened=hardened, fastpath=fastpath)
@@ -191,16 +182,11 @@ def _one_pvf_batch(args: tuple) -> list:
 
 def _one_svf_batch(args: tuple) -> list:
     workload, config_name, seed, indices, hardened, fastpath = args
-    from ..isa.registers import register_set
-    from ..uarch.config import config_by_name
-
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(config.isa).xlen
-    actions = [build_campaign_action(
-        "svf", index, workload=workload, config_name=config_name,
-        seed=seed, xlen=xlen, golden=golden)
-        for index in indices]
+    actions = [draw_fault("svf", index, workload=workload, config=config,
+                          seed=seed, golden=golden)
+               for index in indices]
     try:
         return run_batched_svf(workload, config.isa, actions, golden,
                                hardened=hardened, fastpath=fastpath)

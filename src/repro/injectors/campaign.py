@@ -39,9 +39,48 @@ from .archinj import build_pvf_action, run_one_pvf
 from .engine import atomic_write_text, clear_checkpoints, run_sharded
 from .gefin import InjectionResult, run_one_injection
 from .golden import cache_dir, golden_run
-from .llfi import _dest_flip_action, run_one_svf
+from .llfi import _dest_flip_action, require_svf_isa, run_one_svf
 
 INJECTORS = ("gefin", "pvf", "svf")
+
+
+# ---------------------------------------------------------------------------
+# the per-run fault draw
+# ---------------------------------------------------------------------------
+def draw_fault(injector: str, index: int, *, workload: str,
+               config: MicroarchConfig, seed: int, golden=None,
+               structure: "str | None" = None,
+               model: "str | None" = None, prefer_live: bool = True,
+               t_max: "float | None" = None, xlen: "int | None" = None):
+    """The fault campaign run ``(seed, index)`` injects.
+
+    The RNG is keyed on the run's coordinates alone, so every path
+    that replays a run — the scalar and batched workers, the
+    planner's site stream and the trace views — draws the same fault
+    and reproduces the campaign's result bit for bit.  gefin returns
+    a :class:`~repro.faults.fault.FaultSpec` sampled over *t_max*
+    cycles (default ``golden.cycles``); pvf and svf return a
+    :class:`~repro.uarch.functional.FaultAction` over *golden*'s
+    dynamic instructions that flips one of *xlen* bits (default: the
+    core's register width).
+    """
+    if injector == "gefin":
+        rng = random.Random(repr((seed, "gefin", workload, config.name,
+                                  structure, index)))
+        return sample_uniform(config, structure,
+                              golden.cycles if t_max is None else t_max,
+                              rng, prefer_live=prefer_live)
+    if xlen is None:
+        xlen = config.xlen
+    if injector == "pvf":
+        rng = random.Random(repr((seed, "pvf", model, workload,
+                                  config.name, index)))
+        return build_pvf_action(model, rng, golden, xlen)
+    if injector == "svf":
+        rng = random.Random(repr((seed, "svf", workload, config.name,
+                                  index)))
+        return _dest_flip_action(rng, golden, xlen)
+    raise ValueError(f"unknown injector {injector!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +91,9 @@ def _one_gefin(args: tuple) -> InjectionResult:
      prefer_live, fastpath) = args
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    rng = random.Random(repr((seed, "gefin", workload, config_name,
-                         structure, index)))
-    spec = sample_uniform(config, structure, golden.cycles, rng,
-                          prefer_live=prefer_live)
+    spec = draw_fault("gefin", index, workload=workload, config=config,
+                      seed=seed, golden=golden, structure=structure,
+                      prefer_live=prefer_live)
     try:
         return run_one_injection(workload, config, spec, golden,
                                  hardened=hardened, fastpath=fastpath)
@@ -67,12 +105,8 @@ def _one_pvf(args: tuple) -> InjectionResult:
     workload, config_name, model, seed, index, hardened, fastpath = args
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    rng = random.Random(repr((seed, "pvf", model, workload, config_name,
-                         index)))
-    from ..isa.registers import register_set
-
-    action = build_pvf_action(model, rng, golden,
-                              register_set(config.isa).xlen)
+    action = draw_fault("pvf", index, workload=workload, config=config,
+                        seed=seed, golden=golden, model=model)
     try:
         return run_one_pvf(workload, config.isa, action, golden,
                            hardened=hardened, fastpath=fastpath)
@@ -84,11 +118,8 @@ def _one_svf(args: tuple) -> InjectionResult:
     workload, config_name, seed, index, hardened, fastpath = args
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    rng = random.Random(repr((seed, "svf", workload, config_name, index)))
-    from ..isa.registers import register_set
-
-    action = _dest_flip_action(rng, golden,
-                               register_set(config.isa).xlen)
+    action = draw_fault("svf", index, workload=workload, config=config,
+                        seed=seed, golden=golden)
     try:
         return run_one_svf(workload, config.isa, action, golden,
                            hardened=hardened, fastpath=fastpath)
@@ -341,10 +372,8 @@ def _campaign_meta(injector: str, workload: str, config_name: str,
                    prefer_live: bool) -> tuple:
     """The cache key tuple for a naive fixed-``n`` campaign.
 
-    Shared by :func:`run_campaign` and the job service
-    (:mod:`repro.service.queue`), which dedups submissions against
-    the sidecar this key maps to — both must derive the exact same
-    path or the dedup silently re-simulates.
+    Shared by :func:`run_campaign` and :func:`campaign_cache_path`,
+    so probing the cache derives exactly the path a run writes.
     """
     from . import golden as golden_mod
     from .golden import config_digest, workload_digest
@@ -378,8 +407,7 @@ def campaign_cache_path(workload: str, config: "MicroarchConfig | str",
 
     Computing the path never simulates — it hashes the workload
     image and config geometry only — so callers can probe the cache
-    (e.g. the job service's duplicate-submission dedup) without
-    paying for a run.
+    without paying for a run.
     """
     config_name = config if isinstance(config, str) else config.name
     return _campaign_path(_campaign_meta(
@@ -437,15 +465,14 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
                  planner: str | None = None,
                  target_margin: float | None = None,
                  batch: int | None = None,
-                 batch_lanes: int | None = None,
-                 cancel=None) -> CampaignResult:
+                 batch_lanes: int | None = None) -> CampaignResult:
     """Run (or load) one fault-injection campaign.
 
     Parameters mirror the paper's experimental axes: *injector* picks
     the abstraction layer (``gefin`` = microarchitectural AVF/HVF,
     ``pvf`` = architecture level, ``svf`` = LLFI-style software
-    level); *structure* is required for ``gefin``; *model* selects the
-    PVF fault-propagation model.
+    level, 64-bit cores only); *structure* is required for ``gefin``;
+    *model* selects the PVF fault-propagation model.
 
     Execution goes through the sharded engine
     (:mod:`repro.injectors.engine`): runs are split into
@@ -482,14 +509,6 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
     (``tests/test_batch_equivalence.py`` holds it to that); gefin
     campaigns fall back to scalar execution with a
     ``batch_fallback`` event.
-
-    *cancel* (a :class:`threading.Event`) requests cooperative
-    cancellation: the sharded engine checks it at shard boundaries
-    and raises
-    :class:`~repro.injectors.engine.ExecutionCancelled`, leaving the
-    completed-shard checkpoints in place (and the sidecar unwritten)
-    so a later identical call resumes byte-identically.  Naive
-    campaigns only; planner runs ignore it.
     """
     if planner not in (None, "naive"):
         from ..core.planner import (DEFAULT_BATCH,
@@ -510,6 +529,8 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             fastpath=fastpath)
     config_name = config if isinstance(config, str) else config.name
     cfg = config_by_name(config_name)
+    if injector == "svf":
+        require_svf_isa(cfg.isa)
 
     from ..uarch.snapshot import fastpath_enabled
     from . import golden as golden_mod
@@ -621,8 +642,7 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
         outcome_key=outcome_key,
         label=path.stem,
         metrics=registry if registry.enabled else None,
-        repro_dir=cache_dir() / "repros",
-        stop_event=cancel)
+        repro_dir=cache_dir() / "repros")
     if lane_groups is not None:
         # flatten lane groups back into campaign index order; results
         # are then bit-for-bit the scalar campaign's

@@ -42,7 +42,6 @@ from pathlib import Path
 from ..uarch.exceptions import ContainmentError
 
 __all__ = [
-    "ExecutionCancelled",
     "Shard",
     "ShardFailure",
     "atomic_write_text",
@@ -109,16 +108,6 @@ class Shard:
 
 class ShardFailure(RuntimeError):
     """A shard kept failing after exhausting its retries."""
-
-
-class ExecutionCancelled(RuntimeError):
-    """The run was stopped cooperatively at a shard boundary.
-
-    Raised when the *stop_event* passed to :func:`run_sharded` is set.
-    Checkpoints of already-completed shards stay on disk, so a later
-    re-invocation with the same plan resumes where the cancelled run
-    stopped and still aggregates to byte-identical results.
-    """
 
 
 def default_shard_size(n: int) -> int:
@@ -244,7 +233,7 @@ class _Run:
 
     def __init__(self, tasks, *, checkpoint_dir, encode, decode,
                  events, progress, outcome_key, label, metrics=None,
-                 repro_dir=None, stop_event=None):
+                 repro_dir=None):
         self.tasks = tasks
         self.checkpoint_dir = checkpoint_dir
         self.repro_dir = repro_dir
@@ -255,27 +244,8 @@ class _Run:
         self.outcome_key = outcome_key
         self.label = label
         self.metrics = metrics
-        self.stop_event = stop_event
         self.results: dict = {}
         self.started = time.monotonic()
-
-    def stopping(self) -> bool:
-        return self.stop_event is not None and self.stop_event.is_set()
-
-    def check_stop(self) -> None:
-        """Raise :class:`ExecutionCancelled` if a stop was requested.
-
-        Completed-shard checkpoints are left in place so the caller
-        can resume later; only the sidecar write (which happens after
-        :func:`run_sharded` returns) is skipped.
-        """
-        if self.stopping():
-            self.emit("campaign_cancelled",
-                      completed=sum(len(r)
-                                    for r in self.results.values()),
-                      elapsed=round(time.monotonic() - self.started, 3))
-            raise ExecutionCancelled(
-                f"{self.label} cancelled at a shard boundary")
 
     def emit(self, kind: str, **fields) -> None:
         if self.events is not None:
@@ -331,8 +301,7 @@ def run_sharded(worker, tasks, *, workers: int = 1,
                 backoff_base: float = 0.25, backoff_cap: float = 4.0,
                 events=None, progress=None, outcome_key=None,
                 label: str = "campaign", metrics=None,
-                repro_dir: "Path | None" = None,
-                stop_event=None) -> list:
+                repro_dir: "Path | None" = None) -> list:
     """Execute *tasks* through *worker* in resumable, retried shards.
 
     Returns the per-task results in task order.  When
@@ -354,19 +323,12 @@ def run_sharded(worker, tasks, *, workers: int = 1,
     the same failure), its coordinates are emitted to the event log
     as a ``containment_escape`` event, and a JSON repro file is
     written under *repro_dir* when given.
-
-    *stop_event* (a :class:`threading.Event`) requests cooperative
-    cancellation: the run checks it at shard boundaries (and while
-    sleeping a retry backoff) and raises
-    :class:`ExecutionCancelled`, leaving completed-shard checkpoints
-    in place so a later call resumes byte-identically.
     """
     plan = plan_shards(len(tasks), shard_size)
     run = _Run(tasks, checkpoint_dir=checkpoint_dir, encode=encode,
                decode=decode, events=events, progress=progress,
                outcome_key=outcome_key, label=label, metrics=metrics,
-               repro_dir=repro_dir, stop_event=stop_event)
-    run.check_stop()
+               repro_dir=repro_dir)
     pending = run.resume(plan)
     run.emit("campaign_started", n=len(tasks), shards=len(plan),
              resumed=len(plan) - len(pending), workers=workers)
@@ -423,22 +385,13 @@ def _retry_or_raise(run: _Run, shard: Shard, attempts: dict,
         raise ShardFailure(
             f"shard {shard.index} ({shard.name}) of {run.label} failed "
             f"{attempt} times; last error: {exc!r}") from exc
-    delay = _backoff(attempt, base, cap)
-    if run.stop_event is not None:
-        # wait on the stop event instead of a bare sleep, so a
-        # cancellation/drain request interrupts the backoff instead
-        # of blocking for up to the cap
-        if run.stop_event.wait(delay):
-            run.check_stop()
-    else:
-        time.sleep(delay)
+    time.sleep(_backoff(attempt, base, cap))
 
 
 def _run_serial(run: _Run, pending, worker, max_retries, base, cap):
     attempts: dict = {}
     queue = deque(pending)
     while queue:
-        run.check_stop()
         shard = queue.popleft()
         try:
             shard_results, wall = _execute_shard(
@@ -463,7 +416,6 @@ def _run_pooled(run: _Run, pending, worker, workers, max_retries,
     attempts: dict = {}
     remaining = list(pending)
     while remaining:
-        run.check_stop()
         wave, remaining = remaining, []
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(wave))) as pool:
@@ -471,18 +423,8 @@ def _run_pooled(run: _Run, pending, worker, workers, max_retries,
                 pool.submit(_execute_shard,
                             (worker, run.shard_tasks(shard))): shard
                 for shard in wave}
-            cancelling = False
             for future in as_completed(futures):
                 shard = futures[future]
-                if run.stopping() and not cancelling:
-                    # shard-boundary cancellation: shards already in
-                    # flight finish (and checkpoint below); the rest
-                    # of the wave is revoked before it starts
-                    cancelling = True
-                    for other in futures:
-                        other.cancel()
-                if future.cancelled():
-                    continue
                 try:
                     shard_results, wall = future.result()
                 except Exception as exc:  # noqa: BLE001 — retried below
@@ -491,5 +433,3 @@ def _run_pooled(run: _Run, pending, worker, workers, max_retries,
                     remaining.append(shard)
                 else:
                     run.complete(shard, shard_results, wall)
-        if cancelling:
-            run.check_stop()

@@ -25,6 +25,15 @@ from .gefin import InjectionResult
 from .golden import GoldenRun, golden_run
 
 
+def require_svf_isa(isa: str) -> None:
+    """Reject a 32-bit *isa*: LLFI, and so the SVF injector, is
+    64-bit only (the limitation the paper reports)."""
+    if register_set(isa).xlen != 64:
+        raise ValueError(
+            "the SVF injector supports 64-bit ISAs only, mirroring "
+            "LLFI's limitation reported in the paper")
+
+
 def _dest_flip_action(rng: random.Random, golden: GoldenRun,
                       xlen: int) -> FaultAction:
     """Flip one bit of the k-th user instruction's just-written result."""
@@ -111,10 +120,7 @@ def run_svf_campaign(workload: str, isa: str, config_name: str,
                      n: int, seed: int,
                      hardened: bool = False) -> list[InjectionResult]:
     """Run *n* LLFI-style injections (destination-register bit flips)."""
-    if register_set(isa).xlen != 64:
-        raise ValueError(
-            "the SVF injector supports 64-bit ISAs only, mirroring "
-            "LLFI's limitation reported in the paper")
+    require_svf_isa(isa)
     golden = golden_run(workload, config_name, hardened=hardened)
     xlen = register_set(isa).xlen
     rng = random.Random(repr((seed, "svf", workload, isa)))

@@ -6,8 +6,8 @@ into a *serving* layer while preserving the zero-re-simulation
 contract: every endpoint renders from ``campaign-*.json`` /
 ``profile-*.json`` / ``trace-*.json`` sidecars and ``events.jsonl``
 alone.  The single deliberate exception is the per-run drill-down
-(``/trace`` and ``/diff``), which simulates one ``(seed, index)``
-fault *at most once* — the differential capture persists to the
+(``/diff``), which simulates one ``(seed, index)`` fault *at most
+once* — the differential capture persists to the
 :mod:`repro.obs.trace_diff` sidecar store, every repeat request is a
 pure sidecar read — and only when the server was started with
 ``--allow-replay``.
@@ -37,24 +37,14 @@ Endpoints
     and the workload's cross-layer divergence row.
 ``GET /api/summary``
     The aggregated ``repro report --json`` payload for the event log.
-``POST /api/jobs`` · ``GET /api/jobs[/<id>]`` · ``POST /api/jobs/<id>/cancel``
-    The durable campaign job service (requires ``--jobs``): submit a
-    canonical campaign request (idempotent, content-addressed,
-    dedup'd against cached sidecars), poll status with queue position
-    and live progress joined from ``events.jsonl``, cancel at the
-    next shard boundary.  A full queue sheds with ``429`` +
-    ``Retry-After``; without ``--jobs`` every job route answers
-    ``503``.
-``GET /api/run/<campaign>/<seed>/<index>/trace``
-    Per-run fault-trace drill-down (campaign-identical ``(seed,
-    index)`` derivation).  403 unless ``--allow-replay``.  Served
-    from the trace sidecar after the first capture.
 ``GET /api/run/<campaign>/<seed>/<index>/diff``
-    Golden-vs-faulty differential frames for the same run
-    (:mod:`repro.obs.trace_diff`): per-step register/PC/memory/
-    structure diffs inside a bounded window around injection and
-    crossing, feeding the live page's step-through panel.  Same
-    ``--allow-replay`` gate and sidecar memoization.
+    Golden-vs-faulty differential frames for one campaign run
+    (:mod:`repro.obs.trace_diff`, campaign-identical ``(seed, index)``
+    derivation): the fault trace, outcome and rendered trace text plus
+    per-step register/PC/memory/structure diffs inside a bounded
+    window around injection and crossing, feeding the live page's
+    step-through panel.  403 unless ``--allow-replay``; served from
+    the trace sidecar after the first capture.
 ``GET /metrics``
     Prometheus text exposition of the ``REPRO_METRICS`` registry plus
     the server's own counters (requests, SSE clients, tail lag).
@@ -83,22 +73,11 @@ __all__ = ["Observatory", "ObservatoryServer", "make_server", "serve"]
 #: plus the aggregate records the browser patches sections from)
 FORWARDED_EVENTS = frozenset((
     "campaign_started", "shard_done", "shard_retry",
-    "campaign_finished", "campaign_cancelled", "campaign_summary",
+    "campaign_finished", "campaign_summary",
     "planner_summary", "metrics_snapshot", "job_update",
 ))
 
 _CAMPAIGN_ID = re.compile(r"^campaign-[A-Za-z0-9._-]+$")
-
-_JOB_ID = re.compile(r"^job-[0-9a-f]{16}$")
-
-_CANCEL_PATH = re.compile(r"^/api/jobs/(job-[0-9a-f]{16})/cancel$")
-
-#: request bodies above this are rejected before parsing (a campaign
-#: request is a handful of scalars; anything bigger is not one)
-MAX_BODY_BYTES = 64 * 1024
-
-_TRACE_PATH = re.compile(
-    r"^/api/run/(campaign-[A-Za-z0-9._-]+)/(-?\d+)/(\d+)/trace$")
 
 _DIFF_PATH = re.compile(
     r"^/api/run/(campaign-[A-Za-z0-9._-]+)/(-?\d+)/(\d+)/diff$")
@@ -118,13 +97,7 @@ class Observatory:
                  allow_replay: bool = False,
                  poll_interval: float = 0.5,
                  n_phases: int = N_PHASES,
-                 n_regions: int = N_REGIONS,
-                 jobs: bool = False,
-                 max_concurrent: int = 2,
-                 queue_depth: int = 64,
-                 job_timeout: "float | None" = None,
-                 lease_ttl: float = 30.0,
-                 drain_grace: float = 5.0) -> None:
+                 n_regions: int = N_REGIONS) -> None:
         from ..injectors.golden import cache_dir
 
         self.cache_path = (Path(cache_path) if cache_path
@@ -137,60 +110,9 @@ class Observatory:
         self.n_regions = n_regions
         self.metrics = MetricsRegistry(enabled=True)
         self.stopping = False
-        self._lock = threading.Lock()
         # serialises cold trace captures so concurrent drill-downs of
         # the same run simulate once, not once per request thread
         self._trace_lock = threading.Lock()
-        self.drain_grace = drain_grace
-        self.queue = None
-        self.supervisor = None
-        if jobs:
-            from ..service.queue import JobQueue
-            from ..service.supervisor import Supervisor
-            from .events import EventLog
-
-            self.queue = JobQueue(self.cache_path / "service",
-                                  max_depth=queue_depth,
-                                  lease_ttl=lease_ttl,
-                                  events=EventLog(self.events_path),
-                                  metrics=self.metrics)
-            self.supervisor = Supervisor(self.queue,
-                                         workers=max(1, max_concurrent),
-                                         job_timeout=job_timeout)
-
-    # ------------------------------------------------------------------
-    # the job service (the write path)
-    # ------------------------------------------------------------------
-    def start_service(self) -> None:
-        """Reclaim orphaned jobs and launch the worker pool."""
-        if self.supervisor is not None:
-            self.supervisor.start()
-
-    def stop_service(self, grace: "float | None" = None) -> None:
-        """SIGTERM path: stop leasing, finish or requeue, so a
-        restarted service resumes byte-identically from checkpoints."""
-        if self.supervisor is not None:
-            self.supervisor.drain(self.drain_grace if grace is None
-                                  else grace)
-
-    def job_payload(self, job) -> dict:
-        """One job as the API reports it: record + queue position +
-        live progress joined from ``events.jsonl`` by sidecar stem."""
-        payload = job.to_json()
-        payload["position"] = self.queue.position(job.id)
-        if job.campaign:
-            aggregator = ReportAggregator()
-            aggregator.absorb_all(EventTail(self.events_path).poll())
-            live = aggregator.campaigns.get(job.campaign)
-            if live is not None:
-                payload["progress"] = {
-                    "runs": live.runs,
-                    "n": live.n,
-                    "shards_done": len(live.shard_rates),
-                    "shards": live.shards,
-                    "elapsed": round(live.elapsed, 3),
-                }
-        return payload
 
     # ------------------------------------------------------------------
     # sidecar discovery (never simulates)
@@ -300,9 +222,10 @@ class Observatory:
                 break
         return detail
 
-    def _diff_payload(self, campaign_id: str, seed: int,
-                      index: int) -> "tuple[dict | None, bool]":
-        """Memoized trace capture: ``(payload, cached)``.
+    def run_diff(self, campaign_id: str, seed: int,
+                 index: int) -> "dict | None":
+        """The ``/diff`` drill-down: the memoized differential trace
+        of one campaign run, or ``None`` if the campaign is unknown.
 
         The sidecar supplies the campaign axes; the ``(seed, index)``
         derivation matches the campaign workers bit for bit, so the
@@ -317,7 +240,7 @@ class Observatory:
 
         campaign = self.load_campaign(campaign_id)
         if campaign is None:
-            return None, False
+            return None
         self.metrics.counter("server.trace_requests").inc()
         with self._trace_lock:
             payload, cached = load_or_capture(
@@ -336,28 +259,6 @@ class Observatory:
                 label=(f"{campaign.injector}:{campaign.workload} "
                        f"seed={seed} index={index}"),
                 sidecar=campaign_id)
-        return payload, cached
-
-    def run_trace(self, campaign_id: str, seed: int,
-                  index: int) -> "dict | None":
-        """The legacy ``/trace`` view, rebuilt from the diff sidecar
-        (same memoization as ``/diff``: simulate at most once)."""
-        payload, cached = self._diff_payload(campaign_id, seed, index)
-        if payload is None:
-            return None
-        return {"campaign": campaign_id,
-                "seed": seed, "index": index,
-                "cached": cached,
-                "trace": payload["trace"],
-                "outcome": payload["outcome"]["outcome"],
-                "rendered": payload["rendered"]}
-
-    def run_diff(self, campaign_id: str, seed: int,
-                 index: int) -> "dict | None":
-        """The ``/diff`` drill-down: full differential frame payload."""
-        payload, cached = self._diff_payload(campaign_id, seed, index)
-        if payload is None:
-            return None
         return {"campaign": campaign_id,
                 "seed": seed, "index": index,
                 "cached": cached,
@@ -789,23 +690,18 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
     # response helpers
     # ------------------------------------------------------------------
     def _send_body(self, status: int, body: bytes,
-                   content_type: str,
-                   extra_headers: "dict | None" = None) -> None:
+                   content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Cache-Control", "no-store")
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(self, payload, status: int = 200,
-                   extra_headers: "dict | None" = None) -> None:
+    def _send_json(self, payload, status: int = 200) -> None:
         body = json.dumps(payload, indent=2).encode()
         self._send_body(status, body,
-                        "application/json; charset=utf-8",
-                        extra_headers=extra_headers)
+                        "application/json; charset=utf-8")
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message, "status": status},
@@ -824,16 +720,12 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                 self._serve_sse()
             elif path == "/api/campaigns":
                 self._send_json(self.obs.campaign_index())
-            elif path == "/api/jobs":
-                self._serve_jobs()
-            elif path.startswith("/api/jobs/"):
-                self._serve_job(path[len("/api/jobs/"):])
             elif path.startswith("/api/campaign/"):
                 self._serve_campaign(path)
             elif path == "/api/summary":
                 self._send_json(self.obs.summary())
             elif path.startswith("/api/run/"):
-                self._serve_trace(path)
+                self._serve_diff(path)
             elif path == "/metrics":
                 self._send_body(
                     200, self.obs.prometheus().encode(),
@@ -851,104 +743,6 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                                            f"{exc}")
             except OSError:
                 pass
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        self.obs.metrics.counter("server.requests_total").inc()
-        try:
-            cancel = _CANCEL_PATH.match(path)
-            if path == "/api/jobs":
-                self._submit_job()
-            elif cancel is not None:
-                self._cancel_job(cancel.group(1))
-            else:
-                self.obs.metrics.counter("server.not_found").inc()
-                self._send_error_json(404, f"no route for POST {path}")
-        except BrokenPipeError:
-            self.obs.metrics.counter("server.client_aborts").inc()
-        except Exception as exc:  # pragma: no cover - defensive
-            self.obs.metrics.counter("server.errors").inc()
-            try:
-                self._send_error_json(500, f"{type(exc).__name__}: "
-                                           f"{exc}")
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    # job endpoints (the write path; 503 unless --jobs)
-    # ------------------------------------------------------------------
-    def _require_service(self) -> bool:
-        if self.obs.queue is None:
-            self._send_error_json(
-                503, "job service disabled; start the observatory "
-                     "with --jobs to accept submissions")
-            return False
-        return True
-
-    def _submit_job(self) -> None:
-        from ..service.queue import InvalidRequest, QueueFull
-
-        if not self._require_service():
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if not 0 < length <= MAX_BODY_BYTES:
-            self._send_error_json(
-                400, f"request body must be 1..{MAX_BODY_BYTES} "
-                     f"bytes of JSON")
-            return
-        try:
-            raw = json.loads(self.rfile.read(length))
-        except ValueError:
-            self._send_error_json(400, "request body must be JSON")
-            return
-        try:
-            job, created = self.obs.queue.submit(raw)
-        except InvalidRequest as exc:
-            self._send_error_json(400, str(exc))
-            return
-        except QueueFull as exc:
-            # graceful degradation: shed load, tell the client when
-            # to come back, and keep every read endpoint serving
-            self._send_json(
-                {"error": str(exc), "status": 429,
-                 "retry_after": exc.retry_after},
-                status=429,
-                extra_headers={"Retry-After": str(exc.retry_after)})
-            return
-        self._send_json(self.obs.job_payload(job),
-                        status=202 if created else 200)
-
-    def _serve_jobs(self) -> None:
-        if not self._require_service():
-            return
-        queue = self.obs.queue
-        self._send_json({
-            "jobs": [self.obs.job_payload(j) for j in queue.jobs()],
-            "depth": queue.depth(),
-            "max_depth": queue.max_depth,
-        })
-
-    def _serve_job(self, job_id: str) -> None:
-        if not self._require_service():
-            return
-        job = (self.obs.queue.load(job_id)
-               if _JOB_ID.match(job_id) else None)
-        if job is None:
-            self._send_error_json(404, f"no job {job_id!r}")
-            return
-        self._send_json(self.obs.job_payload(job))
-
-    def _cancel_job(self, job_id: str) -> None:
-        if not self._require_service():
-            return
-        job = self.obs.queue.cancel(job_id)
-        if job is None:
-            self._send_error_json(404, f"no job {job_id!r}")
-            return
-        self._send_json(self.obs.job_payload(job))
 
     # ------------------------------------------------------------------
     # endpoints
@@ -970,13 +764,12 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
             return
         self._send_json(detail)
 
-    def _serve_trace(self, path: str) -> None:
-        match = _TRACE_PATH.match(path)
-        diff = _DIFF_PATH.match(path) if match is None else None
-        if match is None and diff is None:
+    def _serve_diff(self, path: str) -> None:
+        match = _DIFF_PATH.match(path)
+        if match is None:
             self._send_error_json(
                 404, "run paths are /api/run/<campaign>/<seed>/"
-                     "<index>/trace and .../diff")
+                     "<index>/diff")
             return
         if not self.obs.allow_replay:
             self.obs.metrics.counter("server.replay_denied").inc()
@@ -985,13 +778,11 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                      "observatory with --allow-replay to enable it")
             return
         self.obs.metrics.counter("server.replays").inc()
-        found = match or diff
-        view = self.obs.run_trace if match else self.obs.run_diff
-        payload = view(found.group(1), int(found.group(2)),
-                       int(found.group(3)))
+        payload = self.obs.run_diff(match.group(1), int(match.group(2)),
+                                    int(match.group(3)))
         if payload is None:
             self._send_error_json(404,
-                                  f"no campaign {found.group(1)!r}")
+                                  f"no campaign {match.group(1)!r}")
             return
         self._send_json(payload)
 
@@ -1076,9 +867,8 @@ def serve(host: str = "127.0.0.1", port: int = 8000,
     the ephemeral port, so it goes to stdout by default.
 
     SIGTERM/SIGINT trigger a graceful stop: SSE streams flush a
-    final comment frame and close, the job service (if enabled)
-    drains — running shards finish or requeue with their checkpoints
-    on disk — and the call returns normally so the process exits 0.
+    final comment frame and close, and the call returns normally so
+    the process exits 0.
     """
     server = make_server(host, port, **observatory_kwargs)
     obs = server.observatory
@@ -1098,18 +888,15 @@ def serve(host: str = "127.0.0.1", port: int = 8000,
         # not the main thread (threaded tests): KeyboardInterrupt
         # and an explicit shutdown() remain the stop paths
         pass
-    obs.start_service()
     bound_host, bound_port = server.server_address[:2]
     announce(f"observatory serving at http://{bound_host}:{bound_port}"
              f" (cache {obs.cache_path}, events "
              f"{obs.events_path}, replay "
-             f"{'on' if obs.allow_replay else 'off'}, jobs "
-             f"{'on' if obs.queue is not None else 'off'})")
+             f"{'on' if obs.allow_replay else 'off'})")
     try:
         server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
-        obs.stop_service()
         server.server_close()

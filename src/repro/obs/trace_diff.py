@@ -388,6 +388,7 @@ def capture_diff(injector: str, workload: str, config_name: str,
     recorded steps.  Returns the versioned JSON payload.
     """
     from ..injectors.golden import golden_run
+    from ..injectors.llfi import require_svf_isa
     from ..isa.registers import register_set
     from ..uarch.config import config_by_name
     from .tracing import trace_run
@@ -395,6 +396,9 @@ def capture_diff(injector: str, workload: str, config_name: str,
     engine_kind = _ENGINE_KINDS.get(injector)
     if engine_kind is None:
         raise ValueError(f"unknown injector {injector!r}")
+    config = config_by_name(config_name)
+    if injector == "svf":
+        require_svf_isa(config.isa)
     golden = golden_run(workload, config_name, hardened=hardened)
     unit = "cycle" if injector == "gefin" else "instruction"
     if injector == "gefin":
@@ -410,7 +414,6 @@ def capture_diff(injector: str, workload: str, config_name: str,
                                    set(recorder.frames), engine_kind,
                                    golden)
 
-    config = config_by_name(config_name)
     regs_meta = register_set(config.isa)
     t_max = golden.cycles if unit == "cycle" \
         else float(golden.instructions)

@@ -200,20 +200,16 @@ def trace_fault(workload: str, config_name: str, structure: str,
     *arch_probe* is forwarded to the engine (used by
     :mod:`repro.obs.trace_diff` to snapshot state per step).
     """
-    import random
-
-    from ..faults.fault import sample_uniform
+    from ..injectors.campaign import draw_fault
     from ..injectors.gefin import run_one_injection
     from ..injectors.golden import golden_run
     from ..uarch.config import config_by_name
 
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    # identical derivation to campaign._one_gefin — keep in sync
-    rng = random.Random(repr((seed, "gefin", workload, config_name,
-                              structure, index)))
-    spec = sample_uniform(config, structure, golden.cycles, rng,
-                          prefer_live=prefer_live)
+    spec = draw_fault("gefin", index, workload=workload, config=config,
+                      seed=seed, golden=golden, structure=structure,
+                      prefer_live=prefer_live)
     tracer = FaultTracer()
     tracer.injected(spec.cycle, _describe_spec(spec))
     result = run_one_injection(workload, config, spec, golden,
@@ -251,29 +247,22 @@ def _trace_functional(injector: str, workload: str, config_name: str,
                       model: str | None, seed: int, index: int,
                       hardened: bool, arch_probe=None):
     """Shared PVF/SVF replay: architecture-level faults cross at birth."""
-    import random
-
-    from ..injectors.archinj import build_pvf_action, run_one_pvf
+    from ..injectors.archinj import run_one_pvf
+    from ..injectors.campaign import draw_fault
     from ..injectors.golden import golden_run
-    from ..injectors.llfi import _dest_flip_action, run_one_svf
-    from ..isa.registers import register_set
+    from ..injectors.llfi import run_one_svf
     from ..uarch.config import config_by_name
 
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(config.isa).xlen
+    action = draw_fault(injector, index, workload=workload, config=config,
+                        seed=seed, golden=golden, model=model)
     tracer = FaultTracer()
     if injector == "pvf":
-        rng = random.Random(repr((seed, "pvf", model, workload,
-                                  config_name, index)))
-        action = build_pvf_action(model, rng, golden, xlen)
         result = run_one_pvf(workload, config.isa, action, golden,
                              hardened=hardened, tracer=tracer,
                              arch_probe=arch_probe)
     else:
-        rng = random.Random(repr((seed, "svf", workload, config_name,
-                                  index)))
-        action = _dest_flip_action(rng, golden, xlen)
         result = run_one_svf(workload, config.isa, action, golden,
                              hardened=hardened, tracer=tracer,
                              arch_probe=arch_probe)
@@ -341,6 +330,10 @@ def trace_run(injector: str, workload: str, config_name: str,
                                 index=index, hardened=hardened,
                                 arch_probe=arch_probe)
     if injector == "svf":
+        from ..injectors.llfi import require_svf_isa
+        from ..uarch.config import config_by_name
+
+        require_svf_isa(config_by_name(config_name).isa)
         return trace_fault_soft(workload, config_name, seed,
                                 index=index, hardened=hardened,
                                 arch_probe=arch_probe)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -385,103 +384,3 @@ class TestCliFlags:
             build_parser().parse_args(
                 ["campaign", "crc32", "--progress", "--quiet"])
 
-
-# ---------------------------------------------------------------------------
-# cooperative cancellation (the job service's shard-boundary stop)
-# ---------------------------------------------------------------------------
-class TestCancellation:
-    def test_preset_stop_event_cancels_before_any_run(self):
-        import threading
-
-        from repro.injectors.engine import ExecutionCancelled
-
-        stop = threading.Event()
-        stop.set()
-        ran = []
-
-        def worker(task):
-            ran.append(task)
-            return task
-
-        with pytest.raises(ExecutionCancelled):
-            run_sharded(worker, list(range(8)), workers=1,
-                        stop_event=stop)
-        assert ran == []
-
-    def test_mid_run_cancel_keeps_checkpoints_and_resumes(
-            self, tmp_path):
-        import threading
-
-        from repro.injectors.engine import ExecutionCancelled
-
-        stop = threading.Event()
-        seen = []
-
-        def worker(task):
-            seen.append(task)
-            if len(seen) >= 4:
-                stop.set()
-            return task * 2
-
-        checkpoints = tmp_path / "shards"
-        with pytest.raises(ExecutionCancelled):
-            run_sharded(worker, list(range(12)), workers=1,
-                        shard_size=2, checkpoint_dir=checkpoints,
-                        stop_event=stop)
-        # completed shards stayed on disk; the cancelled one did not
-        done = sorted(p.name for p in checkpoints.glob("*.json"))
-        assert 1 <= len(done) < 6
-        # resuming without the stop event completes byte-identically
-        resumed = run_sharded(_double, list(range(12)), workers=1,
-                              shard_size=2,
-                              checkpoint_dir=checkpoints)
-        assert resumed == [t * 2 for t in range(12)]
-        # the resumed run skipped the checkpointed work
-        assert len(seen) < 12
-
-    def test_backoff_sleep_is_interruptible(self, tmp_path):
-        import threading
-
-        from repro.injectors.engine import ExecutionCancelled
-
-        stop = threading.Event()
-
-        def failing(task):
-            raise RuntimeError("always down")
-
-        timer = threading.Timer(0.2, stop.set)
-        timer.start()
-        started = time.monotonic()
-        try:
-            with pytest.raises(ExecutionCancelled):
-                # a bare time.sleep here would block for the full
-                # 30 s backoff before the cancel could land
-                run_sharded(failing, [1], workers=1, max_retries=3,
-                            backoff_base=30.0, backoff_cap=30.0,
-                            stop_event=stop)
-        finally:
-            timer.cancel()
-        assert time.monotonic() - started < 5.0
-
-    def test_campaign_cancel_event_recorded(self, tmp_path):
-        import threading
-
-        from repro.injectors.engine import ExecutionCancelled
-        from repro.obs import EventLog
-
-        stop = threading.Event()
-        log = tmp_path / "events.jsonl"
-        seen = []
-
-        def worker(task):
-            seen.append(task)
-            stop.set()
-            return task
-
-        with pytest.raises(ExecutionCancelled):
-            run_sharded(worker, list(range(6)), workers=1,
-                        shard_size=1, events=EventLog(log),
-                        stop_event=stop, label="campaign-c")
-        kinds = [json.loads(line)["event"]
-                 for line in log.read_text().splitlines()]
-        assert kinds[-1] == "campaign_cancelled"

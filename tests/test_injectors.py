@@ -98,6 +98,27 @@ class TestLayerSemantics:
         with pytest.raises(ValueError):
             run_svf_campaign("sha", MR32, "cortex-a9", n=1, seed=1)
 
+    @pytest.mark.parametrize("planner", [None, "two-level"])
+    def test_svf_campaign_rejects_32bit_before_simulating(
+            self, planner, monkeypatch):
+        import repro.injectors.campaign as campaign_mod
+        import repro.injectors.golden as golden_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("golden run before the ISA check")
+
+        monkeypatch.setattr(golden_mod, "golden_run", boom)
+        monkeypatch.setattr(campaign_mod, "golden_run", boom)
+        with pytest.raises(ValueError, match="64-bit"):
+            run_campaign("sha", "cortex-a9", injector="svf", n=2,
+                         workers=1, use_cache=False, planner=planner)
+
+    def test_svf_trace_rejects_32bit(self):
+        from repro.obs.tracing import trace_run
+
+        with pytest.raises(ValueError, match="64-bit"):
+            trace_run("svf", "sha", "cortex-a9", 1)
+
     def test_svf_sdc_dominated(self):
         """Software-level injection mostly produces SDCs (paper Fig 4)."""
         campaign = run_campaign("sha", CORTEX_A72, injector="svf",

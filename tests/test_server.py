@@ -3,7 +3,7 @@
 The acceptance bar: every endpoint round-trips against a fixture
 sidecar directory; the SSE stream delivers deltas in order under
 concurrent appends (torn trailing lines held back until complete);
-the trace drill-down is 403 unless ``--allow-replay``; ``/metrics``
+the ``/diff`` drill-down is 403 unless ``--allow-replay``; ``/metrics``
 is well-formed Prometheus text exposition; and — the observatory's
 core contract — no non-replay endpoint ever runs a simulation.
 """
@@ -185,38 +185,21 @@ def _rf_gefin_sha(sidecars):
 # ---------------------------------------------------------------------------
 class TestReplayGate:
     def test_trace_is_403_by_default(self, sidecars):
+        # the replayed trace travels only inside the gated /diff
+        # payload: a shut gate captures nothing and persists nothing
         cid = next(sidecars.glob("campaign-gefin-*.json")).stem
         with _serving(sidecars) as (server, base):
             with pytest.raises(urllib.error.HTTPError) as err:
-                _get(f"{base}/api/run/{cid}/1/0/trace")
+                _get(f"{base}/api/run/{cid}/7/0/diff")
             assert err.value.code == 403
-            denied = server.observatory.metrics.counter(
-                "server.replay_denied")
-            assert denied.value == 1
-
-    def test_trace_replays_when_allowed(self, sidecars):
-        # the one endpoint that simulates: a real gefin replay with
-        # the campaign-identical (seed, index) derivation
-        from repro.injectors.campaign import _one_gefin
-
-        cid = next(sidecars.glob("campaign-gefin-sha-*.json")).stem
-        with _serving(sidecars, allow_replay=True) as (_, base):
-            payload = _get_json(f"{base}/api/run/{cid}/7/0/trace")
-        assert payload["campaign"] == cid
-        trace = payload["trace"]
-        assert trace["injector"] == "gefin"
-        assert trace["seed"] == 7 and trace["index"] == 0
-        assert payload["rendered"].startswith("fault trace:")
-        # field-for-field agreement with the campaign worker
-        worker = _one_gefin(("sha", "cortex-a72", trace["structure"],
-                             7, 0, False, True, True))
-        assert payload["outcome"] == worker.outcome
-
-    def test_trace_of_missing_campaign_is_404(self, sidecars):
-        with _serving(sidecars, allow_replay=True) as (_, base):
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(base + "/api/run/campaign-nope/1/0/trace")
-            assert err.value.code == 404
+            assert "trace" not in json.loads(err.value.read())
+            metrics = server.observatory.metrics
+            assert metrics.counter("server.replay_denied").value == 1
+            assert metrics.counter("server.trace_requests").value == 0
+        assert not list(sidecars.glob("trace-*.json"))
+        events = sidecars / "events.jsonl"
+        assert not events.exists() or \
+            "trace_ready" not in events.read_text()
 
     def test_diff_is_403_by_default(self, sidecars):
         cid = next(sidecars.glob("campaign-gefin-*.json")).stem
@@ -257,18 +240,52 @@ class TestReplayGate:
         assert "repro_server_trace_requests_total 2" in exposition
         assert "repro_server_trace_cache_hits_total 1" in exposition
 
+    def test_trace_replays_when_allowed(self, sidecars):
+        # the one endpoint that simulates: a real gefin replay with
+        # the campaign-identical (seed, index) derivation
+        from dataclasses import asdict
+
+        from repro.injectors.campaign import _one_gefin
+
+        cid = next(sidecars.glob("campaign-gefin-sha-*.json")).stem
+        with _serving(sidecars, allow_replay=True) as (_, base):
+            payload = _get_json(f"{base}/api/run/{cid}/7/0/diff")
+        assert payload["campaign"] == cid
+        diff = payload["diff"]
+        trace = diff["trace"]
+        assert trace["injector"] == "gefin"
+        assert trace["seed"] == 7 and trace["index"] == 0
+        assert diff["rendered"].startswith("fault trace:")
+        # field-for-field agreement with the campaign worker
+        worker = _one_gefin(("sha", "cortex-a72", trace["structure"],
+                             7, 0, False, True, True))
+        assert diff["outcome"] == asdict(worker)
+
+    def test_diff_of_missing_campaign_is_404(self, sidecars):
+        with _serving(sidecars, allow_replay=True) as (_, base):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(base + "/api/run/campaign-nope/1/0/diff")
+            assert err.value.code == 404
+
     def test_trace_and_diff_share_the_sidecar(self, sidecars):
-        # either drill-down view warms the other: one simulation total
+        # one capture persists the trace and the diff frames together:
+        # a later server serves both from the sidecar, simulating once
         cid = _rf_gefin_sha(sidecars)
+        with _serving(sidecars, allow_replay=True) as (_, base):
+            cold = _get_json(f"{base}/api/run/{cid}/7/0/diff")
         with _serving(sidecars, allow_replay=True) as (server, base):
-            diff = _get_json(f"{base}/api/run/{cid}/7/0/diff")
-            trace = _get_json(f"{base}/api/run/{cid}/7/0/trace")
+            warm = _get_json(f"{base}/api/run/{cid}/7/0/diff")
             hits = server.observatory.metrics.counter(
                 "server.trace_cache_hits")
             assert hits.value == 1
-        assert diff["cached"] is False and trace["cached"] is True
-        assert trace["rendered"].startswith("fault trace:")
-        assert trace["outcome"] == diff["diff"]["outcome"]["outcome"]
+        assert cold["cached"] is False and warm["cached"] is True
+        assert warm["diff"]["trace"] == cold["diff"]["trace"]
+        assert warm["diff"]["rendered"].startswith("fault trace:")
+        assert warm["diff"]["rendered"] == cold["diff"]["rendered"]
+        assert warm["diff"]["outcome"] == cold["diff"]["outcome"]
+        assert warm["diff"]["frames"] == cold["diff"]["frames"]
+        ready = (sidecars / "events.jsonl").read_text()
+        assert ready.count("trace_ready") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +511,8 @@ class TestNoSimulation:
 
     def test_warm_drilldown_never_resimulates(self, sidecars,
                                               monkeypatch):
-        # the acceptance bar: once the trace sidecar exists, both
-        # drill-down views render entirely from it — poison every
+        # the acceptance bar: once the trace sidecar exists, the
+        # drill-down renders entirely from it — poison every
         # simulation entry point and serve anyway
         cid = _rf_gefin_sha(sidecars)
         observatory = Observatory(cache_path=sidecars,
@@ -520,9 +537,7 @@ class TestNoSimulation:
         warm = observatory.run_diff(cid, 7, 0)
         assert warm["cached"] is True
         assert warm["diff"] == cold["diff"]
-        trace = observatory.run_trace(cid, 7, 0)
-        assert trace["cached"] is True
-        assert trace["rendered"].startswith("fault trace:")
+        assert warm["diff"]["rendered"].startswith("fault trace:")
 
     def test_serving_leaves_sidecars_untouched(self, sidecars):
         # byte-identical sidecars with the server attached or not
@@ -591,151 +606,12 @@ class TestServeCLI:
         monkeypatch.setattr("repro.obs.server.serve", fake_serve)
         code = main(["serve", "--port", "0", "--cache",
                      str(tmp_path), "--allow-replay",
-                     "--poll-interval", "0.25", "--jobs",
-                     "--max-concurrent", "3", "--queue-depth", "9",
-                     "--job-timeout", "120"])
+                     "--poll-interval", "0.25"])
         assert code == 0
         assert calls["port"] == 0
         assert calls["cache_path"] == str(tmp_path)
         assert calls["allow_replay"] is True
         assert calls["poll_interval"] == 0.25
-        assert calls["jobs"] is True
-        assert calls["max_concurrent"] == 3
-        assert calls["queue_depth"] == 9
-        assert calls["job_timeout"] == 120.0
-
-
-# ---------------------------------------------------------------------------
-# the job service write path
-# ---------------------------------------------------------------------------
-def _post(url, body=None, timeout=10):
-    data = (json.dumps(body).encode() if body is not None else b"")
-    request = urllib.request.Request(
-        url, data=data, method="POST",
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return (response.status, json.loads(response.read()),
-                dict(response.headers))
-
-
-def _job_request(**overrides):
-    raw = {"workload": "crc32", "injector": "svf", "n": 8,
-           "seed": 880001}
-    raw.update(overrides)
-    return raw
-
-
-class TestJobEndpoints:
-    def test_routes_are_503_without_service(self, sidecars):
-        with _serving(sidecars) as (_, base):
-            for method, url in (
-                    ("GET", base + "/api/jobs"),
-                    ("GET", base + "/api/jobs/job-" + "0" * 16),
-                    ("POST", base + "/api/jobs"),
-                    ("POST", base + "/api/jobs/job-" + "0" * 16
-                     + "/cancel")):
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    if method == "GET":
-                        _get(url)
-                    else:
-                        _post(url, {})
-                assert err.value.code == 503, url
-                assert "disabled" in json.loads(
-                    err.value.read())["error"]
-
-    def test_submit_poll_dedup_cancel_round_trip(self, sidecars):
-        with _serving(sidecars, jobs=True) as (server, base):
-            obs = server.observatory
-            obs.supervisor.runner = \
-                lambda request, cancel=None: ("campaign-fake", None)
-            obs.start_service()
-            try:
-                status, job, _ = _post(base + "/api/jobs",
-                                       _job_request())
-                assert status == 202
-                assert job["state"] == "queued"
-                assert job["position"] == 0
-                deadline = time.time() + 20
-                while time.time() < deadline:
-                    current = _get_json(f"{base}/api/jobs/{job['id']}")
-                    if current["state"] == "done":
-                        break
-                    time.sleep(0.05)
-                assert current["state"] == "done"
-                assert current["campaign"] == "campaign-fake"
-                # duplicate submission returns the finished job, 200
-                status, again, _ = _post(base + "/api/jobs",
-                                         _job_request())
-                assert status == 200 and again["id"] == job["id"]
-                assert again["state"] == "done"
-                # the listing includes it; cancel is idempotent
-                listing = _get_json(base + "/api/jobs")
-                assert [j["id"] for j in listing["jobs"]] == \
-                    [job["id"]]
-                status, cancelled, _ = _post(
-                    f"{base}/api/jobs/{job['id']}/cancel")
-                assert status == 200
-                assert cancelled["state"] == "done"
-            finally:
-                obs.stop_service(grace=0.1)
-
-    def test_submit_and_cancel_queued_job(self, sidecars):
-        # no supervisor running: the job stays queued until cancelled
-        with _serving(sidecars, jobs=True) as (_, base):
-            status, job, _ = _post(base + "/api/jobs", _job_request())
-            assert status == 202 and job["state"] == "queued"
-            status, cancelled, _ = _post(
-                f"{base}/api/jobs/{job['id']}/cancel")
-            assert status == 200 and cancelled["state"] == "cancelled"
-
-    def test_bad_submissions_are_400(self, sidecars):
-        with _serving(sidecars, jobs=True) as (_, base):
-            for body in ({"workload": "nope"}, None):
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    _post(base + "/api/jobs", body)
-                assert err.value.code == 400
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(base + "/api/jobs/job-nope")
-            assert err.value.code == 404
-
-    def test_full_queue_sheds_while_reads_stay_live(self, sidecars):
-        (sidecars / "events.jsonl").write_text(
-            json.dumps(_summary_event("c0", 4)) + "\n")
-        with _serving(sidecars, jobs=True,
-                      queue_depth=1) as (_, base):
-            status, _, _ = _post(base + "/api/jobs",
-                                 _job_request(seed=880011))
-            assert status == 202
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _post(base + "/api/jobs", _job_request(seed=880012))
-            assert err.value.code == 429
-            assert err.value.headers["Retry-After"] == "5"
-            assert json.loads(err.value.read())["retry_after"] == 5
-            # graceful degradation: shedding writes never takes the
-            # read side down
-            status, _, body = _get(base + "/metrics")
-            assert status == 200
-            assert b"service_jobs_shed" in body
-            client = _SSEClient(base)
-            event, data = client.next_event()
-            assert event == "summary"
-            assert data["campaigns"][0]["runs"] == 4
-            client.sock.close()
-
-    def test_sse_forwards_job_updates(self, sidecars):
-        (sidecars / "events.jsonl").write_text("")
-        with _serving(sidecars, jobs=True,
-                      events_path=sidecars / "events.jsonl") \
-                as (server, base):
-            client = _SSEClient(base)
-            event, _ = client.next_event()
-            assert event == "summary"
-            _post(base + "/api/jobs", _job_request(seed=880021))
-            event, data = client.next_event()
-            assert event == "job_update"
-            assert data["state"] == "queued"
-            assert data["label"].startswith("svf:crc32")
-            client.sock.close()
 
 
 class TestGracefulShutdown:
@@ -754,7 +630,7 @@ class TestGracefulShutdown:
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
 
-    @pytest.mark.parametrize("flags", [(), ("--jobs",)])
+    @pytest.mark.parametrize("flags", [(), ("--allow-replay",)])
     def test_sigterm_exits_zero(self, tmp_path, flags):
         import signal as signal_mod
 
