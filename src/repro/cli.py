@@ -65,7 +65,7 @@ def _progress_flag(args) -> "bool | None":
     return None
 
 
-def _add_planner_flags(parser, with_batch: bool = False) -> None:
+def _add_planner_flags(parser) -> None:
     parser.add_argument("--planner", choices=("naive", "two-level"),
                         default=None,
                         help="sampling strategy: 'two-level' "
@@ -78,10 +78,6 @@ def _add_planner_flags(parser, with_batch: bool = False) -> None:
                         help="two-level stopping margin on the "
                              "weighted vulnerability axis "
                              "(default 0.05)")
-    if with_batch:
-        parser.add_argument("--batch", type=int, default=None,
-                            help="two-level injections per "
-                                 "sequential batch (default 16)")
 
 
 def _add_progress_flags(parser) -> None:
@@ -193,7 +189,7 @@ def _cmd_campaign(args) -> int:
         progress=_progress_flag(args),
         fastpath=args.fastpath,
         planner=args.planner, target_margin=args.target_margin,
-        batch=args.batch, batch_lanes=args.batch_lanes)
+        batch_lanes=args.batch_lanes)
     print(campaign.summary())
     if campaign.plan:
         plan = campaign.plan
@@ -245,38 +241,27 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_trace_fault(args) -> int:
-    from .obs.tracing import (trace_fault, trace_fault_arch,
-                              trace_fault_soft)
+    from .obs.tracing import trace_run
 
+    replay = dict(
+        structure=args.structure if args.injector == "gefin" else None,
+        model=args.model if args.injector == "pvf" else None,
+        hardened=args.hardened)
     if args.diff:
         from .obs.dashboard import resolve_color_mode
         from .obs.trace_diff import load_or_capture, render_diff
 
         payload, cached = load_or_capture(
             args.injector, args.workload, args.config, args.seed,
-            index=args.index,
-            structure=(args.structure if args.injector == "gefin"
-                       else None),
-            model=args.model if args.injector == "pvf" else None,
-            hardened=args.hardened)
+            index=args.index, **replay)
         print(render_diff(payload,
                           color=resolve_color_mode(args.color)))
         if cached:
             print("\n(served from the trace sidecar — no "
                   "re-simulation)", file=sys.stderr)
         return 0
-    if args.injector == "gefin":
-        trace, result = trace_fault(
-            args.workload, args.config, args.structure, args.seed,
-            index=args.index, hardened=args.hardened)
-    elif args.injector == "pvf":
-        trace, result = trace_fault_arch(
-            args.workload, args.config, args.model, args.seed,
-            index=args.index, hardened=args.hardened)
-    else:
-        trace, result = trace_fault_soft(
-            args.workload, args.config, args.seed,
-            index=args.index, hardened=args.hardened)
+    trace, _ = trace_run(args.injector, args.workload, args.config,
+                         args.seed, index=args.index, **replay)
     print(trace.render())
     if args.window:
         print()
@@ -542,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pack up to N pvf/svf runs per bit-parallel "
                         "batch (2..64; 0 disables; default: "
                         "REPRO_BATCH, off)")
-    _add_planner_flags(p, with_batch=True)
+    _add_planner_flags(p)
     _add_progress_flags(p)
     p.set_defaults(func=_cmd_campaign)
 

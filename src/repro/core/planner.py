@@ -50,7 +50,6 @@ the naive campaign's 99% Wilson interval.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -58,8 +57,6 @@ from functools import lru_cache
 from ..faults.fault import fault_site_bit
 from ..faults.sampling import wilson_interval
 from ..injectors.campaign import draw_fault
-from ..injectors.gefin import InjectionResult
-from ..obs import EventLog
 from ..obs.metrics import get_registry
 from ..uarch.config import MicroarchConfig, config_by_name
 
@@ -68,8 +65,9 @@ from ..uarch.config import MicroarchConfig, config_by_name
 PLAN_PHASES = 4
 PLAN_REGIONS = 2
 
-#: sequential batch size after the opening representative sweep
-DEFAULT_BATCH = 16
+#: injections per sequential round after the opening representative
+#: sweep (rounds then grow ~1.5x)
+ROUND_SIZE = 16
 #: default stopping margin on the (occupancy-weighted) AVF axis
 DEFAULT_TARGET_MARGIN = 0.05
 #: never stop a sampled cell before this many injections — guards the
@@ -278,17 +276,6 @@ def enumerate_stream(workload: str, config: MicroarchConfig,
     return members
 
 
-def _one_planned_arch(args: tuple) -> InjectionResult:
-    """pvf/svf draws reuse the naive per-index workers, so a planned
-    architectural campaign is byte-for-byte a prefix of the naive one."""
-    from ..injectors import campaign as campaign_mod
-
-    injector, task = args[0], args[1:]
-    worker = {"pvf": campaign_mod._one_pvf,
-              "svf": campaign_mod._one_svf}[injector]
-    return worker(task)
-
-
 # ---------------------------------------------------------------------------
 # level 2: sequential Wilson early stopping
 # ---------------------------------------------------------------------------
@@ -416,7 +403,6 @@ def run_planned_campaign(workload: str,
                          seed: int = 1,
                          target_margin: float = DEFAULT_TARGET_MARGIN,
                          confidence: float = 0.99,
-                         batch: int = DEFAULT_BATCH,
                          hardened: bool = False,
                          prefer_live: bool = True,
                          use_cache: bool = True,
@@ -444,48 +430,28 @@ def run_planned_campaign(workload: str,
     fixed seed, at any worker count.
     """
     from ..injectors import campaign as campaign_mod
-    from ..injectors import golden as golden_mod
-    from ..injectors.campaign import CampaignResult, default_workers
-    from ..injectors.engine import atomic_write_text, run_sharded
-    from ..injectors.golden import (cache_dir, config_digest,
-                                    golden_run, workload_digest)
-    from ..injectors.llfi import require_svf_isa
-    from ..uarch.snapshot import fastpath_enabled
+    from ..injectors.engine import run_sharded
+    from ..injectors.golden import cache_dir
 
-    if injector not in campaign_mod.INJECTORS:
-        raise ValueError(f"unknown injector {injector!r}")
     config_name = config if isinstance(config, str) else config.name
     cfg = config_by_name(config_name)
-    if injector == "svf":
-        require_svf_isa(cfg.isa)
-    use_fastpath = fastpath_enabled(fastpath)
-
-    digest = (workload_digest(workload, cfg.isa, hardened)
-              + config_digest(cfg))
-    schema = golden_mod.CACHE_SCHEMA_VERSION
     target = structure if injector == "gefin" else model \
         if injector == "pvf" else "-"
-    meta = (f"planned-{injector}", workload, config_name, target, n,
-            seed, hardened, prefer_live, round(target_margin, 9),
-            round(confidence, 9), batch, n_phases, n_regions, digest,
-            schema)
-    path = campaign_mod._campaign_path(meta)
-    if use_cache:
-        cached = campaign_mod._load_cached_campaign(path, schema)
-        if cached is not None:
-            if population is not None:
-                cached.population = population
-            campaign_mod._write_profile_sidecar(cached, path)
-            return cached
-
-    golden = golden_run(workload, config_name, hardened=hardened)
-    if use_fastpath:
-        golden_mod.checkpoint_store(
-            workload, config_name,
-            engine=("pipeline" if injector == "gefin"
-                    else "functional-sim" if injector == "pvf"
-                    else "functional-host"),
-            hardened=hardened)
+    meta = campaign_mod._salted(
+        (f"planned-{injector}", workload, config_name, target, n, seed,
+         hardened, prefer_live, round(target_margin, 9),
+         round(confidence, 9), ROUND_SIZE, n_phases, n_regions),
+        workload, cfg, hardened)
+    setup = campaign_mod._Campaign(
+        injector, workload, config_name, meta, n=n, seed=seed,
+        structure=structure, model=model, hardened=hardened,
+        prefer_live=prefer_live, use_cache=use_cache,
+        population=population, fastpath=fastpath, workers=workers)
+    cached = setup.cached()
+    if cached is not None:
+        return cached
+    golden = setup.prepare()
+    path = setup.path
 
     classes = partition_classes(workload, cfg, structure=structure,
                                 injector=injector, hardened=hardened,
@@ -506,8 +472,7 @@ def run_planned_campaign(workload: str,
     # empirical population shares of the *finite* site stream — the
     # weights the extrapolation must use for full-budget equivalence
     weights = [len(m) / n if n else 0.0 for m in members]
-    weight = (golden.occupancy.get(structure, 1.0)
-              if injector == "gefin" and prefer_live else 1.0)
+    weight = setup.result.occupancy_weight
     prior = (_prior_p(workload, config_name, structure, weight)
              if injector == "gefin" else 0.5)
 
@@ -515,8 +480,6 @@ def run_planned_campaign(workload: str,
     hits = [0] * len(classes)
     per_class_results: list = [[] for _ in classes]
     batches: list = []
-    events = EventLog.resolve(default=cache_dir() / "events.jsonl")
-    n_workers = workers if workers is not None else default_workers(n)
     wall_started = time.monotonic()
     stopped_early = False
 
@@ -530,32 +493,15 @@ def run_planned_campaign(workload: str,
         alloc = _allocate(next_batch, weights, trials, caps)
         if sum(alloc) <= 0:
             break
-        tasks = []
-        owners = []
-        for i, cls in enumerate(classes):
-            for k in range(alloc[i]):
-                index = members[i][trials[i] + k]
-                if injector == "gefin":
-                    tasks.append((workload, config_name, structure,
-                                  seed, index, hardened, prefer_live,
-                                  use_fastpath))
-                elif injector == "pvf":
-                    tasks.append(("pvf", workload, config_name, model,
-                                  seed, index, hardened,
-                                  use_fastpath))
-                else:
-                    tasks.append(("svf", workload, config_name, seed,
-                                  index, hardened, use_fastpath))
-                owners.append(i)
-        worker = (campaign_mod._one_gefin if injector == "gefin"
-                  else _one_planned_arch)
+        picks = [(i, members[i][trials[i] + k])
+                 for i in range(len(classes)) for k in range(alloc[i])]
         batch_results = run_sharded(
-            worker, tasks, workers=n_workers, checkpoint_dir=None,
-            encode=asdict,
-            decode=lambda entry: InjectionResult(**entry),
-            events=events, label=f"{path.stem}-b{len(batches)}",
+            setup.worker(), [setup.task(index) for _, index in picks],
+            workers=setup.workers, checkpoint_dir=None, encode=asdict,
+            decode=campaign_mod._decode_one, events=setup.events,
+            label=f"{path.stem}-b{len(batches)}",
             repro_dir=cache_dir() / "repros")
-        for owner, result in zip(owners, batch_results):
+        for (owner, _), result in zip(picks, batch_results):
             trials[owner] += 1
             if result.vulnerable:
                 hits[owner] += 1
@@ -588,7 +534,7 @@ def run_planned_campaign(workload: str,
             break
         # grow batches geometrically (~1.5x) so long-running cells pay
         # O(log n) synchronisation rounds, not O(n / batch)
-        next_batch = max(batch, total // 2)
+        next_batch = max(ROUND_SIZE, total // 2)
 
     # deterministic result order: class-major, draw-minor — stable no
     # matter how batches were sized
@@ -606,7 +552,7 @@ def run_planned_campaign(workload: str,
         "planner": "two-level",
         "target_margin": target_margin,
         "confidence": confidence,
-        "batch": batch,
+        "batch": ROUND_SIZE,
         "n_phases": n_phases,
         "n_regions": n_regions,
         "planned_n": n,
@@ -630,36 +576,19 @@ def run_planned_campaign(workload: str,
         "batches": batches,
     }
 
-    campaign = CampaignResult(
-        injector=injector, workload=workload, config_name=config_name,
-        n=n, seed=seed,
-        structure=structure if injector == "gefin" else None,
-        model=model if injector == "pvf" else None,
-        hardened=hardened, occupancy_weight=weight,
-        population=population,
-        t_max=(golden.cycles if injector == "gefin"
-               else float(max(1, golden.instructions))),
-        results=results, plan=plan,
-    )
-    events.emit("campaign_summary", campaign=path.stem,
-                **campaign_mod._summary_fields(campaign, elapsed))
-    events.emit("planner_summary", campaign=path.stem,
-                planner="two-level", injector=injector,
-                workload=workload, config=config_name, target=target,
-                planned_n=n, actual_n=total,
-                savings=plan["savings"],
-                margin_attained=plan["margin_attained"],
-                target_margin=target_margin,
-                estimate=plan["estimate"])
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("planner.injections_planned").inc(n)
-        registry.counter("planner.injections_spent").inc(total)
-        registry.counter("planner.injections_saved").inc(
-            max(0, n - total))
-    if use_cache:
-        atomic_write_text(path, json.dumps(campaign.to_json()))
-    campaign_mod._write_profile_sidecar(campaign, path)
+    campaign = setup.finish(results, elapsed, plan=plan)
+    setup.events.emit("planner_summary", campaign=path.stem,
+                      planner="two-level", injector=injector,
+                      workload=workload, config=config_name,
+                      target=target, planned_n=n, actual_n=total,
+                      savings=plan["savings"],
+                      margin_attained=plan["margin_attained"],
+                      target_margin=target_margin,
+                      estimate=plan["estimate"])
+    registry = get_registry()   # a disabled one counts nothing
+    registry.counter("planner.injections_planned").inc(n)
+    registry.counter("planner.injections_spent").inc(total)
+    registry.counter("planner.injections_saved").inc(max(0, n - total))
     return campaign
 
 

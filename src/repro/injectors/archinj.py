@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import random
 
-from ..faults.outcomes import Outcome, Verdict, classify
+from ..faults.outcomes import Verdict, classify
 from ..isa.registers import register_set
 from ..kernel.loader import build_system_image
-from ..uarch.exceptions import ContainmentError
 from ..uarch.functional import FaultAction, FunctionalEngine
 from ..workloads.suite import load_workload
-from .gefin import InjectionResult
+from .gefin import InjectionResult, run_injection
 from .golden import GoldenRun, golden_run
 
 PVF_MODELS = ("WD", "WOI", "WI")
@@ -135,48 +134,51 @@ def run_one_pvf(workload: str, isa: str, action: FaultAction,
                 hardened: bool = False, tracer=None,
                 fastpath: "bool | None" = None,
                 arch_probe=None) -> InjectionResult:
-    from ..uarch import snapshot
-    from .golden import checkpoint_store
-
+    """Execute one architecture-level injection on the full machine
+    (the simulated kernel is part of the program flow)."""
     program = load_workload(workload, isa, hardened=hardened)
-    image = build_system_image(program)
-    engine = FunctionalEngine(image, kernel="sim",
+    engine = FunctionalEngine(build_system_image(program), kernel="sim",
                               max_instructions=golden.max_instructions)
-    engine.arch_probe = arch_probe
+    return run_one_arch("pvf", engine, workload, isa, action, golden,
+                        hardened=hardened, tracer=tracer,
+                        fastpath=fastpath, arch_probe=arch_probe)
+
+
+def run_one_arch(injector: str, engine: FunctionalEngine, workload: str,
+                 isa: str, action: FaultAction, golden: GoldenRun,
+                 hardened: bool = False, tracer=None,
+                 fastpath: "bool | None" = None,
+                 arch_probe=None) -> InjectionResult:
+    """The scalar pvf/svf run on *engine* (shared with
+    :func:`repro.injectors.llfi.run_one_svf`)."""
     engine.schedule(action)
+    origin = getattr(action, "origin",
+                     "destination register" if injector == "svf"
+                     else "architectural state")
     if tracer is not None:
-        origin = getattr(action, "origin", "architectural state")
         tracer.injected(float(action.when), origin)
-        # PVF faults are architecturally visible from birth: landing
+        # architecture-level faults are visible from birth: landing
         # and crossing coincide, with zero latent hardware phase
         tracer.crossed(float(action.when),
                        f"visible at birth via {origin}")
-    use_fastpath = (tracer is None and arch_probe is None
-                    and snapshot.fastpath_enabled(fastpath))
-    try:
-        if use_fastpath:
-            store = checkpoint_store(workload, golden.config_name,
-                                     engine="functional-sim",
-                                     hardened=hardened)
-            snapshot.prepare_functional_fastpath(engine, store)
-        result = engine.run()
-    except ContainmentError as exc:
-        raise exc.with_context(
-            injector="pvf", workload=workload, isa=isa,
-            origin=getattr(action, "origin", "architectural state"),
-            inject_cycle=float(action.when), hardened=hardened,
-            fastpath=use_fastpath)
-    return pvf_result(result, golden, action)
+    return run_injection(
+        injector, engine,
+        lambda result: arch_result(injector, result, golden, action),
+        workload=workload, config_name=golden.config_name,
+        hardened=hardened, tracer=tracer, fastpath=fastpath,
+        arch_probe=arch_probe, isa=isa, origin=origin,
+        inject_cycle=float(action.when))
 
 
-def pvf_result(result, golden: GoldenRun, action: FaultAction) \
-        -> InjectionResult:
-    """Classify a finished PVF run (shared by scalar and batched paths)."""
+def arch_result(injector: str, result, golden: GoldenRun,
+                action: FaultAction) -> InjectionResult:
+    """Classify a finished pvf/svf run (scalar and batched paths)."""
     verdict: Verdict = classify(
         result.status.value, result.output, result.exit_code,
         golden.output, golden.exit_code,
         fault_kind=result.fault_kind,
-        fault_in_kernel=result.fault_in_kernel,
+        # the SVF view has no kernel
+        fault_in_kernel=injector == "pvf" and result.fault_in_kernel,
     )
     return InjectionResult(
         outcome=verdict.outcome.value,
@@ -184,7 +186,7 @@ def pvf_result(result, golden: GoldenRun, action: FaultAction) \
                     if verdict.crash_kind else None),
         fault_applied=True,
         fault_live=True,
-        crossed=True,   # PVF faults start architecturally visible
+        crossed=True,   # architecture-level faults start visible
         inject_cycle=float(action.when),
         crossing_cycle=float(action.when),
         site_bit=getattr(action, "site_bit", None),
@@ -203,9 +205,7 @@ def run_pvf_campaign(workload: str, isa: str, config_name: str,
     golden = golden_run(workload, config_name, hardened=hardened)
     xlen = register_set(isa).xlen
     rng = random.Random(repr((seed, "pvf", model, workload, isa)))
-    out = []
-    for _ in range(n):
-        action = build_pvf_action(model, rng, golden, xlen)
-        out.append(run_one_pvf(workload, isa, action, golden,
-                               hardened=hardened))
-    return out
+    return [run_one_pvf(workload, isa,
+                        build_pvf_action(model, rng, golden, xlen),
+                        golden, hardened=hardened)
+            for _ in range(n)]

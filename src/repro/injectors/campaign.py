@@ -26,6 +26,7 @@ import random
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 from ..faults.fault import sample_uniform
 from ..faults.outcomes import Outcome
@@ -89,52 +90,58 @@ def draw_fault(injector: str, index: int, *, workload: str,
 def _one_gefin(args: tuple) -> InjectionResult:
     (workload, config_name, structure, seed, index, hardened,
      prefer_live, fastpath) = args
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    spec = draw_fault("gefin", index, workload=workload, config=config,
-                      seed=seed, golden=golden, structure=structure,
-                      prefer_live=prefer_live)
-    try:
-        return run_one_injection(workload, config, spec, golden,
-                                 hardened=hardened, fastpath=fastpath)
-    except ContainmentError as exc:
-        raise exc.with_context(seed=seed, index=index)
+    return _one_run("gefin", workload, config_name, seed, index,
+                    hardened, fastpath, structure=structure,
+                    prefer_live=prefer_live)
 
 
 def _one_pvf(args: tuple) -> InjectionResult:
     workload, config_name, model, seed, index, hardened, fastpath = args
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    action = draw_fault("pvf", index, workload=workload, config=config,
-                        seed=seed, golden=golden, model=model)
-    try:
-        return run_one_pvf(workload, config.isa, action, golden,
-                           hardened=hardened, fastpath=fastpath)
-    except ContainmentError as exc:
-        raise exc.with_context(seed=seed, index=index, model=model)
+    return _one_run("pvf", workload, config_name, seed, index, hardened,
+                    fastpath, model=model)
 
 
 def _one_svf(args: tuple) -> InjectionResult:
     workload, config_name, seed, index, hardened, fastpath = args
+    return _one_run("svf", workload, config_name, seed, index, hardened,
+                    fastpath)
+
+
+def _one_run(injector: str, workload: str, config_name: str, seed: int,
+             index: int, hardened: bool, fastpath: "bool | None",
+             **target) -> InjectionResult:
+    try:
+        return replay_index(injector, workload, config_name, seed, index,
+                            hardened=hardened, fastpath=fastpath,
+                            **target)
+    except ContainmentError as exc:
+        model = {"model": target["model"]} if injector == "pvf" else {}
+        raise exc.with_context(seed=seed, index=index, **model)
+
+
+def replay_index(injector: str, workload: str, config_name: str,
+                 seed: int, index: int, *, hardened: bool = False,
+                 fastpath: "bool | None" = None, tracer=None,
+                 arch_probe=None, **target) -> InjectionResult:
+    """Draw campaign run ``(seed, index)``'s fault (*target*: gefin's
+    structure/prefer_live, pvf's model) and inject it."""
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
-    action = draw_fault("svf", index, workload=workload, config=config,
-                        seed=seed, golden=golden)
-    try:
-        return run_one_svf(workload, config.isa, action, golden,
-                           hardened=hardened, fastpath=fastpath)
-    except ContainmentError as exc:
-        raise exc.with_context(seed=seed, index=index)
+    fault = draw_fault(injector, index, workload=workload, config=config,
+                       seed=seed, golden=golden, **target)
+    if injector == "gefin":
+        return run_one_injection(workload, config, fault, golden,
+                                 hardened=hardened, tracer=tracer,
+                                 fastpath=fastpath, arch_probe=arch_probe)
+    run = run_one_pvf if injector == "pvf" else run_one_svf
+    return run(workload, config.isa, fault, golden, hardened=hardened,
+               tracer=tracer, fastpath=fastpath, arch_probe=arch_probe)
 
 
 # shard codecs (scalar: one InjectionResult per task; batched: a lane
 # group's list per task)
 def _decode_one(entry):
     return InjectionResult(**entry)
-
-
-def _result_outcome(result):
-    return result.outcome
 
 
 def _encode_many(results):
@@ -284,9 +291,8 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 # campaign telemetry
 # ---------------------------------------------------------------------------
-def _latency_histogram(results) -> Histogram:
-    """Visibility-latency histogram over the crossed runs."""
-    hist = Histogram(LATENCY_BUCKETS)
+def _observe_latencies(results, hist):
+    """Fold the crossed runs' visibility latencies into *hist*."""
     for result in results:
         latency = result.visibility_latency
         if latency is not None:
@@ -301,7 +307,8 @@ def _summary_fields(campaign: "CampaignResult",
     outcomes: dict = {}
     for result in campaign.results:
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
-    hist = _latency_histogram(campaign.results)
+    hist = _observe_latencies(campaign.results,
+                              Histogram(LATENCY_BUCKETS))
     runs = len(campaign.results)
     return {
         "injector": campaign.injector,
@@ -326,12 +333,8 @@ def _record_campaign_metrics(registry: MetricsRegistry,
     for result in campaign.results:
         registry.counter(
             f"campaign.outcomes.{target}.{result.outcome}").inc()
-    hist = registry.histogram("campaign.visibility_latency_cycles",
-                              LATENCY_BUCKETS)
-    for result in campaign.results:
-        latency = result.visibility_latency
-        if latency is not None:
-            hist.observe(latency)
+    _observe_latencies(campaign.results, registry.histogram(
+        "campaign.visibility_latency_cycles", LATENCY_BUCKETS))
     registry.timer("campaign.wall_seconds").add(elapsed)
 
 
@@ -366,6 +369,17 @@ def _campaign_path(meta: tuple) -> "os.PathLike":
     return cache_dir() / f"campaign-{meta[0]}-{meta[1]}-{digest}.json"
 
 
+def _salted(head: tuple, workload: str, config: MicroarchConfig,
+            hardened: bool) -> tuple:
+    """*head* salted with the workload/core digests and the schema:
+    the cache key moves when any of them changes."""
+    from . import golden as golden_mod
+
+    digest = (golden_mod.workload_digest(workload, config.isa, hardened)
+              + golden_mod.config_digest(config))
+    return head + (digest, golden_mod.CACHE_SCHEMA_VERSION)
+
+
 def _campaign_meta(injector: str, workload: str, config_name: str,
                    structure: "str | None", model: str, n: int,
                    seed: int, hardened: bool,
@@ -375,25 +389,18 @@ def _campaign_meta(injector: str, workload: str, config_name: str,
     Shared by :func:`run_campaign` and :func:`campaign_cache_path`,
     so probing the cache derives exactly the path a run writes.
     """
-    from . import golden as golden_mod
-    from .golden import config_digest, workload_digest
-
     if injector not in INJECTORS:
         raise ValueError(f"unknown injector {injector!r}")
-    cfg = config_by_name(config_name)
-    digest = (workload_digest(workload, cfg.isa, hardened)
-              + config_digest(cfg))
-    schema = golden_mod.CACHE_SCHEMA_VERSION
     if injector == "gefin":
         if structure is None:
             raise ValueError("gefin campaigns need a structure")
-        return ("gefin", workload, config_name, structure, n, seed,
-                hardened, prefer_live, digest, schema)
-    if injector == "pvf":
-        return ("pvf", workload, config_name, model, n, seed, hardened,
-                digest, schema)
-    return ("svf", workload, config_name, n, seed, hardened,
-            digest, schema)
+        head = ("gefin", workload, config_name, structure, n, seed,
+                hardened, prefer_live)
+    elif injector == "pvf":
+        head = ("pvf", workload, config_name, model, n, seed, hardened)
+    else:
+        head = ("svf", workload, config_name, n, seed, hardened)
+    return _salted(head, workload, config_by_name(config_name), hardened)
 
 
 def campaign_cache_path(workload: str, config: "MicroarchConfig | str",
@@ -415,28 +422,6 @@ def campaign_cache_path(workload: str, config: "MicroarchConfig | str",
         hardened, prefer_live))
 
 
-def _load_cached_campaign(path, schema: int) -> "CampaignResult | None":
-    """Load one campaign sidecar, unlinking stale/corrupt entries.
-
-    An entry whose stored ``schema`` stamp differs from the current
-    :data:`~repro.injectors.golden.CACHE_SCHEMA_VERSION` was written
-    by a different engine schema and is removed so the campaign
-    recomputes (PR-4 invalidation discipline).
-    """
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text())
-        if data.get("schema") != schema:
-            raise ValueError("stale campaign cache schema")
-        return CampaignResult.from_json(data)
-    except (ValueError, TypeError, KeyError, OSError):
-        # tolerate two processes racing to remove (or replace)
-        # the same corrupt/stale entry
-        path.unlink(missing_ok=True)
-        return None
-
-
 def default_workers(n: int) -> int:
     env = os.environ.get("REPRO_WORKERS")
     if env:
@@ -452,6 +437,146 @@ def default_workers(n: int) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+class _Campaign:
+    """One campaign's set-up and finish.
+
+    Shared by :func:`run_campaign` and the two-level planner
+    (:func:`repro.core.planner.run_planned_campaign`), which differ
+    only in which runs they inject and how.  The execution settings —
+    fast path, batch lanes, workers — are resolved here, once per
+    campaign, and reach the workers inside each task tuple.
+    """
+
+    def __init__(self, injector: str, workload: str, config_name: str,
+                 meta: tuple, *, n: int, seed: int,
+                 structure: "str | None", model: "str | None",
+                 hardened: bool, prefer_live: bool, use_cache: bool,
+                 population: "float | None", fastpath: "bool | None",
+                 workers: "int | None",
+                 batch_lanes: "int | None" = None) -> None:
+        from ..uarch.batch import resolve_batch_lanes
+        from ..uarch.snapshot import fastpath_enabled
+
+        if injector not in INJECTORS:
+            raise ValueError(f"unknown injector {injector!r}")
+        self.config = config_by_name(config_name)
+        if injector == "svf":
+            require_svf_isa(self.config.isa)
+        #: the result this campaign fills in
+        self.result = CampaignResult(
+            injector=injector, workload=workload,
+            config_name=config_name, n=n, seed=seed,
+            structure=structure if injector == "gefin" else None,
+            model=model if injector == "pvf" else None,
+            hardened=hardened, population=population)
+        self.prefer_live = prefer_live
+        self.use_cache = use_cache
+        self.path = _campaign_path(meta)
+        self.fastpath = fastpath_enabled(fastpath)
+        self.lanes = resolve_batch_lanes(batch_lanes)
+        self.workers = (workers if workers is not None
+                        else default_workers(n))
+        self.events = EventLog.resolve(
+            default=cache_dir() / "events.jsonl")
+
+    def cached(self) -> "CampaignResult | None":
+        """The campaign's sidecar, when caching is on and it is fresh;
+        a corrupt one, or one stamped with another
+        :data:`~repro.injectors.golden.CACHE_SCHEMA_VERSION`, is
+        removed so the campaign recomputes."""
+        from . import golden as golden_mod
+
+        if not self.use_cache or not self.path.exists():
+            return None
+        try:
+            data = json.loads(self.path.read_text())
+            if data.get("schema") != golden_mod.CACHE_SCHEMA_VERSION:
+                raise ValueError("stale campaign cache schema")
+            campaign = CampaignResult.from_json(data)
+        except (ValueError, TypeError, KeyError, OSError):
+            # tolerate two processes racing to remove (or replace)
+            # the same corrupt/stale entry
+            self.path.unlink(missing_ok=True)
+            return None
+        if self.result.population is not None:
+            campaign.population = self.result.population
+        _write_profile_sidecar(campaign, self.path)
+        return campaign
+
+    def prepare(self):
+        """Make sure the golden run (and, on the fast path, the
+        checkpoint store) exists on disk before workers fork: every
+        worker then loads the shared store instead of re-running its
+        own capture run.  Returns the golden run."""
+        from .golden import STORE_ENGINES, checkpoint_store
+
+        c = self.result
+        golden = golden_run(c.workload, c.config_name,
+                            hardened=c.hardened)
+        if self.fastpath:
+            checkpoint_store(c.workload, c.config_name,
+                             engine=STORE_ENGINES[c.injector],
+                             hardened=c.hardened)
+        gefin = c.injector == "gefin"
+        c.occupancy_weight = (golden.occupancy.get(c.structure, 1.0)
+                              if gefin and self.prefer_live else 1.0)
+        c.t_max = (golden.cycles if gefin
+                   else float(max(1, golden.instructions)))
+        return golden
+
+    def task(self, index) -> tuple:
+        """The worker tuple of run *index*, or of a lane group of
+        indices for the batch workers (same shape)."""
+        c = self.result
+        if c.injector == "gefin":
+            return (c.workload, c.config_name, c.structure, c.seed,
+                    index, c.hardened, self.prefer_live, self.fastpath)
+        if c.injector == "pvf":
+            return (c.workload, c.config_name, c.model, c.seed, index,
+                    c.hardened, self.fastpath)
+        return (c.workload, c.config_name, c.seed, index, c.hardened,
+                self.fastpath)
+
+    def worker(self, batched: bool = False):
+        """The task worker, looked up on its module at call time, so a
+        wrapper swapped in there sees every task."""
+        if batched:
+            from . import batch
+
+            return (batch._one_pvf_batch if self.result.injector == "pvf"
+                    else batch._one_svf_batch)
+        return {"gefin": _one_gefin, "pvf": _one_pvf,
+                "svf": _one_svf}[self.result.injector]
+
+    def finish(self, results: list, elapsed: float,
+               plan: "dict | None" = None,
+               checkpoint_dir=None) -> "CampaignResult":
+        """Aggregate *results*, announce the summary and write the
+        sidecars; a successful write retires the shard checkpoints."""
+        campaign = self.result
+        campaign.results = results
+        campaign.plan = plan
+        stem = self.path.stem
+        self.events.emit("campaign_summary", campaign=stem,
+                         **_summary_fields(campaign, elapsed))
+        registry = get_registry()
+        # planned campaigns report through the planner.* counters
+        if plan is None and registry.enabled:
+            _record_campaign_metrics(registry, campaign, elapsed)
+            snapshot = registry.snapshot()
+            self.events.emit("metrics_snapshot", campaign=stem,
+                             metrics=snapshot)
+            # "metrics-" prefix: must never match the campaign-*.json
+            # globs used for cache scans and resume
+            atomic_write_text(cache_dir() / f"metrics-{stem}.json",
+                              json.dumps(snapshot, indent=2))
+        if self.use_cache:
+            atomic_write_text(self.path, json.dumps(campaign.to_json()))
+            clear_checkpoints(checkpoint_dir)
+        _write_profile_sidecar(campaign, self.path)
+        return campaign
+
+
 def run_campaign(workload: str, config: "MicroarchConfig | str",
                  injector: str = "gefin", structure: str | None = None,
                  model: str = "WD", n: int = 200, seed: int = 1,
@@ -464,7 +589,6 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
                  fastpath: bool | None = None,
                  planner: str | None = None,
                  target_margin: float | None = None,
-                 batch: int | None = None,
                  batch_lanes: int | None = None) -> CampaignResult:
     """Run (or load) one fault-injection campaign.
 
@@ -511,8 +635,7 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
     ``batch_fallback`` event.
     """
     if planner not in (None, "naive"):
-        from ..core.planner import (DEFAULT_BATCH,
-                                    DEFAULT_TARGET_MARGIN, PLANNERS,
+        from ..core.planner import (DEFAULT_TARGET_MARGIN, PLANNERS,
                                     run_planned_campaign)
 
         if planner not in PLANNERS:
@@ -522,128 +645,70 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
             model=model, n=n, seed=seed,
             target_margin=(target_margin if target_margin is not None
                            else DEFAULT_TARGET_MARGIN),
-            batch=batch if batch is not None else DEFAULT_BATCH,
             hardened=hardened, prefer_live=prefer_live,
             use_cache=use_cache, workers=workers,
             population=population, progress=progress,
             fastpath=fastpath)
     config_name = config if isinstance(config, str) else config.name
-    cfg = config_by_name(config_name)
-    if injector == "svf":
-        require_svf_isa(cfg.isa)
+    setup = _Campaign(
+        injector, workload, config_name,
+        _campaign_meta(injector, workload, config_name, structure,
+                       model, n, seed, hardened, prefer_live),
+        n=n, seed=seed, structure=structure, model=model,
+        hardened=hardened, prefer_live=prefer_live,
+        use_cache=use_cache, population=population, fastpath=fastpath,
+        workers=workers, batch_lanes=batch_lanes)
+    campaign = setup.cached()
+    if campaign is not None:
+        return campaign
+    golden = setup.prepare()
 
-    from ..uarch.snapshot import fastpath_enabled
-    from . import golden as golden_mod
-    from .golden import checkpoint_store
-
-    use_fastpath = fastpath_enabled(fastpath)
-    schema = golden_mod.CACHE_SCHEMA_VERSION
-    meta = _campaign_meta(injector, workload, config_name, structure,
-                          model, n, seed, hardened, prefer_live)
-    path = _campaign_path(meta)
-    if use_cache:
-        campaign = _load_cached_campaign(path, schema)
-        if campaign is not None:
-            if population is not None:
-                campaign.population = population
-            _write_profile_sidecar(campaign, path)
-            return campaign
-
-    # make sure golden data (and, on the fast path, the checkpoint
-    # store) exists on disk before forking workers: every worker then
-    # loads the shared store instead of re-running its own capture run
-    golden = golden_run(workload, config_name, hardened=hardened)
-    if use_fastpath:
-        checkpoint_store(workload, config_name,
-                         engine=("pipeline" if injector == "gefin"
-                                 else "functional-sim"
-                                 if injector == "pvf"
-                                 else "functional-host"),
-                         hardened=hardened)
-
-    if injector == "gefin":
-        tasks = [(workload, config_name, structure, seed, i, hardened,
-                  prefer_live, use_fastpath) for i in range(n)]
-        worker = _one_gefin
-        weight = (golden.occupancy.get(structure, 1.0)
-                  if prefer_live else 1.0)
-    elif injector == "pvf":
-        tasks = [(workload, config_name, model, seed, i, hardened,
-                  use_fastpath) for i in range(n)]
-        worker = _one_pvf
-        weight = 1.0
-    else:
-        tasks = [(workload, config_name, seed, i, hardened,
-                  use_fastpath) for i in range(n)]
-        worker = _one_svf
-        weight = 1.0
-
-    from ..uarch.batch import resolve_batch_lanes
-    lanes = resolve_batch_lanes(batch_lanes)
+    lanes = setup.lanes
     lane_groups = None
     if lanes >= 2 and injector in ("pvf", "svf") and n:
-        from ..isa.registers import register_set
-        from .batch import (_one_pvf_batch, _one_svf_batch,
-                            plan_lane_groups)
+        from .batch import plan_lane_groups
 
-        xlen = register_set(cfg.isa).xlen
         lane_groups = plan_lane_groups(
             injector, n, lanes, workload=workload,
-            config_name=config_name, seed=seed, xlen=xlen,
-            golden=golden, model=model if injector == "pvf" else None)
-        if injector == "pvf":
-            tasks = [(workload, config_name, model, seed, group,
-                      hardened, use_fastpath) for group in lane_groups]
-            worker = _one_pvf_batch
-        else:
-            tasks = [(workload, config_name, seed, group, hardened,
-                      use_fastpath) for group in lane_groups]
-            worker = _one_svf_batch
+            config_name=config_name, seed=seed,
+            xlen=setup.config.xlen, golden=golden,
+            model=setup.result.model)
+    batched = lane_groups is not None
+    tasks = [setup.task(i) for i in (lane_groups if batched else range(n))]
 
-    n_workers = workers if workers is not None else default_workers(n)
-    target = (structure if injector == "gefin"
-              else model if injector == "pvf" else None)
+    target = setup.result.structure or setup.result.model
     label = (f"{injector}:{workload}@{config_name}"
              + (f"/{target}" if target else ""))
     reporter = (ProgressReporter(len(tasks), label=label)
                 if progress_enabled(progress) else None)
-    events = EventLog.resolve(default=cache_dir() / "events.jsonl")
+    stem = setup.path.stem
     # The process-wide default, so serial-path pipeline metrics land in
     # the same snapshot as the campaign/engine series.
     registry = get_registry()
     if lanes >= 2 and injector == "gefin":
         # the pipeline engine has no batched mode; record the fallback
-        if registry.enabled:
-            registry.counter(BATCH_FALLBACKS).inc()
-        events.emit("batch_fallback", campaign=path.stem,
-                    injector=injector, lanes=lanes)
+        registry.counter(BATCH_FALLBACKS).inc()
+        setup.events.emit("batch_fallback", campaign=stem,
+                          injector=injector, lanes=lanes)
     # Batched shards carry a lane group per task, so their checkpoint
     # layout is incompatible with scalar shards of the same campaign:
     # keep them in a distinct directory.
-    stem = path.stem if lane_groups is None else f"{path.stem}-l{lanes}"
-    checkpoint_dir = (cache_dir() / "shards" / stem
+    checkpoint_dir = (cache_dir() / "shards"
+                      / (f"{stem}-l{lanes}" if batched else stem)
                       if use_cache else None)
 
     wall_started = time.monotonic()
-    if lane_groups is None:
-        encode = asdict
-        decode = _decode_one
-        outcome_key = _result_outcome
-    else:
-        encode = _encode_many
-        decode = _decode_many
-        outcome_key = None
     results = run_sharded(
-        worker, tasks, workers=n_workers, shard_size=shard_size,
-        checkpoint_dir=checkpoint_dir,
-        encode=encode,
-        decode=decode,
-        events=events, progress=reporter,
-        outcome_key=outcome_key,
-        label=path.stem,
+        setup.worker(batched), tasks, workers=setup.workers,
+        shard_size=shard_size, checkpoint_dir=checkpoint_dir,
+        encode=_encode_many if batched else asdict,
+        decode=_decode_many if batched else _decode_one,
+        events=setup.events, progress=reporter,
+        outcome_key=None if batched else attrgetter("outcome"),
+        label=stem,
         metrics=registry if registry.enabled else None,
         repro_dir=cache_dir() / "repros")
-    if lane_groups is not None:
+    if batched:
         # flatten lane groups back into campaign index order; results
         # are then bit-for-bit the scalar campaign's
         flat = [None] * n
@@ -652,31 +717,4 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
                 flat[index] = result
         results = flat
     elapsed = time.monotonic() - wall_started
-
-    campaign = CampaignResult(
-        injector=injector, workload=workload, config_name=config_name,
-        n=n, seed=seed,
-        structure=structure if injector == "gefin" else None,
-        model=model if injector == "pvf" else None,
-        hardened=hardened, occupancy_weight=weight,
-        population=population,
-        t_max=(golden.cycles if injector == "gefin"
-               else float(max(1, golden.instructions))),
-        results=results,
-    )
-    events.emit("campaign_summary", campaign=path.stem,
-                **_summary_fields(campaign, elapsed))
-    if registry.enabled:
-        _record_campaign_metrics(registry, campaign, elapsed)
-        snapshot = registry.snapshot()
-        events.emit("metrics_snapshot", campaign=path.stem,
-                    metrics=snapshot)
-        # "metrics-" prefix: must never match the campaign-*.json globs
-        # used for cache scans and resume
-        atomic_write_text(cache_dir() / f"metrics-{path.stem}.json",
-                          json.dumps(snapshot, indent=2))
-    if use_cache:
-        atomic_write_text(path, json.dumps(campaign.to_json()))
-        clear_checkpoints(checkpoint_dir)
-    _write_profile_sidecar(campaign, path)
-    return campaign
+    return setup.finish(results, elapsed, checkpoint_dir=checkpoint_dir)

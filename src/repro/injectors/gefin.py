@@ -67,6 +67,65 @@ class InjectionResult:
         return max(0.0, self.crossing_cycle - self.inject_cycle)
 
 
+def run_injection(injector: str, engine, to_result, *, workload: str,
+                  config_name: str, hardened: bool, tracer=None,
+                  fastpath: "bool | None" = None, arch_probe=None,
+                  **context) -> InjectionResult:
+    """Run one fault-scheduled *engine* and classify it (*to_result*).
+
+    The one run path of all three injectors, as the paper's single
+    injection infrastructure.  *fastpath* (``None`` defers to
+    ``REPRO_FASTPATH``, on by default) restores the nearest golden
+    checkpoint before the fault fires and stops early once state
+    provably reconverges; results are byte-identical either way.  A
+    *tracer* or an *arch_probe* (the engine's per-instruction probe,
+    see :mod:`repro.obs.trace_diff`) observes the whole run, so either
+    forces the slow path.  An escaping :class:`ContainmentError`
+    carries the caller's *context*, the fault's coordinates.
+    """
+    from ..uarch import snapshot
+    from .golden import STORE_ENGINES, checkpoint_store
+
+    kind = STORE_ENGINES[injector]
+    engine.arch_probe = arch_probe
+    use_fastpath = (tracer is None and arch_probe is None
+                    and snapshot.fastpath_enabled(fastpath))
+    try:
+        if use_fastpath:
+            store = checkpoint_store(workload, config_name, engine=kind,
+                                     hardened=hardened)
+            if kind == "pipeline":
+                snapshot.prepare_pipeline_fastpath(engine, store)
+            else:
+                snapshot.prepare_functional_fastpath(engine, store)
+        run = engine.run()
+    except ContainmentError as exc:
+        raise exc.with_context(injector=injector, workload=workload,
+                               **context, hardened=hardened,
+                               fastpath=use_fastpath)
+    result = to_result(run)
+    if tracer is not None:
+        crash = f" ({result.crash_kind})" if result.crash_kind else ""
+        tracer.outcome(run.cycles if kind == "pipeline"
+                       else float(run.instructions), result.outcome + crash)
+    return result
+
+
+def _describe_spec(spec: FaultSpec) -> str:
+    """Where a microarchitectural flip lands, in words."""
+    if spec.structure == "RF":
+        where = f"phys-reg slot {spec.a}, bit {spec.b}"
+    elif spec.structure == "LSQ":
+        where = f"entry slot {spec.a}, bit {spec.b}"
+    else:
+        where = (f"set {spec.a}, way {spec.b}, "
+                 f"{'tag' if spec.kind == 'tag' else 'line'} bit "
+                 f"{spec.c}")
+    burst = f" x{spec.n_bits} bits" if spec.n_bits > 1 else ""
+    live = " (steered live)" if spec.prefer_live else ""
+    return f"{spec.structure}: {where}{burst}{live}"
+
+
 def run_one_injection(workload: str, config: MicroarchConfig,
                       spec: FaultSpec, golden: GoldenRun,
                       hardened: bool = False, tracer=None,
@@ -76,48 +135,29 @@ def run_one_injection(workload: str, config: MicroarchConfig,
 
     *tracer* (a :class:`repro.obs.tracing.FaultTracer`) records the
     fault's propagation timeline; ``None`` keeps every hook a no-op.
-    *arch_probe* is installed as the engine's per-instruction probe
-    (see :mod:`repro.obs.trace_diff`); like a tracer, it observes the
-    whole run and therefore forces the scalar slow path.
-
-    *fastpath* selects the golden-fork checkpoint fast path (restore
-    the nearest fault-free checkpoint before the injection cycle, and
-    exit early once state provably reconverges onto the golden
-    trajectory); ``None`` defers to ``REPRO_FASTPATH`` (on by
-    default).  Results are byte-identical either way.  Tracing forces
-    the slow path, since a tracer observes the whole run.
+    *fastpath* and *arch_probe* are as in :func:`run_injection`.
     """
-    from ..uarch import snapshot
-    from .golden import checkpoint_store
-
+    if tracer is not None:
+        tracer.injected(spec.cycle, _describe_spec(spec))
     program = load_workload(workload, config.isa, hardened=hardened)
-    image = build_system_image(program)
     engine = PipelineEngine(
-        image, config, faults=[spec],
+        build_system_image(program), config, faults=[spec],
         max_instructions=golden.max_instructions,
-        max_cycles=golden.max_cycles,
-        tracer=tracer,
-    )
-    engine.arch_probe = arch_probe
-    use_fastpath = (tracer is None and arch_probe is None
-                    and snapshot.fastpath_enabled(fastpath))
-    try:
-        if use_fastpath:
-            store = checkpoint_store(workload, config.name,
-                                     engine="pipeline",
-                                     hardened=hardened)
-            snapshot.prepare_pipeline_fastpath(engine, store)
-        result = engine.run()
-    except ContainmentError as exc:
-        # attach the exact flip coordinates so the escape replays
-        raise exc.with_context(
-            injector="gefin", workload=workload, config=config.name,
-            structure=spec.structure, a=spec.a, b=spec.b, c=spec.c,
-            kind=spec.kind, n_bits=spec.n_bits,
-            prefer_live=spec.prefer_live,
-            inject_cycle=round(spec.cycle, 3), hardened=hardened,
-            fastpath=use_fastpath)
+        max_cycles=golden.max_cycles, tracer=tracer)
+    return run_injection(
+        "gefin", engine,
+        lambda result: _gefin_result(result, golden, config, spec),
+        workload=workload, config_name=config.name, hardened=hardened,
+        tracer=tracer, fastpath=fastpath, arch_probe=arch_probe,
+        config=config.name, structure=spec.structure, a=spec.a,
+        b=spec.b, c=spec.c, kind=spec.kind, n_bits=spec.n_bits,
+        prefer_live=spec.prefer_live,
+        inject_cycle=round(spec.cycle, 3))
 
+
+def _gefin_result(result, golden: GoldenRun, config: MicroarchConfig,
+                  spec: FaultSpec) -> InjectionResult:
+    """Classify a finished pipeline run (AVF and HVF observations)."""
     verdict: Verdict = classify(
         result.status.value, result.output, result.exit_code,
         golden.output, golden.exit_code,

@@ -177,6 +177,12 @@ def golden_run(workload: str, config_name: str,
 # ---------------------------------------------------------------------------
 # checkpoint stores (the injection fast path; see repro.uarch.snapshot)
 # ---------------------------------------------------------------------------
+#: injector -> checkpoint-store engine (the capture run its runs
+#: restore from; a functional store names its kernel after the dash)
+STORE_ENGINES = {"gefin": "pipeline", "pvf": "functional-sim",
+                 "svf": "functional-host"}
+
+
 @lru_cache(maxsize=None)
 def checkpoint_store(workload: str, config_name: str,
                      engine: str = "pipeline", hardened: bool = False):
@@ -193,7 +199,7 @@ def checkpoint_store(workload: str, config_name: str,
     from ..kernel.loader import build_system_image
     from ..uarch import snapshot
 
-    if engine not in ("pipeline", "functional-sim", "functional-host"):
+    if engine not in STORE_ENGINES.values():
         raise ValueError(f"unknown checkpoint engine {engine!r}")
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import random
 
-from ..faults.outcomes import Verdict, classify
 from ..isa.registers import register_set
 from ..kernel.loader import build_system_image
-from ..uarch.exceptions import ContainmentError
 from ..uarch.functional import FaultAction, FunctionalEngine
 from ..workloads.suite import load_workload
+from .archinj import run_one_arch
 from .gefin import InjectionResult
 from .golden import GoldenRun, golden_run
 
@@ -60,60 +59,14 @@ def run_one_svf(workload: str, isa: str, action: FaultAction,
                 hardened: bool = False, tracer=None,
                 fastpath: "bool | None" = None,
                 arch_probe=None) -> InjectionResult:
-    from ..uarch import snapshot
-    from .golden import checkpoint_store
-
+    """Execute one LLFI-style injection; the host emulates syscalls,
+    so the kernel stays invisible."""
     program = load_workload(workload, isa, hardened=hardened)
-    image = build_system_image(program)
-    engine = FunctionalEngine(image, kernel="host",
+    engine = FunctionalEngine(build_system_image(program), kernel="host",
                               max_instructions=golden.max_instructions)
-    engine.arch_probe = arch_probe
-    engine.schedule(action)
-    if tracer is not None:
-        origin = getattr(action, "origin", "destination register")
-        tracer.injected(float(action.when), origin)
-        # the LLFI model is instantaneous: the flip lands directly in
-        # committed architectural state
-        tracer.crossed(float(action.when),
-                       f"visible at birth via {origin}")
-    use_fastpath = (tracer is None and arch_probe is None
-                    and snapshot.fastpath_enabled(fastpath))
-    try:
-        if use_fastpath:
-            store = checkpoint_store(workload, golden.config_name,
-                                     engine="functional-host",
-                                     hardened=hardened)
-            snapshot.prepare_functional_fastpath(engine, store)
-        result = engine.run()
-    except ContainmentError as exc:
-        raise exc.with_context(
-            injector="svf", workload=workload, isa=isa,
-            origin=getattr(action, "origin", "destination register"),
-            inject_cycle=float(action.when), hardened=hardened,
-            fastpath=use_fastpath)
-    return svf_result(result, golden, action)
-
-
-def svf_result(result, golden: GoldenRun, action: FaultAction) \
-        -> InjectionResult:
-    """Classify a finished SVF run (shared by scalar and batched paths)."""
-    verdict: Verdict = classify(
-        result.status.value, result.output, result.exit_code,
-        golden.output, golden.exit_code,
-        fault_kind=result.fault_kind,
-        fault_in_kernel=False,      # the SVF view has no kernel
-    )
-    return InjectionResult(
-        outcome=verdict.outcome.value,
-        crash_kind=(verdict.crash_kind.value
-                    if verdict.crash_kind else None),
-        fault_applied=True,
-        fault_live=True,
-        crossed=True,
-        inject_cycle=float(action.when),
-        crossing_cycle=float(action.when),
-        site_bit=getattr(action, "site_bit", None),
-    )
+    return run_one_arch("svf", engine, workload, isa, action, golden,
+                        hardened=hardened, tracer=tracer,
+                        fastpath=fastpath, arch_probe=arch_probe)
 
 
 def run_svf_campaign(workload: str, isa: str, config_name: str,
@@ -124,9 +77,6 @@ def run_svf_campaign(workload: str, isa: str, config_name: str,
     golden = golden_run(workload, config_name, hardened=hardened)
     xlen = register_set(isa).xlen
     rng = random.Random(repr((seed, "svf", workload, isa)))
-    out = []
-    for _ in range(n):
-        action = _dest_flip_action(rng, golden, xlen)
-        out.append(run_one_svf(workload, isa, action, golden,
-                               hardened=hardened))
-    return out
+    return [run_one_svf(workload, isa, _dest_flip_action(rng, golden, xlen),
+                        golden, hardened=hardened)
+            for _ in range(n)]

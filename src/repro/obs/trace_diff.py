@@ -49,8 +49,10 @@ __all__ = [
     "trace_sidecar_path",
 ]
 
-#: bump when the frame/payload shape changes; loaders reject mismatches
-TRACE_DIFF_SCHEMA_VERSION = 1
+#: bump when the frame/payload shape changes; loaders reject mismatches.
+#: 2: pvf/svf timelines stamp the outcome at the run's final
+#: dynamic-instruction count
+TRACE_DIFF_SCHEMA_VERSION = 2
 
 #: window bounds in steps (committed instructions) around each anchor
 DEFAULT_BEFORE = 8
@@ -338,8 +340,7 @@ def _golden_frames(workload: str, config_name: str, hardened: bool,
             max_cycles=golden.max_cycles)
     else:
         engine = FunctionalEngine(
-            image,
-            kernel="host" if engine_kind == "functional-host" else "sim",
+            image, kernel=engine_kind.split("-", 1)[1],
             max_instructions=golden.max_instructions)
         engine.watch_mem = True
     first, last = min(needed), max(needed)
@@ -368,10 +369,6 @@ def _golden_frames(workload: str, config_name: str, hardened: bool,
 # ---------------------------------------------------------------------------
 # capture: faulty pass + golden pass -> diff frames
 # ---------------------------------------------------------------------------
-_ENGINE_KINDS = {"gefin": "pipeline", "pvf": "functional-sim",
-                 "svf": "functional-host"}
-
-
 def capture_diff(injector: str, workload: str, config_name: str,
                  seed: int, index: int = 0,
                  structure: "str | None" = None,
@@ -387,13 +384,13 @@ def capture_diff(injector: str, workload: str, config_name: str,
     from-reset trajectory.  The golden pass then replays only the
     recorded steps.  Returns the versioned JSON payload.
     """
-    from ..injectors.golden import golden_run
+    from ..injectors.golden import STORE_ENGINES, golden_run
     from ..injectors.llfi import require_svf_isa
     from ..isa.registers import register_set
     from ..uarch.config import config_by_name
     from .tracing import trace_run
 
-    engine_kind = _ENGINE_KINDS.get(injector)
+    engine_kind = STORE_ENGINES.get(injector)
     if engine_kind is None:
         raise ValueError(f"unknown injector {injector!r}")
     config = config_by_name(config_name)

@@ -13,9 +13,9 @@ pipeline and the injectors; every site guards with ``tracer is not
 None``, so tracing is a zero-cost no-op unless requested.  The
 collected :class:`TraceEvent` timeline plus the run's classification
 make a :class:`FaultTrace`, renderable as text and replayable on
-demand: :func:`trace_fault` re-derives the exact fault spec a
-campaign run ``(seed, index)`` used, so the trace agrees field by
-field with the campaign's own ``InjectionResult``.
+demand: :func:`trace_run` re-derives the exact fault a campaign run
+``(seed, index)`` injected, so the trace agrees field by field with
+the campaign's own ``InjectionResult``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "FaultTracer",
     "TraceEvent",
     "trace_fault",
-    "trace_fault_arch",
-    "trace_fault_soft",
     "trace_run",
 ]
 
@@ -175,147 +173,29 @@ class FaultTrace:
 # ---------------------------------------------------------------------------
 # replay entry points (mirror the campaign workers' RNG derivations)
 # ---------------------------------------------------------------------------
-def _describe_spec(spec) -> str:
-    if spec.structure == "RF":
-        where = f"phys-reg slot {spec.a}, bit {spec.b}"
-    elif spec.structure == "LSQ":
-        where = f"entry slot {spec.a}, bit {spec.b}"
-    else:
-        where = (f"set {spec.a}, way {spec.b}, "
-                 f"{'tag' if spec.kind == 'tag' else 'line'} bit "
-                 f"{spec.c}")
-    burst = f" x{spec.n_bits} bits" if spec.n_bits > 1 else ""
-    live = " (steered live)" if spec.prefer_live else ""
-    return f"{spec.structure}: {where}{burst}{live}"
-
-
 def trace_fault(workload: str, config_name: str, structure: str,
                 seed: int, index: int = 0, hardened: bool = False,
                 prefer_live: bool = True, arch_probe=None):
-    """Replay campaign run ``(seed, index)`` with tracing enabled.
-
-    Derives the fault spec exactly as the gefin campaign worker does,
-    so the returned ``(FaultTrace, InjectionResult)`` matches the
-    classification the campaign path produced for the same run.
-    *arch_probe* is forwarded to the engine (used by
-    :mod:`repro.obs.trace_diff` to snapshot state per step).
-    """
-    from ..injectors.campaign import draw_fault
-    from ..injectors.gefin import run_one_injection
-    from ..injectors.golden import golden_run
-    from ..uarch.config import config_by_name
-
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    spec = draw_fault("gefin", index, workload=workload, config=config,
-                      seed=seed, golden=golden, structure=structure,
-                      prefer_live=prefer_live)
-    tracer = FaultTracer()
-    tracer.injected(spec.cycle, _describe_spec(spec))
-    result = run_one_injection(workload, config, spec, golden,
-                               hardened=hardened, tracer=tracer,
-                               arch_probe=arch_probe)
-    tracer.outcome(result.cycles,
-                   result.outcome
-                   + (f" ({result.crash_kind})"
-                      if result.crash_kind else ""))
-    trace = FaultTrace(
-        workload=workload, config_name=config_name, injector="gefin",
-        structure=structure, model=None, seed=seed, index=index,
-        inject_cycle=spec.cycle, landing=_describe_spec(spec),
-        fault_applied=result.fault_applied,
-        fault_live=result.fault_live,
-        crossed=result.crossed,
-        crossing_cycle=result.crossing_cycle,
-        crossing_site=_first_crossing_site(tracer),
-        in_kernel_crossing=result.in_kernel_crossing,
-        fpm=result.fpm, outcome=result.outcome,
-        crash_kind=result.crash_kind, cycles=result.cycles,
-        events=tracer.events,
-    )
-    return trace, result
-
-
-def _first_crossing_site(tracer: FaultTracer) -> str:
-    for event in tracer.events:
-        if event.kind == "crossed":
-            return event.detail.partition(" via ")[2]
-    return ""
-
-
-def _trace_functional(injector: str, workload: str, config_name: str,
-                      model: str | None, seed: int, index: int,
-                      hardened: bool, arch_probe=None):
-    """Shared PVF/SVF replay: architecture-level faults cross at birth."""
-    from ..injectors.archinj import run_one_pvf
-    from ..injectors.campaign import draw_fault
-    from ..injectors.golden import golden_run
-    from ..injectors.llfi import run_one_svf
-    from ..uarch.config import config_by_name
-
-    config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    action = draw_fault(injector, index, workload=workload, config=config,
-                        seed=seed, golden=golden, model=model)
-    tracer = FaultTracer()
-    if injector == "pvf":
-        result = run_one_pvf(workload, config.isa, action, golden,
-                             hardened=hardened, tracer=tracer,
-                             arch_probe=arch_probe)
-    else:
-        result = run_one_svf(workload, config.isa, action, golden,
-                             hardened=hardened, tracer=tracer,
-                             arch_probe=arch_probe)
-    origin = getattr(action, "origin", "architectural state")
-    tracer.outcome(result.cycles,
-                   result.outcome
-                   + (f" ({result.crash_kind})"
-                      if result.crash_kind else ""))
-    trace = FaultTrace(
-        workload=workload, config_name=config_name, injector=injector,
-        structure=None, model=model, seed=seed, index=index,
-        inject_cycle=float(action.when), landing=origin,
-        fault_applied=result.fault_applied,
-        fault_live=result.fault_live,
-        crossed=result.crossed, crossing_cycle=result.crossing_cycle,
-        crossing_site=origin, in_kernel_crossing=False,
-        fpm=(model if injector == "pvf" else "WD"),
-        outcome=result.outcome, crash_kind=result.crash_kind,
-        cycles=result.cycles, events=tracer.events,
-    )
-    return trace, result
-
-
-def trace_fault_arch(workload: str, config_name: str, model: str,
-                     seed: int, index: int = 0,
-                     hardened: bool = False, arch_probe=None):
-    """Replay one architecture-level (PVF) campaign run with tracing."""
-    return _trace_functional("pvf", workload, config_name, model,
-                             seed, index, hardened,
-                             arch_probe=arch_probe)
-
-
-def trace_fault_soft(workload: str, config_name: str, seed: int,
-                     index: int = 0, hardened: bool = False,
-                     arch_probe=None):
-    """Replay one software-level (SVF/LLFI) campaign run with tracing."""
-    return _trace_functional("svf", workload, config_name, None,
-                             seed, index, hardened,
-                             arch_probe=arch_probe)
+    """Replay gefin campaign run ``(seed, index)`` with tracing enabled
+    (see :func:`trace_run`)."""
+    return _replay("gefin", workload, config_name, seed, index,
+                   hardened, arch_probe, structure=structure,
+                   prefer_live=prefer_live)
 
 
 def trace_run(injector: str, workload: str, config_name: str,
               seed: int, index: int = 0, structure: str | None = None,
               model: str | None = None, hardened: bool = False,
               arch_probe=None):
-    """Dispatch to the right replay entry point for *injector*.
+    """Replay campaign run ``(seed, index)`` of *injector*, traced.
 
-    The single front door the CLI and the observatory's drill-down
-    endpoint share: gefin needs *structure*, pvf needs *model*, svf
-    needs neither.  Returns ``(FaultTrace, InjectionResult)``.  Both
-    a tracer and an *arch_probe* force the scalar slow path, so the
-    replayed trajectory is the plain from-reset one regardless of
-    ``REPRO_FASTPATH``/``REPRO_BATCH``.
+    The one trace front door (CLI, trace explorer, observatory): gefin
+    needs *structure*, pvf *model*, svf a 64-bit core.  Returns
+    ``(FaultTrace, InjectionResult)``; the result is the campaign
+    worker's for the same run.  The tracer and an *arch_probe* (see
+    :mod:`repro.obs.trace_diff`) pin the scalar slow path, so the
+    trajectory is the from-reset one under any ``REPRO_FASTPATH`` or
+    ``REPRO_BATCH``.
     """
     if injector == "gefin":
         if not structure:
@@ -326,15 +206,48 @@ def trace_run(injector: str, workload: str, config_name: str,
     if injector == "pvf":
         if not model:
             raise ValueError("pvf traces need a model")
-        return trace_fault_arch(workload, config_name, model, seed,
-                                index=index, hardened=hardened,
-                                arch_probe=arch_probe)
+        return _replay("pvf", workload, config_name, seed, index,
+                       hardened, arch_probe, model=model)
     if injector == "svf":
         from ..injectors.llfi import require_svf_isa
         from ..uarch.config import config_by_name
 
         require_svf_isa(config_by_name(config_name).isa)
-        return trace_fault_soft(workload, config_name, seed,
-                                index=index, hardened=hardened,
-                                arch_probe=arch_probe)
+        return _replay("svf", workload, config_name, seed, index,
+                       hardened, arch_probe)
     raise ValueError(f"unknown injector {injector!r}")
+
+
+def _replay(injector: str, workload: str, config_name: str, seed: int,
+            index: int, hardened: bool, arch_probe, **target):
+    """Run ``(seed, index)`` traced and tell its story (the injector
+    records the injection, and any crossing, on the tracer)."""
+    from ..injectors.campaign import replay_index
+
+    tracer = FaultTracer()
+    result = replay_index(injector, workload, config_name, seed, index,
+                          hardened=hardened, tracer=tracer,
+                          arch_probe=arch_probe, **target)
+    injected = tracer.events[0]
+    model = target.get("model")
+    trace = FaultTrace(
+        workload=workload, config_name=config_name, injector=injector,
+        structure=target.get("structure"), model=model, seed=seed,
+        index=index, inject_cycle=injected.cycle,
+        landing=injected.detail, fault_applied=result.fault_applied,
+        fault_live=result.fault_live, crossed=result.crossed,
+        crossing_cycle=result.crossing_cycle,
+        crossing_site=_first_crossing_site(tracer),
+        in_kernel_crossing=result.in_kernel_crossing,
+        # a functional fault is born as its model's FPM (svf: WD only)
+        fpm=(result.fpm if injector == "gefin" else model or "WD"),
+        outcome=result.outcome, crash_kind=result.crash_kind,
+        cycles=result.cycles, events=tracer.events)
+    return trace, result
+
+
+def _first_crossing_site(tracer: FaultTracer) -> str:
+    for event in tracer.events:
+        if event.kind == "crossed":
+            return event.detail.partition(" via ")[2]
+    return ""

@@ -113,11 +113,18 @@ class TestLayerSemantics:
             run_campaign("sha", "cortex-a9", injector="svf", n=2,
                          workers=1, use_cache=False, planner=planner)
 
-    def test_svf_trace_rejects_32bit(self):
+    @pytest.mark.parametrize("entry", ["trace_run", "cli", "cli-diff"])
+    def test_svf_trace_rejects_32bit(self, entry):
+        from repro.cli import main
         from repro.obs.tracing import trace_run
 
+        argv = ["trace-fault", "crc32", "--injector", "svf",
+                "--config", "cortex-a9", "--window", "0"]
         with pytest.raises(ValueError, match="64-bit"):
-            trace_run("svf", "sha", "cortex-a9", 1)
+            if entry == "trace_run":
+                trace_run("svf", "sha", "cortex-a9", 1)
+            else:
+                main(argv + (["--diff"] if entry == "cli-diff" else []))
 
     def test_svf_sdc_dominated(self):
         """Software-level injection mostly produces SDCs (paper Fig 4)."""
@@ -172,3 +179,104 @@ class TestLayerSemantics:
         dist = campaign.fpm_distribution()
         total = sum(dist.values())
         assert total == pytest.approx(1.0) or total == 0.0
+
+
+class TestFunctionalEscapeContext:
+    """A pvf/svf containment escape carries the coordinates that replay
+    it, on the scalar path (fast path on and off) and through a lane
+    group."""
+
+    @staticmethod
+    def _explode(monkeypatch, name):
+        import repro.injectors.campaign as campaign_mod
+
+        build = getattr(campaign_mod, name)
+        drawn = []
+
+        def exploding(*args, **kwargs):
+            action = build(*args, **kwargs)
+
+            def apply(engine):
+                raise RuntimeError("synthetic model bug")
+
+            action.apply = apply
+            drawn.append(action)
+            return action
+
+        monkeypatch.setattr(campaign_mod, name, exploding)
+        return drawn
+
+    @pytest.mark.parametrize("fastpath", [False, True])
+    @pytest.mark.parametrize("injector", ["pvf", "svf"])
+    def test_scalar_escape_carries_run_coordinates(self, monkeypatch,
+                                                   injector, fastpath):
+        import repro.injectors.campaign as campaign_mod
+        from repro.uarch.exceptions import ContainmentError
+
+        if injector == "pvf":
+            drawn = self._explode(monkeypatch, "build_pvf_action")
+            worker = campaign_mod._one_pvf
+            task = ("crc32", "cortex-a72", "WD", 5, 3, False, fastpath)
+        else:
+            drawn = self._explode(monkeypatch, "_dest_flip_action")
+            worker = campaign_mod._one_svf
+            task = ("crc32", "cortex-a72", 5, 3, False, fastpath)
+        with pytest.raises(ContainmentError) as info:
+            worker(task)
+        (action,) = drawn
+        expected = {"injector": injector, "workload": "crc32",
+                    "isa": CORTEX_A72.isa, "origin": action.origin,
+                    "inject_cycle": float(action.when),
+                    "hardened": False, "fastpath": fastpath,
+                    "seed": 5, "index": 3}
+        if injector == "pvf":
+            expected["model"] = "WD"
+        context = info.value.context
+        assert {key: context.get(key) for key in expected} == expected
+        assert "batched" not in context
+
+    def test_batched_escape_carries_lane_group(self, monkeypatch):
+        import repro.injectors.batch as batch_mod
+        from repro.uarch.exceptions import ContainmentError
+
+        self._explode(monkeypatch, "build_pvf_action")
+        with pytest.raises(ContainmentError) as info:
+            batch_mod._one_pvf_batch(("crc32", "cortex-a72", "WD", 5,
+                                      (3, 4), False, True))
+        context = info.value.context
+        assert context["batched"] is True
+        assert context["indices"] == [3, 4]
+        assert (context["injector"], context["seed"],
+                context["model"]) == ("pvf", 5, "WD")
+
+
+class TestWorkerLookup:
+    """Campaigns look their per-task workers up on the worker modules
+    at call time, so a wrapper swapped in there sees every task."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def shim(args):
+            calls.append(args)
+            return original(args)
+
+        monkeypatch.setattr(module, name, shim)
+        return calls
+
+    def test_workers_are_looked_up_at_call_time(self, monkeypatch):
+        import repro.injectors.batch as batch_mod
+        import repro.injectors.campaign as campaign_mod
+
+        scalar = self._count(monkeypatch, campaign_mod, "_one_svf")
+        batched = self._count(monkeypatch, batch_mod, "_one_svf_batch")
+        common = dict(injector="svf", n=6, seed=3, workers=1,
+                      use_cache=False)
+        run_campaign("crc32", CORTEX_A72, batch_lanes=0, **common)
+        assert (len(scalar), len(batched)) == (6, 0)
+        run_campaign("crc32", CORTEX_A72, batch_lanes=64, **common)
+        assert (len(scalar), len(batched)) == (6, 1)
+        run_campaign("crc32", CORTEX_A72, planner="two-level", **common)
+        assert len(scalar) == 12

@@ -309,3 +309,7 @@ class TestProbeIsPassive:
                             model=kwargs["model"])
         assert (json.dumps(payloads["pvf"]["outcome"], sort_keys=True)
                 == json.dumps(asdict(bare), sort_keys=True))
+        # the timeline runs forward: the outcome is stamped at the
+        # run's final instruction count, after the injection
+        stamps = [e["cycle"] for e in payloads["pvf"]["trace"]["events"]]
+        assert stamps == sorted(stamps) and stamps[-1] > stamps[0]
