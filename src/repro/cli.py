@@ -280,20 +280,36 @@ def _instruction_window(args, trace) -> str:
     config = config_by_name(args.config)
     golden = golden_run(args.workload, args.config,
                         hardened=args.hardened)
+    program = load_workload(args.workload, config.isa,
+                            hardened=args.hardened)
     if trace.injector == "gefin":
         # the pipeline injects on a cycle; map it onto the dynamic
         # instruction stream through the golden IPC
         ipc = golden.pipe_instructions / max(golden.cycles, 1.0)
         centre = int(trace.inject_cycle * ipc)
+    elif trace.injector == "svf":
+        # svf counts user instructions that write a register; the
+        # window indexes the whole sim-kernel stream
+        centre = _user_dest_index(program, int(trace.inject_cycle))
     else:
         centre = int(trace.inject_cycle)
     start = max(0, centre - args.window // 2)
-    program = load_workload(args.workload, config.isa,
-                            hardened=args.hardened)
     window = trace_program(program, start=start, count=args.window)
     head = (f"golden instruction trace around the injection "
             f"(instructions {start}..{start + args.window}):")
     return head + "\n" + window.render(register_set(config.isa))
+
+
+def _user_dest_index(program, when: int) -> int:
+    """Sim-kernel stream index of user register writer number *when*."""
+    from .kernel.loader import build_system_image
+    from .uarch.functional import FaultAction, FunctionalEngine
+
+    engine = FunctionalEngine(build_system_image(program))
+    engine.schedule(FaultAction("user_dest", when,
+                                lambda e: setattr(e.ms, "halted", True)))
+    engine.run()
+    return engine.executed - 1
 
 
 def _cmd_report(args) -> int:

@@ -54,7 +54,7 @@ class LifetimeTracker:
     lines_touched: set = field(default_factory=set)
 
     # ------------------------------------------------------------------
-    # event sinks (called by the pipeline engine)
+    # event sinks (observer methods; see PipelineEngine.observer)
     # ------------------------------------------------------------------
     def reg_write(self, phys: int, cycle: float) -> None:
         self._close_reg(phys)
@@ -118,7 +118,7 @@ def ace_analysis(workload: str,
     program = load_workload(workload, config.isa)
     engine = PipelineEngine(build_system_image(program), config)
     tracker = LifetimeTracker(xlen=config.xlen)
-    engine.lifetime_tracker = tracker
+    engine.observer = tracker
     result = engine.run()
     if result.status.value != "completed":
         raise RuntimeError(f"ACE golden run failed: {result.status}")

@@ -4,7 +4,7 @@ The timing and functional models implement the same architecture, so
 on a fault-free run their *architectural* state must agree after every
 instruction: same PC trajectory, same register file contents, same
 final output and exit code.  The oracle checks exactly that, through
-the ``arch_probe`` hook both engines expose: the functional engine
+the ``observer`` slot both engines expose: the functional engine
 (``kernel="sim"``, the architectural reference) records a snapshot
 every *N* instructions, then the pipeline engine replays the program
 and each of its snapshots is compared on the fly.
@@ -18,6 +18,7 @@ differential fuzzer exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from ..kernel.loader import build_system_image
 from ..uarch.config import config_by_name
@@ -94,11 +95,10 @@ def cosim(workload: str, config_name: str, every: int = 64,
     func = FunctionalEngine(build_system_image(program), kernel="sim")
 
     def func_probe(engine: FunctionalEngine) -> None:
-        if engine.executed % every == 0:
-            reference[engine.executed] = (engine.ms.pc,
-                                          _arch_regs_functional(engine))
+        reference[engine.executed] = (engine.ms.pc,
+                                      _arch_regs_functional(engine))
 
-    func.arch_probe = func_probe
+    func.observer = SimpleNamespace(step=func_probe, every=every)
     if perturb is not None:
         perturb(func)
     func_result = func.run()
@@ -107,8 +107,7 @@ def cosim(workload: str, config_name: str, every: int = 64,
     pipe = PipelineEngine(build_system_image(program), config)
 
     def pipe_probe(engine: PipelineEngine) -> None:
-        if engine.instructions % every or \
-                len(report.divergences) >= MAX_DIVERGENCES:
+        if len(report.divergences) >= MAX_DIVERGENCES:
             return
         report.snapshots += 1
         expected = reference.get(engine.instructions)
@@ -133,7 +132,7 @@ def cosim(workload: str, config_name: str, every: int = 64,
                 if len(report.divergences) >= MAX_DIVERGENCES:
                     break
 
-    pipe.arch_probe = pipe_probe
+    pipe.observer = SimpleNamespace(step=pipe_probe, every=every)
     pipe_result = pipe.run()
     report.instructions = pipe.instructions
 

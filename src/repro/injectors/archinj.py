@@ -132,23 +132,20 @@ def build_pvf_action(model: str, rng: random.Random, golden: GoldenRun,
 def run_one_pvf(workload: str, isa: str, action: FaultAction,
                 golden: GoldenRun,
                 hardened: bool = False, tracer=None,
-                fastpath: "bool | None" = None,
-                arch_probe=None) -> InjectionResult:
+                fastpath: "bool | None" = None) -> InjectionResult:
     """Execute one architecture-level injection on the full machine
     (the simulated kernel is part of the program flow)."""
     program = load_workload(workload, isa, hardened=hardened)
     engine = FunctionalEngine(build_system_image(program), kernel="sim",
                               max_instructions=golden.max_instructions)
     return run_one_arch("pvf", engine, workload, isa, action, golden,
-                        hardened=hardened, tracer=tracer,
-                        fastpath=fastpath, arch_probe=arch_probe)
+                        hardened=hardened, tracer=tracer, fastpath=fastpath)
 
 
 def run_one_arch(injector: str, engine: FunctionalEngine, workload: str,
                  isa: str, action: FaultAction, golden: GoldenRun,
                  hardened: bool = False, tracer=None,
-                 fastpath: "bool | None" = None,
-                 arch_probe=None) -> InjectionResult:
+                 fastpath: "bool | None" = None) -> InjectionResult:
     """The scalar pvf/svf run on *engine* (shared with
     :func:`repro.injectors.llfi.run_one_svf`)."""
     engine.schedule(action)
@@ -166,8 +163,7 @@ def run_one_arch(injector: str, engine: FunctionalEngine, workload: str,
         lambda result: arch_result(injector, result, golden, action),
         workload=workload, config_name=golden.config_name,
         hardened=hardened, tracer=tracer, fastpath=fastpath,
-        arch_probe=arch_probe, isa=isa, origin=origin,
-        inject_cycle=float(action.when))
+        isa=isa, origin=origin, inject_cycle=float(action.when))
 
 
 def arch_result(injector: str, result, golden: GoldenRun,

@@ -122,7 +122,7 @@ def _one_run(injector: str, workload: str, config_name: str, seed: int,
 def replay_index(injector: str, workload: str, config_name: str,
                  seed: int, index: int, *, hardened: bool = False,
                  fastpath: "bool | None" = None, tracer=None,
-                 arch_probe=None, **target) -> InjectionResult:
+                 **target) -> InjectionResult:
     """Draw campaign run ``(seed, index)``'s fault (*target*: gefin's
     structure/prefer_live, pvf's model) and inject it."""
     config = config_by_name(config_name)
@@ -132,10 +132,10 @@ def replay_index(injector: str, workload: str, config_name: str,
     if injector == "gefin":
         return run_one_injection(workload, config, fault, golden,
                                  hardened=hardened, tracer=tracer,
-                                 fastpath=fastpath, arch_probe=arch_probe)
+                                 fastpath=fastpath)
     run = run_one_pvf if injector == "pvf" else run_one_svf
     return run(workload, config.isa, fault, golden, hardened=hardened,
-               tracer=tracer, fastpath=fastpath, arch_probe=arch_probe)
+               tracer=tracer, fastpath=fastpath)
 
 
 # shard codecs (scalar: one InjectionResult per task; batched: a lane

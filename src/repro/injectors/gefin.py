@@ -69,7 +69,7 @@ class InjectionResult:
 
 def run_injection(injector: str, engine, to_result, *, workload: str,
                   config_name: str, hardened: bool, tracer=None,
-                  fastpath: "bool | None" = None, arch_probe=None,
+                  fastpath: "bool | None" = None,
                   **context) -> InjectionResult:
     """Run one fault-scheduled *engine* and classify it (*to_result*).
 
@@ -77,19 +77,18 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
     injection infrastructure.  *fastpath* (``None`` defers to
     ``REPRO_FASTPATH``, on by default) restores the nearest golden
     checkpoint before the fault fires and stops early once state
-    provably reconverges; results are byte-identical either way.  A
-    *tracer* or an *arch_probe* (the engine's per-instruction probe,
-    see :mod:`repro.obs.trace_diff`) observes the whole run, so either
-    forces the slow path.  An escaping :class:`ContainmentError`
-    carries the caller's *context*, the fault's coordinates.
+    provably reconverges; results are byte-identical either way.
+    *tracer* is the run's observer (see ``PipelineEngine.observer``):
+    it watches the whole run, so it forces the slow path.  An escaping
+    :class:`ContainmentError` carries the caller's *context*, the
+    fault's coordinates.
     """
     from ..uarch import snapshot
     from .golden import STORE_ENGINES, checkpoint_store
 
     kind = STORE_ENGINES[injector]
-    engine.arch_probe = arch_probe
-    use_fastpath = (tracer is None and arch_probe is None
-                    and snapshot.fastpath_enabled(fastpath))
+    engine.observer = tracer
+    use_fastpath = tracer is None and snapshot.fastpath_enabled(fastpath)
     try:
         if use_fastpath:
             store = checkpoint_store(workload, config_name, engine=kind,
@@ -129,13 +128,12 @@ def _describe_spec(spec: FaultSpec) -> str:
 def run_one_injection(workload: str, config: MicroarchConfig,
                       spec: FaultSpec, golden: GoldenRun,
                       hardened: bool = False, tracer=None,
-                      fastpath: "bool | None" = None,
-                      arch_probe=None) -> InjectionResult:
+                      fastpath: "bool | None" = None) -> InjectionResult:
     """Execute one microarchitectural fault injection.
 
-    *tracer* (a :class:`repro.obs.tracing.FaultTracer`) records the
-    fault's propagation timeline; ``None`` keeps every hook a no-op.
-    *fastpath* and *arch_probe* are as in :func:`run_injection`.
+    *tracer* (a :class:`repro.obs.tracing.FaultTracer`, or any
+    observer extending it) records the fault's propagation timeline;
+    *tracer* and *fastpath* are as in :func:`run_injection`.
     """
     if tracer is not None:
         tracer.injected(spec.cycle, _describe_spec(spec))
@@ -143,15 +141,14 @@ def run_one_injection(workload: str, config: MicroarchConfig,
     engine = PipelineEngine(
         build_system_image(program), config, faults=[spec],
         max_instructions=golden.max_instructions,
-        max_cycles=golden.max_cycles, tracer=tracer)
+        max_cycles=golden.max_cycles)
     return run_injection(
         "gefin", engine,
         lambda result: _gefin_result(result, golden, config, spec),
         workload=workload, config_name=config.name, hardened=hardened,
-        tracer=tracer, fastpath=fastpath, arch_probe=arch_probe,
-        config=config.name, structure=spec.structure, a=spec.a,
-        b=spec.b, c=spec.c, kind=spec.kind, n_bits=spec.n_bits,
-        prefer_live=spec.prefer_live,
+        tracer=tracer, fastpath=fastpath, config=config.name,
+        structure=spec.structure, a=spec.a, b=spec.b, c=spec.c,
+        kind=spec.kind, n_bits=spec.n_bits, prefer_live=spec.prefer_live,
         inject_cycle=round(spec.cycle, 3))
 
 

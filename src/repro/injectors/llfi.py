@@ -57,16 +57,14 @@ def _dest_flip_action(rng: random.Random, golden: GoldenRun,
 def run_one_svf(workload: str, isa: str, action: FaultAction,
                 golden: GoldenRun,
                 hardened: bool = False, tracer=None,
-                fastpath: "bool | None" = None,
-                arch_probe=None) -> InjectionResult:
+                fastpath: "bool | None" = None) -> InjectionResult:
     """Execute one LLFI-style injection; the host emulates syscalls,
     so the kernel stays invisible."""
     program = load_workload(workload, isa, hardened=hardened)
     engine = FunctionalEngine(build_system_image(program), kernel="host",
                               max_instructions=golden.max_instructions)
     return run_one_arch("svf", engine, workload, isa, action, golden,
-                        hardened=hardened, tracer=tracer,
-                        fastpath=fastpath, arch_probe=arch_probe)
+                        hardened=hardened, tracer=tracer, fastpath=fastpath)
 
 
 def run_svf_campaign(workload: str, isa: str, config_name: str,

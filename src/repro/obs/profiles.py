@@ -81,12 +81,12 @@ def region_label(region: int, width: int, n_regions: int) -> str:
 class ResidencyProfiler:
     """Samples structure occupancy/liveness from a running pipeline.
 
-    Attach via ``engine.profiler = profiler`` before ``run()``; the
-    engine calls :meth:`sample` every ``every`` committed
-    instructions.  All reads are non-destructive.  Cache liveness is
-    estimated by scanning one set per sample round-robin, so a sample
-    costs O(n_phys + lsq_size + 3*assoc) — cheap enough to hold the
-    <5% overhead gate in ``bench_perf_obs_overhead.py``.
+    Attach as the engine's observer (``engine.observer = profiler``)
+    before ``run()``; the engine calls :meth:`step` every ``every``
+    committed instructions.  All reads are non-destructive.  Cache
+    liveness is estimated by scanning one set per sample round-robin,
+    so a sample costs O(n_phys + lsq_size + 3*assoc);
+    ``bench_perf_obs_overhead.py`` gates the total cost.
     """
 
     def __init__(self, config, t_max: float,
@@ -106,7 +106,7 @@ class ResidencyProfiler:
         self._scan = {"L1I": 0, "L1D": 0, "L2": 0}
 
     # -- hot path ------------------------------------------------------
-    def sample(self, engine) -> None:
+    def step(self, engine) -> None:
         self.samples += 1
         n_regions = self.n_regions
         phase = phase_of(engine.fetch_time, self.t_max, self.n_phases)
@@ -298,7 +298,7 @@ def profile_golden_run(workload: str, config_name: str,
     profiler = ResidencyProfiler(config, t_max=golden.cycles,
                                  n_phases=n_phases,
                                  n_regions=n_regions, every=every)
-    engine.profiler = profiler
+    engine.observer = profiler
     result = engine.run()
     if result.output != golden.output:
         raise RuntimeError(

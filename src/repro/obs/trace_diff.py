@@ -3,8 +3,8 @@
 :mod:`repro.obs.tracing` tells the flip's life story in four coarse
 events; this module records the *state* story.  One capture runs the
 faulty simulation (through the exact campaign ``(seed, index)`` replay
-of :func:`repro.obs.tracing.trace_run`) with an ``arch_probe``
-recorder attached, keeping a bounded window of architectural snapshots
+of :func:`repro.obs.tracing.trace_run`) with a recorder as the run's
+observer, keeping a bounded window of architectural snapshots
 around the injection and the first crossing, then replays the same
 window on a fault-free engine — restored from the golden-fork
 checkpoint store when one is warm, so the golden pass costs a few
@@ -34,6 +34,7 @@ from collections import deque
 from pathlib import Path
 
 from .profiles import N_PHASES, phase_of
+from .tracing import FaultTracer
 
 __all__ = [
     "DEFAULT_AFTER",
@@ -120,10 +121,11 @@ def _functional_state(engine, step: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# faulty-pass recorders (arch_probe hooks; must NEVER raise — the run
-# loops wrap any exception in a ContainmentError)
+# faulty-pass recorders (engine observers that also collect the trace
+# timeline; must NEVER raise — the run loops wrap any exception in a
+# ContainmentError)
 # ---------------------------------------------------------------------------
-class _FunctionalRecorder:
+class _FunctionalRecorder(FaultTracer):
     """Windowed snapshot recorder for the functional engines.
 
     Architectural (pvf/svf) faults cross at birth, so both anchors
@@ -134,6 +136,7 @@ class _FunctionalRecorder:
     """
 
     def __init__(self, before: int, after: int) -> None:
+        super().__init__()
         self.before = before
         self.after = after
         self.frames: dict = {}
@@ -145,7 +148,7 @@ class _FunctionalRecorder:
         self._done = False
         self._skip_below: "int | None" = None
 
-    def __call__(self, engine) -> None:
+    def step(self, engine) -> None:
         if self._done:
             return
         if self._skip_below is None:
@@ -163,9 +166,8 @@ class _FunctionalRecorder:
                        for a in engine._actions):
                 return
             self._armed = True
-            # the arming step's own memory access predates watch_mem,
-            # so skip its frame rather than record a half-blind one
-            engine.watch_mem = True
+            # the arming step's last_mem may be a stale access from an
+            # earlier step, so skip its frame rather than record it
             engine.last_mem = None
             return
         if "injected" not in self.marks and engine._actions \
@@ -179,19 +181,16 @@ class _FunctionalRecorder:
                 self.frames[prior_step] = state
             self._ring.clear()
             self._ring_done = True
-        if self._ring_done:
-            if step <= self._record_until:
-                self.frames[step] = _functional_state(engine, step)
-            else:
-                self._done = True
-                engine.watch_mem = False
-            engine.last_mem = None
-            return
-        self._ring.append((step, _functional_state(engine, step)))
+        if not self._ring_done:
+            self._ring.append((step, _functional_state(engine, step)))
+        elif step <= self._record_until:
+            self.frames[step] = _functional_state(engine, step)
+        else:
+            self._done = True
         engine.last_mem = None
 
 
-class _PipelineRecorder:
+class _PipelineRecorder(FaultTracer):
     """Windowed snapshot recorder for the pipeline engine.
 
     Injection and crossing can be far apart (the latent hardware
@@ -202,6 +201,7 @@ class _PipelineRecorder:
 
     def __init__(self, before: int, after: int,
                  cycles_per_instr: float) -> None:
+        super().__init__()
         self.before = before
         self.after = after
         self.frames: dict = {}
@@ -223,7 +223,7 @@ class _PipelineRecorder:
             self._ring.clear()
             self._ring_done = True
 
-    def __call__(self, engine) -> None:
+    def step(self, engine) -> None:
         if self._done:
             return
         if self._arm_cycle is None:
@@ -266,23 +266,20 @@ class _GoldenProbe:
         self._state = state_fn
         self._functional = functional
 
-    def __call__(self, engine) -> None:
-        if self._functional:
-            step = engine.executed - 1
-            if step in self.needed:
-                self.frames[step] = self._state(engine, step)
+    def step(self, engine) -> None:
+        functional = self._functional
+        step = (engine.executed if functional else engine.instructions) - 1
+        if step in self.needed:
+            self.frames[step] = self._state(engine, step)
+        if functional:
             engine.last_mem = None
-        else:
-            step = engine.instructions - 1
-            if step in self.needed:
-                self.frames[step] = self._state(engine, step)
 
 
 class _StopAfter:
     """Fastpath hook ending a golden pass once the window is recorded.
 
     Early exit must go through the engines' fastpath protocol — an
-    arch_probe that raises would be wrapped in a ContainmentError.
+    observer that raises would be wrapped in a ContainmentError.
     The synthesised result is discarded; only the probe's frames
     matter.
     """
@@ -342,7 +339,6 @@ def _golden_frames(workload: str, config_name: str, hardened: bool,
         engine = FunctionalEngine(
             image, kernel=engine_kind.split("-", 1)[1],
             max_instructions=golden.max_instructions)
-        engine.watch_mem = True
     first, last = min(needed), max(needed)
     try:
         store = checkpoint_store(workload, config_name,
@@ -360,7 +356,7 @@ def _golden_frames(workload: str, config_name: str, hardened: bool,
     probe = _GoldenProbe(
         needed, _pipeline_state if pipeline else _functional_state,
         functional=not pipeline)
-    engine.arch_probe = probe
+    engine.observer = probe
     engine.fastpath = _StopAfter(last, pipeline)
     engine.run()
     return probe.frames
@@ -379,10 +375,10 @@ def capture_diff(injector: str, workload: str, config_name: str,
 
     The faulty pass reuses :func:`repro.obs.tracing.trace_run` (the
     campaign-identical ``(seed, index)`` derivation) with a windowed
-    recorder attached as the engine's ``arch_probe``; the probe forces
-    the scalar slow path, so the recorded run is the plain
-    from-reset trajectory.  The golden pass then replays only the
-    recorded steps.  Returns the versioned JSON payload.
+    recorder as the run's observer; an observer forces the scalar slow
+    path, so the recorded run is the plain from-reset trajectory.  The
+    golden pass then replays only the recorded steps.  Returns the
+    versioned JSON payload.
     """
     from ..injectors.golden import STORE_ENGINES, golden_run
     from ..injectors.llfi import require_svf_isa
@@ -406,7 +402,7 @@ def capture_diff(injector: str, workload: str, config_name: str,
     trace, result = trace_run(injector, workload, config_name, seed,
                               index=index, structure=structure,
                               model=model, hardened=hardened,
-                              arch_probe=recorder)
+                              tracer=recorder)
     golden_frames = _golden_frames(workload, config_name, hardened,
                                    set(recorder.frames), engine_kind,
                                    golden)

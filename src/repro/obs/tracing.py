@@ -8,9 +8,10 @@ crossing happened in kernel or user mode — is exactly the
 Fault Propagation Model narrative of the paper, and it is invisible
 in the aggregate.  This module records that path.
 
-A :class:`FaultTracer` is a passive hook object threaded through the
-pipeline and the injectors; every site guards with ``tracer is not
-None``, so tracing is a zero-cost no-op unless requested.  The
+A :class:`FaultTracer` is the run's engine observer (protocol on
+``PipelineEngine.observer``): the injectors call ``injected`` and
+``outcome``, the pipeline ``landed`` and ``crossed``; the trace-diff
+recorders extend it.  Nothing attached costs one ``None`` test.  The
 collected :class:`TraceEvent` timeline plus the run's classification
 make a :class:`FaultTrace`, renderable as text and replayable on
 demand: :func:`trace_run` re-derives the exact fault a campaign run
@@ -175,59 +176,58 @@ class FaultTrace:
 # ---------------------------------------------------------------------------
 def trace_fault(workload: str, config_name: str, structure: str,
                 seed: int, index: int = 0, hardened: bool = False,
-                prefer_live: bool = True, arch_probe=None):
+                prefer_live: bool = True, tracer=None):
     """Replay gefin campaign run ``(seed, index)`` with tracing enabled
     (see :func:`trace_run`)."""
     return _replay("gefin", workload, config_name, seed, index,
-                   hardened, arch_probe, structure=structure,
+                   hardened, tracer, structure=structure,
                    prefer_live=prefer_live)
 
 
 def trace_run(injector: str, workload: str, config_name: str,
               seed: int, index: int = 0, structure: str | None = None,
               model: str | None = None, hardened: bool = False,
-              arch_probe=None):
+              tracer=None):
     """Replay campaign run ``(seed, index)`` of *injector*, traced.
 
     The one trace front door (CLI, trace explorer, observatory): gefin
     needs *structure*, pvf *model*, svf a 64-bit core.  Returns
     ``(FaultTrace, InjectionResult)``; the result is the campaign
-    worker's for the same run.  The tracer and an *arch_probe* (see
-    :mod:`repro.obs.trace_diff`) pin the scalar slow path, so the
-    trajectory is the from-reset one under any ``REPRO_FASTPATH`` or
-    ``REPRO_BATCH``.
+    worker's for the same run.  *tracer* (default a fresh
+    :class:`FaultTracer`) is the run's observer and pins the scalar
+    slow path, so the trajectory is the from-reset one under any
+    ``REPRO_FASTPATH`` or ``REPRO_BATCH``.
     """
     if injector == "gefin":
         if not structure:
             raise ValueError("gefin traces need a structure")
         return trace_fault(workload, config_name, structure, seed,
-                           index=index, hardened=hardened,
-                           arch_probe=arch_probe)
+                           index=index, hardened=hardened, tracer=tracer)
     if injector == "pvf":
         if not model:
             raise ValueError("pvf traces need a model")
         return _replay("pvf", workload, config_name, seed, index,
-                       hardened, arch_probe, model=model)
+                       hardened, tracer, model=model)
     if injector == "svf":
         from ..injectors.llfi import require_svf_isa
         from ..uarch.config import config_by_name
 
         require_svf_isa(config_by_name(config_name).isa)
         return _replay("svf", workload, config_name, seed, index,
-                       hardened, arch_probe)
+                       hardened, tracer)
     raise ValueError(f"unknown injector {injector!r}")
 
 
 def _replay(injector: str, workload: str, config_name: str, seed: int,
-            index: int, hardened: bool, arch_probe, **target):
+            index: int, hardened: bool, tracer, **target):
     """Run ``(seed, index)`` traced and tell its story (the injector
     records the injection, and any crossing, on the tracer)."""
     from ..injectors.campaign import replay_index
 
-    tracer = FaultTracer()
+    if tracer is None:
+        tracer = FaultTracer()
     result = replay_index(injector, workload, config_name, seed, index,
-                          hardened=hardened, tracer=tracer,
-                          arch_probe=arch_probe, **target)
+                          hardened=hardened, tracer=tracer, **target)
     injected = tracer.events[0]
     model = target.get("model")
     trace = FaultTrace(

@@ -131,7 +131,7 @@ class _FunctionalCore(CoreAccess):
                                    kernel_mode=engine.ms.in_kernel)
         if engine.profile is not None:
             engine.profile.mem_footprint.add(addr & ~7)
-        if engine.watch_mem:
+        if engine.observer is not None:
             engine.last_mem = ("load", addr, nbytes)
         return engine.memory.read_int(addr, nbytes, signed)
 
@@ -141,7 +141,7 @@ class _FunctionalCore(CoreAccess):
                                    kernel_mode=engine.ms.in_kernel)
         if engine.profile is not None:
             engine.profile.mem_footprint.add(addr & ~7)
-        if engine.watch_mem:
+        if engine.observer is not None:
             engine.last_mem = ("store", addr, nbytes)
         engine.memory.write_int(addr, value, nbytes)
 
@@ -172,14 +172,10 @@ class FunctionalEngine:
         self._core = _FunctionalCore(self)
         self._actions: list[FaultAction] = []
         self._counters = {"commit": 0, "user_dest": 0}
-        #: optional cosimulation hook (see repro.fuzz.oracle): called
-        #: with the engine after every executed instruction
-        self.arch_probe = None
-        #: when True, the core records each memory access as
-        #: ``("load"|"store", addr, nbytes)`` in ``last_mem`` (an
-        #: arch_probe consumer clears it per step); off by default so
-        #: the hot path stays a single attribute test
-        self.watch_mem = False
+        #: optional passive observer (protocol: PipelineEngine.observer);
+        #: while one is attached the core records each memory access
+        #: as ``("load"|"store", addr, nbytes)`` in ``last_mem``.
+        self.observer = None
         self.last_mem = None
         #: optional checkpoint hook (see repro.uarch.snapshot): an
         #: object with ``next_check`` (executed-instruction count) and
@@ -251,8 +247,9 @@ class FunctionalEngine:
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
         has_actions = bool(self._actions)
-        arch_probe = self.arch_probe
         fastpath = self.fastpath
+        step = getattr(self.observer, "step", None)
+        every = (getattr(self.observer, "every", None) or 1) if step else 0
         try:
             while not ms.halted:
                 if fastpath is not None \
@@ -293,8 +290,8 @@ class FunctionalEngine:
                         self._counters["user_dest"] += 1
                     if profile is not None:
                         profile.dest_instructions += 1
-                if arch_probe is not None:
-                    arch_probe(self)
+                if every and not self.executed % every:
+                    step(self)
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
             fault_kind = exc.kind

@@ -178,8 +178,7 @@ class PipelineEngine:
     def __init__(self, image: SystemImage, config: MicroarchConfig,
                  faults=(), max_instructions: int = 2_000_000,
                  max_cycles: float = float("inf"),
-                 collect_stats: bool = False,
-                 tracer=None) -> None:
+                 collect_stats: bool = False) -> None:
         if register_set(config.isa).xlen != register_set(image.isa).xlen:
             raise ValueError(
                 f"config {config.name} is {config.isa} but program "
@@ -232,9 +231,6 @@ class PipelineEngine:
         self.fault_applied = False
         self.fault_live = False
         self.crossing: Crossing | None = None
-        #: optional repro.obs.tracing.FaultTracer; every hook guards
-        #: with ``is not None`` so tracing costs nothing when off
-        self.tracer = tracer
 
         # --- control -------------------------------------------------
         self.max_instructions = max_instructions
@@ -251,14 +247,21 @@ class PipelineEngine:
         self.src_vals: dict[int, int] = {}
         self.mem_latency = 0
         self.pending_mem: tuple | None = None
-        #: optional ACE lifetime tracker (see repro.core.ace); when
-        #: set, the engine reports write/read/release events for the
-        #: register file, LSQ and D-cache lines.
-        self.lifetime_tracker = None
-        #: optional cosimulation hook (see repro.fuzz.oracle): called
-        #: with the engine after every committed instruction; hoisted
-        #: to a local in run() so a None probe costs nothing.
-        self.arch_probe = None
+        #: optional passive observer: the fault tracer and trace-diff
+        #: recorders (repro.obs), the residency profiler, the ACE
+        #: lifetime tracker (repro.core.ace) or a cosim probe.  Duck-
+        #: typed, every method optional: ``step(engine)`` after each
+        #: committed instruction, or every ``observer.every`` when set
+        #: (the functional engine calls it too); ``landed`` and
+        #: ``crossed(cycle, detail)`` when the flip lands and first
+        #: turns architectural (the injectors add ``injected`` and
+        #: ``outcome``); the lifetime events, all five or none:
+        #: ``reg_read``/``reg_write``/``reg_release(phys, cycle)``,
+        #: ``lsq_op(alloc, commit)``, ``mem_access(addr, nbytes,
+        #: is_store, cycle)``.  run() looks each up once, so a missing
+        #: one costs a local test.  An observer only reads state and
+        #: never raises, so it never changes the result.
+        self.observer = None
         self._fetch_line = None
         self._fetch_line_base = -1
         self._fetch_line_tag = -1
@@ -267,11 +270,6 @@ class PipelineEngine:
         #: ``poll(engine)``; polled at the top of the run loop, and a
         #: non-None poll() return ends the run with that result.
         self.fastpath = None
-        #: optional residency profiler (see repro.obs.profiles): an
-        #: object with ``every`` (sampling stride in committed
-        #: instructions) and ``sample(engine)``; read-only, so an
-        #: attached profiler never perturbs simulation results.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # crossing / fault bookkeeping
@@ -283,9 +281,10 @@ class PipelineEngine:
                                      self.ms.in_kernel,
                                      arch_reg=arch_reg,
                                      mem_addr=mem_addr)
-            if self.tracer is not None:
-                self.tracer.crossed(self.fetch_time,
-                                    self._crossing_detail(self.crossing))
+            crossed = getattr(self.observer, "crossed", None)
+            if crossed is not None:
+                crossed(self.fetch_time,
+                        self._crossing_detail(self.crossing))
 
     def _crossing_detail(self, crossing: Crossing) -> str:
         mode = "kernel" if crossing.in_kernel else "user"
@@ -304,10 +303,10 @@ class PipelineEngine:
             self._apply_fault(spec)
 
     def _trace_landing(self, detail: str) -> None:
-        if self.tracer is not None:
+        landed = getattr(self.observer, "landed", None)
+        if landed is not None:
             state = "live" if self.fault_live else "dead"
-            self.tracer.landed(self.fetch_time,
-                               f"{detail} ({state} state)")
+            landed(self.fetch_time, f"{detail} ({state} state)")
 
     def _apply_fault(self, spec) -> None:
         self.fault_applied = True
@@ -523,15 +522,18 @@ class PipelineEngine:
         fault_in_kernel = False
         faults_pending = self._next_fault < len(self.faults)
 
-        # Observers and per-run state, hoisted to locals.  Hooks are
+        # Hooks and per-run state, hoisted to locals.  Hooks are
         # attached and checkpoints restored before run(); nothing
         # rebinds these objects while the loop runs (they are only
         # mutated in place).
-        arch_probe = self.arch_probe
         fastpath = self.fastpath
-        profiler = self.profiler
-        profile_every = profiler.every if profiler is not None else 0
-        tracker = self.lifetime_tracker
+        observer = self.observer
+        step = getattr(observer, "step", None)
+        every = (getattr(observer, "every", None) or 1) if step else 0
+        reg_read, reg_write, reg_release, lsq_op, mem_access = (
+            getattr(observer, hook, None) for hook in (
+                "reg_read", "reg_write", "reg_release", "lsq_op",
+                "mem_access"))
         collect_stats = self.collect_stats
         core = self._core
         src_vals = self.src_vals
@@ -668,8 +670,8 @@ class PipelineEngine:
                         ready = reg_ready[phys]
                     if phys in tainted:
                         tainted_src = rs1
-                    if tracker is not None:
-                        tracker.reg_read(phys, ready)
+                    if reg_read is not None:
+                        reg_read(phys, ready)
                 if rs2:
                     phys = rename_map[rs2]
                     src_vals[rs2] = values[phys]
@@ -677,8 +679,8 @@ class PipelineEngine:
                         ready = reg_ready[phys]
                     if not tainted_src and phys in tainted:
                         tainted_src = rs2
-                    if tracker is not None:
-                        tracker.reg_read(phys, ready)
+                    if reg_read is not None:
+                        reg_read(phys, ready)
                 if tainted_src:
                     self.record_crossing("WD", arch_reg=tainted_src)
                 if dest:
@@ -740,16 +742,16 @@ class PipelineEngine:
                         # patch the reclamation cycle of the old mapping
                         old = pending_free[-1][1]
                         pending_free[-1] = (commit, old)
-                        if tracker is not None:
-                            tracker.reg_write(dest_phys, complete)
-                            tracker.reg_release(old, commit)
+                        if reg_write is not None:
+                            reg_write(dest_phys, complete)
+                            reg_release(old, commit)
                 if lsq_entry is not None:
                     mem = self.pending_mem
                     if mem is not None:
-                        if tracker is not None:
-                            tracker.mem_access(mem[1], mem[2],
-                                               mem[0] == "store", start)
-                            tracker.lsq_op(dispatch, commit)
+                        if mem_access is not None:
+                            mem_access(mem[1], mem[2], mem[0] == "store",
+                                       start)
+                            lsq_op(dispatch, commit)
                         lsq_entry.is_store = mem[0] == "store"
                         lsq_entry.addr = mem[1]
                         lsq_entry.nbytes = mem[2]
@@ -786,10 +788,8 @@ class PipelineEngine:
                 self.instructions = instructions
                 if ms.mode == KERNEL_MODE:
                     self.kernel_instructions += 1
-                if arch_probe is not None:
-                    arch_probe(self)
-                if profile_every and not instructions % profile_every:
-                    profiler.sample(self)
+                if every and not instructions % every:
+                    step(self)
                 if collect_stats and not instructions % 64:
                     self._sample_occupancy()
         except SimException as exc:

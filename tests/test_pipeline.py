@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -174,7 +175,7 @@ class TestRunLoopCaches:
             if not eng.fault_applied:
                 fetched[eng.ms.pc] += 1
 
-        engine.arch_probe = before_flip
+        engine.observer = SimpleNamespace(step=before_flip)
         result = engine.run()
         crossing = result.crossing
         # the corrupted word had run many times before the flip
