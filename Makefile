@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench warm examples clean-cache loc
+.PHONY: install test bench warm examples clean-cache loc perf-pairs
 
 install:
 	$(PYTHON) setup.py develop
@@ -12,6 +12,13 @@ test:
 
 bench: warm
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# alternating parent/change pairs of perfbench/run.py (see
+# benchmarks/perf_pairs.py); e.g. make perf-pairs BASE=HEAD~1 PAIRS=7
+BASE ?= HEAD
+PAIRS ?= 5
+perf-pairs:
+	$(PYTHON) benchmarks/perf_pairs.py --base $(BASE) --pairs $(PAIRS)
 
 warm:
 	$(PYTHON) benchmarks/warm_cache.py

@@ -51,9 +51,9 @@ from ..kernel.syscalls import EXIT_CODE_OFFSET, SYS_EXIT, SYS_WRITE
 from ..obs.metrics import (BATCH_BATCHES, BATCH_EARLY_RETIRES,
                            BATCH_LANES_PACKED, BATCH_SCALAR_EVICTIONS,
                            get_registry)
-from .cpu import _link_reg, _sdiv, _srem, execute, to_signed
+from .cpu import KERNEL_MODE, _link_reg, _sdiv, _srem, execute, to_signed
 from .exceptions import ContainmentError, DetectTrap, SimException
-from .functional import FuncResult, RunStatus, _dest_reg, _writes_reg
+from .functional import FuncResult, RunStatus, trigger_tables
 from .memory import ADDR_MASK
 
 #: Widest batch: one lane per uint64 vector element keeps every
@@ -65,6 +65,9 @@ DEFAULT_LANES = 64
 RETIRE_EVERY = 64
 
 FULL = 0xFFFF_FFFF_FFFF_FFFF
+# Lane rows are tested for a nonzero element with np.count_nonzero(row)
+# rather than row.any(): on a 64-lane row it costs about a quarter as
+# much, and the divergent-lane path tests a row on nearly every step.
 _PAGE = layout.PAGE_SIZE
 _PAGE_MASK = _PAGE - 1
 _FALSY = {"0", "false", "no", "off", ""}
@@ -276,14 +279,10 @@ class BatchedFunctionalEngine:
         self._outcomes = [None] * n
         self._n_evicted = 0
         self.early_retires = 0
-        self._commit_t = {}
-        self._dest_t = {}
-        for lane, action in enumerate(self._actions):
-            if action.counter not in ("commit", "user_dest"):
-                raise ValueError(f"unknown trigger {action.counter!r}")
-            table = (self._commit_t if action.counter == "commit"
-                     else self._dest_t)
-            table.setdefault(action.when, []).append(lane)
+        # when -> lanes, per trigger stream (rejects unknown counters
+        # exactly as FunctionalEngine.schedule does)
+        self._commit_t, self._dest_t = trigger_tables(self._actions,
+                                                      range(n))
         self._next_scan = 0
 
     # -- public API ----------------------------------------------------
@@ -334,7 +333,7 @@ class BatchedFunctionalEngine:
         commit_t, dest_t = self._commit_t, self._dest_t
         fetch = eng._fetch
         exec_step = self._exec_step
-        host_kernel = eng.kernel_mode_kind == "host"
+        core = eng._core
         has_store = self._store is not None
         max_instructions = eng.max_instructions
         n = self._n
@@ -350,7 +349,7 @@ class BatchedFunctionalEngine:
                     and not self._dirty):
                 self._early_stop()
                 return
-            instr = fetch()
+            instr, handler, writes, dest, host_syscall = fetch()
             if self._mem_diff and self._dirty:
                 # lanes about to decode a different word must leave the
                 # batch *before* this slot's trigger fires (counters
@@ -362,13 +361,15 @@ class BatchedFunctionalEngine:
                     for lane in lanes:
                         self._apply(lane)
             counters["commit"] += 1
-            if host_kernel and instr.op == "syscall":
+            if host_syscall:
                 self._host_syscall_step()
+            elif self._dirty:
+                exec_step(instr, handler)
             else:
-                exec_step(instr)
+                ms.pc = handler(instr, ms, core)
             eng.executed += 1
-            if not ms.in_kernel and _writes_reg(instr):
-                eng.last_dest = _dest_reg(instr, ms.xlen)
+            if writes and ms.mode != KERNEL_MODE:
+                eng.last_dest = dest
                 if dest_t:
                     lanes = dest_t.pop(counters["user_dest"], None)
                     if lanes is not None:
@@ -499,7 +500,7 @@ class BatchedFunctionalEngine:
         if arr is None:
             return
         bits = (arr >> np.uint64((pc - word) * 8)) & np.uint64(0xFFFF_FFFF)
-        if bits.any():
+        if np.count_nonzero(bits):
             self._evict_mask(bits != 0)
 
     def _mem_gather(self, addr, nbytes):
@@ -520,7 +521,7 @@ class BatchedFunctionalEngine:
             part = hi << np.uint64(64 - off)
             g = part if g is None else g | part
         g = g & np.uint64((1 << (8 * nbytes)) - 1)
-        return g if g.any() else None
+        return g if np.count_nonzero(g) else None
 
     def _mem_deposit(self, addr, nbytes, diff):
         """Overwrite the span's diff bits (store semantics)."""
@@ -529,7 +530,7 @@ class BatchedFunctionalEngine:
         off = (addr - word) * 8
         span = (1 << (8 * nbytes)) - 1
         straddles = off + 8 * nbytes > 64
-        has_diff = diff.any()
+        has_diff = np.count_nonzero(diff)
         if not has_diff and word not in md \
                 and not (straddles and word + 8 in md):
             return
@@ -600,11 +601,11 @@ class BatchedFunctionalEngine:
         md = self._mem_diff
         for word in list(md):
             arr = md[word]
-            if arr.any():
+            if np.count_nonzero(arr):
                 acc |= arr
             else:
                 del md[word]
-        self._dirty = bool(acc.any())
+        self._dirty = bool(np.count_nonzero(acc))
         full = acc
         if self._out_diff:
             full = acc.copy()
@@ -646,12 +647,12 @@ class BatchedFunctionalEngine:
         if self._dirty:
             rd = self._rd
             d1 = rd[1]
-            if 1 in self._reg_nz and d1.any():
+            if 1 in self._reg_nz and np.count_nonzero(d1):
                 # different syscall number: semantics diverge
                 self._evict_mask(d1 != 0)
             if number == SYS_WRITE:
                 dio = rd[2] | rd[3]
-                if dio.any():
+                if np.count_nonzero(dio):
                     # different buffer or length: output stream diverges
                     self._evict_mask(dio != 0)
         before = len(eng._host_output)
@@ -665,28 +666,28 @@ class BatchedFunctionalEngine:
                 buf = regs[2] & 0xFFFF_FFFF
                 end = buf + appended
                 for word, arr in self._mem_diff.items():
-                    if word + 8 <= buf or word >= end or not arr.any():
+                    if word + 8 <= buf or word >= end \
+                            or not np.count_nonzero(arr):
                         continue
                     for k in range(8):
                         a = word + k
                         if buf <= a < end:
                             bv = (arr >> np.uint64(8 * k)) \
                                 & np.uint64(0xFF)
-                            if bv.any():
+                            if np.count_nonzero(bv):
                                 self._out_diff[before + (a - buf)] = \
                                     bv.copy()
         elif number == SYS_EXIT:
             d2 = self._rd[2]
-            if d2.any():
+            if np.count_nonzero(d2):
                 self._exit_diff = (d2 & np.uint64(0xFFFF_FFFF)).copy()
 
     # -- vectorized instruction semantics ------------------------------
-    def _exec_step(self, instr):
+    def _exec_step(self, instr, handler):
+        """Execute *instr* (semantics *handler*) on the leader while
+        some lane diverges."""
         eng = self._eng
         ms = eng.ms
-        if not self._dirty:
-            ms.pc = execute(instr, ms, eng._core)
-            return
         op = instr.op
         d = instr.d
         cls = d.cls
@@ -700,16 +701,16 @@ class BatchedFunctionalEngine:
             return
         if cls == "branch":
             if op in ("j", "jal"):
-                ms.pc = execute(instr, ms, eng._core)
+                ms.pc = handler(instr, ms, eng._core)
                 if op == "jal":
                     self._zero_row(_link_reg(ms.xlen))
                 return
             if op in ("jr", "jalr"):
                 if rs1 in nz:
                     diff = self._rd[rs1]
-                    if diff.any():
+                    if np.count_nonzero(diff):
                         self._evict_mask(diff != 0)
-                ms.pc = execute(instr, ms, eng._core)
+                ms.pc = handler(instr, ms, eng._core)
                 if op == "jalr":
                     self._zero_row(rd)
                 return
@@ -717,26 +718,26 @@ class BatchedFunctionalEngine:
             return
         if cls == "sys":
             # sim-kernel syscall/eret/halt/detect read no registers
-            ms.pc = execute(instr, ms, eng._core)
+            ms.pc = handler(instr, ms, eng._core)
             return
         if cls == "div":
             self._div_step(instr)
             return
         # ALU / MUL
         if op == "lui":
-            ms.pc = execute(instr, ms, eng._core)
+            ms.pc = handler(instr, ms, eng._core)
             self._zero_row(rd)
             return
         uses_rs2 = d.fmt == "R"
         rs1_nz = rs1 in nz
         rs2_nz = uses_rs2 and rs2 in nz
         if not rs1_nz and not rs2_nz:
-            ms.pc = execute(instr, ms, eng._core)
+            ms.pc = handler(instr, ms, eng._core)
             self._zero_row(rd)
             return
         row = self._linear_alu(op, instr, rs1, rs2, rs1_nz, rs2_nz)
         if row is not None:
-            ms.pc = execute(instr, ms, eng._core)
+            ms.pc = handler(instr, ms, eng._core)
             if rd:
                 self._set_row(rd, row)
             return
@@ -747,7 +748,7 @@ class BatchedFunctionalEngine:
         if uses_rs2:
             a2 = (U(regs[rs2]) ^ self._rd[rs2]) if rs2_nz \
                 else U(regs[rs2])
-        ms.pc = execute(instr, ms, eng._core)
+        ms.pc = handler(instr, ms, eng._core)
         if not rd:
             return
         self._assign(rd, self._alu(op, instr, a1, a2))
@@ -886,13 +887,13 @@ class BatchedFunctionalEngine:
         a2 = U(eng.regs[rs2]) ^ d2
         if rs2 in nz:
             zero_div = a2 == 0  # leader's divisor is never 0 (golden)
-            if zero_div.any():
+            if np.count_nonzero(zero_div):
                 self._evict_mask(zero_div)
         diverged = d1 | d2
         ms.pc = execute(instr, ms, eng._core)
         if not rd:
             return
-        if not diverged.any():
+        if not np.count_nonzero(diverged):
             self._zero_row(rd)
             return
         xlen = self._xlen
@@ -942,7 +943,7 @@ class BatchedFunctionalEngine:
                 taken = v1 >= v2
                 leader_taken = a >= b
             split = taken != leader_taken
-            if split.any():
+            if np.count_nonzero(split):
                 self._evict_mask(split)
         ms.pc = execute(instr, ms, eng._core)
 
@@ -990,7 +991,7 @@ class BatchedFunctionalEngine:
         v1 = U(eng.regs[rs1]) ^ self._rd[rs1]
         lane_addr = ((v1 + U(imm & FULL)) & self._masku) & U(ADDR_MASK)
         split = lane_addr != U(leader_addr)
-        if split.any():
+        if np.count_nonzero(split):
             self._evict_mask(split)
 
     # -- row bookkeeping -----------------------------------------------
@@ -1000,7 +1001,7 @@ class BatchedFunctionalEngine:
 
     def _set_row(self, rd, row):
         self._rd[rd] = row
-        if row.any():
+        if np.count_nonzero(row):
             self._reg_nz.add(rd)
             self._dirty = True
         else:

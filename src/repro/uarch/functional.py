@@ -20,28 +20,32 @@ flips).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
 from ..isa import layout
-from ..isa.encoding import Decoded, decode
+from ..isa.encoding import WORD_MASK, Decoded, decode
 from ..isa.errors import DecodeError
 from ..isa.registers import register_set
 from ..kernel.loader import SystemImage, build_system_image
 from ..kernel.syscalls import EXIT_CODE_OFFSET, SYS_EXIT, SYS_WRITE
-from .cpu import (
-    KERNEL_MODE,
-    CoreAccess,
-    MachineState,
-    execute,
-)
+from .cpu import HANDLERS, KERNEL_MODE, CoreAccess, MachineState
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
 
-#: Shared decode cache: (xlen, word) -> Decoded | DecodeError.  Distinct
-#: words are few (static instructions + a handful of corrupted
-#: variants), and campaigns run thousands of executions of the same
-#: binaries, so a process-global cache pays off.
+_PAGE = layout.PAGE_SIZE
+_PAGE_BASE = ~(_PAGE - 1)
+#: little-endian instruction word at an offset into a page
+_read_word = struct.Struct("<I").unpack_from
+
+#: Shared decode cache: (xlen, word) -> Decoded, or the DecodeError
+#: reason for an illegal word.  Distinct words are few (static
+#: instructions + a handful of corrupted variants), and campaigns run
+#: thousands of executions of the same binaries, so a process-global
+#: cache pays off.  It holds the reason rather than the exception: a
+#: re-raised instance grows its ``__traceback__`` on every raise and
+#: would keep every engine it was raised through alive.
 _DECODE_CACHE: dict[tuple[int, int], object] = {}
 
 
@@ -52,10 +56,10 @@ def cached_decode(word: int, regs) -> Decoded:
         try:
             hit = decode(word, regs)
         except DecodeError as exc:
-            hit = exc
+            hit = exc.reason
         _DECODE_CACHE[key] = hit
-    if isinstance(hit, DecodeError):
-        raise hit
+    if isinstance(hit, str):
+        raise DecodeError(word & WORD_MASK, hit)
     return hit
 
 
@@ -108,6 +112,27 @@ class FaultAction:
     counter: str
     when: int
     apply: object  # Callable[[FunctionalEngine], None]
+
+
+#: the trigger streams a :class:`FaultAction` can name
+TRIGGER_COUNTERS = ("commit", "user_dest")
+
+
+def trigger_tables(actions, items=None) -> tuple[dict, dict]:
+    """``({when: [item, ...]}, {when: [item, ...]})`` for the
+    ``commit`` and ``user_dest`` streams, in *actions* order; each
+    action's item is itself unless *items* (parallel to *actions*)
+    names another.  Raises ``ValueError`` on an unknown counter."""
+    commit: dict = {}
+    user_dest: dict = {}
+    for action, item in zip(actions, actions if items is None else items):
+        if action.counter == "commit":
+            commit.setdefault(action.when, []).append(item)
+        elif action.counter == "user_dest":
+            user_dest.setdefault(action.when, []).append(item)
+        else:
+            raise ValueError(f"unknown trigger {action.counter!r}")
+    return commit, user_dest
 
 
 class _FunctionalCore(CoreAccess):
@@ -172,6 +197,13 @@ class FunctionalEngine:
         self._core = _FunctionalCore(self)
         self._actions: list[FaultAction] = []
         self._counters = {"commit": 0, "user_dest": 0}
+        #: raw instruction word -> decode record (see _decode_record);
+        #: a corrupted word is simply another key
+        self._records: dict[int, tuple] = {}
+        #: code page base -> whether its (single) region is
+        #: kernel-only: the region is looked up once per page, the
+        #: privilege check still runs on every fetch
+        self._page_kernel_only: dict[int, bool] = {}
         #: optional passive observer (protocol: PipelineEngine.observer);
         #: while one is attached the core records each memory access
         #: as ``("load"|"store", addr, nbytes)`` in ``last_mem``.
@@ -187,35 +219,72 @@ class FunctionalEngine:
     # fault scheduling
     # ------------------------------------------------------------------
     def schedule(self, action: FaultAction) -> None:
+        if action.counter not in TRIGGER_COUNTERS:
+            raise ValueError(f"unknown trigger {action.counter!r}")
         self._actions.append(action)
-
-    def _fire(self, counter: str, index: int) -> None:
-        for action in self._actions:
-            if action.counter == counter and action.when == index:
-                action.apply(self)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _fetch(self) -> Decoded:
-        pc = self.ms.pc
+    def _fetch(self) -> tuple:
+        """Fetch the word at ``ms.pc``; returns its decode record.
+
+        Alignment, the fetch region and privilege are checked on every
+        fetch.  The word is read from the page that holds it now, never
+        from a cached page object: a write into a checkpoint's frozen
+        page (a code flip, a store) swaps in a private copy.
+        """
+        ms = self.ms
+        pc = ms.pc
         if pc & 3:
             raise SimException(FaultKind.MISALIGNED, pc,
-                               detail="pc", in_kernel=self.ms.in_kernel)
+                               detail="pc", in_kernel=ms.in_kernel)
         addr = pc & 0xFFFF_FFFF
-        region = self.memory.region_of(addr)
-        if region is None:
-            raise SimException(FaultKind.FETCH_FAULT, addr,
-                               in_kernel=self.ms.in_kernel)
-        if region.kernel_only and not self.ms.in_kernel:
+        base = addr & _PAGE_BASE
+        memory = self.memory
+        kernel_only = self._page_kernel_only.get(base)
+        if kernel_only is None:
+            region = memory.region_of(addr)
+            if region is None:
+                raise SimException(FaultKind.FETCH_FAULT, addr,
+                                   in_kernel=ms.in_kernel)
+            kernel_only = region.kernel_only
+            if region.base <= base and base + _PAGE <= region.end:
+                self._page_kernel_only[base] = kernel_only
+        if kernel_only and ms.mode != KERNEL_MODE:
             raise SimException(FaultKind.PRIVILEGE_FAULT, addr,
                                detail="fetch", in_kernel=False)
-        word = self.memory.read_int(addr, 4)
+        page = memory._pages.get(base)
+        if page is None and memory._backing:
+            page = memory._backing.get(base)
+        word = _read_word(page, addr - base)[0] if page is not None else 0
+        record = self._records.get(word)
+        if record is None:
+            record = self._records[word] = self._decode_record(word)
+        return record
+
+    def _decode_record(self, word: int) -> tuple:
+        """Everything the run loops need to know about one instruction
+        word: ``(instr, handler, writes_reg, dest_reg,
+        host_syscall)``.  ``handler`` is the instruction's semantics
+        (:data:`repro.uarch.cpu.HANDLERS`), ``dest_reg`` the
+        architectural destination when ``writes_reg``, and
+        ``host_syscall`` marks a syscall the host kernel emulates."""
         try:
-            return cached_decode(word, self.regs_meta)
+            instr = cached_decode(word, self.regs_meta)
         except DecodeError:
-            raise SimException(FaultKind.ILLEGAL_INSTRUCTION, pc,
+            raise SimException(FaultKind.ILLEGAL_INSTRUCTION, self.ms.pc,
                                in_kernel=self.ms.in_kernel) from None
+        writes = _writes_reg(instr)
+        return (instr, HANDLERS[instr.op], writes,
+                _dest_reg(instr, self.ms.xlen) if writes else 0,
+                instr.op == "syscall" and self.kernel_mode_kind == "host")
+
+    def _store_counts(self, executed: int, n_commit: int,
+                      n_dest: int) -> None:
+        self.executed = executed
+        self._counters["commit"] = n_commit
+        self._counters["user_dest"] = n_dest
 
     def _host_syscall(self) -> None:
         """Emulate the kernel natively (LLFI view: kernel is invisible)."""
@@ -242,36 +311,58 @@ class FunctionalEngine:
         """Execute to completion and classify the raw termination."""
         ms = self.ms
         core = self._core
+        fetch = self._fetch
         profile = self.profile
         status = RunStatus.COMPLETED
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
-        has_actions = bool(self._actions)
         fastpath = self.fastpath
         step = getattr(self.observer, "step", None)
         every = (getattr(self.observer, "every", None) or 1) if step else 0
+        max_instructions = self.max_instructions
+        # The trigger streams only count while actions are scheduled.
+        # The instruction and stream counters live in locals and are
+        # stored back (_store_counts) before anything outside the loop
+        # can read them: a fast-path poll, an action, an observer step
+        # and the end of the run.
+        counting = bool(self._actions)
+        commit_t, dest_t = trigger_tables(self._actions)
+        n_commit = self._counters["commit"]
+        n_dest = self._counters["user_dest"]
+        executed = self.executed
+        # one threshold for the watchdog and the next fast-path poll
+        limit = (max_instructions if fastpath is None
+                 else min(fastpath.next_check, max_instructions))
         try:
             while not ms.halted:
-                if fastpath is not None \
-                        and self.executed >= fastpath.next_check:
-                    early = fastpath.poll(self)
-                    if early is not None:
-                        return early
-                if self.executed >= self.max_instructions:
-                    status = RunStatus.TIMEOUT
-                    break
-                instr = self._fetch()
-                if has_actions:
-                    self._fire("commit", self._counters["commit"])
-                    self._counters["commit"] += 1
-                if instr.op == "syscall" and self.kernel_mode_kind == "host":
+                if executed >= limit:
+                    if fastpath is not None \
+                            and executed >= fastpath.next_check:
+                        self._store_counts(executed, n_commit, n_dest)
+                        early = fastpath.poll(self)
+                        if early is not None:
+                            return early
+                        limit = min(fastpath.next_check, max_instructions)
+                    if executed >= max_instructions:
+                        status = RunStatus.TIMEOUT
+                        break
+                # fetch first, then fire: a code flip at commit k shows
+                # at the next fetch of that pc
+                instr, handler, writes, dest, host_syscall = fetch()
+                if counting:
+                    if commit_t and n_commit in commit_t:
+                        self._store_counts(executed, n_commit, n_dest)
+                        for action in commit_t[n_commit]:
+                            action.apply(self)
+                    n_commit += 1
+                if host_syscall:
                     ms.pc += 4
                     self._host_syscall()
                 else:
-                    ms.pc = execute(instr, ms, core)
-                self.executed += 1
+                    ms.pc = handler(instr, ms, core)
+                executed += 1
                 if profile is not None:
-                    if ms.in_kernel:
+                    if ms.mode == KERNEL_MODE:
                         profile.kernel_instructions += 1
                     else:
                         profile.user_instructions += 1
@@ -280,17 +371,20 @@ class FunctionalEngine:
                     if instr.rs1 or instr.rs2:
                         profile.regs_used.add(instr.rs1)
                         profile.regs_used.add(instr.rs2)
-                    if _writes_reg(instr):
+                    if writes:
                         profile.regs_used.add(instr.rd)
-                if not ms.in_kernel and _writes_reg(instr):
-                    if has_actions:
-                        self.last_dest = _dest_reg(instr, ms.xlen)
-                        self._fire("user_dest",
-                                   self._counters["user_dest"])
-                        self._counters["user_dest"] += 1
+                if writes and ms.mode != KERNEL_MODE:
+                    if counting:
+                        self.last_dest = dest
+                        if dest_t and n_dest in dest_t:
+                            self._store_counts(executed, n_commit, n_dest)
+                            for action in dest_t[n_dest]:
+                                action.apply(self)
+                        n_dest += 1
                     if profile is not None:
                         profile.dest_instructions += 1
-                if every and not self.executed % every:
+                if every and not executed % every:
+                    self._store_counts(executed, n_commit, n_dest)
                     step(self)
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
@@ -310,8 +404,10 @@ class FunctionalEngine:
                     "engine": "functional",
                     "error": f"{type(exc).__name__}: {exc}",
                     "pc": ms.pc,
-                    "instructions": self.executed,
+                    "instructions": executed,
                 }) from exc
+        finally:
+            self._store_counts(executed, n_commit, n_dest)
 
         if profile is not None:
             profile.regs_used.discard(0)

@@ -44,7 +44,7 @@ from ..kernel.syscalls import EXIT_CODE_OFFSET
 from .branch import BranchPredictor
 from .cache import Cache, MemoryPort, TaintProbe
 from .config import MicroarchConfig
-from .cpu import KERNEL_MODE, CoreAccess, MachineState, execute
+from .cpu import HANDLERS, KERNEL_MODE, CoreAccess, MachineState
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
 from .functional import RunStatus, cached_decode
@@ -463,8 +463,11 @@ class PipelineEngine:
 
     def _decode_record(self, instr: Decoded, latencies: dict) -> tuple:
         """Everything the run loop needs to know about one instruction
-        word: ``(instr, rs1, rs2, dest, kind, fu_pool, other_units,
-        fu_busy, latency)``.
+        word: ``(instr, handler, rs1, rs2, dest, kind, fu_pool,
+        other_units, fu_busy, latency)``.
+
+        ``handler`` is the instruction's semantics
+        (:data:`repro.uarch.cpu.HANDLERS`).
 
         ``rs1``/``rs2`` are the architectural sources and ``dest`` the
         architectural destination (0 means none).  ``fu_pool`` is the
@@ -489,7 +492,7 @@ class PipelineEngine:
         fu = self.fu
         pool = fu["mem"] if kind >= _LOAD else fu.get(cls, fu["alu"])
         busy = latencies["div"] if cls == "div" else 1.0
-        return (instr, rs1, rs2, dest, kind, pool,
+        return (instr, HANDLERS[instr.op], rs1, rs2, dest, kind, pool,
                 tuple(range(1, len(pool))), busy,
                 latencies.get(cls, 1.0))
 
@@ -652,8 +655,8 @@ class PipelineEngine:
                             in_kernel=ms.in_kernel) from None
                     record = records[word] = self._decode_record(
                         instr, latencies)
-                (instr, rs1, rs2, dest, kind, fu_pool, other_units,
-                 fu_busy, latency) = record
+                (instr, handler, rs1, rs2, dest, kind, fu_pool,
+                 other_units, fu_busy, latency) = record
                 if icache_extra:
                     fetch += icache_extra
                     self.fetch_time = fetch
@@ -706,7 +709,7 @@ class PipelineEngine:
                 # ---- execute (functional, eager) ---------------------
                 self.mem_latency = 0
                 self.pending_mem = None
-                next_pc = execute(instr, ms, core)
+                next_pc = handler(instr, ms, core)
 
                 # ---- issue / complete timing -------------------------
                 # the first unit that frees up earliest

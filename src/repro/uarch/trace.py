@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 from ..isa.disassembler import format_instr
 from ..kernel.loader import build_system_image
-from ..uarch.cpu import execute
 from ..uarch.exceptions import DetectTrap, SimException
-from ..uarch.functional import FunctionalEngine, _dest_reg, _writes_reg
+from ..uarch.functional import FunctionalEngine
 
 
 @dataclass
@@ -64,9 +63,9 @@ def trace_program(program, start: int = 0, count: int = 200,
             if engine.executed >= max_instructions:
                 status = "timeout"
                 break
-            instr = engine._fetch()
+            instr, handler, writes, dest, _ = engine._fetch()
             pc = ms.pc
-            ms.pc = execute(instr, ms, engine._core)
+            ms.pc = handler(instr, ms, engine._core)
             index = engine.executed
             engine.executed += 1
             if index < start:
@@ -79,8 +78,7 @@ def trace_program(program, start: int = 0, count: int = 200,
                 index=index, pc=pc,
                 text=format_instr(instr, engine.regs_meta, pc=pc),
                 in_kernel=ms.in_kernel)
-            if _writes_reg(instr):
-                dest = _dest_reg(instr, ms.xlen)
+            if writes:
                 entry.dest = dest
                 entry.dest_value = engine.regs[dest]
             trace.entries.append(entry)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.isa.assembler import assemble
-from repro.isa.registers import MR64
+from repro.isa.errors import DecodeError
+from repro.isa.registers import MR64, register_set
 from repro.kernel.loader import build_system_image
 from repro.uarch.functional import (
     FaultAction,
     FunctionalEngine,
+    cached_decode,
     run_functional,
 )
 from repro.workloads.common import (
@@ -110,6 +114,85 @@ _start:
                                     lambda e: seen.append(e.last_dest)))
         engine.run()
         assert seen == [9]
+
+
+class TestTriggerCounters:
+    """An unknown trigger counter is rejected the same way on every
+    entry point, before anything runs."""
+
+    TYPO = "comit"
+
+    def _action(self):
+        return FaultAction(self.TYPO, 3, lambda engine: None)
+
+    def test_schedule_rejects_unknown_counter(self):
+        engine = build_engine(COUNTING)
+        with pytest.raises(ValueError, match="unknown trigger 'comit'"):
+            engine.schedule(self._action())
+        assert engine._actions == []
+
+    def test_fast_path_run_rejects_unknown_counter(self):
+        from repro.injectors.archinj import run_one_arch
+        from repro.injectors.golden import golden_run
+        from repro.workloads.suite import load_workload
+
+        golden = golden_run("crc32", "cortex-a72")
+        engine = FunctionalEngine(
+            build_system_image(load_workload("crc32", MR64)),
+            max_instructions=golden.max_instructions)
+        with pytest.raises(ValueError, match="unknown trigger 'comit'"):
+            run_one_arch("pvf", engine, "crc32", MR64, self._action(),
+                         golden, fastpath=True)
+
+    def test_batch_rejects_unknown_counter(self):
+        from repro.uarch.batch import BatchedFunctionalEngine, np
+
+        if np is None:
+            pytest.skip("numpy not installed")
+        with pytest.raises(ValueError, match="unknown trigger 'comit'"):
+            BatchedFunctionalEngine(build_engine(COUNTING),
+                                    [self._action()])
+
+
+class TestDecodeCache:
+    ILLEGAL = 0  # opcode 0 is unassigned
+
+    def test_illegal_word_raises_a_fresh_error_each_time(self):
+        regs = register_set(MR64)
+
+        def depth(exc):
+            n, tb = 0, exc.__traceback__
+            while tb is not None:
+                n, tb = n + 1, tb.tb_next
+            return n
+
+        errors = []
+        for _ in range(3):
+            try:
+                cached_decode(self.ILLEGAL, regs)
+            except DecodeError as exc:
+                errors.append(exc)
+        assert len({id(exc) for exc in errors}) == 3
+        assert len({depth(exc) for exc in errors}) == 1
+        assert errors[0].word == self.ILLEGAL
+        assert errors[0].reason == "unassigned opcode"
+
+    def test_wi_campaign_leaves_no_engine_reachable(self):
+        """Illegal words are WI's common end; a cached exception
+        re-raised through each run's frames kept those engines (with
+        their registers and page overlays) alive."""
+        from repro.injectors.archinj import run_pvf_campaign
+
+        def engines():
+            gc.collect()
+            return sum(isinstance(obj, FunctionalEngine)
+                       for obj in gc.get_objects())
+
+        before = engines()
+        results = run_pvf_campaign("crc32", MR64, "cortex-a72", n=24,
+                                   seed=5, model="WI")
+        assert any(r.crash_kind for r in results)
+        assert engines() <= before
 
 
 class TestProfiles:
