@@ -17,8 +17,10 @@ class BranchPredictor:
     TAKEN_INIT = 1  # weakly not-taken
 
     def __init__(self, entries: int, btb_entries: int) -> None:
-        if entries & (entries - 1) or btb_entries & (btb_entries - 1):
-            raise ValueError("predictor table sizes must be powers of two")
+        for size in (entries, btb_entries):
+            if size <= 0 or size & (size - 1):
+                raise ValueError("predictor table sizes must be positive "
+                                 f"powers of two, got {size}")
         self.entries = entries
         self.btb_entries = btb_entries
         self.counters = [self.TAKEN_INIT] * entries
@@ -46,18 +48,27 @@ class BranchPredictor:
         return taken, target
 
     def update(self, pc: int, taken: bool, target: int) -> bool:
-        """Train on the resolved outcome; returns True on misprediction."""
-        predicted_taken, predicted_target = self.predict(pc)
-        index = self._index(pc)
-        counter = self.counters[index]
-        if taken and counter < 3:
-            self.counters[index] = counter + 1
-        elif not taken and counter > 0:
-            self.counters[index] = counter - 1
+        """Predict, then train on the resolved outcome; returns True on
+        misprediction.  One lookup, as :meth:`predict` counts it."""
+        self.lookups += 1
+        counters = self.counters
+        index = (pc >> 2) & (self.entries - 1)
+        counter = counters[index]
         if taken:
-            self.btb[self._btb_index(pc)] = (pc, target)
-        mispredicted = (predicted_taken != taken
-                        or (taken and predicted_target != target))
+            btb = self.btb
+            slot = (pc >> 2) & (self.btb_entries - 1)
+            entry = btb[slot]
+            # a taken branch mispredicts unless predicted taken with
+            # its BTB entry holding this very target
+            mispredicted = (counter < 2 or entry is None
+                            or entry[0] != pc or entry[1] != target)
+            if counter < 3:
+                counters[index] = counter + 1
+            btb[slot] = (pc, target)
+        else:
+            mispredicted = counter >= 2
+            if counter > 0:
+                counters[index] = counter - 1
         if mispredicted:
             self.mispredicts += 1
         return mispredicted

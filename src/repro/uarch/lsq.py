@@ -22,6 +22,8 @@ there are hardware-masked, as on a real core.
 
 from __future__ import annotations
 
+from collections import deque
+
 
 class LSQEntry:
     __slots__ = ("valid", "is_store", "addr", "data", "nbytes",
@@ -42,14 +44,28 @@ class LSQEntry:
 
 
 class LoadStoreQueue:
-    """Circular queue of :class:`LSQEntry`."""
+    """Circular queue of :class:`LSQEntry`.
+
+    Commit cycles strictly increase in program order, so the entries
+    in flight commit in the order they were allocated.  ``_inflight``
+    keeps them in that order, and :meth:`reclaim` walks it from the
+    oldest entry and stops at the first one that has not committed:
+    exactly the entries a scan of the whole queue would free.  It is a
+    derived index (never captured); :meth:`reindex` rebuilds it after
+    the entries were set from outside.
+    """
 
     def __init__(self, size: int, xlen: int) -> None:
+        if size <= 0:
+            raise ValueError(f"LSQ size must be positive, got {size}")
         self.size = size
         self.xlen = xlen
         self.entries = [LSQEntry() for _ in range(size)]
         self._next = 0
         self.valid_count = 0
+        #: valid entries in allocation (= commit) order; may also hold
+        #: entries invalidated since, which reclaim() drops
+        self._inflight: deque = deque()
 
     @property
     def entry_bits(self) -> int:
@@ -59,24 +75,38 @@ class LoadStoreQueue:
     def bits(self) -> int:
         return self.size * self.entry_bits
 
+    def reindex(self) -> None:
+        """Rebuild the in-flight order from the entries themselves."""
+        self._inflight = deque(sorted(
+            (e for e in self.entries if e.valid),
+            key=lambda e: e.commit_cycle))
+
     def reclaim(self, now: float) -> None:
         """Invalidate entries whose operation has committed."""
-        for entry in self.entries:
-            if entry.valid and entry.commit_cycle <= now:
+        inflight = self._inflight
+        while inflight:
+            entry = inflight[0]
+            if entry.valid:
+                if entry.commit_cycle > now:
+                    return
                 entry.valid = False
                 self.valid_count -= 1
+            inflight.popleft()
 
     def allocate(self, now: float) -> tuple[LSQEntry, float]:
         """Allocate the next entry, stalling while the queue is full.
 
-        Returns ``(entry, stall_until)``.
+        Returns ``(entry, stall_until)``.  The caller sets the entry's
+        ``commit_cycle`` before the next allocation or reclaim.
         """
         self.reclaim(now)
         stall_until = now
         if self.valid_count >= self.size:
-            # wait for the oldest in-flight op to commit
-            oldest = min(e.commit_cycle for e in self.entries if e.valid)
-            stall_until = max(stall_until, oldest)
+            # wait for the oldest in-flight op to commit (reclaim left
+            # it at the head)
+            oldest = self._inflight[0].commit_cycle
+            if oldest > stall_until:
+                stall_until = oldest
             self.reclaim(stall_until)
         entry = self.entries[self._next]
         if entry.valid:
@@ -86,7 +116,14 @@ class LoadStoreQueue:
         self._next = (self._next + 1) % self.size
         entry.valid = True
         self.valid_count += 1
+        self._inflight.append(entry)
         return entry, stall_until
+
+    def cancel(self, entry: LSQEntry) -> None:
+        """Free the entry just allocated (its op never reached memory)."""
+        entry.valid = False
+        self.valid_count -= 1
+        self._inflight.remove(entry)
 
     def occupancy(self) -> float:
         return self.valid_count / self.size

@@ -65,6 +65,10 @@ class Memory:
         # Sorted region list for fast lookup; region count is tiny so a
         # linear scan is fine and avoids bisect bookkeeping.
         self._regions_sorted = sorted(self.regions, key=lambda r: r.base)
+        #: page base -> the region holding the *whole* page, filled by
+        #: check_access (a page a region only partly covers is never
+        #: memoised, so its accesses keep the full lookup)
+        self._page_region: dict[int, Region] = {}
 
     # ------------------------------------------------------------------
     # region / privilege checks
@@ -96,8 +100,17 @@ class Memory:
             raise SimException(FaultKind.ACCESS_FAULT, addr,
                                detail="access wraps the address space",
                                in_kernel=kernel_mode)
-        region = self.region_of(addr)
-        if region is None or not region.contains(addr + nbytes - 1):
+        page = addr & ~_PAGE_MASK
+        region = self._page_region.get(page)
+        if region is None:
+            region = self.region_of(addr)
+            if region is None:
+                raise SimException(FaultKind.ACCESS_FAULT, addr,
+                                   in_kernel=kernel_mode)
+            if region.base <= page and page + _PAGE <= region.end:
+                self._page_region[page] = region
+        # region.base <= addr holds, so this is region.contains(last)
+        if addr + nbytes > region.end:
             raise SimException(FaultKind.ACCESS_FAULT, addr,
                                in_kernel=kernel_mode)
         if region.kernel_only and not kernel_mode:

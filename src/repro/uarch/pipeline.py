@@ -49,7 +49,7 @@ from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
 from .functional import RunStatus, cached_decode
 from .lsq import LoadStoreQueue
-from .regfile import PhysRegFile
+from .regfile import FREE, LIVE, PhysRegFile
 
 _LINK32, _LINK64 = 14, 30
 
@@ -121,37 +121,53 @@ class PipelineResult:
 class _PipelineCore(CoreAccess):
     """CoreAccess adapter over the renamed register file + caches."""
 
-    __slots__ = ("e",)
+    __slots__ = ("e", "src_vals", "rf", "l1d", "check_access")
 
     def __init__(self, engine: "PipelineEngine") -> None:
+        # every object held here is mutated in place, never rebound
+        # (restore_pipeline included)
         self.e = engine
+        self.src_vals = engine.src_vals
+        self.rf = engine.rf
+        self.l1d = engine.l1d
+        self.check_access = engine.memory.check_access
 
     def read_reg(self, index: int) -> int:
-        e = self.e
         # Sources were resolved through the rename map *before* the
         # destination was renamed (else ``add r3, r3, r1`` would read
         # its own unwritten destination register).
-        cached = e.src_vals.get(index)
+        cached = self.src_vals.get(index)
         if cached is not None:
             return cached
-        value, phys = e.rf.read(index)
-        if phys in e.rf.tainted and e.crossing is None:
+        e = self.e
+        value, phys = self.rf.read(index)
+        if phys in self.rf.tainted and e.crossing is None:
             e.record_crossing("WD", arch_reg=index)
         return value
 
     def write_reg(self, index: int, value: int) -> None:
-        e = self.e
         if index == 0:
             return
-        # the destination was pre-allocated during rename
-        e.rf.write(e.dest_phys, value)
+        # the destination was pre-allocated during rename; a newly
+        # produced value replaces any corruption in the slot
+        rf = self.rf
+        phys = self.e.dest_phys
+        rf.values[phys] = value & rf.mask
+        tainted = rf.tainted
+        if tainted:
+            tainted.discard(phys)
 
     def load(self, addr: int, nbytes: int, signed: bool) -> int:
         e = self.e
-        e.memory.check_access(addr, nbytes, write=False,
-                              kernel_mode=e.ms.in_kernel)
-        data, latency, tainted = e.l1d.read(addr, nbytes, e.probe)
-        e.mem_latency = latency
+        self.check_access(addr, nbytes, write=False,
+                          kernel_mode=e.ms.mode == KERNEL_MODE)
+        l1d = self.l1d
+        hit = l1d.read_hit(addr, nbytes)
+        if hit is None:
+            data, e.mem_latency, tainted = l1d.read(addr, nbytes, e.probe)
+        else:
+            data, tainted = hit
+            e.mem_latency = l1d.hit_latency
         if tainted and e.crossing is None:
             e.record_crossing("WD", mem_addr=addr)
         e.pending_mem = ("load", addr, nbytes)
@@ -162,12 +178,17 @@ class _PipelineCore(CoreAccess):
 
     def store(self, addr: int, nbytes: int, value: int) -> None:
         e = self.e
-        e.memory.check_access(addr, nbytes, write=True,
-                              kernel_mode=e.ms.in_kernel)
-        old, latency, _ = e.l1d.read(addr, nbytes, e.probe)
+        self.check_access(addr, nbytes, write=True,
+                          kernel_mode=e.ms.mode == KERNEL_MODE)
         data = (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes,
                                                             "little")
-        latency += e.l1d.write(addr, data, e.probe)
+        l1d = self.l1d
+        old = l1d.store_hit(addr, data)
+        if old is None:
+            old, latency, _ = l1d.read(addr, nbytes, e.probe)
+            latency += l1d.write(addr, data, e.probe)
+        else:
+            latency = 2 * l1d.hit_latency
         e.mem_latency = latency
         e.pending_mem = ("store", addr, nbytes, value, old)
 
@@ -242,9 +263,9 @@ class PipelineEngine:
         self._occ_sums = {"RF": 0.0, "LSQ": 0.0, "L1I": 0.0,
                           "L1D": 0.0, "L2": 0.0}
 
-        self._core = _PipelineCore(self)
         self.dest_phys = -1
         self.src_vals: dict[int, int] = {}
+        self._core = _PipelineCore(self)
         self.mem_latency = 0
         self.pending_mem: tuple | None = None
         #: optional passive observer: the fault tracer and trace-diff
@@ -542,13 +563,17 @@ class PipelineEngine:
         src_vals = self.src_vals
         rf = self.rf
         values = rf.values
+        rf_state = rf.state
         rename_map = rf.rename_map
         tainted = rf.tainted
+        free_list = rf.free_list
         pending_free = rf.pending_free
         rf_allocate = rf.allocate
         reg_ready = self.reg_ready
         rob_commits = self.rob_commits
         iq_issues = self.iq_issues
+        rob_full = len(rob_commits) >= rob_size
+        iq_full = len(iq_issues) >= iq_size
         lsq = self.lsq
         lsq_allocate = lsq.allocate
         predictor_update = self.predictor.update
@@ -597,11 +622,11 @@ class PipelineEngine:
 
                 # ---- fetch ------------------------------------------
                 fetch = self.fetch_time + inv_fetch
-                if len(rob_commits) >= rob_size:
+                if rob_full:
                     oldest = rob_commits[0]
                     if oldest > fetch:
                         fetch = oldest
-                if len(iq_issues) >= iq_size:
+                if iq_full:
                     oldest = iq_issues[0]
                     if oldest > fetch:
                         fetch = oldest
@@ -687,13 +712,38 @@ class PipelineEngine:
                 if tainted_src:
                     self.record_crossing("WD", arch_reg=tainted_src)
                 if dest:
-                    # writer_commit patched after commit is known (the
-                    # entry just appended is at the deque's tail)
-                    dest_phys, stall = rf_allocate(dest, dispatch, never)
-                    if stall > dispatch:
-                        dispatch = stall
-                        if dispatch > ready:
-                            ready = dispatch
+                    # rename, as PhysRegFile.allocate does it: reclaim
+                    # the old mappings whose writers committed by
+                    # dispatch...
+                    freed = 0
+                    while pending_free and pending_free[0][0] <= dispatch:
+                        phys = pending_free.popleft()[1]
+                        rf_state[phys] = FREE
+                        if tainted:
+                            tainted.discard(phys)
+                        free_list.append(phys)
+                        freed += 1
+                    if free_list:
+                        # ...then take the oldest free register; the
+                        # old mapping's writer_commit is patched after
+                        # commit is known (the entry just appended is
+                        # at the deque's tail)
+                        dest_phys = free_list.popleft()
+                        pending_free.append((never, rename_map[dest]))
+                        rename_map[dest] = dest_phys
+                        rf_state[dest_phys] = LIVE
+                        if tainted:
+                            tainted.discard(dest_phys)
+                        rf.live_count += 1 - freed
+                    else:
+                        rf.live_count -= freed
+                        # no free register: stall until one is reclaimed
+                        dest_phys, stall = rf_allocate(dest, dispatch,
+                                                       never)
+                        if stall > dispatch:
+                            dispatch = stall
+                            if dispatch > ready:
+                                ready = dispatch
                 else:
                     dest_phys = -1
                 self.dest_phys = dest_phys
@@ -732,12 +782,17 @@ class PipelineEngine:
                 if in_order > commit:
                     commit = in_order
                 self.last_commit = commit
+                # both windows only grow until full, then stay full
                 rob_commits.append(commit)
-                if len(rob_commits) > rob_size:
+                if rob_full:
                     rob_commits.popleft()
+                else:
+                    rob_full = len(rob_commits) >= rob_size
                 iq_issues.append(start)
-                if len(iq_issues) > iq_size:
+                if iq_full:
                     iq_issues.popleft()
+                else:
+                    iq_full = len(iq_issues) >= iq_size
 
                 if dest_phys >= 0:
                     reg_ready[dest_phys] = complete
@@ -767,11 +822,10 @@ class PipelineEngine:
                             lsq_entry.dest_phys = dest_phys
                         lsq_entry.alloc_cycle = dispatch
                         lsq_entry.commit_cycle = commit
-                        lsq_entry.in_kernel = ms.in_kernel
+                        lsq_entry.in_kernel = ms.mode == KERNEL_MODE
                     else:
                         # the op faulted before reaching memory
-                        lsq_entry.valid = False
-                        lsq.valid_count -= 1
+                        lsq.cancel(lsq_entry)
 
                 # ---- control flow ------------------------------------
                 if kind == _BRANCH:

@@ -59,6 +59,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,7 +74,7 @@ from .pipeline import PipelineEngine, PipelineResult
 
 #: bump on any change to the capture format or digest definition;
 #: invalidates every on-disk checkpoint store
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 #: default number of checkpoints per capture run
 TARGET_CHECKPOINTS = 16
@@ -176,50 +177,88 @@ def _digest_memory(memory, update) -> None:
         update(bytes(page))
 
 
-def _digest_cache(cache: Cache, update) -> bool:
-    """Digest one cache level; False when any line is tainted."""
+def _put(update, label: bytes, typecode: str, items) -> None:
+    """Hash *items* as a labelled, length-prefixed ``array`` of
+    *typecode*; every field is self-delimiting, so no two states share
+    a byte stream."""
+    data = array(typecode, items)
+    update(label)
+    update(len(data).to_bytes(8, "little"))
+    update(data)
+
+
+def _cache_tainted(cache: Cache) -> bool:
+    for ways in cache.sets:
+        for line in ways:
+            if line.valid and line.taint:
+                return True
+    return False
+
+
+def _digest_cache(cache: Cache, update) -> None:
+    """Digest one cache level: per touched set its index and way count,
+    per way ``(tag, dirty, lru)`` or ``(-1, -1, -1)`` when invalid (the
+    slot position matters, its content is dead), then the valid lines'
+    bytes in the same order, then the tick."""
+    meta = array("q")
+    lines = []
     for index, ways in enumerate(cache.sets):
         if not ways:
             continue
-        shape = []
-        for line in ways:
-            if not line.valid:
-                shape.append(None)  # slot position matters, content dead
-                continue
-            if line.taint:
-                return False
-            shape.append((line.tag, line.dirty, line.lru))
-        update(repr((cache.name, index, shape)).encode())
+        meta.append(index)
+        meta.append(len(ways))
         for line in ways:
             if line.valid:
-                update(bytes(line.data))
-    update(repr((cache.name, "tick", cache._tick)).encode())
-    return True
+                meta.extend((line.tag, line.dirty, line.lru))
+                lines.append(line.data)
+            else:
+                meta.extend((-1, -1, -1))
+    meta.append(cache._tick)
+    _put(update, cache.name.encode(), "q", meta)
+    for data in lines:
+        update(data)
 
 
 def pipeline_digest(engine: PipelineEngine) -> "str | None":
     """Canonical digest of everything that determines the run's future
-    (and its result counters); None while corrupted state survives."""
+    (and its result counters); None while corrupted state survives.
+
+    The taint checks (register file, main memory, all three caches)
+    come before any hashing.  Register, cache-metadata, timing and
+    predictor-counter state is hashed as raw ``array``/``bytes``
+    buffers; the small rest (control state, LSQ, occupied BTB slots,
+    counters) as ``repr``."""
     rf = engine.rf
     if rf.tainted or engine.probe.mem_taint:
         return None
+    caches = (engine.l2, engine.l1i, engine.l1d)
+    for cache in caches:
+        if _cache_tainted(cache):
+            return None
     h = hashlib.sha256()
     u = h.update
     ms = engine.ms
     u(repr(("ms", ms.pc, ms.mode, ms.kepc, ms.halted,
             ms.exit_code)).encode())
     state = rf.state
-    values = rf.values
     ready = engine.reg_ready
     # FREE slots are dead state: unreadable until re-allocated, and
-    # every allocation's value/readiness is written before any read
-    u(repr(("rf",
-            [values[p] if state[p] else None
-             for p in range(rf.n_phys)],
-            [ready[p] if state[p] else None
-             for p in range(rf.n_phys)],
-            rf.rename_map, list(rf.free_list),
-            list(rf.pending_free), rf.live_count)).encode())
+    # every allocation's value/readiness is written before any read;
+    # the state bytes say which slots are live, dead ones hash as 0
+    u(b"rf-state")
+    u(bytes(state))
+    try:
+        _put(u, b"rf-values", "Q", [v if live else 0
+                                    for v, live in zip(rf.values, state)])
+    except OverflowError:
+        return None  # no golden register holds such a value
+    _put(u, b"rf-ready", "d", [r if live else 0.0
+                               for r, live in zip(ready, state)])
+    _put(u, b"rename", "q", rf.rename_map)
+    _put(u, b"free", "q", rf.free_list)
+    _put(u, b"pending-commit", "d", [c for c, _ in rf.pending_free])
+    _put(u, b"pending-phys", "q", [p for _, p in rf.pending_free])
+    u(repr(("live", rf.live_count)).encode())
     lsq = engine.lsq
     entries = []
     for e in lsq.entries:
@@ -230,14 +269,18 @@ def pipeline_digest(engine: PipelineEngine) -> "str | None":
         else:
             entries.append(None)
     u(repr(("lsq", entries, lsq._next, lsq.valid_count)).encode())
-    for cache in (engine.l2, engine.l1i, engine.l1d):
-        if not _digest_cache(cache, u):
-            return None
+    for cache in caches:
+        _digest_cache(cache, u)
     pred = engine.predictor
-    u(repr(("pred", pred.counters, pred.btb)).encode())
-    u(repr(("timing", engine.fetch_time, engine.last_commit,
-            list(engine.rob_commits), list(engine.iq_issues),
-            sorted((k, v) for k, v in engine.fu.items()))).encode())
+    u(b"pred")
+    u(bytes(pred.counters))
+    u(repr(("btb", [(slot, entry) for slot, entry in enumerate(pred.btb)
+                    if entry is not None])).encode())
+    _put(u, b"timing", "d", (engine.fetch_time, engine.last_commit))
+    _put(u, b"rob", "d", engine.rob_commits)
+    _put(u, b"iq", "d", engine.iq_issues)
+    for name in sorted(engine.fu):
+        _put(u, name.encode(), "d", engine.fu[name])
     u(repr(("counts", engine.instructions,
             engine.kernel_instructions)).encode())
     u(repr(("fetch", _fetch_key(engine))).encode())
@@ -374,6 +417,7 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
          entry.in_kernel) = fields
     lsq._next = nxt
     lsq.valid_count = valid_count
+    lsq.reindex()
     for name in ("l2", "l1i", "l1d"):
         _restore_cache(getattr(engine, name), state["caches"][name])
     pred = engine.predictor
@@ -400,7 +444,7 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
     engine.probe.any_taint = bool(engine.probe.mem_taint)
     # per-instruction transients are dead at a boundary
     engine.dest_phys = -1
-    engine.src_vals = {}
+    engine.src_vals.clear()   # in place: the core adapter holds it
     engine.mem_latency = 0
     engine.pending_mem = None
 

@@ -1,6 +1,7 @@
-"""Recorders for the functional-core ledgers under ``corpus/ledger``.
+"""Recorders for the engine ledgers under ``corpus/ledger``.
 
-Two ledgers pin the instruction semantics and the functional engine:
+Three ledgers pin the instruction semantics, the functional engine and
+the pipeline's injection targets:
 
 * ``semantics.json`` — every mnemonic valid on each ISA executed over
   an edge-operand grid against a recording core: the register reads
@@ -11,6 +12,12 @@ Two ledgers pin the instruction semantics and the functional engine:
   ``RunProfile`` field plus ``functional_digest`` every 997
   instructions; and a fixed set of pvf WD/WOI/WI and svf runs on the
   slow path and on a restored checkpoint.
+* ``pipeline-runs.json`` — fault-free pipeline runs of crc32, sha and
+  qsort on every config with ``collect_stats=True``: every
+  ``PipelineResult`` field plus the sha256 of the RF, LSQ, cache and
+  predictor state every 997 instructions; and fixed RF/LSQ/L1I/L1D/L2
+  faults (live-steered, multi-bit and tag flips among them) on a 32-bit
+  and a 64-bit core, on the slow path and on the checkpoint fast path.
 
 The tests regenerate each entry and compare it with the file.  The
 files were written by the code the ledgers guard against, before it
@@ -18,9 +25,11 @@ changed::
 
     PYTHONPATH=src python -m tests.ledgers semantics
     PYTHONPATH=src python -m tests.ledgers functional-runs
+    PYTHONPATH=src python -m tests.ledgers pipeline-runs
 
 Only interfaces that stay put across engine rewrites are used
-(``cpu.execute``, ``FunctionalEngine``, the injectors' fault-action
+(``cpu.execute``, ``FunctionalEngine``, ``PipelineEngine`` and the
+state layout of its injection targets, the injectors' fault-action
 constructors and the snapshot fast path), so the same module records
 with one revision and checks another.
 """
@@ -39,6 +48,7 @@ from types import SimpleNamespace
 LEDGER_DIR = Path(__file__).parent / "corpus" / "ledger"
 SEMANTICS_PATH = LEDGER_DIR / "semantics.json"
 FUNCTIONAL_RUNS_PATH = LEDGER_DIR / "functional-runs.json"
+PIPELINE_RUNS_PATH = LEDGER_DIR / "pipeline-runs.json"
 
 #: pc and kepc every semantics grid point starts from
 GRID_PC = 0x0001_0040
@@ -331,6 +341,214 @@ def functional_runs_ledger() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# pipeline runs
+# ---------------------------------------------------------------------------
+#: workloads of the fault-free pipeline runs (every config)
+PIPELINE_WORKLOADS = ("crc32", "sha", "qsort")
+
+
+def pipeline_structures(engine) -> dict:
+    """Every injection target's state, normalised to lists (floats as
+    ``repr``): the RF lists, every LSQ entry's fields, each cache's
+    ways per touched set as ``(valid, tag, dirty, lru, data)`` plus its
+    tick, and the predictor tables."""
+    rf = engine.rf
+    lsq = engine.lsq
+    pred = engine.predictor
+    caches = {}
+    for name in ("l1i", "l1d", "l2"):
+        cache = getattr(engine, name)
+        caches[name] = {
+            "tick": cache._tick,
+            "sets": {str(index): [[line.valid, line.tag, line.dirty,
+                                   line.lru, bytes(line.data).hex()]
+                                  for line in ways]
+                     for index, ways in enumerate(cache.sets) if ways}}
+    return {
+        "rf": {"values": list(rf.values), "state": list(rf.state),
+               "rename_map": list(rf.rename_map),
+               "free_list": list(rf.free_list),
+               "pending_free": [[repr(c), p] for c, p in rf.pending_free],
+               "tainted": sorted(rf.tainted),
+               "live_count": rf.live_count,
+               "reg_ready": [repr(c) for c in engine.reg_ready]},
+        "lsq": {"entries": [[e.valid, e.is_store, e.addr, e.data,
+                             e.nbytes, bytes(e.old_data).hex(),
+                             e.dest_phys, repr(e.alloc_cycle),
+                             repr(e.commit_cycle), e.in_kernel]
+                            for e in lsq.entries],
+                "next": lsq._next, "valid_count": lsq.valid_count},
+        "caches": caches,
+        "predictor": {"counters": list(pred.counters),
+                      "btb": [list(slot) if slot is not None else None
+                              for slot in pred.btb],
+                      "lookups": pred.lookups,
+                      "mispredicts": pred.mispredicts},
+    }
+
+
+def _structures_sha(engine) -> str:
+    return _sha(json.dumps(pipeline_structures(engine),
+                           sort_keys=True).encode())
+
+
+def _counter_stats(engine) -> dict:
+    """Cache and predictor counters, read off the structures (so
+    runs without ``collect_stats`` and early exits report them too)."""
+    out = {name: {"hits": cache.hits, "misses": cache.misses,
+                  "writebacks": cache.writebacks,
+                  "valid_lines": cache.valid_lines}
+           for name, cache in (("l1i", engine.l1i), ("l1d", engine.l1d),
+                               ("l2", engine.l2))}
+    out["branch"] = {"lookups": engine.predictor.lookups,
+                     "mispredicts": engine.predictor.mispredicts}
+    return out
+
+
+def _floats(value):
+    """*value* with every float replaced by its ``repr``."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_floats(v) for v in value]
+    return value
+
+
+def pipeline_result_fields(result) -> dict:
+    """Every :class:`PipelineResult` field (floats as ``repr``)."""
+    crossing = result.crossing
+    return {
+        "status": result.status.value,
+        "output_len": len(result.output),
+        "output_sha256": _sha(result.output),
+        "exit_code": result.exit_code,
+        "cycles": repr(result.cycles),
+        "instructions": result.instructions,
+        "kernel_instructions": result.kernel_instructions,
+        "fault_applied": result.fault_applied,
+        "fault_live": result.fault_live,
+        "crossing": None if crossing is None else {
+            "fpm": crossing.fpm, "cycle": repr(crossing.cycle),
+            "in_kernel": crossing.in_kernel,
+            "arch_reg": crossing.arch_reg,
+            "mem_addr": crossing.mem_addr},
+        "fault_kind": (result.fault_kind.value
+                       if result.fault_kind is not None else None),
+        "fault_in_kernel": result.fault_in_kernel,
+        "occupancy": _floats(result.occupancy),
+        "stats": _floats(result.stats),
+    }
+
+
+def pipeline_fault_free_run(workload: str, config_name: str) -> dict:
+    from repro.kernel.loader import build_system_image
+    from repro.uarch.config import config_by_name
+    from repro.uarch.pipeline import PipelineEngine
+    from repro.workloads.suite import load_workload
+
+    config = config_by_name(config_name)
+    engine = PipelineEngine(
+        build_system_image(load_workload(workload, config.isa)), config,
+        collect_stats=True)
+    states = []
+    engine.observer = SimpleNamespace(
+        step=lambda e: states.append(_structures_sha(e)),
+        every=DIGEST_EVERY)
+    out = pipeline_result_fields(engine.run())
+    out["states"] = states
+    return out
+
+
+#: (structure, cycle fraction of the golden run, a, b, c, prefer_live,
+#: kind, n_bits) of the faulty pipeline runs; c is the bit within a
+#: cache line (or tag)
+PIPELINE_FAULTS = (
+    ("RF", 0.21, 37, 5, 0, False, "data", 1),
+    ("RF", 0.37, 11, 3, 0, True, "data", 1),
+    ("RF", 0.52, 29, 62, 0, True, "data", 3),
+    ("RF", 0.83, 3, 0, 0, True, "data", 1),
+    ("LSQ", 0.27, 2, 7, 0, True, "data", 1),
+    ("LSQ", 0.44, 5, 40, 0, True, "data", 1),
+    ("LSQ", 0.61, 9, 33, 0, True, "data", 2),
+    ("LSQ", 0.73, 1, 4, 0, False, "data", 1),
+    ("L1I", 0.33, 3, 0, 77, True, "data", 1),
+    ("L1I", 0.58, 7, 1, 5, True, "tag", 1),
+    ("L1I", 0.49, 1, 0, 130, False, "data", 2),
+    ("L1D", 0.18, 4, 1, 200, True, "data", 1),
+    ("L1D", 0.42, 0, 0, 3, True, "data", 4),
+    ("L1D", 0.66, 9, 2, 2, True, "tag", 1),
+    ("L1D", 0.91, 2, 0, 300, True, "data", 1),
+    ("L2", 0.25, 6, 0, 411, True, "data", 1),
+    ("L2", 0.55, 2, 1, 1, True, "tag", 2),
+    ("L2", 0.77, 0, 0, 17, False, "data", 1),
+)
+#: (workload, config) of the faulty pipeline runs: a 32-bit and a
+#: 64-bit core
+PIPELINE_FAULTY_TARGETS = (("crc32", "cortex-a9"), ("sha", "cortex-a9"),
+                           ("crc32", "cortex-a72"),
+                           ("sha", "cortex-a72"))
+
+
+def pipeline_faulty_cases():
+    """Yield ``(key, build_engine)`` for every faulty pipeline run and
+    path; ``build_engine()`` returns an engine ready to ``run()``."""
+    from repro.faults.fault import FaultSpec
+    from repro.injectors.golden import checkpoint_store, golden_run
+    from repro.kernel.loader import build_system_image
+    from repro.uarch.config import config_by_name
+    from repro.uarch.pipeline import PipelineEngine
+    from repro.uarch.snapshot import prepare_pipeline_fastpath
+    from repro.workloads.suite import load_workload
+
+    for workload, config_name in PIPELINE_FAULTY_TARGETS:
+        config = config_by_name(config_name)
+        golden = golden_run(workload, config_name)
+        for number, (structure, frac, a, b, c, live, kind,
+                     n_bits) in enumerate(PIPELINE_FAULTS):
+            spec = FaultSpec(structure, golden.cycles * frac, a, b, c,
+                             prefer_live=live, kind=kind, n_bits=n_bits)
+            for path in ("slow", "fast"):
+                def build(spec=spec, path=path, workload=workload,
+                          config=config, golden=golden):
+                    engine = PipelineEngine(
+                        build_system_image(load_workload(workload,
+                                                         config.isa)),
+                        config, faults=[spec],
+                        max_instructions=golden.max_instructions,
+                        max_cycles=golden.max_cycles)
+                    if path == "fast":
+                        prepare_pipeline_fastpath(
+                            engine, checkpoint_store(workload,
+                                                     config.name))
+                    return engine
+                key = (f"{workload}/{config_name}/{number:02d}-"
+                       f"{structure}-{kind}/{path}")
+                yield key, build
+
+
+def pipeline_faulty_run(build) -> dict:
+    engine = build()
+    out = pipeline_result_fields(engine.run())
+    out["counters"] = _counter_stats(engine)
+    out["end_state"] = _structures_sha(engine)
+    return out
+
+
+def pipeline_runs_ledger() -> dict:
+    from repro.uarch.config import ALL_CONFIGS
+
+    fault_free = {f"{workload}/{config.name}":
+                  pipeline_fault_free_run(workload, config.name)
+                  for workload in PIPELINE_WORKLOADS
+                  for config in ALL_CONFIGS}
+    faulty = {key: pipeline_faulty_run(build)
+              for key, build in pipeline_faulty_cases()}
+    return {"fault_free": fault_free, "faulty": faulty}
+
+
+# ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 def _write(path: Path, about: str, body: dict) -> None:
@@ -363,8 +581,21 @@ def main(argv) -> int:
                "checkpoint",
                functional_runs_ledger())
         return 0
-    print("usage: python -m tests.ledgers semantics|functional-runs",
-          file=sys.stderr)
+    if which == "pipeline-runs":
+        os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(
+            prefix="ledger-cache-")
+        _write(PIPELINE_RUNS_PATH,
+               "PipelineEngine runs (tests/ledgers.py): fault-free "
+               "workload x config with collect_stats=True and the sha256 "
+               "of every injection target's state (pipeline_structures) "
+               f"every {DIGEST_EVERY} instructions; faulty RF/LSQ/L1I/L1D/"
+               "L2 runs on the slow path and on the checkpoint fast path "
+               "with every PipelineResult field, the structures' counters "
+               "and the end state",
+               pipeline_runs_ledger())
+        return 0
+    print("usage: python -m tests.ledgers "
+          "semantics|functional-runs|pipeline-runs", file=sys.stderr)
     return 2
 
 
