@@ -17,10 +17,11 @@ renamed physical register file and the cache hierarchy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 from ..isa import layout
 from ..isa.encoding import Decoded
-from ..isa.instructions import BY_MNEMONIC, CLS_LOAD, CLS_STORE
+from ..isa.instructions import BY_MNEMONIC, CLS_BRANCH, CLS_LOAD, CLS_STORE
 from .exceptions import DetectTrap, FaultKind, SimException
 
 USER_MODE = 0
@@ -98,11 +99,151 @@ def _srem(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# value table
+#
+# One arithmetic definition per ALU op and conditional branch, over
+# unsigned xlen-bit register values: ``fn(a, b) -> value`` for every
+# R-type op but div/rem, every W-variant and lui, ``cond(a, b) ->
+# taken`` for every conditional branch.  An I-type op runs its R-type
+# op's function on rs1 and an operand masked out of the immediate.
+# The handlers of these ops are generated from the table, and the
+# pipeline's run loop calls the same functions in place of the
+# handler, so the semantics ledger checks the arithmetic both run.
+# ---------------------------------------------------------------------------
+class ValueForm(NamedTuple):
+    """How one mnemonic computes: ``fn(a, b)`` over its source values.
+
+    ``imm_mask`` is None when ``a`` and ``b`` are rs1's and rs2's
+    values (register-register ops and branches).  Otherwise ``b`` is
+    ``imm & imm_mask``, the operand the immediate decodes to, and
+    ``a`` is rs1's value (0 for lui, which reads no register).
+    """
+
+    fn: Callable[[int, int], int]
+    imm_mask: Optional[int] = None
+
+
+def _value_functions(xlen: int) -> dict:
+    """mnemonic -> ``fn(a, b)`` of the R-type and W-type ALU ops, lui
+    and the conditional branches at *xlen*."""
+    mask = (1 << xlen) - 1
+    # (a ^ sign) - sign is to_signed(a, xlen), and flipping the sign
+    # bit maps signed order onto unsigned order; ((v & low) ^ w) - w,
+    # masked, is sext32(v, xlen)
+    sign = 1 << (xlen - 1)
+    amount = xlen - 1
+    w, low = 0x8000_0000, 0xFFFF_FFFF
+
+    def add(a, b):
+        return (a + b) & mask
+
+    def sub(a, b):
+        return (a - b) & mask
+
+    def mul(a, b):
+        return (a * b) & mask
+
+    def and_(a, b):
+        return a & b
+
+    def or_(a, b):
+        return a | b
+
+    def xor(a, b):
+        return a ^ b
+
+    def sll(a, b):
+        return (a << (b & amount)) & mask
+
+    def srl(a, b):
+        return a >> (b & amount)
+
+    def sra(a, b):
+        return (((a ^ sign) - sign) >> (b & amount)) & mask
+
+    def slt(a, b):
+        return 1 if (a ^ sign) < (b ^ sign) else 0
+
+    def sltu(a, b):
+        return 1 if a < b else 0
+
+    def addw(a, b):
+        return ((((a + b) & low) ^ w) - w) & mask
+
+    def subw(a, b):
+        return ((((a - b) & low) ^ w) - w) & mask
+
+    def mulw(a, b):
+        return ((((a * b) & low) ^ w) - w) & mask
+
+    def sllw(a, b):
+        return ((((a << (b & 31)) & low) ^ w) - w) & mask
+
+    def srlw(a, b):
+        return ((((a & low) >> (b & 31)) ^ w) - w) & mask
+
+    def sraw(a, b):
+        return ((((a & low) ^ w) - w) >> (b & 31)) & mask
+
+    def lui(a, b):
+        return ((((b & 0xFFFF) << 16) ^ w) - w) & mask
+
+    def beq(a, b):
+        return a == b
+
+    def bne(a, b):
+        return a != b
+
+    def blt(a, b):
+        return (a ^ sign) < (b ^ sign)
+
+    def bge(a, b):
+        return (a ^ sign) >= (b ^ sign)
+
+    def bltu(a, b):
+        return a < b
+
+    def bgeu(a, b):
+        return a >= b
+
+    return {
+        "add": add, "sub": sub, "mul": mul, "and": and_, "or": or_,
+        "xor": xor, "sll": sll, "srl": srl, "sra": sra, "slt": slt,
+        "sltu": sltu, "addw": addw, "subw": subw, "mulw": mulw,
+        "sllw": sllw, "srlw": srlw, "sraw": sraw, "lui": lui,
+        "beq": beq, "bne": bne, "blt": blt, "bge": bge, "bltu": bltu,
+        "bgeu": bgeu,
+    }
+
+
+def _value_forms(xlen: int) -> dict:
+    fns = _value_functions(xlen)
+    forms = {op: ValueForm(fn) for op, fn in fns.items()}
+    # lui's operand is its raw immediate; xori with imm -1 is
+    # canonical NOT, so its immediate sign-extends
+    mask = (1 << xlen) - 1
+    for op, base, imm_mask in (
+            ("lui", "lui", -1), ("addi", "add", -1),
+            ("addiw", "addw", -1), ("andi", "and", 0xFFFF),
+            ("ori", "or", 0xFFFF), ("xori", "xor", mask),
+            ("slti", "slt", mask), ("slli", "sll", xlen - 1),
+            ("srli", "srl", xlen - 1), ("srai", "sra", xlen - 1)):
+        forms[op] = ValueForm(fns[base], imm_mask)
+    return forms
+
+
+#: xlen -> mnemonic -> :class:`ValueForm`, for every ALU op but
+#: div/rem and every conditional branch
+VALUE_FORMS: dict = {xlen: _value_forms(xlen) for xlen in (32, 64)}
+
+
+# ---------------------------------------------------------------------------
 # per-mnemonic semantics
 #
-# One handler per mnemonic, ``handler(instr, ms, core) -> next pc``,
-# chosen once per instruction word (engines keep it in their decode
-# records) instead of by a chain of mnemonic compares per execution.
+# One handler per mnemonic and xlen, ``handler(instr, ms, core) -> next
+# pc``, chosen once per instruction word (engines keep it in their
+# decode records) instead of by a chain of mnemonic compares per
+# execution.
 # A core adapter sees every register read and write, so the order of
 # those calls is part of the semantics; tests/corpus/ledger/
 # semantics.json pins it per mnemonic.
@@ -112,25 +253,44 @@ def _div_by_zero(ms: MachineState) -> SimException:
                         in_kernel=ms.in_kernel)
 
 
-# ALU register-register -----------------------------------------------------
-def _add(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, (read(instr.rs1) + read(instr.rs2)) & ms.mask)
-    return ms.pc + 4
+# ALU ops and conditional branches, generated from the value table ----------
+def _value_handler(op: str, xlen: int) -> Callable:
+    """The handler of *op* at *xlen*, running ``VALUE_FORMS[xlen][op]``.
+
+    It reads rs1 then rs2, as the hand-written handlers did, except
+    ``sra``, which reads rs2 first; an immediate op reads rs1 alone and
+    ``lui`` reads nothing.
+    """
+    fn, imm_mask = VALUE_FORMS[xlen][op]
+    if BY_MNEMONIC[op].cls == CLS_BRANCH:
+        def handler(instr, ms, core):
+            if fn(core.read_reg(instr.rs1), core.read_reg(instr.rs2)):
+                return ms.pc + 4 + instr.imm
+            return ms.pc + 4
+    elif op == "lui":
+        def handler(instr, ms, core):
+            core.write_reg(instr.rd, fn(0, instr.imm))
+            return ms.pc + 4
+    elif imm_mask is not None:
+        def handler(instr, ms, core):
+            core.write_reg(instr.rd, fn(core.read_reg(instr.rs1),
+                                        instr.imm & imm_mask))
+            return ms.pc + 4
+    elif op == "sra":
+        def handler(instr, ms, core):
+            b = core.read_reg(instr.rs2)
+            core.write_reg(instr.rd, fn(core.read_reg(instr.rs1), b))
+            return ms.pc + 4
+    else:
+        def handler(instr, ms, core):
+            core.write_reg(instr.rd, fn(core.read_reg(instr.rs1),
+                                        core.read_reg(instr.rs2)))
+            return ms.pc + 4
+    handler.__name__ = handler.__qualname__ = f"_{op}"
+    return handler
 
 
-def _sub(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, (read(instr.rs1) - read(instr.rs2)) & ms.mask)
-    return ms.pc + 4
-
-
-def _mul(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, (read(instr.rs1) * read(instr.rs2)) & ms.mask)
-    return ms.pc + 4
-
-
+# div and rem: hand-written, they read rs2 and fault before reading rs1 ----
 def _div(instr, ms, core):
     read = core.read_reg
     b = read(instr.rs2)
@@ -153,169 +313,6 @@ def _rem(instr, ms, core):
     return ms.pc + 4
 
 
-def _and(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, read(instr.rs1) & read(instr.rs2))
-    return ms.pc + 4
-
-
-def _or(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, read(instr.rs1) | read(instr.rs2))
-    return ms.pc + 4
-
-
-def _xor(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, read(instr.rs1) ^ read(instr.rs2))
-    return ms.pc + 4
-
-
-def _sll(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, (read(instr.rs1)
-                              << (read(instr.rs2) & (ms.xlen - 1)))
-                   & ms.mask)
-    return ms.pc + 4
-
-
-def _srl(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd,
-                   read(instr.rs1) >> (read(instr.rs2) & (ms.xlen - 1)))
-    return ms.pc + 4
-
-
-def _sra(instr, ms, core):
-    read = core.read_reg
-    xlen = ms.xlen
-    shift = read(instr.rs2) & (xlen - 1)
-    core.write_reg(instr.rd,
-                   (to_signed(read(instr.rs1), xlen) >> shift) & ms.mask)
-    return ms.pc + 4
-
-
-def _slt(instr, ms, core):
-    read = core.read_reg
-    xlen = ms.xlen
-    core.write_reg(instr.rd, int(to_signed(read(instr.rs1), xlen)
-                                 < to_signed(read(instr.rs2), xlen)))
-    return ms.pc + 4
-
-
-def _sltu(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd, int(read(instr.rs1) < read(instr.rs2)))
-    return ms.pc + 4
-
-
-# 32-bit W-variants (mRISC-64) ----------------------------------------------
-def _addw(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd,
-                   sext32(read(instr.rs1) + read(instr.rs2), ms.xlen))
-    return ms.pc + 4
-
-
-def _subw(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd,
-                   sext32(read(instr.rs1) - read(instr.rs2), ms.xlen))
-    return ms.pc + 4
-
-
-def _mulw(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd,
-                   sext32(read(instr.rs1) * read(instr.rs2), ms.xlen))
-    return ms.pc + 4
-
-
-def _sllw(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd,
-                   sext32(read(instr.rs1) << (read(instr.rs2) & 31),
-                          ms.xlen))
-    return ms.pc + 4
-
-
-def _srlw(instr, ms, core):
-    read = core.read_reg
-    core.write_reg(instr.rd,
-                   sext32((read(instr.rs1) & 0xFFFF_FFFF)
-                          >> (read(instr.rs2) & 31), ms.xlen))
-    return ms.pc + 4
-
-
-def _sraw(instr, ms, core):
-    read = core.read_reg
-    value = to_signed(read(instr.rs1) & 0xFFFF_FFFF, 32)
-    core.write_reg(instr.rd,
-                   sext32(value >> (read(instr.rs2) & 31), ms.xlen))
-    return ms.pc + 4
-
-
-# ALU immediates ------------------------------------------------------------
-def _addi(instr, ms, core):
-    core.write_reg(instr.rd,
-                   (core.read_reg(instr.rs1) + instr.imm) & ms.mask)
-    return ms.pc + 4
-
-
-def _addiw(instr, ms, core):
-    core.write_reg(instr.rd,
-                   sext32(core.read_reg(instr.rs1) + instr.imm, ms.xlen))
-    return ms.pc + 4
-
-
-def _andi(instr, ms, core):
-    core.write_reg(instr.rd, core.read_reg(instr.rs1) & (instr.imm & 0xFFFF))
-    return ms.pc + 4
-
-
-def _ori(instr, ms, core):
-    core.write_reg(instr.rd, core.read_reg(instr.rs1) | (instr.imm & 0xFFFF))
-    return ms.pc + 4
-
-
-def _xori(instr, ms, core):
-    # xori with imm -1 is canonical NOT: sign-extend the immediate.
-    mask = ms.mask
-    core.write_reg(instr.rd,
-                   (core.read_reg(instr.rs1) ^ (instr.imm & mask)) & mask)
-    return ms.pc + 4
-
-
-def _slli(instr, ms, core):
-    core.write_reg(instr.rd, (core.read_reg(instr.rs1)
-                              << (instr.imm & (ms.xlen - 1))) & ms.mask)
-    return ms.pc + 4
-
-
-def _srli(instr, ms, core):
-    core.write_reg(instr.rd,
-                   core.read_reg(instr.rs1) >> (instr.imm & (ms.xlen - 1)))
-    return ms.pc + 4
-
-
-def _srai(instr, ms, core):
-    xlen = ms.xlen
-    core.write_reg(instr.rd, (to_signed(core.read_reg(instr.rs1), xlen)
-                              >> (instr.imm & (xlen - 1))) & ms.mask)
-    return ms.pc + 4
-
-
-def _slti(instr, ms, core):
-    core.write_reg(instr.rd, int(to_signed(core.read_reg(instr.rs1),
-                                           ms.xlen) < instr.imm))
-    return ms.pc + 4
-
-
-def _lui(instr, ms, core):
-    core.write_reg(instr.rd, sext32((instr.imm & 0xFFFF) << 16, ms.xlen))
-    return ms.pc + 4
-
-
 # memory --------------------------------------------------------------------
 def _load(instr, ms, core):
     mask = ms.mask
@@ -334,56 +331,6 @@ def _store(instr, ms, core):
 
 
 # control flow --------------------------------------------------------------
-def _beq(instr, ms, core):
-    read = core.read_reg
-    pc = ms.pc
-    if read(instr.rs1) == read(instr.rs2):
-        return pc + 4 + instr.imm
-    return pc + 4
-
-
-def _bne(instr, ms, core):
-    read = core.read_reg
-    pc = ms.pc
-    if read(instr.rs1) != read(instr.rs2):
-        return pc + 4 + instr.imm
-    return pc + 4
-
-
-def _blt(instr, ms, core):
-    read = core.read_reg
-    pc = ms.pc
-    xlen = ms.xlen
-    if to_signed(read(instr.rs1), xlen) < to_signed(read(instr.rs2), xlen):
-        return pc + 4 + instr.imm
-    return pc + 4
-
-
-def _bge(instr, ms, core):
-    read = core.read_reg
-    pc = ms.pc
-    xlen = ms.xlen
-    if to_signed(read(instr.rs1), xlen) >= to_signed(read(instr.rs2), xlen):
-        return pc + 4 + instr.imm
-    return pc + 4
-
-
-def _bltu(instr, ms, core):
-    read = core.read_reg
-    pc = ms.pc
-    if read(instr.rs1) < read(instr.rs2):
-        return pc + 4 + instr.imm
-    return pc + 4
-
-
-def _bgeu(instr, ms, core):
-    read = core.read_reg
-    pc = ms.pc
-    if read(instr.rs1) >= read(instr.rs2):
-        return pc + 4 + instr.imm
-    return pc + 4
-
-
 def _j(instr, ms, core):
     return ms.pc + 4 + instr.imm
 
@@ -433,25 +380,19 @@ def _detect(instr, ms, core):
 
 
 _NAMED = {
-    "add": _add, "sub": _sub, "mul": _mul, "div": _div, "rem": _rem,
-    "and": _and, "or": _or, "xor": _xor, "sll": _sll, "srl": _srl,
-    "sra": _sra, "slt": _slt, "sltu": _sltu,
-    "addw": _addw, "subw": _subw, "mulw": _mulw, "sllw": _sllw,
-    "srlw": _srlw, "sraw": _sraw,
-    "addi": _addi, "addiw": _addiw, "andi": _andi, "ori": _ori,
-    "xori": _xori, "slli": _slli, "srli": _srli, "srai": _srai,
-    "slti": _slti, "lui": _lui,
-    "beq": _beq, "bne": _bne, "blt": _blt, "bge": _bge, "bltu": _bltu,
-    "bgeu": _bgeu, "j": _j, "jal": _jal, "jr": _jr, "jalr": _jalr,
+    "div": _div, "rem": _rem,
+    "j": _j, "jal": _jal, "jr": _jr, "jalr": _jalr,
     "syscall": _syscall, "eret": _eret, "halt": _halt, "detect": _detect,
 }
 _BY_CLASS = {CLS_LOAD: _load, CLS_STORE: _store}
 
 
-def _handler_table() -> dict:
+def _handler_table(xlen: int) -> dict:
     table = {}
     for op, d in BY_MNEMONIC.items():
         handler = _BY_CLASS.get(d.cls) if d.mem_bytes else None
+        if handler is None and op in VALUE_FORMS[xlen]:
+            handler = _value_handler(op, xlen)
         if handler is None:
             handler = _NAMED.get(op)
         if handler is None:  # pragma: no cover - import-time invariant
@@ -460,9 +401,28 @@ def _handler_table() -> dict:
     return table
 
 
-#: mnemonic -> ``handler(instr, ms, core) -> next pc``, one entry per
-#: ``BY_MNEMONIC`` op (checked when the module is imported)
-HANDLERS: dict = _handler_table()
+#: xlen -> mnemonic -> ``handler(instr, ms, core) -> next pc``, one
+#: entry per ``BY_MNEMONIC`` op (checked when the module is imported);
+#: engines keep the entry for their xlen in their decode records
+HANDLERS_BY_XLEN: dict = {xlen: _handler_table(xlen) for xlen in (32, 64)}
+
+
+def _dispatch(op: str) -> Callable:
+    by_xlen = {xlen: table[op] for xlen, table in HANDLERS_BY_XLEN.items()}
+    if by_xlen[32] is by_xlen[64]:
+        return by_xlen[32]
+
+    def handler(instr, ms, core):
+        return by_xlen[ms.xlen](instr, ms, core)
+    handler.__name__ = handler.__qualname__ = f"_{op}"
+    return handler
+
+
+#: mnemonic -> ``handler(instr, ms, core) -> next pc`` for either xlen:
+#: the ``HANDLERS_BY_XLEN`` entry of ``ms.xlen``.  Nothing in the
+#: engines calls it; it is the xlen-generic view callers outside them
+#: (the semantics ledger) index by mnemonic alone
+HANDLERS: dict = {op: _dispatch(op) for op in BY_MNEMONIC}
 
 
 def execute(instr: Decoded, ms: MachineState, core: CoreAccess) -> int:
@@ -470,17 +430,12 @@ def execute(instr: Decoded, ms: MachineState, core: CoreAccess) -> int:
 
     Raises :class:`SimException` on architectural faults and
     :class:`DetectTrap` when a hardened binary signals detection.
-    Hot loops keep ``HANDLERS[instr.op]`` in their decode records and
-    call it directly; this is the same dispatch.
+    Hot loops keep ``HANDLERS_BY_XLEN[xlen][instr.op]`` in their decode
+    records and call it directly; this is the same dispatch.
     """
-    return HANDLERS[instr.op](instr, ms, core)
+    return HANDLERS_BY_XLEN[ms.xlen][instr.op](instr, ms, core)
 
 
 def _link_reg(xlen: int) -> int:
     return 14 if xlen == 32 else 30
 
-
-def branch_outcome(instr: Decoded, next_pc: int, pc: int) -> tuple[bool, int]:
-    """(taken?, target) for a control-flow instruction, given its result."""
-    fallthrough = pc + 4
-    return next_pc != fallthrough, next_pc

@@ -30,7 +30,7 @@ from ..isa.errors import DecodeError
 from ..isa.registers import register_set
 from ..kernel.loader import SystemImage, build_system_image
 from ..kernel.syscalls import EXIT_CODE_OFFSET, SYS_EXIT, SYS_WRITE
-from .cpu import HANDLERS, KERNEL_MODE, CoreAccess, MachineState
+from .cpu import HANDLERS_BY_XLEN, KERNEL_MODE, CoreAccess, MachineState
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
 
@@ -267,7 +267,7 @@ class FunctionalEngine:
         """Everything the run loops need to know about one instruction
         word: ``(instr, handler, writes_reg, dest_reg,
         host_syscall)``.  ``handler`` is the instruction's semantics
-        (:data:`repro.uarch.cpu.HANDLERS`), ``dest_reg`` the
+        (:data:`repro.uarch.cpu.HANDLERS_BY_XLEN`), ``dest_reg`` the
         architectural destination when ``writes_reg``, and
         ``host_syscall`` marks a syscall the host kernel emulates."""
         try:
@@ -276,7 +276,7 @@ class FunctionalEngine:
             raise SimException(FaultKind.ILLEGAL_INSTRUCTION, self.ms.pc,
                                in_kernel=self.ms.in_kernel) from None
         writes = _writes_reg(instr)
-        return (instr, HANDLERS[instr.op], writes,
+        return (instr, HANDLERS_BY_XLEN[self.ms.xlen][instr.op], writes,
                 _dest_reg(instr, self.ms.xlen) if writes else 0,
                 instr.op == "syscall" and self.kernel_mode_kind == "host")
 

@@ -44,20 +44,22 @@ from ..kernel.syscalls import EXIT_CODE_OFFSET
 from .branch import BranchPredictor
 from .cache import Cache, MemoryPort, TaintProbe
 from .config import MicroarchConfig
-from .cpu import HANDLERS, KERNEL_MODE, CoreAccess, MachineState
+from .cpu import (HANDLERS_BY_XLEN, KERNEL_MODE, VALUE_FORMS, CoreAccess,
+                  MachineState)
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
-from .functional import RunStatus, cached_decode
+from .functional import RunStatus, _read_word, cached_decode
 from .lsq import LoadStoreQueue
 from .regfile import FREE, LIVE, PhysRegFile
 
 _LINK32, _LINK64 = 14, 30
 
-#: execution kinds of a decode record, by what the run loop does for
-#: them beyond the timing arithmetic (memory kinds sort last)
-_COMPUTE, _BRANCH, _SYS, _LOAD, _STORE = range(5)
-_KIND_OF_CLASS = {"branch": _BRANCH, "sys": _SYS, "load": _LOAD,
-                  "store": _STORE}
+#: execution kinds of a decode record.  The run loop executes value
+#: ALU ops, value branches, loads and stores itself; the handler kinds
+#: (jumps, sys ops, div/rem) call their handler and differ in what the
+#: frontend does after them.  Memory kinds sort last.
+_ALU, _BRANCH, _JUMP, _SYS, _CALL, _LOAD, _STORE = range(7)
+_HANDLER_KIND_OF_CLASS = {"branch": _JUMP, "sys": _SYS}
 
 
 def fold_coordinates(engine: "PipelineEngine", spec) -> tuple[int, int, int]:
@@ -119,9 +121,10 @@ class PipelineResult:
 
 
 class _PipelineCore(CoreAccess):
-    """CoreAccess adapter over the renamed register file + caches."""
+    """CoreAccess adapter over the renamed register file, for the
+    handler-kind instructions (the run loop executes the rest)."""
 
-    __slots__ = ("e", "src_vals", "rf", "l1d", "check_access")
+    __slots__ = ("e", "src_vals", "rf")
 
     def __init__(self, engine: "PipelineEngine") -> None:
         # every object held here is mutated in place, never rebound
@@ -129,13 +132,11 @@ class _PipelineCore(CoreAccess):
         self.e = engine
         self.src_vals = engine.src_vals
         self.rf = engine.rf
-        self.l1d = engine.l1d
-        self.check_access = engine.memory.check_access
 
     def read_reg(self, index: int) -> int:
         # Sources were resolved through the rename map *before* the
-        # destination was renamed (else ``add r3, r3, r1`` would read
-        # its own unwritten destination register).
+        # destination was renamed (else ``jalr r3, r3`` would read its
+        # own unwritten destination register).
         cached = self.src_vals.get(index)
         if cached is not None:
             return cached
@@ -156,41 +157,6 @@ class _PipelineCore(CoreAccess):
         tainted = rf.tainted
         if tainted:
             tainted.discard(phys)
-
-    def load(self, addr: int, nbytes: int, signed: bool) -> int:
-        e = self.e
-        self.check_access(addr, nbytes, write=False,
-                          kernel_mode=e.ms.mode == KERNEL_MODE)
-        l1d = self.l1d
-        hit = l1d.read_hit(addr, nbytes)
-        if hit is None:
-            data, e.mem_latency, tainted = l1d.read(addr, nbytes, e.probe)
-        else:
-            data, tainted = hit
-            e.mem_latency = l1d.hit_latency
-        if tainted and e.crossing is None:
-            e.record_crossing("WD", mem_addr=addr)
-        e.pending_mem = ("load", addr, nbytes)
-        value = int.from_bytes(data, "little")
-        if signed and value & (1 << (8 * nbytes - 1)):
-            value -= 1 << (8 * nbytes)
-        return value
-
-    def store(self, addr: int, nbytes: int, value: int) -> None:
-        e = self.e
-        self.check_access(addr, nbytes, write=True,
-                          kernel_mode=e.ms.mode == KERNEL_MODE)
-        data = (value & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes,
-                                                            "little")
-        l1d = self.l1d
-        old = l1d.store_hit(addr, data)
-        if old is None:
-            old, latency, _ = l1d.read(addr, nbytes, e.probe)
-            latency += l1d.write(addr, data, e.probe)
-        else:
-            latency = 2 * l1d.hit_latency
-        e.mem_latency = latency
-        e.pending_mem = ("store", addr, nbytes, value, old)
 
 
 class PipelineEngine:
@@ -266,7 +232,9 @@ class PipelineEngine:
         self.dest_phys = -1
         self.src_vals: dict[int, int] = {}
         self._core = _PipelineCore(self)
-        self.mem_latency = 0
+        #: the last instruction's memory access, ``("load", addr,
+        #: nbytes)`` or ``("store", addr, nbytes, value, old bytes)``,
+        #: else None; set just before each ``observer.step``
         self.pending_mem: tuple | None = None
         #: optional passive observer: the fault tracer and trace-diff
         #: recorders (repro.obs), the residency profiler, the ACE
@@ -484,38 +452,64 @@ class PipelineEngine:
 
     def _decode_record(self, instr: Decoded, latencies: dict) -> tuple:
         """Everything the run loop needs to know about one instruction
-        word: ``(instr, handler, rs1, rs2, dest, kind, fu_pool,
-        other_units, fu_busy, latency)``.
-
-        ``handler`` is the instruction's semantics
-        (:data:`repro.uarch.cpu.HANDLERS`).
+        word: ``(instr, handler, rs1, rs2, dest, kind, fn, operand,
+        imm, nbytes, signed, fu_pool, other_units, fu_busy,
+        latency)``.
 
         ``rs1``/``rs2`` are the architectural sources and ``dest`` the
-        architectural destination (0 means none).  ``fu_pool`` is the
-        list of per-unit free times of the functional units that
-        execute the instruction, ``other_units`` the indices after 0
-        in it, ``fu_busy`` how long the instruction occupies its unit
-        and ``latency`` its base execution latency (loads add the
-        D-cache latency at run time).
+        architectural destination (0 means none).  ``kind`` says how
+        the loop executes the instruction:
+
+        - ``_ALU``: ``fn(a, b)``, the op's
+          :data:`repro.uarch.cpu.VALUE_FORMS` function, over rs1's
+          value ``a`` and ``b``: rs2's value when there is an rs2,
+          else ``operand``, the value the immediate decodes to (0 for
+          a register-register op);
+        - ``_BRANCH``: taken to ``pc + 4 + imm`` when ``fn(a, b)``;
+        - ``_LOAD``/``_STORE``: ``nbytes`` at ``a + imm``, a load
+          sign-extending when ``signed``, a store writing ``b``;
+        - ``_JUMP``, ``_SYS``, ``_CALL``: ``handler``, the op's
+          :data:`repro.uarch.cpu.HANDLERS_BY_XLEN` entry, through the
+          core adapter.
+
+        ``fu_pool`` is the list of per-unit free times of the
+        functional units that execute the instruction, ``other_units``
+        the indices after 0 in it, ``fu_busy`` how long the
+        instruction occupies its unit and ``latency`` its base
+        execution latency (loads add the D-cache latency at run time).
         """
         d = instr.d
         fmt = d.fmt
         cls = d.cls
+        op = instr.op
+        xlen = self.regs_meta.xlen
         rs1 = instr.rs1 if fmt in ("R", "S", "B", "I", "RJ") else 0
         rs2 = instr.rs2 if fmt in ("R", "S", "B") else 0
-        if fmt in ("R", "I", "U") or instr.op == "jalr":
+        if fmt in ("R", "I", "U") or op == "jalr":
             dest = instr.rd
-        elif instr.op == "jal":
-            dest = _LINK32 if self.regs_meta.xlen == 32 else _LINK64
+        elif op == "jal":
+            dest = _LINK32 if xlen == 32 else _LINK64
         else:
             dest = 0
-        kind = _KIND_OF_CLASS.get(cls, _COMPUTE)
+        form = VALUE_FORMS[xlen].get(op)
+        fn, operand = None, 0
+        if form is not None:
+            kind = _BRANCH if cls == "branch" else _ALU
+            fn = form.fn
+            if form.imm_mask is not None:
+                operand = instr.imm & form.imm_mask
+        elif cls == "load":
+            kind = _LOAD
+        elif cls == "store":
+            kind = _STORE
+        else:
+            kind = _HANDLER_KIND_OF_CLASS.get(cls, _CALL)
         fu = self.fu
         pool = fu["mem"] if kind >= _LOAD else fu.get(cls, fu["alu"])
         busy = latencies["div"] if cls == "div" else 1.0
-        return (instr, HANDLERS[instr.op], rs1, rs2, dest, kind, pool,
-                tuple(range(1, len(pool))), busy,
-                latencies.get(cls, 1.0))
+        return (instr, HANDLERS_BY_XLEN[xlen][op], rs1, rs2, dest, kind,
+                fn, operand, instr.imm, d.mem_bytes, d.mem_signed, pool,
+                tuple(range(1, len(pool))), busy, latencies.get(cls, 1.0))
 
     # ------------------------------------------------------------------
     # main loop
@@ -544,7 +538,8 @@ class PipelineEngine:
         status = RunStatus.COMPLETED
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
-        faults_pending = self._next_fault < len(self.faults)
+        never = float("inf")
+        faults = self.faults
 
         # Hooks and per-run state, hoisted to locals.  Hooks are
         # attached and checkpoints restored before run(); nothing
@@ -563,6 +558,7 @@ class PipelineEngine:
         src_vals = self.src_vals
         rf = self.rf
         values = rf.values
+        mask = rf.mask
         rf_state = rf.state
         rename_map = rf.rename_map
         tainted = rf.tainted
@@ -578,13 +574,19 @@ class PipelineEngine:
         lsq_allocate = lsq.allocate
         predictor_update = self.predictor.update
         region_of = self.memory.region_of
+        check_access = self.memory.check_access
         l1i = self.l1i
+        l1d = self.l1d
+        read_hit = l1d.read_hit
+        store_hit = l1d.store_hit
+        l1d_read = l1d.read
+        l1d_write = l1d.write
+        l1d_hit_latency = l1d.hit_latency
         probe = self.probe
         line_size = l1i.line_size
         line_mask = ~(line_size - 1)
         hit_latency = l1i.hit_latency
         regs_meta = self.regs_meta
-        never = float("inf")
 
         # raw instruction word -> decode record (see _decode_record);
         # a corrupted word is simply another key
@@ -597,31 +599,52 @@ class PipelineEngine:
         fetch_line = self._fetch_line
         fetch_base = self._fetch_line_base
         fetch_tag = self._fetch_line_tag
+        # Counters and times live in locals and are written back
+        # (_write_back) before anything outside the loop reads them:
+        # fault application, a crossing, a fast-path poll, an observer
+        # step, an occupancy sample and every exit (the finally).
         instructions = self.instructions
+        kernel_instructions = self.kernel_instructions
+        fetch_time = self.fetch_time
+        last_commit = self.last_commit
+        # the cycle at which the next fault is due
+        next_fault = (faults[self._next_fault].cycle
+                      if self._next_fault < len(faults) else never)
+        # one threshold for the watchdog and the next fast-path poll
+        limit = (max_instructions if fastpath is None
+                 else min(fastpath.next_check, max_instructions))
 
         try:
             while not ms.halted:
-                if fastpath is not None \
-                        and instructions >= fastpath.next_check:
-                    early = fastpath.poll(self)
-                    if early is not None:
-                        if registry.enabled:
-                            self._record_metrics(
-                                registry,
-                                time.perf_counter() - wall_started)
-                        return early
-                if instructions >= max_instructions \
-                        or self.fetch_time > max_cycles:
-                    status = RunStatus.TIMEOUT
-                    break
-                if faults_pending:
+                if instructions >= limit or fetch_time > max_cycles:
+                    if fastpath is not None \
+                            and instructions >= fastpath.next_check:
+                        self._write_back(instructions, kernel_instructions,
+                                         fetch_time, last_commit)
+                        early = fastpath.poll(self)
+                        if early is not None:
+                            if registry.enabled:
+                                self._record_metrics(
+                                    registry,
+                                    time.perf_counter() - wall_started)
+                            return early
+                        limit = min(fastpath.next_check, max_instructions)
+                    if instructions >= max_instructions \
+                            or fetch_time > max_cycles:
+                        status = RunStatus.TIMEOUT
+                        break
+                if fetch_time >= next_fault:
+                    self._write_back(instructions, kernel_instructions,
+                                     fetch_time, last_commit)
                     self._apply_due_faults()
-                    faults_pending = self._next_fault < len(self.faults)
+                    next_fault = (faults[self._next_fault].cycle
+                                  if self._next_fault < len(faults)
+                                  else never)
                     # a live flip invalidates the fetch fast path
                     fetch_base = self._fetch_line_base
 
                 # ---- fetch ------------------------------------------
-                fetch = self.fetch_time + inv_fetch
+                fetch = fetch_time + inv_fetch
                 if rob_full:
                     oldest = rob_commits[0]
                     if oldest > fetch:
@@ -630,7 +653,7 @@ class PipelineEngine:
                     oldest = iq_issues[0]
                     if oldest > fetch:
                         fetch = oldest
-                self.fetch_time = fetch
+                fetch_time = fetch
                 pc = ms.pc
                 if pc & 3:
                     raise SimException(FaultKind.MISALIGNED, pc,
@@ -666,9 +689,11 @@ class PipelineEngine:
                     self._fetch_line_base = base
                     self._fetch_line_tag = fetch_tag
                 off = addr - base
-                word = int.from_bytes(line.data[off:off + 4], "little")
+                word = _read_word(line.data, off)[0]
                 if line.taint and any(off <= t < off + 4
                                       for t in line.taint):
+                    self._write_back(instructions, kernel_instructions,
+                                     fetch_time, last_commit)
                     self._classify_fetch_corruption(addr, word)
                 record = records.get(word)
                 if record is None:
@@ -680,20 +705,22 @@ class PipelineEngine:
                             in_kernel=ms.in_kernel) from None
                     record = records[word] = self._decode_record(
                         instr, latencies)
-                (instr, handler, rs1, rs2, dest, kind, fu_pool,
-                 other_units, fu_busy, latency) = record
+                (instr, handler, rs1, rs2, dest, kind, fn, operand, imm,
+                 nbytes, signed, fu_pool, other_units, fu_busy,
+                 latency) = record
                 if icache_extra:
                     fetch += icache_extra
-                    self.fetch_time = fetch
+                    fetch_time = fetch
 
                 # ---- rename / dispatch ------------------------------
                 dispatch = fetch + depth
                 ready = dispatch
-                src_vals.clear()
                 tainted_src = 0
+                a = 0
+                b = operand
                 if rs1:
                     phys = rename_map[rs1]
-                    src_vals[rs1] = values[phys]
+                    a = values[phys]
                     if reg_ready[phys] > ready:
                         ready = reg_ready[phys]
                     if phys in tainted:
@@ -702,14 +729,16 @@ class PipelineEngine:
                         reg_read(phys, ready)
                 if rs2:
                     phys = rename_map[rs2]
-                    src_vals[rs2] = values[phys]
+                    b = values[phys]
                     if reg_ready[phys] > ready:
                         ready = reg_ready[phys]
                     if not tainted_src and phys in tainted:
                         tainted_src = rs2
                     if reg_read is not None:
                         reg_read(phys, ready)
-                if tainted_src:
+                if tainted_src and self.crossing is None:
+                    self._write_back(instructions, kernel_instructions,
+                                     fetch_time, last_commit)
                     self.record_crossing("WD", arch_reg=tainted_src)
                 if dest:
                     # rename, as PhysRegFile.allocate does it: reclaim
@@ -746,9 +775,7 @@ class PipelineEngine:
                                 ready = dispatch
                 else:
                     dest_phys = -1
-                self.dest_phys = dest_phys
 
-                lsq_entry = None
                 if kind >= _LOAD:
                     lsq_entry, stall = lsq_allocate(dispatch)
                     if stall > dispatch:
@@ -757,9 +784,61 @@ class PipelineEngine:
                             ready = dispatch
 
                 # ---- execute (functional, eager) ---------------------
-                self.mem_latency = 0
-                self.pending_mem = None
-                next_pc = handler(instr, ms, core)
+                if not kind:
+                    # a value ALU op writes its destination as
+                    # _PipelineCore.write_reg does
+                    if dest_phys >= 0:
+                        values[dest_phys] = fn(a, b) & mask
+                        if tainted:
+                            tainted.discard(dest_phys)
+                    next_pc = pc + 4
+                elif kind == _BRANCH:
+                    next_pc = pc + 4 + imm if fn(a, b) else pc + 4
+                elif kind == _LOAD:
+                    addr = (a + imm) & 0xFFFF_FFFF
+                    check_access(addr, nbytes, write=False,
+                                 kernel_mode=ms.mode == KERNEL_MODE)
+                    hit = read_hit(addr, nbytes)
+                    if hit is None:
+                        data, mem_latency, data_tainted = l1d_read(
+                            addr, nbytes, probe)
+                    else:
+                        data, data_tainted = hit
+                        mem_latency = l1d_hit_latency
+                    if data_tainted and self.crossing is None:
+                        self._write_back(instructions,
+                                         kernel_instructions,
+                                         fetch_time, last_commit)
+                        self.record_crossing("WD", mem_addr=addr)
+                    value = int.from_bytes(data, "little")
+                    if signed and value & (1 << (8 * nbytes - 1)):
+                        value -= 1 << (8 * nbytes)
+                    if dest_phys >= 0:
+                        values[dest_phys] = value & mask
+                        if tainted:
+                            tainted.discard(dest_phys)
+                    latency = 1.0 + mem_latency
+                    next_pc = pc + 4
+                elif kind == _STORE:
+                    addr = (a + imm) & 0xFFFF_FFFF
+                    check_access(addr, nbytes, write=True,
+                                 kernel_mode=ms.mode == KERNEL_MODE)
+                    data = (b & ((1 << (8 * nbytes)) - 1)).to_bytes(
+                        nbytes, "little")
+                    old = store_hit(addr, data)
+                    if old is None:
+                        old, _, _ = l1d_read(addr, nbytes, probe)
+                        l1d_write(addr, data, probe)
+                    next_pc = pc + 4
+                else:
+                    # a handler kind reads its sources from src_vals
+                    src_vals.clear()
+                    if rs1:
+                        src_vals[rs1] = a
+                    if rs2:
+                        src_vals[rs2] = b
+                    self.dest_phys = dest_phys
+                    next_pc = handler(instr, ms, core)
 
                 # ---- issue / complete timing -------------------------
                 # the first unit that frees up earliest
@@ -772,16 +851,14 @@ class PipelineEngine:
                 if ready >= start:
                     start = ready
                 fu_pool[unit] = start + fu_busy
-                if kind == _LOAD:
-                    latency = 1.0 + self.mem_latency
                 complete = start + latency
 
                 # ---- commit -----------------------------------------
                 commit = complete + 1.0
-                in_order = self.last_commit + inv_commit
+                in_order = last_commit + inv_commit
                 if in_order > commit:
                     commit = in_order
-                self.last_commit = commit
+                last_commit = commit
                 # both windows only grow until full, then stay full
                 rob_commits.append(commit)
                 if rob_full:
@@ -798,56 +875,62 @@ class PipelineEngine:
                     reg_ready[dest_phys] = complete
                     if pending_free:
                         # patch the reclamation cycle of the old mapping
-                        old = pending_free[-1][1]
-                        pending_free[-1] = (commit, old)
+                        old_phys = pending_free[-1][1]
+                        pending_free[-1] = (commit, old_phys)
                         if reg_write is not None:
                             reg_write(dest_phys, complete)
-                            reg_release(old, commit)
-                if lsq_entry is not None:
-                    mem = self.pending_mem
-                    if mem is not None:
-                        if mem_access is not None:
-                            mem_access(mem[1], mem[2], mem[0] == "store",
-                                       start)
-                            lsq_op(dispatch, commit)
-                        lsq_entry.is_store = mem[0] == "store"
-                        lsq_entry.addr = mem[1]
-                        lsq_entry.nbytes = mem[2]
-                        if lsq_entry.is_store:
-                            lsq_entry.data = mem[3]
-                            lsq_entry.old_data = mem[4]
-                            lsq_entry.dest_phys = -1
-                        else:
-                            lsq_entry.data = 0
-                            lsq_entry.dest_phys = dest_phys
-                        lsq_entry.alloc_cycle = dispatch
-                        lsq_entry.commit_cycle = commit
-                        lsq_entry.in_kernel = ms.mode == KERNEL_MODE
+                            reg_release(old_phys, commit)
+                if kind >= _LOAD:
+                    is_store = kind == _STORE
+                    if mem_access is not None:
+                        mem_access(addr, nbytes, is_store, start)
+                        lsq_op(dispatch, commit)
+                    lsq_entry.is_store = is_store
+                    lsq_entry.addr = addr
+                    lsq_entry.nbytes = nbytes
+                    if is_store:
+                        lsq_entry.data = b
+                        lsq_entry.old_data = old
+                        lsq_entry.dest_phys = -1
                     else:
-                        # the op faulted before reaching memory
-                        lsq.cancel(lsq_entry)
+                        lsq_entry.data = 0
+                        lsq_entry.dest_phys = dest_phys
+                    lsq_entry.alloc_cycle = dispatch
+                    lsq_entry.commit_cycle = commit
+                    lsq_entry.in_kernel = ms.mode == KERNEL_MODE
 
                 # ---- control flow ------------------------------------
-                if kind == _BRANCH:
-                    if predictor_update(pc, next_pc != pc + 4, next_pc):
-                        redirect = complete + penalty
+                if kind:
+                    if kind <= _JUMP:
+                        if predictor_update(pc, next_pc != pc + 4,
+                                            next_pc):
+                            redirect = complete + penalty
+                            if redirect > fetch:
+                                fetch_time = redirect
+                    elif kind == _SYS:
+                        # syscall / eret serialise the frontend
+                        redirect = commit + penalty
                         if redirect > fetch:
-                            self.fetch_time = redirect
-                elif kind == _SYS:
-                    # syscall / eret serialise the frontend
-                    redirect = commit + penalty
-                    if redirect > fetch:
-                        self.fetch_time = redirect
+                            fetch_time = redirect
                 ms.pc = next_pc
 
                 # ---- bookkeeping -------------------------------------
                 instructions += 1
-                self.instructions = instructions
                 if ms.mode == KERNEL_MODE:
-                    self.kernel_instructions += 1
+                    kernel_instructions += 1
                 if every and not instructions % every:
+                    self._write_back(instructions, kernel_instructions,
+                                     fetch_time, last_commit)
+                    if kind < _LOAD:
+                        self.pending_mem = None
+                    elif kind == _LOAD:
+                        self.pending_mem = ("load", addr, nbytes)
+                    else:
+                        self.pending_mem = ("store", addr, nbytes, b, old)
                     step(self)
                 if collect_stats and not instructions % 64:
+                    self._write_back(instructions, kernel_instructions,
+                                     fetch_time, last_commit)
                     self._sample_occupancy()
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
@@ -869,9 +952,12 @@ class PipelineEngine:
                     "engine": "pipeline",
                     "error": f"{type(exc).__name__}: {exc}",
                     "pc": ms.pc,
-                    "instructions": self.instructions,
-                    "cycle": round(self.fetch_time, 3),
+                    "instructions": instructions,
+                    "cycle": round(fetch_time, 3),
                 }) from exc
+        finally:
+            self._write_back(instructions, kernel_instructions,
+                             fetch_time, last_commit)
 
         output, exit_code = self._drain_output()
         if registry.enabled:
@@ -892,6 +978,14 @@ class PipelineEngine:
             occupancy=self._occupancy_averages(),
             stats=self._final_stats(),
         )
+
+    def _write_back(self, instructions: int, kernel_instructions: int,
+                    fetch_time: float, last_commit: float) -> None:
+        """Store the run loop's counters and times on the engine."""
+        self.instructions = instructions
+        self.kernel_instructions = kernel_instructions
+        self.fetch_time = fetch_time
+        self.last_commit = last_commit
 
     # ------------------------------------------------------------------
     # DMA drain: coherent, pipeline-bypassing output collection

@@ -445,7 +445,6 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
     # per-instruction transients are dead at a boundary
     engine.dest_phys = -1
     engine.src_vals.clear()   # in place: the core adapter holds it
-    engine.mem_latency = 0
     engine.pending_mem = None
 
 
