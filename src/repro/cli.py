@@ -220,20 +220,13 @@ def _cmd_fuzz(args) -> int:
         print(result.describe())
         return 0 if result.contained else 1
 
-    n = args.cases if args.cases is not None \
-        else int(os.environ.get("REPRO_FUZZ_BUDGET", "500"))
-    seed = args.seed if args.seed is not None \
-        else int(os.environ.get("REPRO_FUZZ_SEED", "1"))
-    workloads = args.workloads or \
-        os.environ.get("REPRO_FUZZ_WORKLOADS", "all")
-    cosim_every = 0 if args.no_cosim else (
-        args.cosim_every if args.cosim_every is not None
-        else int(os.environ.get("REPRO_FUZZ_COSIM_EVERY", "64")))
     workers = args.workers if args.workers is not None \
-        else default_workers(n)
+        else default_workers(args.cases)
     report = run_fuzz(
-        n, seed=seed, workloads=workloads, config_name=args.config,
-        cosim_every=cosim_every, workers=workers,
+        args.cases, seed=args.seed, workloads=args.workloads,
+        config_name=args.config,
+        cosim_every=0 if args.no_cosim else args.cosim_every,
+        workers=workers,
         repro_dir=args.repro_dir, progress=_progress_flag(args),
         shrink=not args.no_shrink, hardened=args.hardened)
     print(report.render())
@@ -550,19 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz",
         help="differential containment fuzzing (see docs/API.md)")
-    p.add_argument("-n", "--cases", type=int, default=None,
-                   help="sweep budget (default: REPRO_FUZZ_BUDGET "
-                        "or 500)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="sweep seed (default: REPRO_FUZZ_SEED or 1)")
-    p.add_argument("--workloads", default=None,
-                   help="comma list or 'all' (default: "
-                        "REPRO_FUZZ_WORKLOADS or all)")
+    p.add_argument("-n", "--cases", type=int, default=500,
+                   help="sweep budget (default: 500)")
+    p.add_argument("--seed", type=int, default=1,
+                   help="sweep seed (default: 1)")
+    p.add_argument("--workloads", default="all",
+                   help="comma list or 'all' (default: all)")
     p.add_argument("--config", default="cortex-a72")
     p.add_argument("--hardened", action="store_true")
-    p.add_argument("--cosim-every", type=int, default=None,
+    p.add_argument("--cosim-every", type=int, default=64,
                    help="lockstep snapshot interval in instructions "
-                        "(default: REPRO_FUZZ_COSIM_EVERY or 64)")
+                        "(default: 64)")
     p.add_argument("--no-cosim", action="store_true",
                    help="skip the fault-free cosimulation oracle")
     p.add_argument("--no-shrink", action="store_true",
@@ -571,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-execute one JSON reproducer and exit")
     p.add_argument("--repro-dir", default=None,
                    help="where reproducers land (default: "
-                        "REPRO_FUZZ_DIR or <cache>/fuzz-repros)")
+                        "<cache>/fuzz-repros)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: REPRO_WORKERS "
                         "heuristic)")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,9 +37,8 @@ from .shrink import shrink_case
 
 
 def fuzz_repro_dir() -> Path:
-    """Where fuzz reproducers land (``REPRO_FUZZ_DIR`` overrides)."""
-    env = os.environ.get("REPRO_FUZZ_DIR")
-    return Path(env) if env else cache_dir() / "fuzz-repros"
+    """Where fuzz reproducers land by default."""
+    return cache_dir() / "fuzz-repros"
 
 
 # ---------------------------------------------------------------------------

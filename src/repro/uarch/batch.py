@@ -47,11 +47,13 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     np = None
 
 from ..isa import layout
+from ..isa.instructions import (CLS_DIV, CLS_LOAD, CLS_STORE, FMT_B, FMT_RJ,
+                                FMT_U)
 from ..kernel.syscalls import EXIT_CODE_OFFSET, SYS_EXIT, SYS_WRITE
 from ..obs.metrics import (BATCH_BATCHES, BATCH_EARLY_RETIRES,
                            BATCH_LANES_PACKED, BATCH_SCALAR_EVICTIONS,
                            get_registry)
-from .cpu import KERNEL_MODE, _link_reg, _sdiv, _srem, execute, to_signed
+from .cpu import KERNEL_MODE, LANE_FORMS, _sdiv, _srem, to_signed
 from .exceptions import ContainmentError, DetectTrap, SimException
 from .functional import FuncResult, RunStatus, trigger_tables
 from .memory import ADDR_MASK
@@ -71,6 +73,9 @@ FULL = 0xFFFF_FFFF_FFFF_FFFF
 _PAGE = layout.PAGE_SIZE
 _PAGE_MASK = _PAGE - 1
 _FALSY = {"0", "false", "no", "off", ""}
+# step kinds of a lane record (BatchedFunctionalEngine._lane_record)
+_UNIFORM, _JUMP_REG, _BRANCH, _ALU, _DIV, _LOAD, _STORE = range(7)
+_DIVIDE = {"div": _sdiv, "rem": _srem}
 
 
 def batch_available() -> bool:
@@ -284,6 +289,8 @@ class BatchedFunctionalEngine:
         self._commit_t, self._dest_t = trigger_tables(self._actions,
                                                       range(n))
         self._next_scan = 0
+        #: raw instruction word -> lane record (see _lane_record)
+        self._lanes = {}
 
     # -- public API ----------------------------------------------------
     @property
@@ -364,7 +371,7 @@ class BatchedFunctionalEngine:
             if host_syscall:
                 self._host_syscall_step()
             elif self._dirty:
-                exec_step(instr, handler)
+                exec_step(instr, handler, dest)
             else:
                 ms.pc = handler(instr, ms, core)
             eng.executed += 1
@@ -683,204 +690,90 @@ class BatchedFunctionalEngine:
                 self._exit_diff = (d2 & np.uint64(0xFFFF_FFFF)).copy()
 
     # -- vectorized instruction semantics ------------------------------
-    def _exec_step(self, instr, handler):
-        """Execute *instr* (semantics *handler*) on the leader while
-        some lane diverges."""
-        eng = self._eng
-        ms = eng.ms
-        op = instr.op
-        d = instr.d
-        cls = d.cls
-        nz = self._reg_nz
-        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
-        if cls == "load":
-            self._load_step(instr)
-            return
-        if cls == "store":
-            self._store_step(instr)
-            return
-        if cls == "branch":
-            if op in ("j", "jal"):
-                ms.pc = handler(instr, ms, eng._core)
-                if op == "jal":
-                    self._zero_row(_link_reg(ms.xlen))
-                return
-            if op in ("jr", "jalr"):
-                if rs1 in nz:
-                    diff = self._rd[rs1]
-                    if np.count_nonzero(diff):
-                        self._evict_mask(diff != 0)
-                ms.pc = handler(instr, ms, eng._core)
-                if op == "jalr":
-                    self._zero_row(rd)
-                return
-            self._branch_step(instr)
-            return
-        if cls == "sys":
-            # sim-kernel syscall/eret/halt/detect read no registers
-            ms.pc = handler(instr, ms, eng._core)
-            return
-        if cls == "div":
-            self._div_step(instr)
-            return
-        # ALU / MUL
-        if op == "lui":
-            ms.pc = handler(instr, ms, eng._core)
-            self._zero_row(rd)
-            return
-        uses_rs2 = d.fmt == "R"
-        rs1_nz = rs1 in nz
-        rs2_nz = uses_rs2 and rs2 in nz
-        if not rs1_nz and not rs2_nz:
-            ms.pc = handler(instr, ms, eng._core)
-            self._zero_row(rd)
-            return
-        row = self._linear_alu(op, instr, rs1, rs2, rs1_nz, rs2_nz)
-        if row is not None:
-            ms.pc = handler(instr, ms, eng._core)
-            if rd:
-                self._set_row(rd, row)
-            return
-        U = np.uint64
-        regs = eng.regs
-        a1 = (U(regs[rs1]) ^ self._rd[rs1]) if rs1_nz else U(regs[rs1])
-        a2 = None
-        if uses_rs2:
-            a2 = (U(regs[rs2]) ^ self._rd[rs2]) if rs2_nz \
-                else U(regs[rs2])
-        ms.pc = handler(instr, ms, eng._core)
-        if not rd:
-            return
-        self._assign(rd, self._alu(op, instr, a1, a2))
+    def _lane_record(self, instr):
+        """How a step runs *instr* while some lane diverges: ``(kind,
+        fn, operand)``.
 
-    def _linear_alu(self, op, instr, rs1, rs2, rs1_nz, rs2_nz):
-        """Destination diff row for XOR-linear ops, else None.
-
-        Shifts, AND and XOR distribute over XOR, so for these the lane
-        diff transforms without ever materialising per-lane values:
-        ``(L ^ d) op k == (L op k) ^ (d op k)``.  Only applicable when
-        the non-diffed inputs (shift amounts, AND masks) are lane-
-        uniform — i.e. immediates or clean registers.
+        ``fn`` is the op's :data:`repro.uarch.cpu.LANE_FORMS` function
+        (``_sdiv``/``_srem`` for div/rem) and ``operand`` the uint64 an
+        immediate op passes as ``b`` (None when ``b`` is rs2's value).
         """
-        U = np.uint64
-        if op == "xor":
-            return self._rd[rs1] ^ self._rd[rs2]
-        if op == "xori":
-            return self._rd[rs1]
-        if op == "andi":
-            return self._rd[rs1] & U(instr.imm & 0xFFFF)
-        if rs1_nz and rs2_nz:
-            return None
-        regs = self._eng.regs
-        xlen = self._xlen
-        if op == "and":
-            if rs2_nz:
-                return self._rd[rs2] & U(regs[rs1])
-            return self._rd[rs1] & U(regs[rs2])
-        if op in ("slli", "srli", "sll", "srl"):
-            if op in ("sll", "srl"):
-                if rs2_nz:
-                    return None    # lane-dependent shift amount
-                shift = regs[rs2] & (xlen - 1)
-            else:
-                shift = instr.imm & (xlen - 1)
-            d1 = self._rd[rs1]
-            if op in ("slli", "sll"):
-                return (d1 << U(shift)) & self._masku
-            return d1 >> U(shift)
-        return None
+        d = instr.d
+        form = LANE_FORMS[self._xlen].get(instr.op)
+        fn = form.fn if form is not None else None
+        operand = None
+        if d.cls == CLS_LOAD:
+            kind = _LOAD
+        elif d.cls == CLS_STORE:
+            kind = _STORE
+        elif d.cls == CLS_DIV:
+            kind, fn = _DIV, _DIVIDE[instr.op]
+        elif d.fmt == FMT_B:
+            kind = _BRANCH
+        elif d.fmt == FMT_RJ:
+            kind = _JUMP_REG
+        elif form is None or d.fmt == FMT_U:
+            # j, jal, lui and sim-kernel syscall/eret/halt/detect read
+            # no register: every lane computes what the leader does
+            kind = _UNIFORM
+        else:
+            kind = _ALU
+            if form.imm_mask is not None:
+                operand = np.uint64(instr.imm & form.imm_mask & FULL)
+        return kind, fn, operand
 
-    def _alu(self, op, instr, v1, v2):
-        """Per-lane result values for a (non-div) ALU/MUL op."""
-        U = np.uint64
-        masku = self._masku
-        xlen = self._xlen
-        imm = instr.imm
-        if op == "add":
-            return (v1 + v2) & masku
-        if op == "sub":
-            return (v1 - v2) & masku
-        if op == "mul":
-            return (v1 * v2) & masku
-        if op == "and":
-            return v1 & v2
-        if op == "or":
-            return v1 | v2
-        if op == "xor":
-            return v1 ^ v2
-        if op == "sll":
-            return (v1 << (v2 & U(xlen - 1))) & masku
-        if op == "srl":
-            return v1 >> (v2 & U(xlen - 1))
-        if op == "sra":
-            shift = (v2 & U(xlen - 1)).astype(np.int64)
-            return (self._signed(v1) >> shift).astype(np.uint64) & masku
-        if op == "slt":
-            return (self._signed(v1) < self._signed(v2)).astype(np.uint64)
-        if op == "sltu":
-            return (v1 < v2).astype(np.uint64)
-        if op == "addw":
-            return self._sext32(v1 + v2)
-        if op == "subw":
-            return self._sext32(v1 - v2)
-        if op == "mulw":
-            return self._sext32(v1 * v2)
-        if op == "sllw":
-            return self._sext32(v1 << (v2 & U(31)))
-        if op == "srlw":
-            return self._sext32((v1 & U(0xFFFF_FFFF)) >> (v2 & U(31)))
-        if op == "sraw":
-            x = v1 & U(0xFFFF_FFFF)
-            sx = np.ascontiguousarray((x ^ U(0x8000_0000))
-                                      - U(0x8000_0000)).view(np.int64)
-            shift = (v2 & U(31)).astype(np.int64)
-            return self._sext32((sx >> shift).astype(np.uint64))
-        if op == "addi":
-            return (v1 + U(imm & FULL)) & masku
-        if op == "addiw":
-            return self._sext32(v1 + U(imm & FULL))
-        if op == "andi":
-            return v1 & U(imm & 0xFFFF)
-        if op == "ori":
-            return v1 | U(imm & 0xFFFF)
-        if op == "xori":
-            return (v1 ^ U(imm & int(masku))) & masku
-        if op == "slli":
-            return (v1 << U(imm & (xlen - 1))) & masku
-        if op == "srli":
-            return v1 >> U(imm & (xlen - 1))
-        if op == "srai":
-            shift = imm & (xlen - 1)
-            return (self._signed(v1) >> np.int64(shift)) \
-                .astype(np.uint64) & masku
-        if op == "slti":
-            return (self._signed(v1) < np.int64(imm)).astype(np.uint64)
-        raise ContainmentError(  # pragma: no cover - table kept in sync
-            f"no batched semantics for {op}",
-            context={"engine": "batch", "op": op})
+    def _exec_step(self, instr, handler, dest):
+        """Execute *instr* (semantics *handler*, writing register
+        *dest*, 0 for none) on the leader while some lane diverges."""
+        record = self._lanes.get(instr.raw)
+        if record is None:
+            record = self._lanes[instr.raw] = self._lane_record(instr)
+        kind, fn, operand = record
+        if kind == _ALU:
+            self._alu_step(instr, handler, fn, operand, dest)
+        elif kind == _LOAD:
+            self._load_step(instr, handler, dest)
+        elif kind == _STORE:
+            self._store_step(instr, handler)
+        elif kind == _BRANCH:
+            self._branch_step(instr, handler, fn)
+        elif kind == _DIV:
+            self._div_step(instr, handler, fn, dest)
+        else:
+            if kind == _JUMP_REG and instr.rs1 in self._reg_nz:
+                diff = self._rd[instr.rs1]
+                if np.count_nonzero(diff):
+                    self._evict_mask(diff != 0)
+            ms = self._eng.ms
+            ms.pc = handler(instr, ms, self._eng._core)
+            self._zero_row(dest)
 
-    def _signed(self, v):
-        if self._xlen == 64:
-            return np.ascontiguousarray(v).view(np.int64)
-        return np.ascontiguousarray(
-            (v ^ np.uint64(0x8000_0000)) - np.uint64(0x8000_0000)) \
-            .view(np.int64)
-
-    def _sext32(self, v):
-        U = np.uint64
-        r = v & U(0xFFFF_FFFF)
-        return np.where(r & U(0x8000_0000),
-                        r | U(0xFFFF_FFFF_0000_0000), r)
-
-    def _div_step(self, instr):
+    def _alu_step(self, instr, handler, fn, operand, dest):
         eng = self._eng
         ms = eng.ms
         nz = self._reg_nz
-        rs1, rs2, rd = instr.rs1, instr.rs2, instr.rd
+        rs1, rs2 = instr.rs1, instr.rs2
+        if rs1 not in nz and (operand is not None or rs2 not in nz):
+            ms.pc = handler(instr, ms, eng._core)
+            self._zero_row(dest)
+            return
+        U = np.uint64
+        regs, rd = eng.regs, self._rd
+        a = U(regs[rs1]) ^ rd[rs1]
+        b = U(regs[rs2]) ^ rd[rs2] if operand is None else operand
+        ms.pc = handler(instr, ms, eng._core)
+        if dest:
+            self._assign(dest, fn(a, b))
+
+    def _div_step(self, instr, handler, fn, dest):
+        eng = self._eng
+        ms = eng.ms
+        nz = self._reg_nz
+        rs1, rs2 = instr.rs1, instr.rs2
         U = np.uint64
         if rs1 not in nz and rs2 not in nz:
-            ms.pc = execute(instr, ms, eng._core)
-            self._zero_row(rd)
+            ms.pc = handler(instr, ms, eng._core)
+            self._zero_row(dest)
             return
         d1, d2 = self._rd[rs1], self._rd[rs2]
         a1 = U(eng.regs[rs1]) ^ d1
@@ -890,16 +783,15 @@ class BatchedFunctionalEngine:
             if np.count_nonzero(zero_div):
                 self._evict_mask(zero_div)
         diverged = d1 | d2
-        ms.pc = execute(instr, ms, eng._core)
-        if not rd:
+        ms.pc = handler(instr, ms, eng._core)
+        if not dest:
             return
         if not np.count_nonzero(diverged):
-            self._zero_row(rd)
+            self._zero_row(dest)
             return
         xlen = self._xlen
         mask = int(self._masku)
-        fn = _sdiv if instr.op == "div" else _srem
-        leader = eng.regs[rd]
+        leader = eng.regs[dest]
         row = np.zeros(self._n, dtype=np.uint64)
         for lane in np.nonzero(diverged)[0]:
             if self._evicted[int(lane)]:
@@ -907,61 +799,37 @@ class BatchedFunctionalEngine:
             a = to_signed(int(a1[lane]), xlen)
             b = to_signed(int(a2[lane]), xlen)
             row[lane] = (fn(a, b) & mask) ^ leader
-        self._set_row(rd, row)
+        self._set_row(dest, row)
 
-    def _branch_step(self, instr):
+    def _branch_step(self, instr, handler, fn):
         eng = self._eng
         ms = eng.ms
         nz = self._reg_nz
         rs1, rs2 = instr.rs1, instr.rs2
         if rs1 in nz or rs2 in nz:
-            op = instr.op
             U = np.uint64
-            v1 = U(eng.regs[rs1]) ^ self._rd[rs1]
-            v2 = U(eng.regs[rs2]) ^ self._rd[rs2]
-            a, b = eng.regs[rs1], eng.regs[rs2]
-            if op in ("blt", "bge"):
-                s1, s2 = self._signed(v1), self._signed(v2)
-                xlen = ms.xlen
-                a, b = to_signed(a, xlen), to_signed(b, xlen)
-                if op == "blt":
-                    taken = s1 < s2
-                    leader_taken = a < b
-                else:
-                    taken = s1 >= s2
-                    leader_taken = a >= b
-            elif op == "beq":
-                taken = v1 == v2
-                leader_taken = a == b
-            elif op == "bne":
-                taken = v1 != v2
-                leader_taken = a != b
-            elif op == "bltu":
-                taken = v1 < v2
-                leader_taken = a < b
-            else:  # bgeu
-                taken = v1 >= v2
-                leader_taken = a >= b
-            split = taken != leader_taken
+            regs, rd = eng.regs, self._rd
+            a, b = regs[rs1], regs[rs2]
+            split = fn(U(a) ^ rd[rs1], U(b) ^ rd[rs2]) != fn(a, b)
             if np.count_nonzero(split):
                 self._evict_mask(split)
-        ms.pc = execute(instr, ms, eng._core)
+        ms.pc = handler(instr, ms, eng._core)
 
-    def _load_step(self, instr):
+    def _load_step(self, instr, handler, dest):
         eng = self._eng
         ms = eng.ms
         nz = self._reg_nz
-        rs1, rd = instr.rs1, instr.rd
+        rs1 = instr.rs1
         d = instr.d
         leader_addr = (eng.regs[rs1] + instr.imm) & ms.mask & ADDR_MASK
         if rs1 in nz:
             self._check_addr_split(rs1, instr.imm, leader_addr)
-        ms.pc = execute(instr, ms, eng._core)
-        if not rd:
+        ms.pc = handler(instr, ms, eng._core)
+        if not dest:
             return
         gathered = self._mem_gather(leader_addr, d.mem_bytes)
         if gathered is None:
-            self._zero_row(rd)
+            self._zero_row(dest)
             return
         U = np.uint64
         raw = eng.memory.read_int(leader_addr, d.mem_bytes, False)
@@ -971,9 +839,9 @@ class BatchedFunctionalEngine:
             value = ((lane_raw ^ sign) - sign) & self._masku
         else:
             value = lane_raw
-        self._assign(rd, value)
+        self._assign(dest, value)
 
-    def _store_step(self, instr):
+    def _store_step(self, instr, handler):
         eng = self._eng
         ms = eng.ms
         nz = self._reg_nz
@@ -981,7 +849,7 @@ class BatchedFunctionalEngine:
         leader_addr = (eng.regs[rs1] + instr.imm) & ms.mask & ADDR_MASK
         if rs1 in nz:
             self._check_addr_split(rs1, instr.imm, leader_addr)
-        ms.pc = execute(instr, ms, eng._core)
+        ms.pc = handler(instr, ms, eng._core)
         self._mem_deposit(leader_addr, instr.d.mem_bytes, self._rd[rs2])
 
     def _check_addr_split(self, rs1, imm, leader_addr):

@@ -109,6 +109,8 @@ def _srem(a: int, b: int) -> int:
 # The handlers of these ops are generated from the table, and the
 # pipeline's run loop calls the same functions in place of the
 # handler, so the semantics ledger checks the arithmetic both run.
+# The batched engine runs the table's lane forms, the same functions
+# but for four with an array-safe variant, on uint64 lane vectors.
 # ---------------------------------------------------------------------------
 class ValueForm(NamedTuple):
     """How one mnemonic computes: ``fn(a, b)`` over its source values.
@@ -123,9 +125,10 @@ class ValueForm(NamedTuple):
     imm_mask: Optional[int] = None
 
 
-def _value_functions(xlen: int) -> dict:
+def _value_functions(xlen: int) -> tuple:
     """mnemonic -> ``fn(a, b)`` of the R-type and W-type ALU ops, lui
-    and the conditional branches at *xlen*."""
+    and the conditional branches at *xlen*: one map over ints, and one
+    whose functions also run on NumPy uint64 vectors."""
     mask = (1 << xlen) - 1
     # (a ^ sign) - sign is to_signed(a, xlen), and flipping the sign
     # bit maps signed order onto unsigned order; ((v & low) ^ w) - w,
@@ -161,11 +164,24 @@ def _value_functions(xlen: int) -> dict:
     def sra(a, b):
         return (((a ^ sign) - sign) >> (b & amount)) & mask
 
+    def sra_lanes(a, b):
+        # uint64 wraps where an int goes negative, so shift first and
+        # sign-extend from the shifted sign bit
+        s = b & amount
+        m = sign >> s
+        return (((a >> s) ^ m) - m) & mask
+
     def slt(a, b):
         return 1 if (a ^ sign) < (b ^ sign) else 0
 
+    def slt_lanes(a, b):
+        return (a ^ sign) < (b ^ sign)
+
     def sltu(a, b):
         return 1 if a < b else 0
+
+    def sltu_lanes(a, b):
+        return a < b
 
     def addw(a, b):
         return ((((a + b) & low) ^ w) - w) & mask
@@ -184,6 +200,11 @@ def _value_functions(xlen: int) -> dict:
 
     def sraw(a, b):
         return ((((a & low) ^ w) - w) >> (b & 31)) & mask
+
+    def sraw_lanes(a, b):
+        s = b & 31
+        m = w >> s
+        return ((((a & low) >> s) ^ m) - m) & mask
 
     def lui(a, b):
         return ((((b & 0xFFFF) << 16) ^ w) - w) & mask
@@ -206,7 +227,7 @@ def _value_functions(xlen: int) -> dict:
     def bgeu(a, b):
         return a >= b
 
-    return {
+    fns = {
         "add": add, "sub": sub, "mul": mul, "and": and_, "or": or_,
         "xor": xor, "sll": sll, "srl": srl, "sra": sra, "slt": slt,
         "sltu": sltu, "addw": addw, "subw": subw, "mulw": mulw,
@@ -214,10 +235,11 @@ def _value_functions(xlen: int) -> dict:
         "beq": beq, "bne": bne, "blt": blt, "bge": bge, "bltu": bltu,
         "bgeu": bgeu,
     }
+    return fns, dict(fns, sra=sra_lanes, slt=slt_lanes, sltu=sltu_lanes,
+                     sraw=sraw_lanes)
 
 
-def _value_forms(xlen: int) -> dict:
-    fns = _value_functions(xlen)
+def _value_forms(fns: dict, xlen: int) -> dict:
     forms = {op: ValueForm(fn) for op, fn in fns.items()}
     # lui's operand is its raw immediate; xori with imm -1 is
     # canonical NOT, so its immediate sign-extends
@@ -232,9 +254,21 @@ def _value_forms(xlen: int) -> dict:
     return forms
 
 
+_FUNCTIONS = {xlen: _value_functions(xlen) for xlen in (32, 64)}
+
 #: xlen -> mnemonic -> :class:`ValueForm`, for every ALU op but
 #: div/rem and every conditional branch
-VALUE_FORMS: dict = {xlen: _value_forms(xlen) for xlen in (32, 64)}
+VALUE_FORMS: dict = {xlen: _value_forms(fns, xlen)
+                     for xlen, (fns, _) in _FUNCTIONS.items()}
+
+#: ``VALUE_FORMS`` over NumPy uint64 lane vectors (one element per
+#: lane; operands may mix vectors and uint64 scalars): the same
+#: function objects and ``imm_mask`` but for sra, sraw, slt and sltu
+#: (and their immediate forms), whose int forms shift a negative int or
+#: take the truth value of a comparison.  A comparison returns a bool
+#: vector, not 0/1 values.
+LANE_FORMS: dict = {xlen: _value_forms(lanes, xlen)
+                    for xlen, (_, lanes) in _FUNCTIONS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +439,6 @@ def _handler_table(xlen: int) -> dict:
 #: entry per ``BY_MNEMONIC`` op (checked when the module is imported);
 #: engines keep the entry for their xlen in their decode records
 HANDLERS_BY_XLEN: dict = {xlen: _handler_table(xlen) for xlen in (32, 64)}
-
-
-def _dispatch(op: str) -> Callable:
-    by_xlen = {xlen: table[op] for xlen, table in HANDLERS_BY_XLEN.items()}
-    if by_xlen[32] is by_xlen[64]:
-        return by_xlen[32]
-
-    def handler(instr, ms, core):
-        return by_xlen[ms.xlen](instr, ms, core)
-    handler.__name__ = handler.__qualname__ = f"_{op}"
-    return handler
-
-
-#: mnemonic -> ``handler(instr, ms, core) -> next pc`` for either xlen:
-#: the ``HANDLERS_BY_XLEN`` entry of ``ms.xlen``.  Nothing in the
-#: engines calls it; it is the xlen-generic view callers outside them
-#: (the semantics ledger) index by mnemonic alone
-HANDLERS: dict = {op: _dispatch(op) for op in BY_MNEMONIC}
 
 
 def execute(instr: Decoded, ms: MachineState, core: CoreAccess) -> int:

@@ -119,12 +119,6 @@ class LoadStoreQueue:
         self._inflight.append(entry)
         return entry, stall_until
 
-    def cancel(self, entry: LSQEntry) -> None:
-        """Free the entry just allocated (its op never reached memory)."""
-        entry.valid = False
-        self.valid_count -= 1
-        self._inflight.remove(entry)
-
     def occupancy(self) -> float:
         return self.valid_count / self.size
 

@@ -109,8 +109,7 @@ class _ScanLSQ:
 
 @settings(max_examples=150, deadline=None)
 @given(size=st.integers(1, 6),
-       ops=st.lists(st.tuples(st.sampled_from(["alloc", "reclaim",
-                                               "cancel"]),
+       ops=st.lists(st.tuples(st.sampled_from(["alloc", "reclaim"]),
                               st.integers(0, 8), st.integers(1, 12)),
                     min_size=1, max_size=60))
 def test_in_order_reclaim_frees_what_a_scan_frees(size, ops):
@@ -127,14 +126,9 @@ def test_in_order_reclaim_frees_what_a_scan_frees(size, ops):
             # commits strictly increase in program order
             last_commit = max(last_commit + 0.25, stall + latency)
             entry.commit_cycle = ref.commit[index] = last_commit
-        elif op == "reclaim":
+        else:
             lsq.reclaim(now + latency)
             ref.reclaim(now + latency)
-        elif lsq.valid_count and lsq._inflight \
-                and lsq._inflight[-1].valid:
-            entry = lsq._inflight[-1]
-            ref.valid[lsq.entries.index(entry)] = False
-            lsq.cancel(entry)
         assert [e.valid for e in lsq.entries] == ref.valid
         assert lsq.valid_count == sum(ref.valid)
 

@@ -15,14 +15,14 @@ import pytest
 
 from repro.isa.instructions import BY_MNEMONIC
 from repro.isa.registers import ISA_NAMES
-from repro.uarch.cpu import HANDLERS, execute
+from repro.uarch.cpu import HANDLERS_BY_XLEN, execute
 from tests.ledgers import SEMANTICS_PATH, semantics_cases, semantics_entry
 
 LEDGER = json.loads(SEMANTICS_PATH.read_text())["isa"]
 
 
 def _through_table(instr, ms, core):
-    return HANDLERS[instr.op](instr, ms, core)
+    return HANDLERS_BY_XLEN[ms.xlen][instr.op](instr, ms, core)
 
 
 def _mismatches(isa, run):
@@ -55,13 +55,15 @@ class TestSemanticsLedger:
     def test_table_covers_every_mnemonic(self):
         # one handler per opcode-table entry, so an op without
         # semantics cannot decode in the first place
-        assert set(HANDLERS) == set(BY_MNEMONIC)
-        assert all(callable(handler) for handler in HANDLERS.values())
+        for handlers in HANDLERS_BY_XLEN.values():
+            assert set(handlers) == set(BY_MNEMONIC)
+            assert all(callable(handler) for handler in handlers.values())
 
     def test_loads_and_stores_share_a_handler_by_class(self):
-        by_class: dict = {}
-        for op, d in BY_MNEMONIC.items():
-            if d.cls in ("load", "store"):
-                by_class.setdefault(d.cls, set()).add(HANDLERS[op])
-        assert {cls: len(h) for cls, h in by_class.items()} \
-            == {"load": 1, "store": 1}
+        for handlers in HANDLERS_BY_XLEN.values():
+            by_class: dict = {}
+            for op, d in BY_MNEMONIC.items():
+                if d.cls in ("load", "store"):
+                    by_class.setdefault(d.cls, set()).add(handlers[op])
+            assert {cls: len(h) for cls, h in by_class.items()} \
+                == {"load": 1, "store": 1}

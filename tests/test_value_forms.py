@@ -3,11 +3,12 @@
 Every ALU op but div/rem and every conditional branch has one
 arithmetic definition, a value function in ``repro.uarch.cpu``; an
 immediate op runs its register-register op's function on an operand
-masked out of the immediate.  The pipeline's run loop calls
-those functions directly, and ``cpu.HANDLERS`` is generated from them.
-``corpus/ledger/semantics.json`` was recorded from hand-written
-handlers, so checking the value forms against it checks the arithmetic
-the run loop executes.
+masked out of the immediate.  The pipeline's run loop calls those
+functions directly, ``cpu.HANDLERS_BY_XLEN`` is generated from them,
+and the batched engine runs their lane forms (``cpu.LANE_FORMS``) on
+uint64 lane vectors.  ``corpus/ledger/semantics.json`` was recorded
+from hand-written handlers, so checking the value forms against it
+checks the arithmetic all three execute.
 """
 
 from __future__ import annotations
@@ -16,18 +17,20 @@ import inspect
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.isa.instructions import BY_MNEMONIC
 from repro.isa.registers import ISA_NAMES, register_set
 from repro.kernel.loader import build_system_image
+from repro.uarch import batch
 from repro.uarch.config import CORTEX_A9, CORTEX_A72
-from repro.uarch.cpu import HANDLERS, HANDLERS_BY_XLEN, VALUE_FORMS
-from repro.uarch.functional import cached_decode
+from repro.uarch.cpu import HANDLERS_BY_XLEN, LANE_FORMS, VALUE_FORMS
+from repro.uarch.functional import (FaultAction, FunctionalEngine,
+                                   cached_decode)
 from repro.uarch.pipeline import _ALU, _BRANCH, PipelineEngine
 from repro.workloads.suite import load_workload
-from tests.ledgers import (GRID_PC, RD, SEMANTICS_PATH, semantics_cases,
-                           semantics_entry)
+from tests.ledgers import GRID_PC, RD, SEMANTICS_PATH, semantics_cases
 
 LEDGER = json.loads(SEMANTICS_PATH.read_text())["isa"]
 WRITE = re.compile(rf"\bw{RD}=(0x[0-9a-f]+)")
@@ -92,20 +95,52 @@ def test_handlers_are_built_from_the_value_table(op, xlen):
     assert not refs.globals, op
 
 
+#: the ops whose lane form is an array-safe variant of the int form
+LANE_VARIANTS = {"sra", "srai", "sraw", "slt", "slti", "sltu"}
+
+
+def test_lane_forms_share_the_value_functions():
+    for xlen, forms in VALUE_FORMS.items():
+        lanes = LANE_FORMS[xlen]
+        assert set(lanes) == set(forms)
+        for op, form in forms.items():
+            assert lanes[op].imm_mask == form.imm_mask, (xlen, op)
+            assert (lanes[op].fn is form.fn) == (op not in LANE_VARIANTS), \
+                (xlen, op)
+
+
 @pytest.mark.parametrize("isa", ISA_NAMES)
-def test_handlers_run_what_the_per_xlen_table_runs(isa):
-    # HANDLERS (what the semantics ledger runs) and the per-xlen table
-    # the engines run agree at every grid point of a value-form op
+def test_lane_forms_reproduce_the_ledger(isa):
+    # one lane per grid point of an op, operands as the batched engine
+    # passes them: uint64 vectors, an immediate masked to 64 bits
+    xlen = register_set(isa).xlen
+    grid: dict = {}
+    for op, label, instr, form, a, b, entry in _value_cases(isa):
+        grid.setdefault(op, []).append((label, instr, a, b, entry))
     bad = []
-    for op, label, instr, xlen, mode, a, b in semantics_cases(isa):
-        if op not in VALUE_FORMS[xlen]:
-            continue
-        want = semantics_entry(HANDLERS_BY_XLEN[xlen][op], instr, xlen,
-                               mode, a, b)
-        got = semantics_entry(HANDLERS[op], instr, xlen, mode, a, b)
-        if got != want:
-            bad.append(f"{op} {label}: want {want} got {got}")
-    assert not bad, bad[:10]
+    for op, points in grid.items():
+        fn, imm_mask = LANE_FORMS[xlen][op]
+        a = np.array([0 if op == "lui" else p[2] for p in points],
+                     dtype=np.uint64)
+        if imm_mask is None:
+            b = np.array([p[3] for p in points], dtype=np.uint64)
+        else:
+            b = np.array([p[1].imm & imm_mask & batch.FULL
+                          for p in points], dtype=np.uint64)
+        got = fn(a, b)
+        assert got.shape == (len(points),), op
+        for (label, instr, _, _, entry), value in zip(points, got):
+            if BY_MNEMONIC[op].fmt == "B":
+                value = GRID_PC + 4 + instr.imm if value else GRID_PC + 4
+                want = int(NEXT.search(entry).group(1), 16)
+            else:
+                want = int(WRITE.search(entry).group(1), 16)
+            if int(value) != want:
+                bad.append(f"{op} {label}: want {want:#x} got "
+                           f"{int(value):#x}")
+    assert set(grid) == {op for op in VALUE_FORMS[xlen]
+                         if xlen == 64 or not BY_MNEMONIC[op].mr64_only}
+    assert not bad, f"{len(bad)} grid points differ:\n" + "\n".join(bad[:10])
 
 
 @pytest.mark.parametrize("config", [CORTEX_A9, CORTEX_A72])
@@ -129,5 +164,37 @@ def test_pipeline_records_hold_the_value_table(config):
         assert kind == (_BRANCH if instr.d.fmt == "B" else _ALU)
         assert operand == (0 if form.imm_mask is None
                            else instr.imm & form.imm_mask)
+    assert {"addi", "lui", "add"} <= seen
+    assert seen & {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
+
+
+@pytest.mark.parametrize("workload", ["crc32", "sha"])
+@pytest.mark.parametrize("config", [CORTEX_A9, CORTEX_A72])
+def test_batch_lane_records_hold_the_lane_forms(config, workload):
+    program = load_workload(workload, config.isa)
+    engine = FunctionalEngine(build_system_image(program))
+    batched = batch.BatchedFunctionalEngine(
+        engine, [FaultAction("commit", 0, lambda eng: None)])
+    forms = LANE_FORMS[engine.ms.xlen]
+    text = program.section(".text").data
+    seen = set()
+    for off in range(0, len(text), 4):
+        word = int.from_bytes(text[off:off + 4], "little")
+        instr = engine._decode_record(word)[0]
+        kind, fn, operand = batched._lane_record(instr)
+        form = forms.get(instr.op)
+        if form is None:
+            assert kind not in (batch._ALU, batch._BRANCH)
+            continue
+        seen.add(instr.op)
+        assert fn is form.fn
+        if instr.d.fmt == "B":
+            assert kind == batch._BRANCH and operand is None
+        elif instr.op == "lui":
+            assert kind == batch._UNIFORM
+        else:
+            assert kind == batch._ALU
+            assert operand == (None if form.imm_mask is None else np.uint64(
+                instr.imm & form.imm_mask & batch.FULL))
     assert {"addi", "lui", "add"} <= seen
     assert seen & {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
