@@ -35,6 +35,7 @@ from ..core.divergence import (METHODS, analyze_divergence,
                                gefin_structure_rows)
 from ..core.report import render_sparkline, render_table
 from ..injectors.campaign import CampaignResult
+from ..injectors.golden import CACHE_SCHEMA_VERSION
 from .profiles import (N_PHASES, N_REGIONS, ResidencyProfile,
                        attribute_campaign, phase_of)
 from .reporting import iter_events, report_data
@@ -47,10 +48,12 @@ RAMP = " .:-=+*#%@"
 # data assembly (reads sidecars and the event log; never simulates)
 # ---------------------------------------------------------------------------
 def scan_campaigns(cache_path: "Path | str") -> list:
-    """Load every parseable ``campaign-*.json`` sidecar in a directory.
+    """Load every current ``campaign-*.json`` sidecar in a directory.
 
     Corrupt or foreign files are skipped, never raised on — the cache
-    directory is shared mutable state.
+    directory is shared mutable state.  So are sidecars of another
+    ``CACHE_SCHEMA_VERSION``, which the campaign store would discard
+    rather than reuse.
     """
     out = []
     for path in sorted(Path(cache_path).glob("campaign-*.json")):
@@ -59,7 +62,8 @@ def scan_campaigns(cache_path: "Path | str") -> list:
             campaign = CampaignResult.from_json(data)
         except (ValueError, TypeError, KeyError, OSError):
             continue
-        out.append(campaign)
+        if data.get("schema") == CACHE_SCHEMA_VERSION:
+            out.append(campaign)
     return out
 
 
@@ -519,170 +523,172 @@ def _trace_links(heatmap: Heatmap, traces: list) -> dict:
 
 def _traces_html(traces: list) -> list:
     """Per-run differential trace sections (one per sidecar)."""
+    return ["<h2>Per-run differential traces</h2>",
+            '<p class="muted">golden-vs-faulty state diffs around '
+            "injection/crossing, rendered from "
+            "<code>trace-*.json</code> sidecars — no "
+            "re-simulation. Changed cells are highlighted.</p>",
+            *(trace_section(payload) for payload in traces)]
+
+
+def trace_section(payload: dict) -> str:
+    """One run's differential trace: a titled table of every frame in
+    the sidecar's window, changed cells highlighted.  The static page
+    lists one per sidecar; the observatory's ``/diff`` carries it as
+    ``html`` for the drill-down panel."""
     from .trace_diff import frame_diverges
 
-    parts = ["<h2>Per-run differential traces</h2>",
-             '<p class="muted">golden-vs-faulty state diffs around '
-             "injection/crossing, rendered from "
-             "<code>trace-*.json</code> sidecars — no "
-             "re-simulation. Changed cells are highlighted.</p>"]
-    for payload in traces:
-        target = (payload.get("structure") or payload.get("model")
-                  or "-")
-        title = (f"{payload['injector']}:{payload['workload']}"
-                 f"@{payload['config']}/{target} "
-                 f"seed={payload['seed']} index={payload['index']}")
-        parts.append(f'<h3 id="{_trace_anchor(payload)}">'
-                     f"{html.escape(title)}</h3>")
-        anchors = payload["anchors"]
-        anchor_text = ", ".join(
-            f"{kind} @ step {anchors[kind]}"
-            for kind in ("injected", "crossed")
-            if anchors.get(kind) is not None) or "never applied"
-        outcome = payload["outcome"]
-        outcome_text = outcome["outcome"] + (
-            f" ({outcome['crash_kind']})"
-            if outcome.get("crash_kind") else "")
-        diverging = sum(1 for f in payload["frames"]
-                        if frame_diverges(f))
-        parts.append(
-            f'<p class="muted">{anchor_text} — outcome '
-            f"{html.escape(outcome_text)} — "
-            f"{len(payload['frames'])} frames, {diverging} "
-            f"diverging</p>")
-        names = payload.get("reg_names") or []
-        rows = []
-        for frame in payload["frames"]:
-            diverges = frame_diverges(frame)
-            pc_changed = (frame["golden_pc"] is not None
-                          and frame["golden_pc"] != frame["pc"])
-            pc_text = f"{frame['pc']:#010x}"
-            if pc_changed:
-                pc_text = (f"{frame['golden_pc']:#010x} → "
-                           f"{pc_text}")
-            regs = []
-            for index_str in sorted(frame["regs"], key=int):
-                old, new = frame["regs"][index_str]
-                reg = int(index_str)
-                name = (names[reg] if reg < len(names)
-                        else f"r{reg}")
-                regs.append(f"{name} {old:#x}→{new:#x}")
-            mem_faulty = frame["mem"]["faulty"]
-            mem_golden = frame["mem"]["golden"]
-            mem_changed = mem_faulty != mem_golden
-            mem_text = " / ".join(
-                "-" if m is None else
-                f"{m[0]} {m[1]:#x} x{m[2]}"
-                + (f" = {m[3]:#x}" if m[3] is not None else "")
-                for m in (mem_golden, mem_faulty))
-            structs = frame.get("structs")
-            struct_changes = []
-            if structs and structs.get("golden"):
-                struct_changes = [
-                    f"{key} {structs['golden'][key]}"
-                    f"→{structs['faulty'][key]}"
-                    for key in sorted(structs["faulty"])
-                    if structs["faulty"][key]
-                    != structs["golden"][key]]
+    target = (payload.get("structure") or payload.get("model")
+              or "-")
+    title = (f"{payload['injector']}:{payload['workload']}"
+             f"@{payload['config']}/{target} "
+             f"seed={payload['seed']} index={payload['index']}")
+    anchors = payload["anchors"]
+    anchor_text = ", ".join(
+        f"{kind} @ step {anchors[kind]}"
+        for kind in ("injected", "crossed")
+        if anchors.get(kind) is not None) or "never applied"
+    outcome = payload["outcome"]
+    outcome_text = outcome["outcome"] + (
+        f" ({outcome['crash_kind']})"
+        if outcome.get("crash_kind") else "")
+    diverging = sum(1 for f in payload["frames"] if frame_diverges(f))
+    names = payload.get("reg_names") or []
 
-            def cell(text, changed):
-                if not changed:
-                    return text
-                return _RawHTML(f'<td class="chg">'
-                                f"{html.escape(str(text))}</td>")
+    def cell(text, changed):
+        if not changed:
+            return text
+        return _RawHTML(f'<td class="chg">'
+                        f"{html.escape(str(text))}</td>")
 
-            rows.append([
-                frame["step"],
-                frame["cycle"],
-                cell(pc_text, pc_changed),
-                cell(", ".join(regs) if regs else "-", bool(regs)),
-                cell(mem_text, mem_changed and diverges),
-                cell(", ".join(struct_changes)
-                     if struct_changes else "-",
-                     bool(struct_changes)),
-                ", ".join(frame["marks"]) if frame["marks"] else "-",
-            ])
-        parts.append(_html_table(
+    rows = []
+    for frame in payload["frames"]:
+        pc_changed = (frame["golden_pc"] is not None
+                      and frame["golden_pc"] != frame["pc"])
+        pc_text = f"{frame['pc']:#010x}"
+        if pc_changed:
+            pc_text = f"{frame['golden_pc']:#010x} → {pc_text}"
+        regs = []
+        for index_str in sorted(frame["regs"], key=int):
+            old, new = frame["regs"][index_str]
+            reg = int(index_str)
+            name = names[reg] if reg < len(names) else f"r{reg}"
+            regs.append(f"{name} {old:#x}→{new:#x}")
+        mem_faulty = frame["mem"]["faulty"]
+        mem_golden = frame["mem"]["golden"]
+        mem_text = " / ".join(
+            "-" if m is None else
+            f"{m[0]} {m[1]:#x} x{m[2]}"
+            + (f" = {m[3]:#x}" if m[3] is not None else "")
+            for m in (mem_golden, mem_faulty))
+        structs = frame.get("structs")
+        struct_changes = []
+        if structs and structs.get("golden"):
+            struct_changes = [
+                f"{key} {structs['golden'][key]}"
+                f"→{structs['faulty'][key]}"
+                for key in sorted(structs["faulty"])
+                if structs["faulty"][key] != structs["golden"][key]]
+        rows.append([
+            frame["step"],
+            frame["cycle"],
+            cell(pc_text, pc_changed),
+            cell(", ".join(regs) if regs else "-", bool(regs)),
+            cell(mem_text,
+                 mem_faulty != mem_golden and frame_diverges(frame)),
+            cell(", ".join(struct_changes) if struct_changes else "-",
+                 bool(struct_changes)),
+            ", ".join(frame["marks"]) if frame["marks"] else "-",
+        ])
+    return "\n".join([
+        f'<h3 id="{_trace_anchor(payload)}">{html.escape(title)}</h3>',
+        f'<p class="muted">{anchor_text} — outcome '
+        f"{html.escape(outcome_text)} — "
+        f"{len(payload['frames'])} frames, {diverging} diverging</p>",
+        _html_table(
             ["step", payload["unit"], "pc", "changed registers",
              "mem (golden / faulty)", "structure deltas", "marks"],
-            rows))
-    return parts
+            rows)])
 
 
-def _events_html(summary: "dict | None") -> list:
-    """The live-updatable sections: campaign throughput, outcome mix,
-    throughput sparkline and planner savings, each inside a div with
-    a stable id.  The static ``--html`` page renders them once; the
-    observatory's SSE script patches the same divs in place as
-    ``events.jsonl`` grows.
+def live_sections(summary: "dict | None") -> dict:
+    """The event-log sections as ``{div id: inner HTML}``: campaign
+    throughput, outcome mix, throughput sparkline and planner savings.
+
+    *summary* is the ``repro report --json`` payload.  The static page
+    renders each inside its div once (:func:`html_sections`); the
+    observatory sends the same dict with every SSE ``summary`` and the
+    page swaps each div's content for it, so a patched section is the
+    freshly served one byte for byte.
     """
     summary = summary if summary and summary.get("campaigns") else {
-        "campaigns": [], "outcome_totals": {}, "retries": []}
-    # the job table has no batch data source — it exists only while
-    # served, filled by the SSE script from job_update events
-    parts = ['<div id="live-jobs"></div>',
-             "<h2>Campaign throughput/latency</h2>",
-             '<div id="live-campaigns">']
-    if summary["campaigns"]:
-        rows = [[c["label"], c["runs"], f"{c['elapsed']:.1f}s",
-                 f"{c['runs_per_sec']:.1f}",
-                 (f"{c['latency']['p50']:.0f}/"
-                  f"{c['latency']['p99']:.0f}"
-                  if "latency" in c else "-")]
-                for c in summary["campaigns"]]
-        parts.append(_html_table(
+        "campaigns": [], "outcome_totals": {}}
+    campaigns = summary["campaigns"]
+    sections: dict = {"live-campaigns": [], "live-outcomes": [],
+                      "live-throughput": [], "live-planner": []}
+    if campaigns:
+        sections["live-campaigns"].append(_html_table(
             ["campaign", "runs", "elapsed", "runs/s",
-             "latency p50/p99"], rows))
-    parts.append("</div>")
+             "latency p50/p99"],
+            [[c["label"], c["runs"], f"{c['elapsed']:.1f}s",
+              f"{c['runs_per_sec']:.1f}",
+              (f"{c['latency']['p50']:.0f}/{c['latency']['p99']:.0f}"
+               if "latency" in c else "-")]
+             for c in campaigns]))
 
-    parts.append('<div id="live-outcomes">')
     totals = summary["outcome_totals"]
     grand = sum(totals.values())
     if grand:
-        parts.append("<h2>Outcome mix</h2>")
-        parts.append(_html_table(
-            ["outcome", "runs", "share"],
-            [[k, v, f"{100 * v / grand:.1f}%"]
-             for k, v in sorted(totals.items(),
-                                key=lambda kv: -kv[1])]))
-    parts.append("</div>")
+        sections["live-outcomes"] += [
+            "<h2>Outcome mix</h2>",
+            _html_table(["outcome", "runs", "share"],
+                        [[k, v, f"{100 * v / grand:.1f}%"]
+                         for k, v in sorted(totals.items(),
+                                            key=lambda kv: -kv[1])])]
 
-    parts.append('<div id="live-throughput">')
-    trend = [r for c in summary["campaigns"]
-             for r in c["shard_rates"]]
+    trend = [r for c in campaigns for r in c["shard_rates"]]
     if trend:
-        parts.append("<h2>Throughput trend</h2>")
-        parts.append(f'<p class="muted">runs/s per completed shard, '
-                     f"{min(trend):.1f}..{max(trend):.1f}</p>")
-        parts.append(f"<pre>[{html.escape(render_sparkline(trend))}]"
-                     f"</pre>")
-    parts.append("</div>")
+        sections["live-throughput"] += [
+            "<h2>Throughput trend</h2>",
+            f'<p class="muted">runs/s per completed shard, '
+            f"{min(trend):.1f}..{max(trend):.1f}</p>",
+            f"<pre>[{html.escape(render_sparkline(trend))}]</pre>"]
 
-    parts.append('<div id="live-planner">')
-    planned_rows = [c for c in summary["campaigns"]
-                    if c.get("plan")]
+    planned_rows = [c for c in campaigns if c.get("plan")]
     if planned_rows:
         planned = sum(c["plan"].get("planned_n") or 0
                       for c in planned_rows)
         actual = sum(c["plan"].get("actual_n") or 0
                      for c in planned_rows)
         saved = f"{planned / actual:.2f}x" if actual else "-"
-        parts.append("<h2>Planner savings (live)</h2>")
-        parts.append(f'<p class="muted">{actual}/{planned} '
-                     f"injections spent ({saved} saved)</p>")
-        parts.append(_html_table(
-            ["campaign", "planned", "actual", "saved"],
-            [[c["label"], c["plan"].get("planned_n"),
-              c["plan"].get("actual_n"),
-              f"{c['plan'].get('savings', 0):.2f}x"]
-             for c in planned_rows]))
-    parts.append("</div>")
+        sections["live-planner"] += [
+            "<h2>Planner savings (live)</h2>",
+            f'<p class="muted">{actual}/{planned} '
+            f"injections spent ({saved} saved)</p>",
+            _html_table(
+                ["campaign", "planned", "actual", "saved"],
+                [[c["label"], c["plan"].get("planned_n"),
+                  c["plan"].get("actual_n"),
+                  f"{c['plan'].get('savings', 0):.2f}x"]
+                 for c in planned_rows])]
+    # newline-framed: the page has always put each part on its own line
+    return {name: "\n".join(["", *parts, ""])
+            for name, parts in sections.items()}
+
+
+def _events_html(summary: "dict | None") -> list:
+    """The event-log sections of the page, each inside a div with a
+    stable id (:func:`live_sections` renders their content)."""
+    parts = ["<h2>Campaign throughput/latency</h2>"]
+    for name, inner in live_sections(summary).items():
+        parts.append(f'<div id="{name}">{inner}</div>')
     return parts
 
 
 def html_sections(data: DashboardData) -> list:
     """The document body shared by :func:`render_html` (static page)
-    and the live observatory (which appends its SSE patch script)."""
+    and the live observatory, whose script only swaps the content of
+    the :func:`live_sections` divs for freshly server-rendered HTML."""
     parts = [
         f'<p class="muted">{len(data.campaigns)} campaigns, '
         f"{len(data.profiles)} residency profiles; "
@@ -793,8 +799,8 @@ def render_html(data: DashboardData,
 
     Zero external requests and zero scripts — suitable for CI
     artifacts.  The live observatory (:mod:`repro.obs.server`) reuses
-    :func:`html_sections` for its served page and adds the SSE patch
-    script on top, so both views render from one code path.
+    :func:`html_sections` for its served page and patches it only with
+    HTML rendered here, so both views render from one code path.
     """
     parts = ["<!DOCTYPE html>", '<html lang="en"><head>',
              '<meta charset="utf-8">',

@@ -16,11 +16,13 @@ Endpoints
 ---------
 
 ``GET /``
-    The PR-5 HTML dashboard as a live page: the same
+    The HTML dashboard as a live page: the same
     :func:`repro.obs.dashboard.html_sections` body as ``repro
-    dashboard --html`` plus a small inline script that subscribes to
-    ``/events/stream`` and patches the outcome-mix, throughput-
-    sparkline and planner-savings sections in place.
+    dashboard --html`` plus a small inline script that renders
+    nothing itself.  It subscribes to ``/events/stream``, swaps the
+    throughput, outcome-mix, sparkline and planner-savings divs for
+    the HTML each ``summary`` carries, places the drill-down's
+    ``html``, and shows the connection state.
 ``GET /events/stream``
     Server-sent events.  Each connection tails ``events.jsonl``
     incrementally (:class:`repro.obs.reporting.EventTail`: torn
@@ -28,7 +30,9 @@ Endpoints
     the file), forwards ``campaign_started`` / ``shard_done`` /
     ``shard_retry`` / ``campaign_finished`` / ``campaign_summary`` /
     ``planner_summary`` / ``metrics_snapshot`` records as typed SSE
-    events, and pushes a re-aggregated ``summary`` after every batch.
+    events, and pushes a re-aggregated ``summary`` after every batch:
+    the ``repro report --json`` payload plus ``sections``, the live
+    sections rendered by :func:`repro.obs.dashboard.live_sections`.
 ``GET /api/campaigns``
     Discovered campaign sidecars with schema/staleness flags.
 ``GET /api/campaign/<id>``
@@ -42,9 +46,11 @@ Endpoints
     (:mod:`repro.obs.trace_diff`, campaign-identical ``(seed, index)``
     derivation): the fault trace, outcome and rendered trace text plus
     per-step register/PC/memory/structure diffs inside a bounded
-    window around injection and crossing, feeding the live page's
-    step-through panel.  403 unless ``--allow-replay``; served from
-    the trace sidecar after the first capture.
+    window around injection and crossing (``diff``), and the run's
+    trace section as the static dashboard renders it (``html``), which
+    the live page's drill-down panel places.  403 unless
+    ``--allow-replay``; served from the trace sidecar after the first
+    capture.
 ``GET /metrics``
     Prometheus text exposition of the ``REPRO_METRICS`` registry plus
     the server's own counters (requests, SSE clients, tail lag).
@@ -62,7 +68,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .dashboard import (_CSS, build_dashboard, html_sections,
-                        scan_campaigns)
+                        live_sections, scan_campaigns, trace_section)
 from .metrics import MetricsRegistry, get_registry, render_prometheus
 from .profiles import N_PHASES, N_REGIONS, attribute_campaign
 from .reporting import EventTail, ReportAggregator
@@ -233,7 +239,9 @@ class Observatory:
         classified.  A warm ``trace-<campaign>-<seed>-<index>.json``
         sidecar is a pure read; a cold one simulates once under the
         trace lock, persists, and announces itself with a
-        ``trace_ready`` job_update event on the SSE stream.
+        ``trace_ready`` job_update event on the SSE stream.  ``html``
+        is the run's section of the static page's "Per-run
+        differential traces", for the live page to place as is.
         """
         from .events import EventLog
         from .trace_diff import load_or_capture
@@ -262,7 +270,8 @@ class Observatory:
         return {"campaign": campaign_id,
                 "seed": seed, "index": index,
                 "cached": cached,
-                "diff": payload}
+                "diff": payload,
+                "html": trace_section(payload)}
 
     def summary(self) -> dict:
         """One-shot ``repro report --json`` aggregation of the log."""
@@ -292,323 +301,68 @@ _LIVE_CSS = _CSS + """
 pre { font: 12px/1.3 ui-monospace, monospace; }
 #trace-panel input { width: 16em; font: inherit; margin: 0 0.4em 0 0; }
 #trace-panel input.num { width: 6em; }
-#trace-panel button { font: inherit; margin-right: 0.3em; }
+#trace-panel button { font: inherit; }
 #trace-meta { color: #666; margin: 0.5em 0; }
-#trace-view td, #trace-view th { font-family: ui-monospace, monospace;
-                                 font-size: 12px; }
 """
 
-# The browser-side renderer deliberately mirrors the Python section
-# renderers in dashboard._events_html: the SSE stream delivers the
-# same report_data() JSON, and the script rebuilds the same tables so
-# a patched section is indistinguishable from a freshly served one.
+# The page script renders nothing: every SSE ``summary`` carries the
+# live sections as server-rendered HTML (dashboard.live_sections) and
+# every /diff its run's trace section (dashboard.trace_section); the
+# script places them and reports the connection state.
 _LIVE_JS = """
 (function () {
   'use strict';
-  var GLYPHS = ' .:-=+*#%@';
-  function esc(s) {
-    return String(s).replace(/[&<>"]/g, function (c) {
-      return {'&': '&amp;', '<': '&lt;', '>': '&gt;',
-              '"': '&quot;'}[c];
-    });
-  }
-  function table(headers, rows) {
-    var out = ['<table><thead><tr>'];
-    headers.forEach(function (h) {
-      out.push('<th>' + esc(h) + '</th>');
-    });
-    out.push('</tr></thead><tbody>');
-    rows.forEach(function (row) {
-      out.push('<tr>');
-      row.forEach(function (c) { out.push('<td>' + esc(c) + '</td>'); });
-      out.push('</tr>');
-    });
-    out.push('</tbody></table>');
-    return out.join('');
-  }
-  function spark(values, width) {
-    if (!values.length) { return ''; }
-    if (values.length > width) {
-      var step = values.length / width, bucketed = [];
-      for (var i = 0; i < width; i++) {
-        var lo = Math.floor(i * step);
-        var hi = Math.max(Math.floor((i + 1) * step), lo + 1);
-        var chunk = values.slice(lo, hi);
-        bucketed.push(chunk.reduce(function (a, b) { return a + b; },
-                                   0) / chunk.length);
-      }
-      values = bucketed;
-    }
-    var peak = Math.max.apply(null, values) || 1.0;
-    return values.map(function (v) {
-      return GLYPHS[Math.round(Math.max(0, v) / peak
-                               * (GLYPHS.length - 1))];
-    }).join('');
-  }
-  function render(d) {
-    var el = document.getElementById('live-campaigns');
-    if (el) {
-      el.innerHTML = table(
-        ['campaign', 'runs', 'elapsed', 'runs/s', 'latency p50/p99'],
-        d.campaigns.map(function (c) {
-          return [c.label, c.runs, c.elapsed.toFixed(1) + 's',
-                  c.runs_per_sec.toFixed(1),
-                  c.latency ? c.latency.p50.toFixed(0) + '/'
-                            + c.latency.p99.toFixed(0) : '-'];
-        }));
-    }
-    el = document.getElementById('live-outcomes');
-    if (el) {
-      var totals = d.outcome_totals, grand = 0, keys = [];
-      Object.keys(totals).forEach(function (k) {
-        grand += totals[k]; keys.push(k);
-      });
-      keys.sort(function (a, b) { return totals[b] - totals[a]; });
-      el.innerHTML = grand
-        ? '<h2>Outcome mix</h2>' + table(
-            ['outcome', 'runs', 'share'],
-            keys.map(function (k) {
-              return [k, totals[k],
-                      (100 * totals[k] / grand).toFixed(1) + '%'];
-            }))
-        : '';
-    }
-    el = document.getElementById('live-throughput');
-    if (el) {
-      var trend = [];
-      d.campaigns.forEach(function (c) {
-        trend = trend.concat(c.shard_rates);
-      });
-      el.innerHTML = trend.length
-        ? '<h2>Throughput trend</h2><p class="muted">runs/s per '
-          + 'completed shard, '
-          + Math.min.apply(null, trend).toFixed(1) + '..'
-          + Math.max.apply(null, trend).toFixed(1) + '</p><pre>['
-          + esc(spark(trend, 60)) + ']</pre>'
-        : '';
-    }
-    el = document.getElementById('live-planner');
-    if (el) {
-      var planned = d.campaigns.filter(function (c) {
-        return c.plan;
-      });
-      var want = 0, spent = 0;
-      planned.forEach(function (c) {
-        want += c.plan.planned_n || 0;
-        spent += c.plan.actual_n || 0;
-      });
-      el.innerHTML = planned.length
-        ? '<h2>Planner savings (live)</h2><p class="muted">'
-          + spent + '/' + want + ' injections spent ('
-          + (spent ? (want / spent).toFixed(2) + 'x saved'
-                   : '-') + ')</p>'
-          + table(['campaign', 'planned', 'actual', 'saved'],
-                  planned.map(function (c) {
-                    return [c.label, c.plan.planned_n,
-                            c.plan.actual_n,
-                            (c.plan.savings || 0).toFixed(2) + 'x'];
-                  }))
-        : '';
-    }
-    var status = document.getElementById('live-status');
-    if (status) {
-      status.textContent = 'live \\u2014 ' + d.campaigns.length
-        + ' campaigns';
-      status.className = '';
-    }
-  }
-  var jobs = {};
-  function renderJobs() {
-    var el = document.getElementById('live-jobs');
-    if (!el) { return; }
-    var ids = Object.keys(jobs);
-    if (!ids.length) { el.innerHTML = ''; return; }
-    ids.sort();
-    el.innerHTML = '<h2>Jobs</h2>' + table(
-      ['job', 'campaign', 'state', 'attempts', 'note'],
-      ids.map(function (id) {
-        var j = jobs[id];
-        return [id, j.label || '-', j.state, j.attempts || 0,
-                j.cached ? 'cache hit' : (j.error || '')];
-      }));
+  function status(text, down) {
+    var el = document.getElementById('live-status');
+    if (el) { el.textContent = text; el.className = down ? 'down' : ''; }
   }
   var es = new EventSource('/events/stream');
   es.addEventListener('summary', function (e) {
-    render(JSON.parse(e.data));
-  });
-  es.addEventListener('job_update', function (e) {
-    var j = JSON.parse(e.data);
-    jobs[j.job] = j;
-    renderJobs();
+    var d = JSON.parse(e.data);
+    Object.keys(d.sections).forEach(function (id) {
+      var el = document.getElementById(id);
+      if (el) { el.innerHTML = d.sections[id]; }
+    });
+    status('live \\u2014 ' + d.campaigns.length + ' campaigns', false);
   });
   es.onerror = function () {
-    var status = document.getElementById('live-status');
-    if (status) {
-      status.textContent = 'disconnected \\u2014 retrying';
-      status.className = 'down';
-    }
+    status('disconnected \\u2014 retrying', true);
   };
 
-  // ---- run drill-down: step through one /diff payload ------------
-  var diff = null, cursor = 0;
-  function hex(v) {
-    if (v === null || v === undefined) { return '-'; }
-    var n = Number(v);
-    return n < 0 ? '-0x' + (-n).toString(16) : '0x' + n.toString(16);
-  }
-  function memTxt(m) {
-    if (!m) { return '-'; }
-    return m[0] + ' ' + hex(m[1]) + ' x' + m[2]
-      + (m[3] === null || m[3] === undefined ? '' : ' = ' + hex(m[3]));
-  }
-  function cell(v, chg) {
-    return (chg ? '<td class="chg">' : '<td>') + esc(v) + '</td>';
-  }
-  function frameChanged(fr) {
-    if (Object.keys(fr.regs || {}).length) { return true; }
-    if (fr.golden_pc !== null && fr.golden_pc !== fr.pc) { return true; }
-    if (JSON.stringify(fr.mem.faulty)
-        !== JSON.stringify(fr.mem.golden)) { return true; }
-    if (fr.structs && fr.structs.golden
-        && JSON.stringify(fr.structs.faulty)
-           !== JSON.stringify(fr.structs.golden)) { return true; }
-    return false;
-  }
-  function renderFrame() {
-    var meta = document.getElementById('trace-meta');
-    var view = document.getElementById('trace-view');
-    if (!diff || !view) { return; }
-    if (!diff.frames.length) {
-      meta.textContent = 'no frames recorded (fault never applied)';
-      view.innerHTML = '';
-      return;
-    }
-    cursor = Math.max(0, Math.min(cursor, diff.frames.length - 1));
-    var fr = diff.frames[cursor];
-    var anchors = [];
-    if (diff.anchors.injected !== null) {
-      anchors.push('injected @ ' + diff.anchors.injected);
-    }
-    if (diff.anchors.crossed !== null) {
-      anchors.push('crossed @ ' + diff.anchors.crossed);
-    }
-    meta.textContent = 'frame ' + (cursor + 1) + '/'
-      + diff.frames.length + ' \\u2014 ' + diff.injector + ':'
-      + diff.workload + '@' + diff.config + ' seed=' + diff.seed
-      + ' index=' + diff.index + ' \\u2014 ' + anchors.join(', ')
-      + ' \\u2014 outcome ' + diff.outcome.outcome
-      + (fr.marks.length ? ' \\u2014 [' + fr.marks.join(', ') + ']'
-                         : '');
-    var rows = ['<table><thead><tr><th>field</th><th>golden</th>'
-                + '<th>faulty</th></tr></thead><tbody>'];
-    rows.push('<tr>' + cell('step', false)
-      + cell(fr.step, false) + cell(fr.step, false) + '</tr>');
-    rows.push('<tr>' + cell(diff.unit, false)
-      + cell(fr.golden_cycle === null ? '-' : fr.golden_cycle, false)
-      + cell(fr.cycle, false) + '</tr>');
-    var pcChg = fr.golden_pc !== null && fr.golden_pc !== fr.pc;
-    rows.push('<tr>' + cell('pc', false)
-      + cell(hex(fr.golden_pc), pcChg)
-      + cell(hex(fr.pc), pcChg) + '</tr>');
-    rows.push('<tr>' + cell('phase / mode', false)
-      + cell('P' + fr.phase + ' ' + (fr.golden_in_kernel
-             ? 'kernel' : 'user'), false)
-      + cell('P' + fr.phase + ' ' + (fr.in_kernel
-             ? 'kernel' : 'user'),
-             fr.golden_in_kernel !== null
-             && fr.golden_in_kernel !== fr.in_kernel) + '</tr>');
-    Object.keys(fr.regs || {}).sort(function (a, b) {
-      return Number(a) - Number(b);
-    }).forEach(function (r) {
-      var name = diff.reg_names[Number(r)] || ('r' + r);
-      rows.push('<tr>' + cell(name, false)
-        + cell(hex(fr.regs[r][0]), true)
-        + cell(hex(fr.regs[r][1]), true) + '</tr>');
-    });
-    var memChg = JSON.stringify(fr.mem.faulty)
-      !== JSON.stringify(fr.mem.golden);
-    if (fr.mem.faulty || fr.mem.golden) {
-      rows.push('<tr>' + cell('mem', false)
-        + cell(memTxt(fr.mem.golden), memChg)
-        + cell(memTxt(fr.mem.faulty), memChg) + '</tr>');
-    }
-    if (fr.structs && fr.structs.golden) {
-      Object.keys(fr.structs.faulty).sort().forEach(function (k) {
-        var g = fr.structs.golden[k], f = fr.structs.faulty[k];
-        if (g !== f) {
-          rows.push('<tr>' + cell(k, false) + cell(g, true)
-            + cell(f, true) + '</tr>');
-        }
-      });
-    }
-    rows.push('</tbody></table>');
-    view.innerHTML = rows.join('');
+  function field(id) {
+    return document.getElementById(id).value.trim() || '0';
   }
   function loadDiff() {
-    var cid = document.getElementById('trace-campaign').value.trim();
-    var seed = document.getElementById('trace-seed').value.trim();
-    var index = document.getElementById('trace-index').value.trim();
     var meta = document.getElementById('trace-meta');
+    var cid = document.getElementById('trace-campaign').value.trim();
     if (!cid) { meta.textContent = 'enter a campaign id'; return; }
     meta.textContent = 'loading\\u2026';
     var req = new XMLHttpRequest();
     req.open('GET', '/api/run/' + encodeURIComponent(cid) + '/'
-      + (seed || '0') + '/' + (index || '0') + '/diff');
+      + field('trace-seed') + '/' + field('trace-index') + '/diff');
     req.onload = function () {
       if (req.status === 403) {
         meta.textContent = 'replay is gated: restart the observatory '
           + 'with --allow-replay';
-        return;
-      }
-      if (req.status !== 200) {
+      } else if (req.status !== 200) {
         meta.textContent = 'error ' + req.status + ': '
           + req.responseText.slice(0, 200);
-        return;
+      } else {
+        meta.textContent = '';
+        document.getElementById('trace-view').innerHTML =
+          JSON.parse(req.responseText).html;
       }
-      diff = JSON.parse(req.responseText).diff;
-      cursor = 0;
-      if (diff.anchors.injected !== null) {
-        diff.frames.some(function (fr, i) {
-          if (fr.step === diff.anchors.injected) {
-            cursor = i; return true;
-          }
-          return false;
-        });
-      }
-      renderFrame();
     };
-    req.onerror = function () {
-      meta.textContent = 'request failed';
-    };
+    req.onerror = function () { meta.textContent = 'request failed'; };
     req.send();
   }
-  function bind(id, fn) {
-    var el = document.getElementById(id);
-    if (el) { el.addEventListener('click', fn); }
-  }
-  bind('trace-load', loadDiff);
-  bind('trace-prev', function () {
-    if (diff) { cursor -= 1; renderFrame(); }
-  });
-  bind('trace-next', function () {
-    if (diff) { cursor += 1; renderFrame(); }
-  });
-  bind('trace-jump', function () {
-    if (!diff) { return; }
-    for (var i = cursor + 1; i < diff.frames.length; i++) {
-      if (frameChanged(diff.frames[i])) {
-        cursor = i; renderFrame(); return;
-      }
-    }
-  });
+  document.getElementById('trace-load').addEventListener('click', loadDiff);
 })();
 """
 
 
-# The step-through drill-down panel: loads one /diff payload and
-# navigates its frames entirely client-side — after the first (gated,
-# memoized) fetch there are no further requests, and never any
-# external ones.
+# The drill-down panel: one gated, memoized /diff fetch per load,
+# placed as the server rendered it, and never any external request.
 _TRACE_PANEL = """
 <h2>Run drill-down</h2>
 <div id="trace-panel">
@@ -620,11 +374,6 @@ _TRACE_PANEL = """
     <input id="trace-seed" class="num" placeholder="seed" value="0">
     <input id="trace-index" class="num" placeholder="index" value="0">
     <button id="trace-load">load</button>
-  </p>
-  <p>
-    <button id="trace-prev">&#8592; prev step</button>
-    <button id="trace-next">next step &#8594;</button>
-    <button id="trace-jump">next change &#8677;</button>
   </p>
   <div id="trace-meta"></div>
   <div id="trace-view"></div>
@@ -810,7 +559,7 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
         try:
             # prime with history so the first summary is complete
             aggregator.absorb_all(tail.poll())
-            self._sse_emit("summary", aggregator.data())
+            self._sse_summary(aggregator)
             idle = 0.0
             while not self.obs.stopping:
                 time.sleep(self.obs.poll_interval)
@@ -831,7 +580,7 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                     if record["event"] in FORWARDED_EVENTS:
                         self._sse_emit(record["event"], record)
                         forwarded.inc()
-                self._sse_emit("summary", aggregator.data())
+                self._sse_summary(aggregator)
             # graceful shutdown: a final comment frame tells clients
             # this close is deliberate, not a network fault
             self.wfile.write(b": observatory stopping\n\n")
@@ -840,6 +589,11 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
             pass
         finally:
             clients.set(max(0.0, clients.value - 1))
+
+    def _sse_summary(self, aggregator: ReportAggregator) -> None:
+        data = aggregator.data()
+        data["sections"] = live_sections(data)
+        self._sse_emit("summary", data)
 
     def _sse_emit(self, event: str, payload: dict) -> None:
         blob = json.dumps(payload, separators=(",", ":"))

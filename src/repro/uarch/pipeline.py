@@ -32,6 +32,7 @@ corrupt the output with no crossing are ESC by definition.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -124,14 +125,18 @@ class _PipelineCore(CoreAccess):
     """CoreAccess adapter over the renamed register file, for the
     handler-kind instructions (the run loop executes the rest)."""
 
-    __slots__ = ("e", "src_vals", "rf")
+    __slots__ = ("e", "src_vals", "rf", "dest_phys")
 
     def __init__(self, engine: "PipelineEngine") -> None:
         # every object held here is mutated in place, never rebound
-        # (restore_pipeline included)
-        self.e = engine
+        # (restore_pipeline included); a proxy, not a reference, so
+        # the engine holding this adapter is freed by refcount alone
+        self.e = weakref.proxy(engine)
         self.src_vals = engine.src_vals
         self.rf = engine.rf
+        #: the renamed destination, set by the run loop before each
+        #: handler call
+        self.dest_phys = -1
 
     def read_reg(self, index: int) -> int:
         # Sources were resolved through the rename map *before* the
@@ -140,10 +145,9 @@ class _PipelineCore(CoreAccess):
         cached = self.src_vals.get(index)
         if cached is not None:
             return cached
-        e = self.e
         value, phys = self.rf.read(index)
-        if phys in self.rf.tainted and e.crossing is None:
-            e.record_crossing("WD", arch_reg=index)
+        if phys in self.rf.tainted and self.e.crossing is None:
+            self.e.record_crossing("WD", arch_reg=index)
         return value
 
     def write_reg(self, index: int, value: int) -> None:
@@ -152,7 +156,7 @@ class _PipelineCore(CoreAccess):
         # the destination was pre-allocated during rename; a newly
         # produced value replaces any corruption in the slot
         rf = self.rf
-        phys = self.e.dest_phys
+        phys = self.dest_phys
         rf.values[phys] = value & rf.mask
         tainted = rf.tainted
         if tainted:
@@ -229,7 +233,6 @@ class PipelineEngine:
         self._occ_sums = {"RF": 0.0, "LSQ": 0.0, "L1I": 0.0,
                           "L1D": 0.0, "L2": 0.0}
 
-        self.dest_phys = -1
         self.src_vals: dict[int, int] = {}
         self._core = _PipelineCore(self)
         #: the last instruction's memory access, ``("load", addr,
@@ -837,7 +840,7 @@ class PipelineEngine:
                         src_vals[rs1] = a
                     if rs2:
                         src_vals[rs2] = b
-                    self.dest_phys = dest_phys
+                    core.dest_phys = dest_phys
                     next_pc = handler(instr, ms, core)
 
                 # ---- issue / complete timing -------------------------

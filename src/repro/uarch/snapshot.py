@@ -49,8 +49,9 @@ Correctness invariants the digest relies on:
   condition under which the reference is unreachable.
 
 The fast path is controlled by ``REPRO_FASTPATH`` (truthy default)
-and the ``--no-fastpath`` CLI escape hatch; checkpoint density by
-``REPRO_CHECKPOINT_EVERY``.
+and the ``--no-fastpath`` CLI escape hatch; checkpoint density is
+fixed by :func:`checkpoint_interval` (about ``TARGET_CHECKPOINTS`` per
+capture run).
 """
 
 from __future__ import annotations
@@ -94,14 +95,7 @@ def fastpath_enabled(explicit: "bool | None" = None) -> bool:
 
 
 def checkpoint_interval(total_instructions: int) -> int:
-    """Checkpoint spacing in instructions for a run of the given size
-    (``REPRO_CHECKPOINT_EVERY`` overrides)."""
-    env = os.environ.get("REPRO_CHECKPOINT_EVERY")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Checkpoint spacing in instructions for a run of the given size."""
     return max(64, total_instructions // TARGET_CHECKPOINTS)
 
 
@@ -443,7 +437,7 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
     engine.probe.mem_taint = set(state["probe"])
     engine.probe.any_taint = bool(engine.probe.mem_taint)
     # per-instruction transients are dead at a boundary
-    engine.dest_phys = -1
+    engine._core.dest_phys = -1
     engine.src_vals.clear()   # in place: the core adapter holds it
     engine.pending_mem = None
 

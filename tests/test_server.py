@@ -673,3 +673,131 @@ class TestGracefulShutdown:
         finally:
             if process.poll() is None:
                 process.kill()
+
+
+# ---------------------------------------------------------------------------
+# one renderer: the live page places server-rendered HTML
+# ---------------------------------------------------------------------------
+def _div_inner(page, div_id):
+    match = re.search(f'<div id="{div_id}">(.*?)</div>', page, re.S)
+    assert match, div_id
+    return match.group(1)
+
+
+def _halfway_events():
+    """A summary whose fields sit exactly half-way between two
+    renderings: elapsed 2.25 s, 0.25 runs/s, latency p50/p99 2.5/10.5
+    and shard rates [1, 2]."""
+    latency = {"boundaries": [1, 4, 10, 11],
+               "counts": [25, 50, 23, 2, 0], "count": 100,
+               "sum": 400.0}
+    return [
+        {"event": "campaign_started", "campaign": "c0", "n": 3,
+         "shards": 2, "workers": 1},
+        {"event": "shard_done", "campaign": "c0", "shard": 0,
+         "runs": 1, "wall": 1.0},
+        {"event": "shard_done", "campaign": "c0", "shard": 1,
+         "runs": 2, "wall": 1.0},
+        {"event": "campaign_summary", "campaign": "c0",
+         "injector": "gefin", "workload": "sha", "target": "RF",
+         "runs": 3, "elapsed": 2.25, "runs_per_sec": 0.25,
+         "outcomes": {"masked": 2, "sdc": 1}, "latency": latency},
+        {"event": "planner_summary", "campaign": "c0",
+         "planner": "two-level", "planned_n": 12, "actual_n": 3,
+         "savings": 4.0, "target_margin": 0.05,
+         "margin_attained": 0.04, "estimate": 0.3},
+    ]
+
+
+class TestOneRenderer:
+    def test_sse_sections_are_the_static_divs(self, sidecars):
+        from repro.obs.dashboard import build_dashboard, render_html
+
+        events = sidecars / "events.jsonl"
+        events.write_text("".join(json.dumps(e) + "\n"
+                                  for e in _halfway_events()))
+        page = render_html(build_dashboard(cache_path=sidecars,
+                                           events_path=events))
+        with _serving(sidecars, events_path=events,
+                      poll_interval=0.05) as (server, base):
+            client = _SSEClient(base)
+            try:
+                event, data = client.next_event()
+            finally:
+                client.close()
+            summary = server.observatory.summary()
+        assert event == "summary"
+        # every key of the report payload stays; sections is added
+        assert set(data) == set(summary) | {"sections"}
+        assert {k: v for k, v in data.items()
+                if k != "sections"} == summary
+        assert list(data["sections"]) == ["live-campaigns",
+                                          "live-outcomes",
+                                          "live-throughput",
+                                          "live-planner"]
+        for div_id, inner in data["sections"].items():
+            assert inner == _div_inner(page, div_id), div_id
+        # the half-way values render once, the Python way
+        sections = data["sections"]
+        assert "<td>2.2s</td><td>0.2</td><td>2/10</td>" in \
+            sections["live-campaigns"]
+        assert "<pre>[=@]</pre>" in sections["live-throughput"]
+        assert "3/12 injections spent (4.00x saved)" in \
+            sections["live-planner"]
+
+    def test_diff_html_is_the_static_trace_section(self, sidecars):
+        from repro.obs.dashboard import build_dashboard, render_html
+
+        cid = _rf_gefin_sha(sidecars)
+        with _serving(sidecars, allow_replay=True) as (_, base):
+            cold = _get_json(f"{base}/api/run/{cid}/7/0/diff")
+        assert cold["cached"] is False
+        page = render_html(build_dashboard(cache_path=sidecars))
+        start = page.index('<h3 id="run-gefin-sha-')
+        end = page.index("\n<h", start)
+        assert cold["html"] == page[start:end]
+        assert cold["html"].count("<tr>") == \
+            len(cold["diff"]["frames"]) + 1
+
+    def test_page_script_renders_nothing(self, sidecars):
+        from repro.obs.server import _LIVE_JS
+
+        with _serving(sidecars) as (_, base):
+            page = _get(base + "/")[2].decode()
+        script = page.split("<script>", 1)[1].split("</script>", 1)[0]
+        assert script == _LIVE_JS
+        for renderer in ("function table", "function spark",
+                         "renderFrame", "renderJobs"):
+            assert renderer not in script, renderer
+        assert len(_LIVE_JS.strip().splitlines()) < 60
+        assert 'id="live-jobs"' not in page
+        assert 'id="trace-prev"' not in page
+
+
+class TestStaleSidecars:
+    def test_stale_copy_changes_no_view(self, sidecars):
+        from repro.obs.dashboard import build_dashboard
+
+        cid = _rf_gefin_sha(sidecars)
+        observatory = Observatory(cache_path=sidecars)
+
+        def views():
+            data = build_dashboard(cache_path=sidecars)
+            return ([c.to_json() for c in data.campaigns],
+                    data.fpm_mix, data.phase_heatmaps,
+                    observatory.campaign_detail(cid)["divergence"])
+
+        before = views()
+        # an old-schema copy with a different, larger outcome mix: the
+        # divergence row would prefer it (largest n wins duplicates)
+        stale = json.loads((sidecars / f"{cid}.json").read_text())
+        stale["schema"] = -1
+        stale["n"] = 40
+        stale["results"] = [dict(stale["results"][0], outcome="sdc",
+                                 fpm="WD")] * 40
+        (sidecars / f"{cid}-old.json").write_text(json.dumps(stale))
+        assert views() == before
+        index = observatory.campaign_index()
+        by_id = {c["id"]: c for c in index["campaigns"]}
+        assert by_id[f"{cid}-old"]["stale"]
+        assert not by_id[cid]["stale"]
