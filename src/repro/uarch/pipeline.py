@@ -222,6 +222,9 @@ class PipelineEngine:
         self.fault_applied = False
         self.fault_live = False
         self.crossing: Crossing | None = None
+        #: absolute address of the cache byte the last data flip landed
+        #: on (None when it hit dead state); read by the liveness oracle
+        self.landed_addr: int | None = None
 
         # --- control -------------------------------------------------
         self.max_instructions = max_instructions
@@ -260,7 +263,9 @@ class PipelineEngine:
         #: optional checkpoint hook (see repro.uarch.snapshot): an
         #: object with ``next_check`` (instruction count) and
         #: ``poll(engine)``; polled at the top of the run loop, and a
-        #: non-None poll() return ends the run with that result.
+        #: non-None poll() return ends the run with that result.  An
+        #: optional ``injected(engine)`` is called once after the
+        #: faults are applied and may end the run the same way.
         self.fastpath = None
 
     # ------------------------------------------------------------------
@@ -340,6 +345,7 @@ class PipelineEngine:
         for k in range(n_bits):
             info = flip(set_index, way, (c + k) % width)
             self.fault_live = self.fault_live or info["live"]
+        self.landed_addr = info.get("addr")
         self._trace_landing(
             f"{structure}: set {set_index}, way {way}, "
             f"{'tag' if is_tag else 'line'} bit {c % width}")
@@ -539,6 +545,8 @@ class PipelineEngine:
                      "load": 1.0, "store": 1.0, "branch": 1.0,
                      "sys": 1.0}
         status = RunStatus.COMPLETED
+        # a fast-path hook's synthesised result, when one ends the run
+        result: PipelineResult | None = None
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
         never = float("inf")
@@ -549,6 +557,7 @@ class PipelineEngine:
         # rebinds these objects while the loop runs (they are only
         # mutated in place).
         fastpath = self.fastpath
+        injected = getattr(fastpath, "injected", None)
         observer = self.observer
         step = getattr(observer, "step", None)
         every = (getattr(observer, "every", None) or 1) if step else 0
@@ -624,13 +633,9 @@ class PipelineEngine:
                             and instructions >= fastpath.next_check:
                         self._write_back(instructions, kernel_instructions,
                                          fetch_time, last_commit)
-                        early = fastpath.poll(self)
-                        if early is not None:
-                            if registry.enabled:
-                                self._record_metrics(
-                                    registry,
-                                    time.perf_counter() - wall_started)
-                            return early
+                        result = fastpath.poll(self)
+                        if result is not None:
+                            break
                         limit = min(fastpath.next_check, max_instructions)
                     if instructions >= max_instructions \
                             or fetch_time > max_cycles:
@@ -645,6 +650,10 @@ class PipelineEngine:
                                   else never)
                     # a live flip invalidates the fetch fast path
                     fetch_base = self._fetch_line_base
+                    if injected is not None:
+                        result = injected(self)
+                        if result is not None:
+                            break
 
                 # ---- fetch ------------------------------------------
                 fetch = fetch_time + inv_fetch
@@ -962,25 +971,27 @@ class PipelineEngine:
             self._write_back(instructions, kernel_instructions,
                              fetch_time, last_commit)
 
-        output, exit_code = self._drain_output()
+        if result is None:
+            output, exit_code = self._drain_output()
+            result = PipelineResult(
+                status=status,
+                output=output,
+                exit_code=exit_code,
+                cycles=self.last_commit,
+                instructions=self.instructions,
+                kernel_instructions=self.kernel_instructions,
+                fault_applied=self.fault_applied,
+                fault_live=self.fault_live,
+                crossing=self.crossing,
+                fault_kind=fault_kind,
+                fault_in_kernel=fault_in_kernel,
+                occupancy=self._occupancy_averages(),
+                stats=self._final_stats(),
+            )
         if registry.enabled:
             self._record_metrics(registry,
                                  time.perf_counter() - wall_started)
-        return PipelineResult(
-            status=status,
-            output=output,
-            exit_code=exit_code,
-            cycles=self.last_commit,
-            instructions=self.instructions,
-            kernel_instructions=self.kernel_instructions,
-            fault_applied=self.fault_applied,
-            fault_live=self.fault_live,
-            crossing=self.crossing,
-            fault_kind=fault_kind,
-            fault_in_kernel=fault_in_kernel,
-            occupancy=self._occupancy_averages(),
-            stats=self._final_stats(),
-        )
+        return result
 
     def _write_back(self, instructions: int, kernel_instructions: int,
                     fetch_time: float, last_commit: float) -> None:

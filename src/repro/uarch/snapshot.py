@@ -31,7 +31,15 @@ deterministic simulators:
   final result, byte-identical to running it out.  This guard is what
   keeps WOI/ESC semantics and FPM classification unchanged: a fault
   whose corruption still lingers (in a register, a cache line, the
-  LSQ, or main memory — the ESC channel) can never exit early.
+  LSQ, or main memory — the ESC channel) can never exit early;
+
+* **liveness oracle** — the capture run also records its cache events
+  (:mod:`repro.uarch.liveness`).  A gefin injection whose fault is a
+  cache data flip consults it once, right after the flip lands: a data
+  flip changes nothing but values, so the faulty run follows the
+  golden run until a copy is read.  When the golden events show no
+  load, fetch or drain ever reading a corrupted copy, the run ends
+  there, with the same synthesised result as an early exit.
 
 Correctness invariants the digest relies on:
 
@@ -68,14 +76,19 @@ from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
                            FASTPATH_EARLY_EXITS,
                            FASTPATH_INSTRUCTIONS_SAVED,
                            FASTPATH_INSTRUCTIONS_SKIPPED,
+                           FASTPATH_ORACLE_EXITS,
                            FASTPATH_RESTORES, get_registry)
 from .cache import Cache, Line
 from .functional import FaultAction, FuncResult, FunctionalEngine, RunStatus
+from .liveness import LivenessOracle, record_liveness
 from .pipeline import PipelineEngine, PipelineResult
 
 #: bump on any change to the capture format or digest definition;
-#: invalidates every on-disk checkpoint store
-SNAPSHOT_SCHEMA_VERSION = 2
+#: invalidates every on-disk checkpoint store (3: the liveness oracle)
+SNAPSHOT_SCHEMA_VERSION = 3
+
+#: cache structures whose data flips the liveness oracle decides
+_ORACLE_STRUCTURES = ("L1I", "L1D", "L2")
 
 #: default number of checkpoints per capture run
 TARGET_CHECKPOINTS = 16
@@ -126,6 +139,9 @@ class CheckpointStore:
     digests: dict = field(default_factory=dict)
     #: final-result fields of the capture run (synthesised on early exit)
     final: dict = field(default_factory=dict)
+    #: the capture run's cache events (pipeline stores; None when not
+    #: recorded)
+    liveness: "LivenessOracle | None" = None
 
     def nearest_for_cycle(self, cycle: float) -> Checkpoint:
         """Latest checkpoint captured at-or-before *cycle* (always at
@@ -524,13 +540,15 @@ class _FunctionalCapture:
 # early-exit hooks (installed as engine.fastpath during injection runs)
 # ---------------------------------------------------------------------------
 class _PipelineFastPath:
-    """Early Masked termination against the golden digest trace."""
+    """Early Masked termination against the golden digest trace and,
+    when ``oracle`` is set, the golden liveness oracle."""
 
-    __slots__ = ("store", "next_check")
+    __slots__ = ("store", "next_check", "oracle")
 
     def __init__(self, store: CheckpointStore, start: int) -> None:
         self.store = store
         self.next_check = start
+        self.oracle: "LivenessOracle | None" = None
 
     def poll(self, engine: PipelineEngine):
         store = self.store
@@ -540,7 +558,31 @@ class _PipelineFastPath:
         expect = store.digests.get(engine.instructions)
         if expect is None or pipeline_digest(engine) != expect:
             return None
-        final = store.final
+        return self._golden_result(engine)
+
+    def injected(self, engine: PipelineEngine):
+        """Called once, right after the engine applied its faults: the
+        golden result when the oracle proves a single cache data flip
+        is never read, else None."""
+        oracle = self.oracle
+        faults = engine.faults
+        if oracle is None or len(faults) != 1:
+            return None
+        spec = faults[0]
+        if spec.structure not in _ORACLE_STRUCTURES \
+                or getattr(spec, "kind", "data") != "data" \
+                or not oracle.never_read(engine, spec.structure,
+                                         engine.landed_addr):
+            return None
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(FASTPATH_ORACLE_EXITS).inc()
+        return self._golden_result(engine)
+
+    def _golden_result(self, engine: PipelineEngine) -> PipelineResult:
+        """The capture run's final result, with the engine's own fault
+        flags and crossing."""
+        final = self.store.final
         registry = get_registry()
         if registry.enabled:
             registry.counter(FASTPATH_EARLY_EXITS).inc()
@@ -607,6 +649,7 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
                             max_cycles=max_cycles)
     hook = _PipelineCapture(interval)
     engine.fastpath = hook
+    recorder = record_liveness(engine)
     result = engine.run()
     if result.status is not RunStatus.COMPLETED:
         raise RuntimeError(
@@ -618,7 +661,8 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
         final={"output": result.output, "exit_code": result.exit_code,
                "cycles": result.cycles,
                "instructions": result.instructions,
-               "kernel_instructions": result.kernel_instructions})
+               "kernel_instructions": result.kernel_instructions},
+        liveness=recorder.finish() if recorder is not None else None)
 
 
 def build_functional_store(image_factory, kernel: str,
@@ -666,6 +710,17 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
         registry.counter(FASTPATH_CYCLES_SKIPPED).inc(int(cp.cycle))
         registry.counter(FASTPATH_INSTRUCTIONS_SKIPPED).inc(
             cp.instructions)
+    return cp
+
+
+def prepare_injection_fastpath(engine: PipelineEngine,
+                               store: CheckpointStore) -> Checkpoint:
+    """:func:`prepare_pipeline_fastpath` for a gefin injection run: the
+    hook also consults the store's liveness oracle once, when the fault
+    lands.  (The bare digest path stays what the pipeline-runs ledger
+    pins: its exit points, counters and end states.)"""
+    cp = prepare_pipeline_fastpath(engine, store)
+    engine.fastpath.oracle = store.liveness
     return cp
 
 

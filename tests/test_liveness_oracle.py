@@ -1,0 +1,330 @@
+"""The golden liveness oracle against the full slow-path run.
+
+A gefin run whose fault is a cache data flip consults the checkpoint
+store's liveness oracle once, when the flip lands, and ends there when
+the golden run never reads a corrupted copy
+(:mod:`repro.uarch.liveness`).  Every run the oracle ends must give
+the :class:`InjectionResult` the slow path (``fastpath=False``) gives,
+tag flips must never end there, and the hazards of the taint walk each
+get a program of their own: a writeback over a flipped L2 byte, a
+stale L2 copy refetched into the L1I, a dirty eviction to memory and
+the end-of-run DMA drain.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from array import array
+
+import pytest
+
+from repro.faults.fault import FaultSpec, sample_campaign
+from repro.injectors.campaign import run_campaign
+from repro.injectors.gefin import run_one_injection
+from repro.injectors.golden import golden_run
+from repro.isa import layout
+from repro.isa.assembler import assemble
+from repro.isa.registers import MR64
+from repro.kernel.loader import build_system_image
+from repro.kernel.syscalls import EXIT_CODE_OFFSET
+from repro.obs.metrics import (FASTPATH_EARLY_EXITS,
+                               FASTPATH_INSTRUCTIONS_SAVED,
+                               FASTPATH_ORACLE_EXITS, FASTPATH_RESTORES,
+                               MetricsRegistry, get_registry, set_registry)
+from repro.uarch import liveness, snapshot
+from repro.uarch.config import CORTEX_A72, CacheConfig, config_by_name
+from repro.uarch.pipeline import PipelineEngine
+
+
+def _counted(run):
+    """``run()`` under a fresh enabled registry: (its result, the
+    registry's counters)."""
+    registry = MetricsRegistry(enabled=True)
+    set_registry(registry)
+    try:
+        result = run()
+    finally:
+        set_registry(None)
+    return result, registry.snapshot()["counters"]
+
+
+# ---------------------------------------------------------------------------
+# the seeded grid: both ISAs, baseline and hardened, all three caches
+# ---------------------------------------------------------------------------
+#: (workload, config, hardened); hardening needs a 64-bit core
+GRID = (("crc32", "cortex-a9", False), ("crc32", "cortex-a72", False),
+        ("crc32", "cortex-a72", True))
+
+
+@pytest.mark.parametrize("structure", ("L1I", "L1D", "L2"))
+@pytest.mark.parametrize("workload, config_name, hardened", GRID)
+def test_every_oracle_exit_matches_the_slow_path(workload, config_name,
+                                                 hardened, structure):
+    config = config_by_name(config_name)
+    golden = golden_run(workload, config_name, hardened=hardened)
+    ended = 0
+    for prefer_live in (True, False):
+        specs = sample_campaign(config, structure, golden.cycles, n=6,
+                                seed=13, prefer_live=prefer_live)
+        for i, sampled in enumerate(specs):
+            for kind in ("data", "tag"):
+                spec = dataclasses.replace(sampled, kind=kind,
+                                           n_bits=1 + i % 3)
+                fast, counters = _counted(lambda: run_one_injection(
+                    workload, config, spec, golden, hardened=hardened,
+                    fastpath=True))
+                if not counters.get(FASTPATH_ORACLE_EXITS):
+                    continue
+                assert kind == "data", f"tag flip oracle-ended: {spec}"
+                ended += 1
+                slow = run_one_injection(workload, config, spec, golden,
+                                         hardened=hardened,
+                                         fastpath=False)
+                assert fast == slow, spec
+    assert ended, "the oracle never engaged"
+
+
+# ---------------------------------------------------------------------------
+# targeted hazards, on programs written for them
+# ---------------------------------------------------------------------------
+#: direct-mapped L1D and L2 (way 0 holds whatever maps to a set), small
+#: enough that a program evicts a line by touching its alias
+TINY = dataclasses.replace(
+    CORTEX_A72, name="tiny-direct-mapped",
+    l1i=CacheConfig(4096, 4, latency=1),
+    l1d=CacheConfig(1024, 1, latency=2),
+    l2=CacheConfig(4096, 1, latency=10))
+L1D_ALIAS, L2_ALIAS = TINY.l1d.size, TINY.l2.size
+
+_TAIL = """
+    la   r2, out
+    li   r3, 8
+    li   r1, 1
+    syscall
+    li   r1, 0
+    li   r2, 3
+    syscall
+.data
+pad:
+    .space 2560          # keeps `a` clear of code and kernel sets
+a:
+    .dword 0x1122334455667788
+out:
+    .space 64
+"""
+
+
+class _Trace:
+    """Observer: ``(fetch_time, next pc)`` after every instruction."""
+
+    def __init__(self) -> None:
+        self.rows: list = []
+
+    def step(self, engine) -> None:
+        self.rows.append((engine.fetch_time, engine.ms.pc))
+
+
+class _Case:
+    """One program on one core: its golden run and checkpoint store."""
+
+    def __init__(self, body: str, config=TINY) -> None:
+        self.config = config
+        self.program = assemble(".text\n_start:\n" + body + _TAIL, MR64,
+                                name="oracle-hazard")
+        self.golden = PipelineEngine(self._image(), config)
+        self.golden.observer = trace = _Trace()
+        result = self.golden.run()
+        assert result.status.value == "completed"
+        self.rows = trace.rows
+        self.limits = dict(max_instructions=4 * result.instructions,
+                           max_cycles=5 * result.cycles)
+        self.store = snapshot.build_pipeline_store(
+            self._image, config, interval=64, **self.limits)
+
+    def _image(self):
+        return build_system_image(self.program)
+
+    def before(self, label: str) -> float:
+        """A fault cycle that fires just before *label* executes."""
+        pc = self.program.symbols[label]
+        return next(cycle for cycle, next_pc in self.rows
+                    if next_pc == pc)
+
+    def inject(self, structure: str, cycle: float, addr: int,
+               way: int = 0, bit: int = 1) -> bool:
+        """Flip *bit* of the byte at *addr*, held by way *way* of
+        *structure*, at *cycle*, on the slow path and on the gefin fast
+        path: the flip must land there and both runs must agree.
+        Returns whether the oracle ended the fast run."""
+        cache = {"L1D": self.config.l1d, "L2": self.config.l2}[structure]
+        size = cache.line_size
+        spec = FaultSpec(structure, cycle,
+                         addr // size % (cache.size // (cache.assoc * size)),
+                         way, addr % size * 8 + bit, prefer_live=False)
+        slow = PipelineEngine(self._image(), self.config, faults=[spec],
+                              **self.limits)
+        want = slow.run()
+        fast = PipelineEngine(self._image(), self.config, faults=[spec],
+                              **self.limits)
+        snapshot.prepare_injection_fastpath(fast, self.store)
+        got, counters = _counted(fast.run)
+        assert slow.landed_addr == fast.landed_addr == addr
+        assert got == want
+        return bool(counters.get(FASTPATH_ORACLE_EXITS))
+
+
+def test_l2_flip_under_a_dirty_l1d_copy_dies_at_its_writeback():
+    case = _Case(f"""
+    la   r2, a
+    li   r3, 77
+    sd   r3, 0(r2)       # a: dirty in the L1D
+here:
+    ld   r4, {L1D_ALIAS}(r2)   # L1D alias: a written back over the L2
+    ld   r5, 0(r2)       # refilled from the clean L2 copy
+""")
+    a = case.program.symbols["a"]
+    assert case.inject("L2", case.before("here"), a)
+
+
+def test_l1d_flip_overwritten_by_a_store_dies():
+    case = _Case("""
+    la   r2, a
+    ld   r4, 0(r2)       # a: clean in the L1D
+here:
+    sd   r4, 0(r2)       # overwrites the flipped byte
+    ld   r5, 0(r2)
+""")
+    a = case.program.symbols["a"]
+    assert case.inject("L1D", case.before("here"), a)
+
+
+def test_clean_l1d_copy_evicted_before_its_next_load_dies():
+    case = _Case(f"""
+    la   r2, a
+    ld   r4, 0(r2)       # a: clean in the L1D
+here:
+    ld   r4, {L1D_ALIAS}(r2)   # the flipped copy is dropped
+    ld   r5, 0(r2)       # refilled from the L2
+""")
+    a = case.program.symbols["a"]
+    assert case.inject("L1D", case.before("here"), a)
+
+
+def test_stale_l2_copy_refetched_into_the_l1i_is_live():
+    case = _Case("""
+    la   r2, target
+    lw   r3, 0(r2)       # target's line into the L2 and the L1D
+here:
+    sw   r3, 0(r2)       # clears the L1D copy's taint, not the L2's
+    j    target          # the L1I fills from the stale L2 copy
+.align 64
+target:
+    addi r6, r6, 1
+""")
+    target = case.program.symbols["target"]
+    cycle = case.before("here")
+    for byte, bit in ((0, 0), (1, 4), (3, 7)):
+        assert not case.inject("L2", cycle, target + byte, bit=bit)
+
+
+def test_dirty_eviction_to_memory_then_refill_and_load_is_live():
+    case = _Case(f"""
+    la   r2, a
+    li   r3, 77
+    sd   r3, 0(r2)
+    ld   r4, {L1D_ALIAS}(r2)   # a written back: dirty in the L2
+here:
+    ld   r4, {L2_ALIAS}(r2)    # L2 alias: a written back to memory
+    ld   r5, 0(r2)       # refilled from memory and loaded
+""")
+    a = case.program.symbols["a"]
+    assert not case.inject("L2", case.before("here"), a)
+
+
+def test_clean_writeback_over_the_l2_copy_keeps_memorys_stale_taint():
+    """The flipped byte reaches memory, a store overwrites it and the
+    clean line is written back over the L2 copy: memory still holds the
+    corrupted copy, and an L1 fill from an untainted L2 line takes
+    memory's taint (``Cache.taint_of``), so the load after it crosses.
+    The walk must follow the same rule."""
+    case = _Case(f"""
+    la   r2, a
+    li   r3, 77
+    sd   r3, 0(r2)
+    ld   r4, {L1D_ALIAS}(r2)   # a written back: dirty in the L2
+here:
+    ld   r4, {L2_ALIAS}(r2)    # a written back to memory
+    sd   r3, 0(r2)       # refilled from memory; the flipped byte stored
+    ld   r4, {L1D_ALIAS}(r2)   # the clean line written back over the L2
+    ld   r5, 0(r2)       # refilled from the L2 copy, loaded
+""")
+    a = case.program.symbols["a"]
+    assert not case.inject("L2", case.before("here"), a)
+
+
+def test_drain_reads_below_an_evicted_l1d_copy():
+    """Once the L1D copy is evicted, the drain reads the L2 copy."""
+    engine = PipelineEngine(build_system_image(
+        assemble(".text\n_start:\n" + _TAIL, MR64)), TINY)
+    base = layout.OUTPUT_BASE
+    engine.l1d.read(base, 8, engine.probe)      # into the L1D and L2
+    index, tag = engine.l2._index_tag(base)
+    way = engine.l2.sets[index].index(engine.l2._find(index, tag))
+    engine.l2.flip_bit(index, way, 3 * 8)       # byte 3 of the L2 copy
+    clock = engine.l1i._tick + engine.l1d._tick
+
+    def oracle(*kinds):
+        return liveness.LivenessOracle(
+            line_size=64, lines=array("q", [base] * len(kinds)),
+            clocks=array("q", [clock] * len(kinds)), kinds=bytes(kinds),
+            los=array("H", [0] * len(kinds)),
+            his=array("H", [8] * len(kinds)))
+
+    assert oracle(liveness.DRAIN).never_read(engine, "L2", base + 3)
+    assert not oracle(liveness.DROP_L1D, liveness.DRAIN).never_read(
+        engine, "L2", base + 3)
+
+
+@pytest.mark.parametrize("addr", [
+    layout.OUTPUT_BASE, layout.OUTPUT_LEN_ADDR,
+    layout.KERNEL_DATA_BASE + EXIT_CODE_OFFSET],
+    ids=["output", "output-len", "exit-code"])
+def test_drained_bytes_are_live_in_the_copy_the_drain_reads(addr):
+    """Flipped just before ``halt``: the drain reads the L1D copy when
+    there is one, so that flip is live and an L2 flip under it dead."""
+    case = _Case("    nop\n", CORTEX_A72)
+    cycle = case.rows[-2][0]
+    found = []
+    for name in ("L1D", "L2"):
+        cache = getattr(case.golden, name.lower())
+        index, tag = cache._index_tag(addr)
+        line = cache._find(index, tag)
+        if line is not None:
+            found.append(name)
+            ended = case.inject(name, cycle, addr,
+                                way=cache.sets[index].index(line))
+            assert ended == (name == "L2" and "L1D" in found), name
+    assert found
+
+
+# ---------------------------------------------------------------------------
+# counters
+# ---------------------------------------------------------------------------
+def test_oracle_exits_are_counted_with_the_early_exits(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    kwargs = dict(injector="gefin", structure="L2", n=12, seed=3,
+                  use_cache=False, workers=1)
+    campaign, counters = _counted(lambda: run_campaign(
+        "crc32", "cortex-a72", fastpath=True, **kwargs))
+    assert counters[FASTPATH_RESTORES] == 12
+    oracle = counters[FASTPATH_ORACLE_EXITS]
+    assert 0 < oracle <= counters[FASTPATH_EARLY_EXITS] <= 12
+    assert counters[FASTPATH_INSTRUCTIONS_SAVED] > 0
+    slow = run_campaign("crc32", "cortex-a72", fastpath=False, **kwargs)
+    assert json.dumps(campaign.to_json()) == json.dumps(slow.to_json())
+    # a disabled registry records nothing
+    assert not get_registry().enabled
+    run_campaign("crc32", "cortex-a72", fastpath=True, **kwargs)
+    assert not get_registry().snapshot()["counters"]

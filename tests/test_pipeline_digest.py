@@ -171,23 +171,27 @@ class TestDeadStateLeavesDigest:
         assert snapshot.pipeline_digest(engine) is None
 
 
-def test_schema_1_store_is_rebuilt_not_loaded(tmp_path, monkeypatch):
-    """A store pickled under schema 1 (the ``repr`` digest) sits where a
-    current store would be found: it is discarded and rebuilt."""
-    assert snapshot.SNAPSHOT_SCHEMA_VERSION == 2
+def test_previous_schema_store_is_rebuilt_not_loaded(tmp_path,
+                                                     monkeypatch):
+    """A store pickled under the previous schema (no liveness oracle)
+    sits where a current store would be found: it is discarded and
+    rebuilt."""
+    current = snapshot.SNAPSHOT_SCHEMA_VERSION
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     checkpoint_store.cache_clear()
     try:
         fresh = checkpoint_store("crc32", CONFIG)
         (path,) = tmp_path.glob("checkpoints-crc32-*-pipeline-*.pkl")
         stale = pickle.loads(path.read_bytes())
-        stale.schema = 1
-        stale.digests = {n: "schema-1" for n in stale.digests}
+        stale.schema = current - 1
+        stale.digests = {n: "stale" for n in stale.digests}
+        stale.liveness = None
         snapshot.save_store(path, stale)
         checkpoint_store.cache_clear()
         rebuilt = checkpoint_store("crc32", CONFIG)
     finally:
         checkpoint_store.cache_clear()
-    assert rebuilt.schema == 2
+    assert rebuilt.schema == current
     assert rebuilt.digests == fresh.digests
-    assert pickle.loads(path.read_bytes()).schema == 2
+    assert rebuilt.liveness is not None
+    assert pickle.loads(path.read_bytes()).schema == current
