@@ -309,31 +309,28 @@ def _cmd_report(args) -> int:
     import json
     from pathlib import Path
 
-    from .injectors.golden import cache_dir
-    from .obs.reporting import load_events, render_report, report_data
+    from .obs.reporting import iter_events, render_report, report_data
+    from .obs.sidecars import events_path
 
-    path = args.events if args.events \
-        else cache_dir() / "events.jsonl"
+    path = args.events or events_path()
     if str(path) != "-" and not Path(path).exists():
         print(f"no event log at {path} (set REPRO_EVENT_LOG or run "
               f"a campaign first)")
         return 1
     if args.json:
-        print(json.dumps(report_data(load_events(path)), indent=2))
+        print(json.dumps(report_data(iter_events(path)), indent=2))
     else:
-        print(render_report(load_events(path), limit=args.limit))
+        print(render_report(iter_events(path), limit=args.limit))
     return 0
 
 
 def _cmd_dashboard(args) -> int:
-    from .injectors.golden import cache_dir
     from .obs.dashboard import (build_dashboard, render_dashboard,
                                 render_html, resolve_color_mode)
+    from .obs.sidecars import events_path
 
-    events = args.events if args.events \
-        else cache_dir() / "events.jsonl"
     data = build_dashboard(cache_path=args.cache,
-                           events_path=events,
+                           events_path=args.events or events_path(),
                            n_phases=args.phases,
                            n_regions=args.regions)
     print(render_dashboard(data, color=resolve_color_mode(args.color)))

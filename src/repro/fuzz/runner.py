@@ -24,7 +24,7 @@ from ..injectors.engine import (atomic_write_text, clear_checkpoints,
                                 run_sharded)
 from ..injectors.gefin import run_one_injection
 from ..injectors.golden import cache_dir, golden_run
-from ..obs import EventLog, ProgressReporter, progress_enabled
+from ..obs import EventLog, ProgressReporter, progress_enabled, sidecars
 from ..obs.metrics import get_registry
 from ..uarch.batch import resolve_batch_lanes
 from ..uarch.config import config_by_name
@@ -306,7 +306,7 @@ def run_fuzz(n: int, seed: int = 1, workloads=None,
              for case in cases]
 
     label = f"fuzz-{config_name}-s{seed}"
-    events = EventLog.resolve(default=cache_dir() / "events.jsonl")
+    events = EventLog.resolve(default=sidecars.events_path())
     registry = get_registry()
     reporter = (ProgressReporter(n, label=label)
                 if progress_enabled(progress) else None)

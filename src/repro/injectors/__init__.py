@@ -7,7 +7,7 @@
 * :mod:`~repro.injectors.engine` — sharded resumable execution.
 """
 
-from .archinj import PVF_MODELS, run_pvf_campaign
+from .archinj import PVF_MODELS
 from .campaign import INJECTORS, CampaignResult, run_campaign
 from .engine import (
     Shard,
@@ -16,9 +16,8 @@ from .engine import (
     plan_shards,
     run_sharded,
 )
-from .gefin import InjectionResult, run_gefin_campaign, run_one_injection
+from .gefin import InjectionResult, run_one_injection
 from .golden import GoldenRun, cache_dir, golden_run
-from .llfi import run_svf_campaign
 
 __all__ = [
     "CampaignResult",
@@ -33,9 +32,6 @@ __all__ = [
     "golden_run",
     "plan_shards",
     "run_campaign",
-    "run_gefin_campaign",
     "run_one_injection",
-    "run_pvf_campaign",
     "run_sharded",
-    "run_svf_campaign",
 ]

@@ -26,12 +26,11 @@ from __future__ import annotations
 import random
 
 from ..faults.outcomes import Verdict, classify
-from ..isa.registers import register_set
 from ..kernel.loader import build_system_image
 from ..uarch.functional import FaultAction, FunctionalEngine
 from ..workloads.suite import load_workload
 from .gefin import InjectionResult, run_injection
-from .golden import GoldenRun, golden_run
+from .golden import GoldenRun, golden_run  # noqa: F401 (perfbench site)
 
 PVF_MODELS = ("WD", "WOI", "WI")
 
@@ -187,21 +186,3 @@ def arch_result(injector: str, result, golden: GoldenRun,
         crossing_cycle=float(action.when),
         site_bit=getattr(action, "site_bit", None),
     )
-
-
-def run_pvf_campaign(workload: str, isa: str, config_name: str,
-                     n: int, seed: int, model: str = "WD",
-                     hardened: bool = False) -> list[InjectionResult]:
-    """Run *n* architecture-level injections with the given FPM model.
-
-    *config_name* selects which golden profile provides the dynamic
-    instruction counts; PVF itself is microarchitecture-independent
-    (the paper verifies this — and so can you, by varying the config).
-    """
-    golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(isa).xlen
-    rng = random.Random(repr((seed, "pvf", model, workload, isa)))
-    return [run_one_pvf(workload, isa,
-                        build_pvf_action(model, rng, golden, xlen),
-                        golden, hardened=hardened)
-            for _ in range(n)]

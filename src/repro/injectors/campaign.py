@@ -31,7 +31,7 @@ from operator import attrgetter
 from ..faults.fault import sample_uniform
 from ..faults.outcomes import Outcome
 from ..faults.sampling import margin_of_error
-from ..obs import EventLog, ProgressReporter, progress_enabled
+from ..obs import EventLog, ProgressReporter, progress_enabled, sidecars
 from ..obs.metrics import (BATCH_FALLBACKS, LATENCY_BUCKETS, Histogram,
                            MetricsRegistry, get_registry)
 from ..uarch.config import MicroarchConfig, config_by_name
@@ -353,7 +353,7 @@ def _write_profile_sidecar(campaign: "CampaignResult", path) -> None:
 
     if not profile_enabled():
         return
-    sidecar = cache_dir() / f"profile-{path.stem}.json"
+    sidecar = sidecars.profile_path(path.stem)
     if sidecar.exists():
         return
     profile = profile_golden_run(campaign.workload,
@@ -366,7 +366,7 @@ def _campaign_path(meta: tuple) -> "os.PathLike":
     import hashlib
 
     digest = hashlib.sha256(json.dumps(meta).encode()).hexdigest()[:20]
-    return cache_dir() / f"campaign-{meta[0]}-{meta[1]}-{digest}.json"
+    return sidecars.campaign_path(meta[0], meta[1], digest)
 
 
 def _salted(head: tuple, workload: str, config: MicroarchConfig,
@@ -476,24 +476,18 @@ class _Campaign:
         self.lanes = resolve_batch_lanes(batch_lanes)
         self.workers = (workers if workers is not None
                         else default_workers(n))
-        self.events = EventLog.resolve(
-            default=cache_dir() / "events.jsonl")
+        self.events = EventLog.resolve(default=sidecars.events_path())
 
     def cached(self) -> "CampaignResult | None":
         """The campaign's sidecar, when caching is on and it is fresh;
-        a corrupt one, or one stamped with another
-        :data:`~repro.injectors.golden.CACHE_SCHEMA_VERSION`, is
+        one that :func:`repro.obs.sidecars.read_campaign` rejects
+        (corrupt, or stamped with another
+        :data:`~repro.injectors.golden.CACHE_SCHEMA_VERSION`) is
         removed so the campaign recomputes."""
-        from . import golden as golden_mod
-
         if not self.use_cache or not self.path.exists():
             return None
-        try:
-            data = json.loads(self.path.read_text())
-            if data.get("schema") != golden_mod.CACHE_SCHEMA_VERSION:
-                raise ValueError("stale campaign cache schema")
-            campaign = CampaignResult.from_json(data)
-        except (ValueError, TypeError, KeyError, OSError):
+        campaign = sidecars.read_campaign(self.path)
+        if campaign is None:
             # tolerate two processes racing to remove (or replace)
             # the same corrupt/stale entry
             self.path.unlink(missing_ok=True)
@@ -566,9 +560,7 @@ class _Campaign:
             snapshot = registry.snapshot()
             self.events.emit("metrics_snapshot", campaign=stem,
                              metrics=snapshot)
-            # "metrics-" prefix: must never match the campaign-*.json
-            # globs used for cache scans and resume
-            atomic_write_text(cache_dir() / f"metrics-{stem}.json",
+            atomic_write_text(sidecars.metrics_path(stem),
                               json.dumps(snapshot, indent=2))
         if self.use_cache:
             atomic_write_text(self.path, json.dumps(campaign.to_json()))

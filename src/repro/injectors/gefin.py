@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..faults.fault import FaultSpec, fault_site_bit, sample_campaign
+from ..faults.fault import FaultSpec, fault_site_bit
 from ..faults.outcomes import Outcome, Verdict, classify
 from ..kernel.loader import build_system_image
 from ..uarch.config import MicroarchConfig
 from ..uarch.exceptions import ContainmentError
 from ..uarch.pipeline import PipelineEngine
 from ..workloads.suite import load_workload
-from .golden import GoldenRun, golden_run
+from .golden import GoldenRun, golden_run  # noqa: F401 (perfbench site)
 
 
 @dataclass(frozen=True)
@@ -186,21 +186,3 @@ def _gefin_result(result, golden: GoldenRun, config: MicroarchConfig,
                         if result.crossing else None),
         site_bit=fault_site_bit(config, spec),
     )
-
-
-def run_gefin_campaign(workload: str, config: MicroarchConfig,
-                       structure: str, n: int, seed: int,
-                       hardened: bool = False,
-                       prefer_live: bool = True) -> list[InjectionResult]:
-    """Run *n* injections into *structure* (deterministic in *seed*).
-
-    ``prefer_live=True`` uses occupancy-aware sampling (see
-    :mod:`repro.faults.fault`); the campaign aggregation layer
-    reweights by the golden occupancy to stay unbiased.
-    """
-    golden = golden_run(workload, config.name, hardened=hardened)
-    specs = sample_campaign(config, structure, golden.cycles, n, seed,
-                            prefer_live=prefer_live)
-    return [run_one_injection(workload, config, spec, golden,
-                              hardened=hardened)
-            for spec in specs]

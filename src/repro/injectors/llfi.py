@@ -21,7 +21,7 @@ from ..uarch.functional import FaultAction, FunctionalEngine
 from ..workloads.suite import load_workload
 from .archinj import run_one_arch
 from .gefin import InjectionResult
-from .golden import GoldenRun, golden_run
+from .golden import GoldenRun, golden_run  # noqa: F401 (perfbench site)
 
 
 def require_svf_isa(isa: str) -> None:
@@ -65,16 +65,3 @@ def run_one_svf(workload: str, isa: str, action: FaultAction,
                               max_instructions=golden.max_instructions)
     return run_one_arch("svf", engine, workload, isa, action, golden,
                         hardened=hardened, tracer=tracer, fastpath=fastpath)
-
-
-def run_svf_campaign(workload: str, isa: str, config_name: str,
-                     n: int, seed: int,
-                     hardened: bool = False) -> list[InjectionResult]:
-    """Run *n* LLFI-style injections (destination-register bit flips)."""
-    require_svf_isa(isa)
-    golden = golden_run(workload, config_name, hardened=hardened)
-    xlen = register_set(isa).xlen
-    rng = random.Random(repr((seed, "svf", workload, isa)))
-    return [run_one_svf(workload, isa, _dest_flip_action(rng, golden, xlen),
-                        golden, hardened=hardened)
-            for _ in range(n)]

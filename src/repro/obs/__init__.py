@@ -6,7 +6,12 @@
 * :mod:`~repro.obs.progress` — single-line stderr progress reporter
   (runs/sec, ETA, running outcome counts).
 * :mod:`~repro.obs.metrics` — opt-in metrics registry (counters,
-  gauges, histograms, timers) gated by ``REPRO_METRICS``.
+  gauges, histograms, timers) gated by ``REPRO_METRICS``, and
+  ``env_flag``, the one reader of on/off ``REPRO_*`` switches.
+* :mod:`~repro.obs.sidecars` — the cache directory's file layout:
+  campaign, profile, metrics and trace sidecar names, the one
+  campaign read (schema-checked, never deletes), the sorted directory
+  pass behind every read-only view, and the event-log line parser.
 * :mod:`~repro.obs.tracing` — per-run fault-propagation traces (the
   flip's life story across the vulnerability stack).
 * :mod:`~repro.obs.trace_diff` — cycle-level golden-vs-faulty

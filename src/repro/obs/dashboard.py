@@ -25,7 +25,6 @@ Sections:
 from __future__ import annotations
 
 import html
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -34,10 +33,8 @@ from pathlib import Path
 from ..core.divergence import (METHODS, analyze_divergence,
                                gefin_structure_rows)
 from ..core.report import render_sparkline, render_table
-from ..injectors.campaign import CampaignResult
-from ..injectors.golden import CACHE_SCHEMA_VERSION
-from .profiles import (N_PHASES, N_REGIONS, ResidencyProfile,
-                       attribute_campaign, phase_of)
+from . import sidecars
+from .profiles import N_PHASES, N_REGIONS, attribute_campaign, phase_of
 from .reporting import iter_events, report_data
 
 #: density ramp shared by every text heatmap (index 0 = zero)
@@ -47,54 +44,6 @@ RAMP = " .:-=+*#%@"
 # ---------------------------------------------------------------------------
 # data assembly (reads sidecars and the event log; never simulates)
 # ---------------------------------------------------------------------------
-def scan_campaigns(cache_path: "Path | str") -> list:
-    """Load every current ``campaign-*.json`` sidecar in a directory.
-
-    Corrupt or foreign files are skipped, never raised on — the cache
-    directory is shared mutable state.  So are sidecars of another
-    ``CACHE_SCHEMA_VERSION``, which the campaign store would discard
-    rather than reuse.
-    """
-    out = []
-    for path in sorted(Path(cache_path).glob("campaign-*.json")):
-        try:
-            data = json.loads(path.read_text())
-            campaign = CampaignResult.from_json(data)
-        except (ValueError, TypeError, KeyError, OSError):
-            continue
-        if data.get("schema") == CACHE_SCHEMA_VERSION:
-            out.append(campaign)
-    return out
-
-
-def scan_profiles(cache_path: "Path | str") -> dict:
-    """Load ``profile-*.json`` sidecars, keyed (workload, config,
-    hardened)."""
-    out: dict = {}
-    for path in sorted(Path(cache_path).glob("profile-*.json")):
-        try:
-            profile = ResidencyProfile.from_json(
-                json.loads(path.read_text()))
-        except (ValueError, TypeError, KeyError, OSError):
-            continue
-        out[(profile.workload, profile.config_name,
-             profile.hardened)] = profile
-    return out
-
-
-def scan_traces(cache_path: "Path | str") -> list:
-    """Load every valid ``trace-*.json`` differential-trace sidecar
-    (:mod:`repro.obs.trace_diff`); invalid files are skipped."""
-    from .trace_diff import load_diff
-
-    out = []
-    for path in sorted(Path(cache_path).glob("trace-*.json")):
-        payload = load_diff(path)
-        if payload is not None:
-            out.append(payload)
-    return out
-
-
 @dataclass
 class Heatmap:
     """One labelled grid of vulnerability values in [0, 1]."""
@@ -138,13 +87,11 @@ def build_dashboard(cache_path: "Path | str | None" = None,
                     n_phases: int = N_PHASES,
                     n_regions: int = N_REGIONS) -> DashboardData:
     """Assemble the dashboard from sidecars + the event log."""
-    from ..injectors.golden import cache_dir
-
-    cache_path = Path(cache_path) if cache_path else cache_dir()
-    campaigns = scan_campaigns(cache_path)
+    listing = sidecars.CacheListing(cache_path)
+    campaigns = listing.campaigns()
     data = DashboardData(campaigns=campaigns,
-                         profiles=scan_profiles(cache_path),
-                         traces=scan_traces(cache_path),
+                         profiles=listing.profiles(),
+                         traces=listing.traces(),
                          n_phases=n_phases, n_regions=n_regions)
 
     for key, per_structure in sorted(

@@ -32,7 +32,9 @@ import os
 import time
 from contextlib import contextmanager
 
-_TRUTHY = {"1", "yes", "true", "on"}
+#: what an on/off environment switch reads as on, and as off
+TRUTHY = frozenset({"1", "yes", "true", "on"})
+FALSY = frozenset({"0", "false", "no", "off", ""})
 
 #: visibility-latency histogram edges, in simulated cycles
 LATENCY_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
@@ -65,12 +67,21 @@ BATCH_SCALAR_EVICTIONS = "engine.batch_scalar_evictions"
 BATCH_FALLBACKS = "engine.batch_fallbacks"
 
 
+def env_flag(name: str, default: bool) -> bool:
+    """Read an on/off environment switch: a truthy value is True, a
+    falsy one (the empty string too) is False, and an unset variable
+    or any other value gives *default*."""
+    env = os.environ.get(name, "").strip().lower()
+    if name not in os.environ or env not in TRUTHY | FALSY:
+        return default
+    return env in TRUTHY
+
+
 def metrics_enabled(explicit: "bool | None" = None) -> bool:
     """Resolve the metrics switch: argument > ``REPRO_METRICS`` > off."""
     if explicit is not None:
         return explicit
-    env = os.environ.get("REPRO_METRICS", "")
-    return env.strip().lower() in _TRUTHY
+    return env_flag("REPRO_METRICS", False)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,10 @@ which program site), applied to the paper's vulnerability stack.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-_TRUTHY = {"1", "yes", "true", "on"}
+from .metrics import env_flag
 
 #: default program-phase windows (equal slices of the golden runtime)
 N_PHASES = 8
@@ -50,8 +49,7 @@ def profile_enabled(explicit: "bool | None" = None) -> bool:
     """Resolve the profiler switch: argument > ``REPRO_PROFILE`` > off."""
     if explicit is not None:
         return explicit
-    env = os.environ.get("REPRO_PROFILE", "")
-    return env.strip().lower() in _TRUTHY
+    return env_flag("REPRO_PROFILE", False)
 
 
 def phase_of(t: float, t_max: float, n_phases: int) -> int:

@@ -12,21 +12,19 @@ explicit ``--progress``/``--quiet`` flag wins, otherwise the
 
 from __future__ import annotations
 
-import os
 import shutil
 import sys
 import time
 from collections import Counter
 
-_TRUTHY = {"1", "yes", "true", "on"}
+from .metrics import env_flag
 
 
 def progress_enabled(explicit: "bool | None" = None) -> bool:
     """Resolve the progress switch: flag > ``REPRO_PROGRESS`` > off."""
     if explicit is not None:
         return explicit
-    env = os.environ.get("REPRO_PROGRESS", "")
-    return env.strip().lower() in _TRUTHY
+    return env_flag("REPRO_PROGRESS", False)
 
 
 def _format_eta(seconds: float) -> str:

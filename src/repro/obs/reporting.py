@@ -18,16 +18,16 @@ matches the look of every other bench/figure in the repo.
 from __future__ import annotations
 
 import gzip
-import json
 import sys
 from pathlib import Path
 
 from ..core.report import (render_bar_chart, render_sparkline,
                            render_table)
 from .metrics import Histogram
+from .sidecars import parse_event
 
 __all__ = ["EventTail", "ReportAggregator", "iter_events",
-           "load_events", "render_report", "report_data"]
+           "render_report", "report_data"]
 
 
 def _open_events(path: "Path | str"):
@@ -60,28 +60,12 @@ def iter_events(path: "Path | str"):
     handle = _open_events(path)
     try:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and "event" in record:
+            record = parse_event(line)
+            if record is not None:
                 yield record
     finally:
         if handle is not sys.stdin:
             handle.close()
-
-
-def load_events(path: "Path | str"):
-    """Stream a JSONL event log (alias of :func:`iter_events`).
-
-    Historically returned a list; it now returns a generator so the
-    aggregation passes stay O(campaigns), not O(lines), in memory.
-    Wrap in ``list()`` if random access is needed.
-    """
-    return iter_events(path)
 
 
 class EventTail:
@@ -147,18 +131,10 @@ class EventTail:
             if not raw.endswith(b"\n"):
                 break                      # torn tail: re-read next poll
             consumed += len(raw)
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8",
-                                                errors="replace"))
-            except ValueError:
-                self.skipped += 1
-                continue
-            if isinstance(record, dict) and "event" in record:
+            record = parse_event(raw.decode("utf-8", errors="replace"))
+            if record is not None:
                 events.append(record)
-            else:
+            elif raw.strip():
                 self.skipped += 1
         self._offset += consumed
         self.lag_bytes = size - self._offset

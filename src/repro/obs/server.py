@@ -67,11 +67,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from . import sidecars
 from .dashboard import (_CSS, build_dashboard, html_sections,
-                        live_sections, scan_campaigns, trace_section)
+                        live_sections, trace_section)
 from .metrics import MetricsRegistry, get_registry, render_prometheus
 from .profiles import N_PHASES, N_REGIONS, attribute_campaign
-from .reporting import EventTail, ReportAggregator
+from .reporting import EventTail, ReportAggregator, report_data
 
 __all__ = ["Observatory", "ObservatoryServer", "make_server", "serve"]
 
@@ -104,12 +105,9 @@ class Observatory:
                  poll_interval: float = 0.5,
                  n_phases: int = N_PHASES,
                  n_regions: int = N_REGIONS) -> None:
-        from ..injectors.golden import cache_dir
-
-        self.cache_path = (Path(cache_path) if cache_path
-                           else cache_dir())
+        self.cache_path = sidecars.directory(cache_path)
         self.events_path = (Path(events_path) if events_path
-                            else self.cache_path / "events.jsonl")
+                            else sidecars.events_path(self.cache_path))
         self.allow_replay = allow_replay
         self.poll_interval = poll_interval
         self.n_phases = n_phases
@@ -127,58 +125,20 @@ class Observatory:
         """Every ``campaign-*.json`` sidecar with staleness flags."""
         from ..injectors.golden import CACHE_SCHEMA_VERSION
 
-        now = time.time()
-        campaigns = []
-        for path in sorted(self.cache_path.glob("campaign-*.json")):
-            entry: dict = {"id": path.stem}
-            try:
-                data = json.loads(path.read_text())
-                schema = data.get("schema")
-                target = data.get("structure") or data.get("model")
-                entry.update({
-                    "injector": data.get("injector"),
-                    "workload": data.get("workload"),
-                    "config": data.get("config_name"),
-                    "target": target,
-                    "label": (f"{data.get('injector')}:"
-                              f"{data.get('workload')}"
-                              + (f"/{target}" if target else "")),
-                    "n": data.get("n"),
-                    "runs": len(data.get("results", ())),
-                    "seed": data.get("seed"),
-                    "hardened": bool(data.get("hardened")),
-                    "planned": data.get("plan") is not None,
-                    "schema": schema,
-                    "stale": schema != CACHE_SCHEMA_VERSION,
-                })
-            except (ValueError, TypeError, KeyError, OSError):
-                entry["error"] = "unparseable"
-            try:
-                entry["age_seconds"] = round(
-                    max(0.0, now - path.stat().st_mtime), 1)
-            except OSError:
-                pass
-            campaigns.append(entry)
-        profiles = sorted(p.stem for p in
-                          self.cache_path.glob("profile-*.json"))
+        listing = sidecars.CacheListing(self.cache_path)
         return {"cache": str(self.cache_path),
                 "events": str(self.events_path),
                 "schema": CACHE_SCHEMA_VERSION,
-                "campaigns": campaigns,
-                "profiles": profiles}
+                "campaigns": listing.index(),
+                "profiles": listing.profile_ids()}
 
     def load_campaign(self, campaign_id: str):
-        """Load one sidecar by id; ``None`` if absent/invalid."""
-        from ..injectors.campaign import CampaignResult
-
+        """Load one current sidecar by id; ``None`` if absent, invalid
+        or stale."""
         if not _CAMPAIGN_ID.match(campaign_id):
             return None
-        path = self.cache_path / f"{campaign_id}.json"
-        try:
-            return CampaignResult.from_json(
-                json.loads(path.read_text()))
-        except (ValueError, TypeError, KeyError, OSError):
-            return None
+        return sidecars.read_campaign(
+            self.cache_path / f"{campaign_id}.json")
 
     def campaign_detail(self, campaign_id: str) -> "dict | None":
         """Estimators + attribution + divergence for one campaign."""
@@ -213,7 +173,8 @@ class Observatory:
         }
         # the workload's cross-layer divergence row, from every
         # sidecar in the cache (pure post-processing)
-        rows = build_rows(scan_campaigns(self.cache_path))
+        rows = build_rows(
+            sidecars.CacheListing(self.cache_path).campaigns())
         for row in rows:
             if (row.workload == campaign.workload
                     and row.config_name == campaign.config_name
@@ -262,7 +223,8 @@ class Observatory:
         else:
             EventLog(self.events_path).emit(
                 "job_update",
-                job=f"trace-{campaign_id}-{seed}-{index}",
+                job=sidecars.trace_path(campaign_id, seed, index,
+                                        self.cache_path).stem,
                 state="trace_ready",
                 label=(f"{campaign.injector}:{campaign.workload} "
                        f"seed={seed} index={index}"),
@@ -275,10 +237,7 @@ class Observatory:
 
     def summary(self) -> dict:
         """One-shot ``repro report --json`` aggregation of the log."""
-        aggregator = ReportAggregator()
-        tail = EventTail(self.events_path)
-        aggregator.absorb_all(tail.poll())
-        return aggregator.data()
+        return report_data(EventTail(self.events_path).poll())
 
     def prometheus(self) -> str:
         """``/metrics`` payload: process registry + server counters."""

@@ -34,6 +34,8 @@ from collections import deque
 from pathlib import Path
 
 from .profiles import N_PHASES, phase_of
+from .sidecars import read_trace as load_diff
+from .sidecars import trace_path as trace_sidecar_path
 from .tracing import FaultTracer
 
 __all__ = [
@@ -491,33 +493,10 @@ def default_stem(injector: str, workload: str, config_name: str,
     return "-".join(parts)
 
 
-def trace_sidecar_path(stem: str, seed: int, index: int,
-                       cache_path: "Path | str | None" = None) -> Path:
-    from ..injectors.golden import cache_dir
-
-    base = Path(cache_path) if cache_path else cache_dir()
-    return base / f"trace-{stem}-{seed}-{index}.json"
-
-
 def save_diff(payload: dict, path: "Path | str") -> None:
     from ..injectors.engine import atomic_write_text
 
     atomic_write_text(path, json.dumps(payload, sort_keys=True))
-
-
-def load_diff(path: "Path | str") -> "dict | None":
-    """Parse one trace sidecar; ``None`` on absence, corruption or a
-    schema mismatch (the cache directory is shared mutable state)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (ValueError, OSError):
-        return None
-    if not isinstance(data, dict) \
-            or data.get("kind") != "trace-diff" \
-            or data.get("schema") != TRACE_DIFF_SCHEMA_VERSION \
-            or not isinstance(data.get("frames"), list):
-        return None
-    return data
 
 
 def load_or_capture(injector: str, workload: str, config_name: str,

@@ -52,7 +52,7 @@ from ..isa.instructions import (CLS_DIV, CLS_LOAD, CLS_STORE, FMT_B, FMT_RJ,
 from ..kernel.syscalls import EXIT_CODE_OFFSET, SYS_EXIT, SYS_WRITE
 from ..obs.metrics import (BATCH_BATCHES, BATCH_EARLY_RETIRES,
                            BATCH_LANES_PACKED, BATCH_SCALAR_EVICTIONS,
-                           get_registry)
+                           FALSY, get_registry)
 from .cpu import KERNEL_MODE, LANE_FORMS, _sdiv, _srem, to_signed
 from .exceptions import ContainmentError, DetectTrap, SimException
 from .functional import FuncResult, RunStatus, trigger_tables
@@ -72,7 +72,6 @@ FULL = 0xFFFF_FFFF_FFFF_FFFF
 # much, and the divergent-lane path tests a row on nearly every step.
 _PAGE = layout.PAGE_SIZE
 _PAGE_MASK = _PAGE - 1
-_FALSY = {"0", "false", "no", "off", ""}
 # step kinds of a lane record (BatchedFunctionalEngine._lane_record)
 _UNIFORM, _JUMP_REG, _BRANCH, _ALU, _DIV, _LOAD, _STORE = range(7)
 _DIVIDE = {"div": _sdiv, "rem": _srem}
@@ -98,7 +97,7 @@ def resolve_batch_lanes(explicit: "int | None" = None) -> int:
     if env is None:
         return 0
     env = env.strip().lower()
-    if env in _FALSY:
+    if env in FALSY:
         return 0
     try:
         lanes = int(env)

@@ -77,7 +77,7 @@ from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
                            FASTPATH_INSTRUCTIONS_SAVED,
                            FASTPATH_INSTRUCTIONS_SKIPPED,
                            FASTPATH_ORACLE_EXITS,
-                           FASTPATH_RESTORES, get_registry)
+                           FASTPATH_RESTORES, env_flag, get_registry)
 from .cache import Cache, Line
 from .functional import FaultAction, FuncResult, FunctionalEngine, RunStatus
 from .liveness import LivenessOracle, record_liveness
@@ -93,18 +93,12 @@ _ORACLE_STRUCTURES = ("L1I", "L1D", "L2")
 #: default number of checkpoints per capture run
 TARGET_CHECKPOINTS = 16
 
-_FALSY = {"0", "false", "no", "off", ""}
-
-
 def fastpath_enabled(explicit: "bool | None" = None) -> bool:
     """Resolve the fast-path switch: explicit flag > ``REPRO_FASTPATH``
     environment variable > on by default."""
     if explicit is not None:
         return bool(explicit)
-    env = os.environ.get("REPRO_FASTPATH")
-    if env is None:
-        return True
-    return env.strip().lower() not in _FALSY
+    return env_flag("REPRO_FASTPATH", True)
 
 
 def checkpoint_interval(total_instructions: int) -> int:

@@ -20,12 +20,12 @@ from repro.injectors.campaign import CampaignResult
 from repro.injectors.gefin import InjectionResult
 from repro.obs.dashboard import (Heatmap, build_dashboard,
                                  render_dashboard, render_heatmap,
-                                 render_html, scan_campaigns,
-                                 scan_profiles)
+                                 render_html)
 from repro.obs.profiles import (ResidencyProfile, attribute_campaign,
                                 bit_region_of, phase_of,
                                 profile_enabled, profile_golden_run,
                                 region_label)
+from repro.obs.sidecars import CacheListing
 
 STRUCTURES = ("RF", "LSQ", "L1I", "L1D", "L2")
 
@@ -357,8 +357,9 @@ class TestDashboard:
         (tmp_path / "profile-bogus.json").write_text("[]")
         bag = _full_bag({"sha": (0.2, 0.5, 0.3)})
         _sidecar_dir(tmp_path, bag)
-        assert len(scan_campaigns(tmp_path)) == len(bag)
-        assert scan_profiles(tmp_path) == {}
+        listing = CacheListing(tmp_path)
+        assert len(listing.campaigns()) == len(bag)
+        assert listing.profiles() == {}
 
     def test_ansi_dashboard_has_all_sections(self, tmp_path):
         bag = _full_bag({"sha": (0.1, 0.8, 0.2),

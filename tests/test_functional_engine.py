@@ -181,7 +181,7 @@ class TestDecodeCache:
         """Illegal words are WI's common end; a cached exception
         re-raised through each run's frames kept those engines (with
         their registers and page overlays) alive."""
-        from repro.injectors.archinj import run_pvf_campaign
+        from repro.injectors.campaign import run_campaign
 
         def engines():
             gc.collect()
@@ -189,9 +189,10 @@ class TestDecodeCache:
                        for obj in gc.get_objects())
 
         before = engines()
-        results = run_pvf_campaign("crc32", MR64, "cortex-a72", n=24,
-                                   seed=5, model="WI")
-        assert any(r.crash_kind for r in results)
+        campaign = run_campaign("crc32", "cortex-a72", injector="pvf",
+                                model="WI", n=24, seed=5,
+                                use_cache=False, workers=1)
+        assert any(r.crash_kind for r in campaign.results)
         assert engines() <= before
 
 

@@ -92,12 +92,6 @@ class TestCampaignMachinery:
 
 
 class TestLayerSemantics:
-    def test_svf_rejects_32bit(self):
-        from repro.injectors.llfi import run_svf_campaign
-
-        with pytest.raises(ValueError):
-            run_svf_campaign("sha", MR32, "cortex-a9", n=1, seed=1)
-
     @pytest.mark.parametrize("planner", [None, "two-level"])
     def test_svf_campaign_rejects_32bit_before_simulating(
             self, planner, monkeypatch):

@@ -24,7 +24,7 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.progress import ProgressReporter, _format_eta
-from repro.obs.reporting import (load_events, render_report,
+from repro.obs.reporting import (iter_events, render_report,
                                  report_data)
 
 
@@ -345,7 +345,7 @@ class TestReporting:
                         "not json at all\n"
                         '{"no_event_key": 1}\n'
                         '{"event": "campaign_finished"}\n')
-        kinds = [e["event"] for e in load_events(path)]
+        kinds = [e["event"] for e in iter_events(path)]
         assert kinds == ["campaign_started", "campaign_finished"]
 
     def test_render_report_sections(self):
@@ -376,7 +376,7 @@ class TestReporting:
     def test_load_events_is_a_lazy_stream(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"event": "a"}\n{"event": "b"}\n')
-        stream = load_events(path)
+        stream = iter_events(path)
         assert iter(stream) is stream       # generator, not a list
         assert next(stream)["event"] == "a"
 
@@ -387,16 +387,16 @@ class TestReporting:
         with gzip.open(path, "wt") as handle:
             for record in _synthetic_events():
                 handle.write(json.dumps(record) + "\n")
-        kinds = [e["event"] for e in load_events(path)]
+        kinds = [e["event"] for e in iter_events(path)]
         assert kinds[0] == "campaign_started"
         assert kinds[-1] == "campaign_summary"
-        assert "gefin:sha/RF" in render_report(load_events(path))
+        assert "gefin:sha/RF" in render_report(iter_events(path))
 
     def test_load_events_reads_stdin(self, monkeypatch):
         lines = "".join(json.dumps(r) + "\n"
                         for r in _synthetic_events())
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        kinds = [e["event"] for e in load_events("-")]
+        kinds = [e["event"] for e in iter_events("-")]
         assert len(kinds) == len(_synthetic_events())
 
     @pytest.mark.parametrize("dump", [
@@ -580,3 +580,53 @@ class TestEventTail:
             self._write(path, [record])
             incremental.absorb_all(tail.poll())
         assert incremental.data() == report_data(_synthetic_events())
+
+
+# ---------------------------------------------------------------------------
+# on/off environment switches
+# ---------------------------------------------------------------------------
+_ENV_VALUES = (None, "", "1", " Yes ", "off", "0", "garbage", "8")
+
+
+def _switches():
+    from repro.obs.metrics import metrics_enabled
+    from repro.obs.profiles import profile_enabled
+    from repro.obs.progress import progress_enabled
+    from repro.uarch.batch import resolve_batch_lanes
+    from repro.uarch.snapshot import fastpath_enabled
+
+    return {"REPRO_PROGRESS": progress_enabled,
+            "REPRO_METRICS": metrics_enabled,
+            "REPRO_PROFILE": profile_enabled,
+            "REPRO_FASTPATH": fastpath_enabled,
+            "REPRO_BATCH": resolve_batch_lanes}
+
+
+#: how each switch reads each value (unset first); the opt-in
+#: switches are on only for a truthy value, the fast path is off only
+#: for a falsy one, and REPRO_BATCH also takes a lane count
+_EXPECTED = {
+    "REPRO_PROGRESS": (False, False, True, True, False, False, False,
+                       False),
+    "REPRO_METRICS": (False, False, True, True, False, False, False,
+                      False),
+    "REPRO_PROFILE": (False, False, True, True, False, False, False,
+                      False),
+    "REPRO_FASTPATH": (True, False, True, True, False, False, True,
+                       True),
+    "REPRO_BATCH": (0, 0, 64, 64, 0, 0, 64, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPECTED))
+@pytest.mark.parametrize("position", range(len(_ENV_VALUES)),
+                         ids=[repr(v) for v in _ENV_VALUES])
+def test_env_switch_reading(name, position, monkeypatch):
+    value = _ENV_VALUES[position]
+    if value is None:
+        monkeypatch.delenv(name, raising=False)
+    else:
+        monkeypatch.setenv(name, value)
+    got = _switches()[name]()
+    assert got == _EXPECTED[name][position]
+    assert type(got) is type(_EXPECTED[name][position])

@@ -801,3 +801,40 @@ class TestStaleSidecars:
         by_id = {c["id"]: c for c in index["campaigns"]}
         assert by_id[f"{cid}-old"]["stale"]
         assert not by_id[cid]["stale"]
+
+    def test_stale_or_corrupt_sidecar_has_no_drilldown(self, sidecars,
+                                                       monkeypatch):
+        # the index lists each one, flagged; the detail and the replay
+        # drill-down answer 404 without simulating anything
+        import repro.injectors.golden as golden_mod
+        import repro.uarch.functional as functional_mod
+        import repro.uarch.pipeline as pipeline_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a stale sidecar was re-simulated")
+
+        monkeypatch.setattr(golden_mod, "golden_run", boom)
+        monkeypatch.setattr(pipeline_mod.PipelineEngine, "run", boom)
+        monkeypatch.setattr(functional_mod.FunctionalEngine, "run",
+                            boom)
+
+        cid = _rf_gefin_sha(sidecars)
+        stale = json.loads((sidecars / f"{cid}.json").read_text())
+        stale["schema"] = -1
+        (sidecars / f"{cid}-old.json").write_text(json.dumps(stale))
+        (sidecars / "campaign-torn.json").write_text("{not json")
+        (sidecars / "campaign-array.json").write_text("[]")
+        with _serving(sidecars, allow_replay=True) as (_, base):
+            index = _get_json(base + "/api/campaigns")
+            by_id = {c["id"]: c for c in index["campaigns"]}
+            assert by_id[f"{cid}-old"]["stale"]
+            assert by_id["campaign-torn"]["error"] == "unparseable"
+            assert by_id["campaign-array"]["error"] == "unparseable"
+            assert _get_json(f"{base}/api/campaign/{cid}")["runs"] > 0
+            for bad in (f"{cid}-old", "campaign-torn", "campaign-array"):
+                for url in (f"{base}/api/campaign/{bad}",
+                            f"{base}/api/run/{bad}/7/0/diff"):
+                    with pytest.raises(urllib.error.HTTPError) as err:
+                        _get(url)
+                    assert err.value.code == 404, url
+        assert not list(sidecars.glob("trace-*.json"))
