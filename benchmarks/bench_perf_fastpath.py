@@ -58,7 +58,7 @@ def test_perf_fastpath_speedup():
     skipped = counters.get(FASTPATH_INSTRUCTIONS_SKIPPED, 0)
     saved = counters.get(FASTPATH_INSTRUCTIONS_SAVED, 0)
     exits = counters.get(FASTPATH_EARLY_EXITS, 0)
-    total = N * golden.pipe_instructions
+    total = N * golden.instructions
     speedup = t_slow / t_fast if t_fast > 0 else float("inf")
 
     lines = [

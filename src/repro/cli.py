@@ -278,7 +278,7 @@ def _instruction_window(args, trace) -> str:
     if trace.injector == "gefin":
         # the pipeline injects on a cycle; map it onto the dynamic
         # instruction stream through the golden IPC
-        ipc = golden.pipe_instructions / max(golden.cycles, 1.0)
+        ipc = golden.instructions / max(golden.cycles, 1.0)
         centre = int(trace.inject_cycle * ipc)
     elif trace.injector == "svf":
         # svf counts user instructions that write a register; the

@@ -153,15 +153,6 @@ def region_span(width: int, region: int, n_regions: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _residency_profile(workload: str, config_name: str,
-                       hardened: bool):
-    from ..obs.profiles import profile_golden_run
-
-    return profile_golden_run(workload, config_name,
-                              hardened=hardened)
-
-
-@lru_cache(maxsize=None)
 def _ace_prior(workload: str, config_name: str) -> dict:
     """Analytic per-structure AVF priors from the ACE lifetime
     analysis; the fallback source for :func:`_prior_p`."""
@@ -223,6 +214,8 @@ def partition_classes(workload: str, config: "MicroarchConfig | str",
     whole window: a flip into an invalid/unallocated entry is dead
     state by construction.
     """
+    from ..obs.profiles import profile_golden_run
+
     config = (config_by_name(config) if isinstance(config, str)
               else config)
     if injector != "gefin":
@@ -230,7 +223,8 @@ def partition_classes(workload: str, config: "MicroarchConfig | str",
     if structure is None:
         raise ValueError("gefin planning needs a structure")
     width = _entry_width(config, structure)
-    profile = _residency_profile(workload, config.name, hardened)
+    profile = profile_golden_run(workload, config.name,
+                                 hardened=hardened)
     classes = []
     for phase in range(n_phases):
         for region in range(n_regions):

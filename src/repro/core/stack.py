@@ -43,11 +43,6 @@ class StackDecomposition:
         """AVF as the stack concept would compose it (ESC excluded)."""
         return self.reach_software * (1.0 - self.software_masking)
 
-    @property
-    def stack_error(self) -> float:
-        """What the layered composition misses (the ESC leakage)."""
-        return self.avf - self.layered_estimate
-
 
 def decompose(campaign) -> StackDecomposition:
     """Decompose a gefin :class:`CampaignResult` into stack factors."""

@@ -165,15 +165,3 @@ if len(BY_OPCODE) != len(BY_MNEMONIC):  # pragma: no cover - sanity check
 def lookup(mnemonic: str) -> InstrDef:
     """Return the :class:`InstrDef` for a mnemonic (``KeyError`` if unknown)."""
     return BY_MNEMONIC[mnemonic]
-
-
-def is_load(mnemonic: str) -> bool:
-    return BY_MNEMONIC[mnemonic].cls == CLS_LOAD
-
-
-def is_store(mnemonic: str) -> bool:
-    return BY_MNEMONIC[mnemonic].cls == CLS_STORE
-
-
-def is_control(mnemonic: str) -> bool:
-    return BY_MNEMONIC[mnemonic].cls == CLS_BRANCH

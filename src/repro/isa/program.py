@@ -70,12 +70,6 @@ class Program:
     def data(self) -> Section:
         return self.section(".data")
 
-    @property
-    def text_range(self) -> tuple[int, int]:
-        """(base, end) byte range of the code section."""
-        text = self.text
-        return text.base, text.end
-
     def word_at(self, addr: int) -> int:
         """Fetch the pristine 32-bit little-endian word at *addr*.
 

@@ -49,11 +49,6 @@ class RegisterSet:
     shadow_base: int | None
 
     @property
-    def value_mask(self) -> int:
-        """Bit mask of a full-width register value."""
-        return (1 << self.xlen) - 1
-
-    @property
     def word_bytes(self) -> int:
         """Natural word size in bytes (4 or 8)."""
         return self.xlen // 8

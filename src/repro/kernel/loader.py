@@ -40,10 +40,6 @@ class SystemImage:
                 continue
         return None
 
-    def code_ranges(self) -> list[tuple[int, int]]:
-        """[(base, end)] of all executable code."""
-        return [self.user.text_range, self.kernel.text_range]
-
 
 def build_system_image(user: Program) -> SystemImage:
     """Load *user* and the matching kernel into a fresh memory."""

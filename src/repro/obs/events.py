@@ -15,8 +15,9 @@ The file handle is opened once on the first :meth:`EventLog.emit` and
 reused for the log's lifetime (one ``open``/``close`` syscall pair
 per campaign instead of per event — measurable at shard granularity).
 The log location is resolved by :meth:`EventLog.resolve`: the
-``REPRO_EVENT_LOG`` environment variable names the file, the values
-``0``/``off``/``none``/``false`` disable logging, and an unset
+``REPRO_EVENT_LOG`` environment variable names the file, a falsy
+value (``obs.metrics.FALSY``: ``0``/``false``/``no``/``off``/empty)
+or ``none`` disables logging, and an unset
 variable falls back to the *default* the caller supplies (the
 campaign engine passes ``<cache dir>/events.jsonl``).
 """
@@ -28,7 +29,7 @@ import os
 import time
 from pathlib import Path
 
-_DISABLED = {"0", "off", "none", "false"}
+from .metrics import FALSY
 
 
 class EventLog:
@@ -44,7 +45,8 @@ class EventLog:
         env = os.environ.get("REPRO_EVENT_LOG")
         if env is None:
             return cls(default)
-        if env.strip().lower() in _DISABLED or not env.strip():
+        value = env.strip().lower()
+        if value in FALSY or value == "none":
             return cls(None)
         return cls(env)
 

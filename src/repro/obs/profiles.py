@@ -361,10 +361,6 @@ class Attribution:
         """Occupancy-weighted P(SDC or Crash) per phase window."""
         return [cell["vulnerability"] for cell in self.by_phase()]
 
-    def region_labels(self) -> list:
-        return [region_label(r, self.site_width, self.n_regions)
-                for r in range(self.n_regions)]
-
     def to_json(self) -> dict:
         return dict(self.__dict__)
 

@@ -397,7 +397,7 @@ def capture_diff(injector: str, workload: str, config_name: str,
     golden = golden_run(workload, config_name, hardened=hardened)
     unit = "cycle" if injector == "gefin" else "instruction"
     if injector == "gefin":
-        cpi = golden.cycles / max(golden.pipe_instructions, 1)
+        cpi = golden.cycles / max(golden.instructions, 1)
         recorder = _PipelineRecorder(before, after, cpi)
     else:
         recorder = _FunctionalRecorder(before, after)

@@ -23,6 +23,7 @@ there are hardware-masked, as on a real core.
 from __future__ import annotations
 
 from collections import deque
+from itertools import takewhile
 
 
 class LSQEntry:
@@ -92,6 +93,12 @@ class LoadStoreQueue:
                 entry.valid = False
                 self.valid_count -= 1
             inflight.popleft()
+
+    def reclaimable(self, now: float) -> int:
+        """How many entries :meth:`reclaim` at *now* would invalidate."""
+        done = takewhile(lambda e: not e.valid or e.commit_cycle <= now,
+                         self._inflight)
+        return sum(e.valid for e in done)
 
     def allocate(self, now: float) -> tuple[LSQEntry, float]:
         """Allocate the next entry, stalling while the queue is full.

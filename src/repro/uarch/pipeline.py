@@ -1040,13 +1040,15 @@ class PipelineEngine:
     # statistics
     # ------------------------------------------------------------------
     def _sample_occupancy(self) -> None:
-        # reclaim state that has logically committed by now, else the
-        # samples overstate occupancy by the reclamation laziness
-        self.lsq.reclaim(self.fetch_time)
-        self.rf._reclaim(self.fetch_time)
+        # count what has logically committed by now as free, else the
+        # samples overstate occupancy by the reclamation laziness; the
+        # run frees it when it reclaims, so sampling changes no state
+        rf, lsq, now = self.rf, self.lsq, self.fetch_time
         self._occ_samples += 1
-        self._occ_sums["RF"] += self.rf.occupancy()
-        self._occ_sums["LSQ"] += self.lsq.occupancy()
+        self._occ_sums["RF"] += ((rf.live_count - rf.reclaimable(now))
+                                 / rf.n_phys)
+        self._occ_sums["LSQ"] += ((lsq.valid_count
+                                   - lsq.reclaimable(now)) / lsq.size)
         self._occ_sums["L1I"] += self.l1i.occupancy()
         self._occ_sums["L1D"] += self.l1d.occupancy()
         self._occ_sums["L2"] += self.l2.occupancy()

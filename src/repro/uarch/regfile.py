@@ -19,6 +19,7 @@ fault behaviour falls out of the actual state:
 from __future__ import annotations
 
 from collections import deque
+from itertools import takewhile
 
 FREE = 0
 LIVE = 1
@@ -70,6 +71,11 @@ class PhysRegFile:
             self.tainted.discard(p)
             self.free_list.append(p)
             self.live_count -= 1
+
+    def reclaimable(self, now: float) -> int:
+        """How many registers :meth:`_reclaim` at *now* would free."""
+        return sum(1 for _ in takewhile(lambda pending: pending[0] <= now,
+                                        self.pending_free))
 
     def allocate(self, arch: int, now: float,
                  writer_commit: float) -> tuple[int, float]:

@@ -84,8 +84,9 @@ from .liveness import LivenessOracle, record_liveness
 from .pipeline import PipelineEngine, PipelineResult
 
 #: bump on any change to the capture format or digest definition;
-#: invalidates every on-disk checkpoint store (3: the liveness oracle)
-SNAPSHOT_SCHEMA_VERSION = 3
+#: invalidates every on-disk checkpoint store (3: the liveness oracle;
+#: 4: the capture run's occupancy in ``final``)
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: cache structures whose data flips the liveness oracle decides
 _ORACLE_STRUCTURES = ("L1I", "L1D", "L2")
@@ -131,7 +132,8 @@ class CheckpointStore:
     checkpoints: list = field(default_factory=list)
     #: boundary instruction count -> golden digest (early-exit oracle)
     digests: dict = field(default_factory=dict)
-    #: final-result fields of the capture run (synthesised on early exit)
+    #: final-result fields of the capture run (synthesised on early
+    #: exit); a pipeline store's also hold its structure occupancies
     final: dict = field(default_factory=dict)
     #: the capture run's cache events (pipeline stores; None when not
     #: recorded)
@@ -630,17 +632,19 @@ class _FunctionalFastPath:
 # capture drivers
 # ---------------------------------------------------------------------------
 def build_pipeline_store(image_factory, config, max_instructions: int,
-                         max_cycles: float, interval: int,
-                         key: str = "") -> CheckpointStore:
+                         interval: int, key: str = "") -> CheckpointStore:
     """Run the fault-free capture run and collect every checkpoint.
 
-    *image_factory* builds a fresh :class:`SystemImage`; the limits
-    must equal the ones injection runs will use, so the captured state
-    trajectory is identical to every injection run's pre-fault prefix.
+    *image_factory* builds a fresh :class:`SystemImage`;
+    *max_instructions* must equal injection runs' limit, so the captured
+    trajectory is every injection run's pre-fault prefix.  The capture
+    is the target's golden pipeline run: it has no cycle limit (theirs
+    derives from its cycles) and samples occupancy, which changes no
+    state.
     """
     engine = PipelineEngine(image_factory(), config,
                             max_instructions=max_instructions,
-                            max_cycles=max_cycles)
+                            collect_stats=True)
     hook = _PipelineCapture(interval)
     engine.fastpath = hook
     recorder = record_liveness(engine)
@@ -655,7 +659,8 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
         final={"output": result.output, "exit_code": result.exit_code,
                "cycles": result.cycles,
                "instructions": result.instructions,
-               "kernel_instructions": result.kernel_instructions},
+               "kernel_instructions": result.kernel_instructions,
+               "occupancy": result.occupancy},
         liveness=recorder.finish() if recorder is not None else None)
 
 

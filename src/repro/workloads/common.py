@@ -123,7 +123,3 @@ def rotl32(value: int, n: int) -> int:
 
 def le32(value: int) -> bytes:
     return (value & 0xFFFF_FFFF).to_bytes(4, "little")
-
-
-def be32(value: int) -> bytes:
-    return (value & 0xFFFF_FFFF).to_bytes(4, "big")

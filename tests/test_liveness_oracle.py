@@ -140,7 +140,8 @@ class _Case:
         self.limits = dict(max_instructions=4 * result.instructions,
                            max_cycles=5 * result.cycles)
         self.store = snapshot.build_pipeline_store(
-            self._image, config, interval=64, **self.limits)
+            self._image, config, interval=64,
+            max_instructions=self.limits["max_instructions"])
 
     def _image(self):
         return build_system_image(self.program)
@@ -324,7 +325,13 @@ def test_oracle_exits_are_counted_with_the_early_exits(tmp_path,
     assert counters[FASTPATH_INSTRUCTIONS_SAVED] > 0
     slow = run_campaign("crc32", "cortex-a72", fastpath=False, **kwargs)
     assert json.dumps(campaign.to_json()) == json.dumps(slow.to_json())
-    # a disabled registry records nothing
-    assert not get_registry().enabled
-    run_campaign("crc32", "cortex-a72", fastpath=True, **kwargs)
-    assert not get_registry().snapshot()["counters"]
+    # a disabled registry records nothing (installed here, since the
+    # process default follows REPRO_METRICS)
+    disabled = MetricsRegistry(enabled=False)
+    set_registry(disabled)
+    try:
+        assert not get_registry().enabled
+        run_campaign("crc32", "cortex-a72", fastpath=True, **kwargs)
+    finally:
+        set_registry(None)
+    assert not disabled.snapshot()["counters"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,22 @@ class TestEventLog:
         assert not log.enabled
         log.emit("ignored")  # no-op, must not create the default path
         assert not (tmp_path / "ev.jsonl").exists()
+
+    @pytest.mark.parametrize("value, path", [
+        ("no", None), ("NO", None), ("none", None), ("off", None),
+        ("0", None), ("false", None), ("", None), ("unset", None),
+        ("no.jsonl", "no.jsonl")])
+    def test_resolve_reads_the_shared_falsy_set(self, monkeypatch, value,
+                                                path):
+        """``obs.metrics.FALSY`` (plus ``none``) disables the log, an
+        unset variable with no default gives no log, and anything else
+        is a path."""
+        if value == "unset":
+            monkeypatch.delenv("REPRO_EVENT_LOG", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_EVENT_LOG", value)
+        log = EventLog.resolve()
+        assert log.path == (Path(path) if path else None)
 
     def test_resolve_env_path_wins(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_EVENT_LOG", str(tmp_path / "env.jsonl"))

@@ -80,7 +80,7 @@ def crc32_golden():
 
 
 def _pipeline_observers(golden):
-    cpi = golden.cycles / max(golden.pipe_instructions, 1)
+    cpi = golden.cycles / max(golden.instructions, 1)
     return {
         "tracer": lambda: FaultTracer(),
         "recorder": lambda: _PipelineRecorder(DEFAULT_BEFORE,
