@@ -24,13 +24,9 @@ classic lifetime analysis so the pessimism can be measured:
 
 from __future__ import annotations
 
-
 from dataclasses import dataclass, field
 
-from ..kernel.loader import build_system_image
 from ..uarch.config import MicroarchConfig, config_by_name
-from ..uarch.pipeline import PipelineEngine
-from ..workloads.suite import load_workload
 
 _LINE = 64
 
@@ -112,16 +108,13 @@ class AceResult:
 
 def ace_analysis(workload: str,
                  config: "MicroarchConfig | str") -> AceResult:
-    """Run the instrumented golden execution and compute ACE AVFs."""
+    """Replay the golden execution instrumented and compute ACE AVFs."""
+    from ..injectors.golden import replay_golden
+
     config = (config_by_name(config) if isinstance(config, str)
               else config)
-    program = load_workload(workload, config.isa)
-    engine = PipelineEngine(build_system_image(program), config)
     tracker = LifetimeTracker(xlen=config.xlen)
-    engine.observer = tracker
-    result = engine.run()
-    if result.status.value != "completed":
-        raise RuntimeError(f"ACE golden run failed: {result.status}")
+    result = replay_golden(workload, config.name, observer=tracker)
     tracker.finalise()
 
     cycles = max(result.cycles, 1.0)

@@ -11,8 +11,7 @@ two-level, sequentially-stopped design:
    ``(seed, index)``, so the planner replays the per-index RNG
    streams *without running any simulation* and partitions the sites
    into equivalence classes — program-phase windows crossed with bit
-   regions of the target entry.  The ACE lifetime analysis
-   (:mod:`repro.core.ace`) and the PR-5 residency profiles
+   regions of the target entry.  The residency profiles
    (:mod:`repro.obs.profiles`) annotate each class with analytic
    liveness priors; classes whose windows provably contain no live
    state (zero profiled occupancy under uniform sampling) are
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 from ..faults.fault import fault_site_bit
 from ..faults.sampling import wilson_interval
@@ -99,10 +97,10 @@ RAW_HALF_CAP = 0.18
 #: estimates that tiny early-stopped samples otherwise produce.
 PRIOR_STRENGTH = 6.0
 #: calibrated per-structure vulnerability priors *conditional on
-#: hitting live state* (the scale gefin campaigns sample on).  Seeded
-#: from the ACE lifetime analysis of the MiBench-style suite and the
-#: PR-5 residency profiles; structures not listed fall back to the
-#: cell's own ACE estimate rescaled by occupancy.
+#: hitting live state* (the scale gefin campaigns sample on), one per
+#: injection-target structure.  Seeded from the ACE lifetime analysis
+#: (:mod:`repro.core.ace`) of the MiBench-style suite and the PR-5
+#: residency profiles.
 PRIOR_P = {
     "RF": 0.17,
     "LSQ": 0.38,
@@ -135,30 +133,10 @@ class EquivClass:
     pruned: bool = False
 
 
-def _entry_width(config: MicroarchConfig, structure: str) -> int:
-    """Bit width of one entry of *structure* (the region axis span)."""
-    if structure == "RF":
-        return config.xlen
-    if structure == "LSQ":
-        return config.lsq_entry_bits
-    cache = {"L1I": config.l1i, "L1D": config.l1d,
-             "L2": config.l2}[structure]
-    return cache.line_size * 8
-
-
 def region_span(width: int, region: int, n_regions: int) -> tuple:
     """Bit range ``[lo, hi)`` of one region within an entry."""
     return (region * width // n_regions,
             (region + 1) * width // n_regions)
-
-
-@lru_cache(maxsize=None)
-def _ace_prior(workload: str, config_name: str) -> dict:
-    """Analytic per-structure AVF priors from the ACE lifetime
-    analysis; the fallback source for :func:`_prior_p`."""
-    from .ace import ace_analysis
-
-    return ace_analysis(workload, config_name).avf
 
 
 def _class_live(profile, structure: str, phase: int, region: int,
@@ -222,7 +200,7 @@ def partition_classes(workload: str, config: "MicroarchConfig | str",
         return [EquivClass(phase=0, region=0, weight=1.0, live=1.0)]
     if structure is None:
         raise ValueError("gefin planning needs a structure")
-    width = _entry_width(config, structure)
+    width = config.entry_bits(structure)
     profile = profile_golden_run(workload, config.name,
                                  hardened=hardened)
     classes = []
@@ -256,7 +234,7 @@ def enumerate_stream(workload: str, config: MicroarchConfig,
     the two-level estimate converge to the naive estimate at full
     budget.
     """
-    width = _entry_width(config, structure)
+    width = config.entry_bits(structure)
     members = [[] for _ in range(n_phases * n_regions)]
     for index in range(n):
         spec = draw_fault("gefin", index, workload=workload,
@@ -340,24 +318,6 @@ def _allocate(batch: int, weights: list, drawn: list,
         if not progressed:
             break
     return alloc
-
-
-def _prior_p(workload: str, config_name: str, structure: str | None,
-             weight: float) -> float:
-    """Analytic vulnerability prior for one cell, on the conditional
-    (live-hit) proportion scale the campaign samples on.
-
-    The calibrated :data:`PRIOR_P` table wins; anything else falls
-    back to the cell's own ACE lifetime estimate rescaled by the
-    golden occupancy (ACE reports absolute bit-cycle fractions, the
-    campaign samples conditioned on live entries).
-    """
-    if structure in PRIOR_P:
-        return PRIOR_P[structure]
-    ace = _ace_prior(workload, config_name).get(structure)
-    if ace is None:
-        return 0.5
-    return min(max(ace / max(weight, 1e-9), 0.02), 0.98)
 
 
 def _stratified_estimate(weights: list, pruned: list, trials: list,
@@ -467,8 +427,7 @@ def run_planned_campaign(workload: str,
     # weights the extrapolation must use for full-budget equivalence
     weights = [len(m) / n if n else 0.0 for m in members]
     weight = setup.result.occupancy_weight
-    prior = (_prior_p(workload, config_name, structure, weight)
-             if injector == "gefin" else 0.5)
+    prior = PRIOR_P[structure] if injector == "gefin" else 0.5
 
     trials = [0] * len(classes)
     hits = [0] * len(classes)

@@ -80,18 +80,16 @@ def fault_site_bit(config: MicroarchConfig, spec: FaultSpec) -> int:
     re-deriving any sampling state.
     """
     structure = spec.structure
-    if structure == "RF":
-        return spec.b % config.xlen
-    if structure == "LSQ":
-        return spec.b % config.lsq_entry_bits
-    cache = {"L1I": config.l1i, "L1D": config.l1d,
-             "L2": config.l2}[structure]
+    if structure in ("RF", "LSQ"):
+        return spec.b % config.entry_bits(structure)
     if spec.kind == "tag":
+        cache = {"L1I": config.l1i, "L1D": config.l1d,
+                 "L2": config.l2}[structure]
         n_sets = cache.size // (cache.assoc * cache.line_size)
         tag_bits = 32 - (n_sets.bit_length() - 1) \
             - (cache.line_size.bit_length() - 1)
         return spec.c % tag_bits
-    return spec.c % (cache.line_size * 8)
+    return spec.c % config.entry_bits(structure)
 
 
 def sample_uniform(config: MicroarchConfig, structure: str,

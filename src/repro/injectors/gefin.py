@@ -94,7 +94,7 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
             store = checkpoint_store(workload, config_name, engine=kind,
                                      hardened=hardened)
             if kind == "pipeline":
-                snapshot.prepare_injection_fastpath(engine, store)
+                snapshot.prepare_pipeline_fastpath(engine, store)
             else:
                 snapshot.prepare_functional_fastpath(engine, store)
         run = engine.run()

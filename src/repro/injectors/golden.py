@@ -10,6 +10,9 @@ occupancies (variance-reduced AVF estimation).
 :func:`golden_run` runs only the functional engine; the cycle count
 and occupancies come from the pipeline checkpoint capture, a target's
 one fault-free pipeline run, which pvf/svf campaigns never need.
+Every other fault-free run (the residency profiler, the ACE lifetime
+analysis, the golden side of a trace diff) is a fork of the golden
+run through :func:`replay_golden`.
 
 Golden data is deterministic per (workload, ISA/config, hardened), so
 it is cached both in-process and on disk.
@@ -219,8 +222,12 @@ def checkpoint_store(workload: str, config_name: str,
                        workload_digest(workload, config.isa, hardened),
                        config_digest(config), interval]).encode()
     key = hashlib.sha256(blob).hexdigest()[:24]
-    path = cache_dir() / (f"checkpoints-{workload}-{config.name}-"
-                          f"{engine}-{key}.pkl")
+    # one file per target: a fresh store replaces those saved under
+    # older keys; the hardened tag keeps plain and hardened stores
+    # out of each other's glob
+    stem = (f"checkpoints-{workload}-{config.name}-{engine}"
+            + ("-ft" if hardened else ""))
+    path = cache_dir() / f"{stem}-{key}.pkl"
     store = snapshot.load_store(path, key)
     if store is not None:
         return store
@@ -243,4 +250,71 @@ def checkpoint_store(workload: str, config_name: str,
             f"checkpoint capture run of {workload} on {config.name} "
             f"({engine}) diverged from the functional reference")
     snapshot.save_store(path, store)
+    for stale in path.parent.glob(f"{stem}-{'[0-9a-f]' * len(key)}.pkl"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
     return store
+
+
+def replay_golden(workload: str, config_name: str, *,
+                  engine: str = "pipeline", hardened: bool = False,
+                  observer=None, start: int = 0,
+                  stop: "int | None" = None):
+    """Re-run one target's fault-free *engine* with *observer* attached.
+
+    The one fork of the golden run for everything that is not an
+    injection.  *engine* names a checkpoint-store engine (see
+    :data:`STORE_ENGINES`); the run has the injection runs' watchdog.
+    Instructions are numbered from 0: for ``start > 0`` the run
+    resumes from the store's latest checkpoint at or before
+    instruction *start* (from reset when no store can be had), and a
+    *stop* ends it once instruction *stop* has retired.  A full run
+    (no *stop*) must end exactly as the golden run of its engine did,
+    or this raises: the observer must only read state.  Returns the
+    engine's result.
+    """
+    from ..kernel.loader import build_system_image
+    from ..uarch import snapshot
+    from ..uarch.functional import FunctionalEngine, RunStatus
+    from ..uarch.pipeline import PipelineEngine
+
+    if engine not in STORE_ENGINES.values():
+        raise ValueError(f"unknown checkpoint engine {engine!r}")
+    config = config_by_name(config_name)
+    golden = golden_run(workload, config_name, hardened)
+    image = build_system_image(
+        load_workload(workload, config.isa, hardened=hardened))
+    pipeline = engine == "pipeline"
+    if pipeline:
+        run = PipelineEngine(image, config,
+                             max_instructions=golden.max_instructions,
+                             max_cycles=golden.max_cycles)
+    else:
+        run = FunctionalEngine(image, kernel=engine.split("-", 1)[1],
+                               max_instructions=golden.max_instructions)
+    if start > 0:
+        try:
+            store = checkpoint_store(workload, config_name,
+                                     engine=engine, hardened=hardened)
+            cp = store.nearest(instructions=start)
+            if cp.instructions > 0:
+                (snapshot.restore_pipeline if pipeline
+                 else snapshot.restore_functional)(run, cp.state)
+        except Exception:
+            pass  # cold cache / foreign store: correct, just slower
+    run.observer = observer
+    if stop is not None:
+        # the watchdog ends the run before instruction stop + 1
+        run.max_instructions = min(run.max_instructions, stop + 1)
+    result = run.run()
+    if stop is None:
+        final = checkpoint_store(workload, config_name, engine=engine,
+                                 hardened=hardened).final
+        if result.status is not RunStatus.COMPLETED \
+                or result.output != final["output"] \
+                or result.instructions != final["instructions"]:
+            raise RuntimeError(
+                f"golden replay of {workload} on {config_name} "
+                f"({engine}) diverged from the golden run: its "
+                f"observer must only read state")
+    return result

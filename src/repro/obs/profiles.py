@@ -194,17 +194,6 @@ class ResidencyProfiler:
                 live_add(name, k, hits[k], n_valid)
 
     # -- aggregation ---------------------------------------------------
-    def region_width(self, structure: str) -> int:
-        """Bit width one structure entry spans in the region view."""
-        config = self.config
-        if structure == "RF":
-            return config.xlen
-        if structure == "LSQ":
-            return config.lsq_entry_bits
-        cache = {"L1I": config.l1i, "L1D": config.l1d,
-                 "L2": config.l2}[structure]
-        return cache.line_size * 8
-
     def finish(self, workload: str, config_name: str,
                hardened: bool = False) -> "ResidencyProfile":
         occupancy = {}
@@ -218,7 +207,7 @@ class ResidencyProfiler:
         liveness = {}
         widths = {}
         for structure in REGION_STRUCTURES:
-            width = self.region_width(structure)
+            width = self.config.entry_bits(structure)
             widths[structure] = width
             regions = {}
             for region in range(self.n_regions):
@@ -273,36 +262,24 @@ def profile_golden_run(workload: str, config_name: str,
                        n_phases: int = N_PHASES,
                        n_regions: int = N_REGIONS,
                        every: int = 64) -> ResidencyProfile:
-    """Profile one fault-free pipeline execution (memoised).
+    """Profile one golden pipeline replay (memoised).
 
     Residency is a property of the golden execution, so one profiled
-    run per (workload, config, hardened) serves every campaign
-    against that target; injection runs themselves are never
-    profiled, which is what keeps campaign results byte-identical
-    with profiling on or off.
+    replay (:func:`~repro.injectors.golden.replay_golden`, which also
+    checks that the profiler only reads state) per (workload, config,
+    hardened) serves every campaign against that target; injection
+    runs themselves are never profiled, which is what keeps campaign
+    results byte-identical with profiling on or off.
     """
-    from ..injectors.golden import golden_run
-    from ..kernel.loader import build_system_image
+    from ..injectors.golden import golden_run, replay_golden
     from ..uarch.config import config_by_name
-    from ..uarch.pipeline import PipelineEngine
-    from ..workloads.suite import load_workload
 
     golden = golden_run(workload, config_name, hardened=hardened)
-    config = config_by_name(config_name)
-    program = load_workload(workload, config.isa, hardened=hardened)
-    engine = PipelineEngine(build_system_image(program), config,
-                            max_instructions=golden.max_instructions,
-                            max_cycles=golden.max_cycles)
-    profiler = ResidencyProfiler(config, t_max=golden.cycles,
-                                 n_phases=n_phases,
+    profiler = ResidencyProfiler(config_by_name(config_name),
+                                 t_max=golden.cycles, n_phases=n_phases,
                                  n_regions=n_regions, every=every)
-    engine.observer = profiler
-    result = engine.run()
-    if result.output != golden.output:
-        raise RuntimeError(
-            f"profiled golden run of {workload} on {config_name} "
-            f"diverged from the reference — the profiler must be "
-            f"read-only")
+    replay_golden(workload, config_name, hardened=hardened,
+                  observer=profiler)
     return profiler.finish(workload, config_name, hardened)
 
 
@@ -378,15 +355,8 @@ def _attribution_site_width(campaign) -> int:
         return 64
     from ..uarch.config import config_by_name
 
-    config = config_by_name(campaign.config_name)
-    structure = campaign.structure
-    if structure == "RF":
-        return config.xlen
-    if structure == "LSQ":
-        return config.lsq_entry_bits
-    cache = {"L1I": config.l1i, "L1D": config.l1d,
-             "L2": config.l2}[structure]
-    return cache.line_size * 8
+    return config_by_name(campaign.config_name).entry_bits(
+        campaign.structure)
 
 
 def attribute_campaign(campaign, n_phases: int = N_PHASES,

@@ -6,9 +6,10 @@ faulty simulation (through the exact campaign ``(seed, index)`` replay
 of :func:`repro.obs.tracing.trace_run`) with a recorder as the run's
 observer, keeping a bounded window of architectural snapshots
 around the injection and the first crossing, then replays the same
-window on a fault-free engine — restored from the golden-fork
-checkpoint store when one is warm, so the golden pass costs a few
-dozen steps instead of a full run — and emits per-step *diff frames*:
+window as a golden replay (:func:`repro.injectors.golden.replay_golden`)
+— resumed from the latest golden checkpoint before the window, so the
+golden pass costs at most one checkpoint interval plus the window
+instead of a full run — and emits per-step *diff frames*:
 changed registers (old -> new), PC, the touched memory word, pipeline
 structure deltas on the microarchitectural engine, and phase /
 kernel-mode annotations.
@@ -257,7 +258,7 @@ class _PipelineRecorder(FaultTracer):
 
 
 # ---------------------------------------------------------------------------
-# golden windowed pass (checkpoint restore + early stop)
+# golden windowed pass (a golden replay over the faulty pass's steps)
 # ---------------------------------------------------------------------------
 class _GoldenProbe:
     """Record exactly the faulty pass's steps on a fault-free engine."""
@@ -277,90 +278,21 @@ class _GoldenProbe:
             engine.last_mem = None
 
 
-class _StopAfter:
-    """Fastpath hook ending a golden pass once the window is recorded.
-
-    Early exit must go through the engines' fastpath protocol — an
-    observer that raises would be wrapped in a ContainmentError.
-    The synthesised result is discarded; only the probe's frames
-    matter.
-    """
-
-    def __init__(self, last_step: int, pipeline: bool) -> None:
-        self.next_check = last_step + 1
-        self._pipeline = pipeline
-
-    def poll(self, engine):
-        from ..uarch.functional import FuncResult, RunStatus
-
-        if self._pipeline:
-            from ..uarch.pipeline import PipelineResult
-
-            return PipelineResult(
-                status=RunStatus.COMPLETED, output=b"", exit_code=0,
-                cycles=engine.fetch_time,
-                instructions=engine.instructions,
-                kernel_instructions=engine.kernel_instructions)
-        return FuncResult(status=RunStatus.COMPLETED, output=b"",
-                          exit_code=0, instructions=engine.executed)
-
-
-def _nearest_for_instructions(store, when: int):
-    """Latest checkpoint at-or-before instruction boundary *when*."""
-    best = store.checkpoints[0]
-    for checkpoint in store.checkpoints:
-        if checkpoint.instructions <= when:
-            best = checkpoint
-        else:
-            break
-    return best
-
-
 def _golden_frames(workload: str, config_name: str, hardened: bool,
-                   needed, engine_kind: str, golden) -> dict:
-    """Replay the golden run over exactly the *needed* steps."""
+                   needed, engine_kind: str) -> dict:
+    """Replay the golden run over exactly the *needed* steps, from the
+    latest checkpoint before the first to the end of the last."""
     if not needed:
         return {}
-    from ..injectors.golden import checkpoint_store
-    from ..kernel.loader import build_system_image
-    from ..uarch import snapshot
-    from ..uarch.config import config_by_name
-    from ..uarch.functional import FunctionalEngine
-    from ..uarch.pipeline import PipelineEngine
-    from ..workloads.suite import load_workload
+    from ..injectors.golden import replay_golden
 
     pipeline = engine_kind == "pipeline"
-    config = config_by_name(config_name)
-    program = load_workload(workload, config.isa, hardened=hardened)
-    image = build_system_image(program)
-    if pipeline:
-        engine = PipelineEngine(
-            image, config, max_instructions=golden.max_instructions,
-            max_cycles=golden.max_cycles)
-    else:
-        engine = FunctionalEngine(
-            image, kernel=engine_kind.split("-", 1)[1],
-            max_instructions=golden.max_instructions)
-    first, last = min(needed), max(needed)
-    try:
-        store = checkpoint_store(workload, config_name,
-                                 engine=engine_kind, hardened=hardened)
-        checkpoint = _nearest_for_instructions(store, first)
-        if checkpoint.instructions > 0:
-            if pipeline:
-                snapshot.restore_pipeline(engine, checkpoint.state)
-            else:
-                snapshot.restore_functional(engine, checkpoint.state)
-    except Exception:
-        # cold cache / foreign store: replay from reset (correct,
-        # just slower)
-        pass
     probe = _GoldenProbe(
         needed, _pipeline_state if pipeline else _functional_state,
         functional=not pipeline)
-    engine.observer = probe
-    engine.fastpath = _StopAfter(last, pipeline)
-    engine.run()
+    replay_golden(workload, config_name, engine=engine_kind,
+                  hardened=hardened, observer=probe, start=min(needed),
+                  stop=max(needed))
     return probe.frames
 
 
@@ -406,8 +338,7 @@ def capture_diff(injector: str, workload: str, config_name: str,
                               model=model, hardened=hardened,
                               tracer=recorder)
     golden_frames = _golden_frames(workload, config_name, hardened,
-                                   set(recorder.frames), engine_kind,
-                                   golden)
+                                   set(recorder.frames), engine_kind)
 
     regs_meta = register_set(config.isa)
     t_max = golden.cycles if unit == "cycle" \

@@ -304,9 +304,7 @@ class BatchedFunctionalEngine:
         """Step every lane to completion; one LaneOutcome per action."""
         eng = self._eng
         if self._store is not None:
-            cp = min((self._store.nearest_for_counter(a.counter, a.when)
-                      for a in self._actions),
-                     key=lambda c: c.instructions)
+            cp = self._store.nearest(actions=self._actions)
             from .snapshot import restore_functional
             restore_functional(eng, cp.state)
         self._next_scan = eng.executed + RETIRE_EVERY

@@ -96,6 +96,18 @@ class MicroarchConfig:
         """One LSQ entry: a 32-bit address field + a data field."""
         return 32 + self.xlen
 
+    def entry_bits(self, structure: str) -> int:
+        """Bit width of one entry of an injection-target structure: a
+        register, an LSQ entry, or the data of a cache line."""
+        if structure == "RF":
+            return self.xlen
+        if structure == "LSQ":
+            return self.lsq_entry_bits
+        if structure in ("L1I", "L1D", "L2"):
+            return getattr(self, structure.lower()).line_size * 8
+        raise KeyError(f"unknown structure {structure!r}; "
+                       f"expected one of {STRUCTURES}")
+
     def structure_bits(self, structure: str) -> int:
         """Bit capacity of one injection-target structure.
 

@@ -139,26 +139,22 @@ class CheckpointStore:
     #: recorded)
     liveness: "LivenessOracle | None" = None
 
-    def nearest_for_cycle(self, cycle: float) -> Checkpoint:
-        """Latest checkpoint captured at-or-before *cycle* (always at
-        least the initial-state checkpoint)."""
+    def nearest(self, *, cycle: float = float("inf"),
+                instructions: float = float("inf"),
+                actions=()) -> Checkpoint:
+        """Latest checkpoint captured at-or-before fault *cycle* and
+        instruction boundary *instructions*, whose trigger counters had
+        not yet passed any of *actions* (so each still fires); always
+        at least the initial-state checkpoint."""
         best = self.checkpoints[0]
         for cp in self.checkpoints:
-            if cp.cycle <= cycle:
-                best = cp
-            else:
+            if cp.cycle > cycle or cp.instructions > instructions:
                 break
-        return best
-
-    def nearest_for_counter(self, kind: str, when: int) -> Checkpoint:
-        """Latest checkpoint whose *kind* trigger counter had not yet
-        passed *when* (so the scheduled action still fires)."""
-        best = self.checkpoints[0]
-        for cp in self.checkpoints:
-            if cp.counters.get(kind, 0) <= when:
-                best = cp
-            else:
-                break
+            counters = cp.counters
+            for action in actions:
+                if counters.get(action.counter, 0) > action.when:
+                    return best
+            best = cp
         return best
 
 
@@ -544,7 +540,7 @@ class _PipelineFastPath:
     def __init__(self, store: CheckpointStore, start: int) -> None:
         self.store = store
         self.next_check = start
-        self.oracle: "LivenessOracle | None" = None
+        self.oracle: "LivenessOracle | None" = store.liveness
 
     def poll(self, engine: PipelineEngine):
         store = self.store
@@ -697,10 +693,11 @@ def build_functional_store(image_factory, kernel: str,
 def prepare_pipeline_fastpath(engine: PipelineEngine,
                               store: CheckpointStore) -> Checkpoint:
     """Restore the nearest checkpoint before the engine's earliest
-    scheduled fault and install the early-exit hook."""
+    scheduled fault and install the early-exit hook, which also
+    consults the store's liveness oracle once, when the fault lands."""
     cycle = min(f.cycle for f in engine.faults) if engine.faults \
         else float("inf")
-    cp = store.nearest_for_cycle(cycle)
+    cp = store.nearest(cycle=cycle)
     restore_pipeline(engine, cp.state)
     engine.fastpath = _PipelineFastPath(store, cp.instructions)
     registry = get_registry()
@@ -712,28 +709,12 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
     return cp
 
 
-def prepare_injection_fastpath(engine: PipelineEngine,
-                               store: CheckpointStore) -> Checkpoint:
-    """:func:`prepare_pipeline_fastpath` for a gefin injection run: the
-    hook also consults the store's liveness oracle once, when the fault
-    lands.  (The bare digest path stays what the pipeline-runs ledger
-    pins: its exit points, counters and end states.)"""
-    cp = prepare_pipeline_fastpath(engine, store)
-    engine.fastpath.oracle = store.liveness
-    return cp
-
-
 def prepare_functional_fastpath(engine: FunctionalEngine,
                                 store: CheckpointStore) -> Checkpoint:
-    """Restore the nearest checkpoint before the earliest scheduled
-    action's trigger and install the early-exit hook."""
-    cp = store.checkpoints[0]
-    # (single-action engines — the normal case — pick its checkpoint;
-    # with several actions the earliest-restoring one wins)
-    if engine._actions:
-        cps = [store.nearest_for_counter(a.counter, a.when)
-               for a in engine._actions]
-        cp = min(cps, key=lambda c: c.instructions)
+    """Restore the nearest checkpoint before every scheduled action's
+    trigger and install the early-exit hook."""
+    cp = (store.nearest(actions=engine._actions) if engine._actions
+          else store.checkpoints[0])
     restore_functional(engine, cp.state)
     engine.fastpath = _FunctionalFastPath(store, cp.instructions)
     registry = get_registry()

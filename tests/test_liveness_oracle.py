@@ -168,7 +168,7 @@ class _Case:
         want = slow.run()
         fast = PipelineEngine(self._image(), self.config, faults=[spec],
                               **self.limits)
-        snapshot.prepare_injection_fastpath(fast, self.store)
+        snapshot.prepare_pipeline_fastpath(fast, self.store)
         got, counters = _counted(fast.run)
         assert slow.landed_addr == fast.landed_addr == addr
         assert got == want
