@@ -17,7 +17,7 @@ from repro.isa import MR32, MR64, assemble, disassemble_range
 from repro.kernel.loader import build_system_image
 from repro.uarch.config import CORTEX_A72
 from repro.uarch.functional import run_functional
-from repro.uarch.pipeline import PipelineEngine, run_pipeline
+from repro.uarch.pipeline import PipelineEngine
 
 SOURCE = """
 # dot product of two 8-element vectors, written out as one word
@@ -66,11 +66,12 @@ def main() -> None:
     print(disassemble_range(bytes(program.text.data[:32]),
                             program.text.base, program.regs))
 
-    # ---- pipeline timing ------------------------------------------------
-    pipe = run_pipeline(program, CORTEX_A72, collect_stats=True)
+    # ---- pipeline timing (the counters live on the engine's caches) ----
+    engine = PipelineEngine(build_system_image(program), CORTEX_A72)
+    pipe = engine.run()
     print(f"\n{CORTEX_A72.name}: {pipe.cycles:.0f} cycles, "
           f"IPC {pipe.instructions / pipe.cycles:.2f}, "
-          f"L1D misses {pipe.stats['l1d']['misses']}")
+          f"L1D misses {engine.l1d.misses}")
 
     # ---- a few targeted register-file faults ----------------------------
     golden_output = pipe.output

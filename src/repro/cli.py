@@ -129,16 +129,18 @@ def _cmd_configs(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .kernel.loader import build_system_image
     from .uarch.config import config_by_name
     from .uarch.functional import run_functional
-    from .uarch.pipeline import run_pipeline
+    from .uarch.pipeline import PipelineEngine
     from .workloads.suite import load_workload
 
     config = config_by_name(args.config)
     program = load_workload(args.workload, config.isa,
                             hardened=args.hardened)
     if args.pipeline:
-        result = run_pipeline(program, config, collect_stats=True)
+        engine = PipelineEngine(build_system_image(program), config)
+        result = engine.run()
         print(f"status   : {result.status.value}")
         print(f"cycles   : {result.cycles:.0f} "
               f"(IPC {result.instructions / result.cycles:.2f})")
@@ -147,12 +149,12 @@ def _cmd_run(args) -> int:
         print(f"output   : {len(result.output)} bytes, "
               f"exit {result.exit_code}")
         for name in ("l1i", "l1d", "l2"):
-            stats = result.stats[name]
-            print(f"{name:8s} : {stats['hits']} hits, "
-                  f"{stats['misses']} misses, "
-                  f"{stats['writebacks']} writebacks")
-        branch = result.stats["branch"]
-        print(f"branch   : {branch['mispredicts']}/{branch['lookups']} "
+            cache = getattr(engine, name)
+            print(f"{name:8s} : {cache.hits} hits, "
+                  f"{cache.misses} misses, "
+                  f"{cache.writebacks} writebacks")
+        predictor = engine.predictor
+        print(f"branch   : {predictor.mispredicts}/{predictor.lookups} "
               f"mispredicted")
     else:
         result = run_functional(program, kernel=args.kernel)

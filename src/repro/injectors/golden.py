@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from ..kernel.loader import build_system_image
 from ..uarch.config import MicroarchConfig, config_by_name
-from ..uarch.functional import run_functional
+from ..uarch.cpu import KERNEL_MODE
+from ..uarch.functional import FunctionalEngine, writes_reg
 from ..workloads.suite import load_workload
 from .engine import atomic_write_text
 
@@ -110,6 +112,41 @@ class GoldenRun:
         return cls(**data)
 
 
+class GoldenProfile:
+    """Observer of a fault-free functional run that collects a
+    :class:`GoldenRun`'s profile: the registers used, the 8-byte
+    memory granules touched, and the user, kernel and register-writing
+    user instruction counts.  It steps after every instruction."""
+
+    def __init__(self) -> None:
+        self.regs_used: set = set()
+        self.footprint: set = set()
+        self.user_instructions = 0
+        self.kernel_instructions = 0
+        self.dest_instructions = 0
+        #: instruction word -> whether it writes a register; the
+        #: registers a word names join regs_used at its first step
+        self._writes: dict = {}
+
+    def step(self, engine) -> None:
+        instr = engine.last_instr
+        writes = self._writes.get(instr.raw)
+        if writes is None:
+            writes = self._writes[instr.raw] = writes_reg(instr)
+            self.regs_used.update(
+                reg for reg in (instr.rs1, instr.rs2,
+                                instr.rd if writes else 0) if reg)
+        if engine.ms.mode == KERNEL_MODE:
+            self.kernel_instructions += 1
+        else:
+            self.user_instructions += 1
+            if writes:
+                self.dest_instructions += 1
+        mem = engine.last_mem
+        if mem is not None:
+            self.footprint.add(mem[1] & ~7)
+
+
 def workload_digest(workload: str, isa: str, hardened: bool) -> str:
     """Content digest of the assembled workload (cache invalidation)."""
     program = load_workload(workload, isa, hardened=hardened)
@@ -160,14 +197,14 @@ def golden_run(workload: str, config_name: str,
             # racing to remove the same one
             path.unlink(missing_ok=True)
 
-    program = load_workload(workload, config.isa, hardened=hardened)
-    func = run_functional(program, kernel="sim", collect_profile=True)
+    engine = FunctionalEngine(build_system_image(
+        load_workload(workload, config.isa, hardened=hardened)))
+    profile = engine.observer = GoldenProfile()
+    func = engine.run()
     if func.status.value != "completed":
         raise RuntimeError(
             f"golden functional run of {workload} on {config.isa} "
             f"did not complete: {func.status}")
-    profile = func.profile
-    assert profile is not None
     golden = GoldenRun(
         workload=workload,
         config_name=config.name,
@@ -179,7 +216,7 @@ def golden_run(workload: str, config_name: str,
         user_instructions=profile.user_instructions,
         dest_instructions=profile.dest_instructions,
         regs_used=sorted(profile.regs_used),
-        footprint=sorted(profile.mem_footprint),
+        footprint=sorted(profile.footprint),
     )
     atomic_write_text(path, json.dumps(golden.to_json()))
     return golden
@@ -208,7 +245,6 @@ def checkpoint_store(workload: str, config_name: str,
     run: it must retire the functional run's instructions and output.
     """
     from .. import __version__
-    from ..kernel.loader import build_system_image
     from ..uarch import snapshot
 
     if engine not in STORE_ENGINES.values():
@@ -273,9 +309,8 @@ def replay_golden(workload: str, config_name: str, *,
     or this raises: the observer must only read state.  Returns the
     engine's result.
     """
-    from ..kernel.loader import build_system_image
     from ..uarch import snapshot
-    from ..uarch.functional import FunctionalEngine, RunStatus
+    from ..uarch.functional import RunStatus
     from ..uarch.pipeline import PipelineEngine
 
     if engine not in STORE_ENGINES.values():

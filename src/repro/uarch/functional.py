@@ -21,7 +21,7 @@ flips).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..isa import layout
@@ -73,18 +73,6 @@ class RunStatus(str, Enum):
 
 
 @dataclass
-class RunProfile:
-    """Optional profiling data collected during a golden run."""
-
-    regs_used: set = field(default_factory=set)
-    mem_footprint: set = field(default_factory=set)   # word-aligned addrs
-    user_instructions: int = 0
-    kernel_instructions: int = 0
-    dest_instructions: int = 0        # user instrs that write a register
-    store_instructions: int = 0
-
-
-@dataclass
 class FuncResult:
     """Result of one functional execution."""
 
@@ -94,7 +82,6 @@ class FuncResult:
     instructions: int
     fault_kind: FaultKind | None = None
     fault_in_kernel: bool = False
-    profile: RunProfile | None = None
 
 
 @dataclass
@@ -154,8 +141,6 @@ class _FunctionalCore(CoreAccess):
         engine = self.engine
         engine.memory.check_access(addr, nbytes, write=False,
                                    kernel_mode=engine.ms.in_kernel)
-        if engine.profile is not None:
-            engine.profile.mem_footprint.add(addr & ~7)
         if engine.observer is not None:
             engine.last_mem = ("load", addr, nbytes)
         return engine.memory.read_int(addr, nbytes, signed)
@@ -164,8 +149,6 @@ class _FunctionalCore(CoreAccess):
         engine = self.engine
         engine.memory.check_access(addr, nbytes, write=True,
                                    kernel_mode=engine.ms.in_kernel)
-        if engine.profile is not None:
-            engine.profile.mem_footprint.add(addr & ~7)
         if engine.observer is not None:
             engine.last_mem = ("store", addr, nbytes)
         engine.memory.write_int(addr, value, nbytes)
@@ -175,8 +158,7 @@ class FunctionalEngine:
     """Timing-free executor over a fresh :class:`SystemImage`."""
 
     def __init__(self, image: SystemImage, kernel: str = "sim",
-                 max_instructions: int = 2_000_000,
-                 collect_profile: bool = False) -> None:
+                 max_instructions: int = 2_000_000) -> None:
         if kernel not in ("sim", "host"):
             raise ValueError("kernel must be 'sim' or 'host'")
         self.image = image
@@ -187,7 +169,6 @@ class FunctionalEngine:
         self.regs[self.regs_meta.stack_reg] = image.initial_sp
         self.ms = MachineState(xlen=self.regs_meta.xlen, pc=image.entry)
         self.max_instructions = max_instructions
-        self.profile = RunProfile() if collect_profile else None
         self.executed = 0
         #: architectural destination register of the most recent
         #: register-writing instruction (used by the SVF injector to
@@ -206,9 +187,12 @@ class FunctionalEngine:
         self._page_kernel_only: dict[int, bool] = {}
         #: optional passive observer (protocol: PipelineEngine.observer);
         #: while one is attached the core records each memory access
-        #: as ``("load"|"store", addr, nbytes)`` in ``last_mem``.
+        #: as ``("load"|"store", addr, nbytes)`` in ``last_mem``, and
+        #: ``last_instr`` is the :class:`Decoded` instruction each
+        #: ``step`` follows.
         self.observer = None
         self.last_mem = None
+        self.last_instr = None
         #: optional checkpoint hook (see repro.uarch.snapshot): an
         #: object with ``next_check`` (executed-instruction count) and
         #: ``poll(engine)``; polled at the top of the run loop, and a
@@ -275,7 +259,7 @@ class FunctionalEngine:
         except DecodeError:
             raise SimException(FaultKind.ILLEGAL_INSTRUCTION, self.ms.pc,
                                in_kernel=self.ms.in_kernel) from None
-        writes = _writes_reg(instr)
+        writes = writes_reg(instr)
         return (instr, HANDLERS_BY_XLEN[self.ms.xlen][instr.op], writes,
                 _dest_reg(instr, self.ms.xlen) if writes else 0,
                 instr.op == "syscall" and self.kernel_mode_kind == "host")
@@ -312,7 +296,6 @@ class FunctionalEngine:
         ms = self.ms
         core = self._core
         fetch = self._fetch
-        profile = self.profile
         status = RunStatus.COMPLETED
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
@@ -361,30 +344,16 @@ class FunctionalEngine:
                 else:
                     ms.pc = handler(instr, ms, core)
                 executed += 1
-                if profile is not None:
-                    if ms.mode == KERNEL_MODE:
-                        profile.kernel_instructions += 1
-                    else:
-                        profile.user_instructions += 1
-                        if instr.d.cls == "store":
-                            profile.store_instructions += 1
-                    if instr.rs1 or instr.rs2:
-                        profile.regs_used.add(instr.rs1)
-                        profile.regs_used.add(instr.rs2)
-                    if writes:
-                        profile.regs_used.add(instr.rd)
-                if writes and ms.mode != KERNEL_MODE:
-                    if counting:
-                        self.last_dest = dest
-                        if dest_t and n_dest in dest_t:
-                            self._store_counts(executed, n_commit, n_dest)
-                            for action in dest_t[n_dest]:
-                                action.apply(self)
-                        n_dest += 1
-                    if profile is not None:
-                        profile.dest_instructions += 1
+                if counting and writes and ms.mode != KERNEL_MODE:
+                    self.last_dest = dest
+                    if dest_t and n_dest in dest_t:
+                        self._store_counts(executed, n_commit, n_dest)
+                        for action in dest_t[n_dest]:
+                            action.apply(self)
+                    n_dest += 1
                 if every and not executed % every:
                     self._store_counts(executed, n_commit, n_dest)
+                    self.last_instr = instr
                     step(self)
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
@@ -409,8 +378,6 @@ class FunctionalEngine:
         finally:
             self._store_counts(executed, n_commit, n_dest)
 
-        if profile is not None:
-            profile.regs_used.discard(0)
         return FuncResult(
             status=status,
             output=self._collect_output(),
@@ -418,7 +385,6 @@ class FunctionalEngine:
             instructions=self.executed,
             fault_kind=fault_kind,
             fault_in_kernel=fault_in_kernel,
-            profile=profile,
         )
 
     # ------------------------------------------------------------------
@@ -445,7 +411,7 @@ def _dest_reg(instr: Decoded, xlen: int) -> int:
     return instr.rd
 
 
-def _writes_reg(instr: Decoded) -> bool:
+def writes_reg(instr: Decoded) -> bool:
     """Whether the instruction writes an architectural register != r0."""
     cls = instr.d.cls
     if cls in ("store", "branch", "sys"):
@@ -455,14 +421,8 @@ def _writes_reg(instr: Decoded) -> bool:
 
 
 def run_functional(user_program, kernel: str = "sim",
-                   max_instructions: int = 2_000_000,
-                   collect_profile: bool = False,
-                   actions: list[FaultAction] | None = None) -> FuncResult:
+                   max_instructions: int = 2_000_000) -> FuncResult:
     """Build a fresh image for *user_program* and run it functionally."""
     image = build_system_image(user_program)
-    engine = FunctionalEngine(image, kernel=kernel,
-                              max_instructions=max_instructions,
-                              collect_profile=collect_profile)
-    for action in actions or ():
-        engine.schedule(action)
-    return engine.run()
+    return FunctionalEngine(image, kernel=kernel,
+                            max_instructions=max_instructions).run()

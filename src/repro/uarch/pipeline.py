@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa import layout
 from ..isa.encoding import Decoded
@@ -117,8 +117,6 @@ class PipelineResult:
     crossing: Crossing | None = None
     fault_kind: FaultKind | None = None
     fault_in_kernel: bool = False
-    occupancy: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
 
 
 class _PipelineCore(CoreAccess):
@@ -168,8 +166,7 @@ class PipelineEngine:
 
     def __init__(self, image: SystemImage, config: MicroarchConfig,
                  faults=(), max_instructions: int = 2_000_000,
-                 max_cycles: float = float("inf"),
-                 collect_stats: bool = False) -> None:
+                 max_cycles: float = float("inf")) -> None:
         if register_set(config.isa).xlen != register_set(image.isa).xlen:
             raise ValueError(
                 f"config {config.name} is {config.isa} but program "
@@ -231,10 +228,6 @@ class PipelineEngine:
         self.max_cycles = max_cycles
         self.instructions = 0
         self.kernel_instructions = 0
-        self.collect_stats = collect_stats
-        self._occ_samples = 0
-        self._occ_sums = {"RF": 0.0, "LSQ": 0.0, "L1I": 0.0,
-                          "L1D": 0.0, "L2": 0.0}
 
         self.src_vals: dict[int, int] = {}
         self._core = _PipelineCore(self)
@@ -244,7 +237,8 @@ class PipelineEngine:
         self.pending_mem: tuple | None = None
         #: optional passive observer: the fault tracer and trace-diff
         #: recorders (repro.obs), the residency profiler, the ACE
-        #: lifetime tracker (repro.core.ace) or a cosim probe.  Duck-
+        #: lifetime tracker (repro.core.ace), the capture's occupancy
+        #: sampler (repro.uarch.snapshot) or a cosim probe.  Duck-
         #: typed, every method optional: ``step(engine)`` after each
         #: committed instruction, or every ``observer.every`` when set
         #: (the functional engine calls it too); ``landed`` and
@@ -349,8 +343,8 @@ class PipelineEngine:
         self._trace_landing(
             f"{structure}: set {set_index}, way {way}, "
             f"{'tag' if is_tag else 'line'} bit {c % width}")
-        if self.fault_live:
-            # invalidate the fetch fast path if we hit its line
+        if self.fault_live and cache is self.l1i:
+            # the fetch fast path may hold the flipped line
             self._fetch_line_base = -1
 
     def _apply_lsq_fault(self, spec, index: int, bit: int) -> None:
@@ -565,7 +559,6 @@ class PipelineEngine:
             getattr(observer, hook, None) for hook in (
                 "reg_read", "reg_write", "reg_release", "lsq_op",
                 "mem_access"))
-        collect_stats = self.collect_stats
         core = self._core
         src_vals = self.src_vals
         rf = self.rf
@@ -614,7 +607,7 @@ class PipelineEngine:
         # Counters and times live in locals and are written back
         # (_write_back) before anything outside the loop reads them:
         # fault application, a crossing, a fast-path poll, an observer
-        # step, an occupancy sample and every exit (the finally).
+        # step and every exit (the finally).
         instructions = self.instructions
         kernel_instructions = self.kernel_instructions
         fetch_time = self.fetch_time
@@ -648,7 +641,7 @@ class PipelineEngine:
                     next_fault = (faults[self._next_fault].cycle
                                   if self._next_fault < len(faults)
                                   else never)
-                    # a live flip invalidates the fetch fast path
+                    # a live L1I flip invalidates the fetch fast path
                     fetch_base = self._fetch_line_base
                     if injected is not None:
                         result = injected(self)
@@ -940,10 +933,6 @@ class PipelineEngine:
                     else:
                         self.pending_mem = ("store", addr, nbytes, b, old)
                     step(self)
-                if collect_stats and not instructions % 64:
-                    self._write_back(instructions, kernel_instructions,
-                                     fetch_time, last_commit)
-                    self._sample_occupancy()
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
             fault_kind = exc.kind
@@ -985,8 +974,6 @@ class PipelineEngine:
                 crossing=self.crossing,
                 fault_kind=fault_kind,
                 fault_in_kernel=fault_in_kernel,
-                occupancy=self._occupancy_averages(),
-                stats=self._final_stats(),
             )
         if registry.enabled:
             self._record_metrics(registry,
@@ -1039,36 +1026,6 @@ class PipelineEngine:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def _sample_occupancy(self) -> None:
-        # count what has logically committed by now as free, else the
-        # samples overstate occupancy by the reclamation laziness; the
-        # run frees it when it reclaims, so sampling changes no state
-        rf, lsq, now = self.rf, self.lsq, self.fetch_time
-        self._occ_samples += 1
-        self._occ_sums["RF"] += ((rf.live_count - rf.reclaimable(now))
-                                 / rf.n_phys)
-        self._occ_sums["LSQ"] += ((lsq.valid_count
-                                   - lsq.reclaimable(now)) / lsq.size)
-        self._occ_sums["L1I"] += self.l1i.occupancy()
-        self._occ_sums["L1D"] += self.l1d.occupancy()
-        self._occ_sums["L2"] += self.l2.occupancy()
-
-    def _occupancy_averages(self) -> dict:
-        if not self._occ_samples:
-            return {}
-        return {k: v / self._occ_samples
-                for k, v in self._occ_sums.items()}
-
-    def _final_stats(self) -> dict:
-        if not self.collect_stats:
-            return {}
-        return {
-            "l1i": self.l1i.stats(),
-            "l1d": self.l1d.stats(),
-            "l2": self.l2.stats(),
-            "branch": self.predictor.stats(),
-        }
-
     def _record_metrics(self, registry, wall: float) -> None:
         """Fold this execution into the process-wide metrics registry.
 
@@ -1095,16 +1052,12 @@ class PipelineEngine:
                     stats["hits"] / lookups)
 
 
-def run_pipeline(user_program, config: MicroarchConfig, faults=(),
+def run_pipeline(user_program, config: MicroarchConfig,
                  max_instructions: int = 2_000_000,
-                 max_cycles: float = float("inf"),
-                 collect_stats: bool = False) -> PipelineResult:
+                 max_cycles: float = float("inf")) -> PipelineResult:
     """Build a fresh system image and run it through the pipeline."""
     from ..kernel.loader import build_system_image
 
-    image = build_system_image(user_program)
-    engine = PipelineEngine(image, config, faults=faults,
-                            max_instructions=max_instructions,
-                            max_cycles=max_cycles,
-                            collect_stats=collect_stats)
-    return engine.run()
+    return PipelineEngine(build_system_image(user_program), config,
+                          max_instructions=max_instructions,
+                          max_cycles=max_cycles).run()

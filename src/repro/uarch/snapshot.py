@@ -528,6 +528,39 @@ class _FunctionalCapture:
         return None
 
 
+class OccupancySampler:
+    """Observer of the pipeline capture run: the mean occupancy of each
+    injection target, sampled every 64 instructions (the AVF/HVF
+    occupancy weights)."""
+
+    every = 64
+
+    def __init__(self) -> None:
+        self.samples = 0
+        self.sums = {"RF": 0.0, "LSQ": 0.0, "L1I": 0.0, "L1D": 0.0,
+                     "L2": 0.0}
+
+    def step(self, engine: PipelineEngine) -> None:
+        # count what has logically committed by now as free, else the
+        # samples overstate occupancy by the reclamation laziness; the
+        # run frees it when it reclaims, so sampling changes no state
+        rf, lsq, now = engine.rf, engine.lsq, engine.fetch_time
+        sums = self.sums
+        self.samples += 1
+        sums["RF"] += (rf.live_count - rf.reclaimable(now)) / rf.n_phys
+        sums["LSQ"] += ((lsq.valid_count - lsq.reclaimable(now))
+                        / lsq.size)
+        sums["L1I"] += engine.l1i.occupancy()
+        sums["L1D"] += engine.l1d.occupancy()
+        sums["L2"] += engine.l2.occupancy()
+
+    def averages(self) -> dict:
+        """``{structure: mean occupancy}``; empty before any sample."""
+        if not self.samples:
+            return {}
+        return {k: v / self.samples for k, v in self.sums.items()}
+
+
 # ---------------------------------------------------------------------------
 # early-exit hooks (installed as engine.fastpath during injection runs)
 # ---------------------------------------------------------------------------
@@ -635,14 +668,14 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
     *max_instructions* must equal injection runs' limit, so the captured
     trajectory is every injection run's pre-fault prefix.  The capture
     is the target's golden pipeline run: it has no cycle limit (theirs
-    derives from its cycles) and samples occupancy, which changes no
-    state.
+    derives from its cycles) and an :class:`OccupancySampler` observer,
+    which changes no state.
     """
     engine = PipelineEngine(image_factory(), config,
-                            max_instructions=max_instructions,
-                            collect_stats=True)
+                            max_instructions=max_instructions)
     hook = _PipelineCapture(interval)
     engine.fastpath = hook
+    occupancy = engine.observer = OccupancySampler()
     recorder = record_liveness(engine)
     result = engine.run()
     if result.status is not RunStatus.COMPLETED:
@@ -656,7 +689,7 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
                "cycles": result.cycles,
                "instructions": result.instructions,
                "kernel_instructions": result.kernel_instructions,
-               "occupancy": result.occupancy},
+               "occupancy": occupancy.averages()},
         liveness=recorder.finish() if recorder is not None else None)
 
 

@@ -8,16 +8,22 @@ the pipeline's injection targets:
   and writes, memory calls, next pc, ``ms`` mode/kepc/halted and the
   fault kind and detail of each grid point.
 * ``functional-runs.json`` — fault-free runs of every workload on both
-  ISAs under both kernels with a profile, every ``FuncResult`` and
-  ``RunProfile`` field plus ``functional_digest`` every 997
-  instructions; and a fixed set of pvf WD/WOI/WI and svf runs on the
-  slow path and on a restored checkpoint.
+  ISAs under both kernels, every ``FuncResult`` field, the golden
+  profile (:class:`repro.injectors.golden.GoldenProfile`) plus the
+  user store count, and ``functional_digest`` every 997 instructions;
+  and a fixed set of pvf WD/WOI/WI and svf runs on the slow path and
+  on a restored checkpoint.
 * ``pipeline-runs.json`` — fault-free pipeline runs of crc32, sha and
-  qsort on every config with ``collect_stats=True``: every
-  ``PipelineResult`` field plus the sha256 of the RF, LSQ, cache and
-  predictor state every 997 instructions; and fixed RF/LSQ/L1I/L1D/L2
-  faults (live-steered, multi-bit and tag flips among them) on a 32-bit
-  and a 64-bit core, on the slow path and on the checkpoint fast path.
+  qsort on every config: every ``PipelineResult`` field, the mean
+  occupancy (:class:`repro.uarch.snapshot.OccupancySampler`) and the
+  cache and predictor statistics, plus the sha256 of the RF, LSQ,
+  cache and predictor state every 997 instructions; and fixed
+  RF/LSQ/L1I/L1D/L2 faults (live-steered, multi-bit and tag flips among
+  them) on a 32-bit and a 64-bit core, on the slow path and on the
+  checkpoint fast path.
+
+A fault-free run carries one observer, :class:`_Strides`, which steps
+the production observers and the state hash each at its own stride.
 
 The tests regenerate each entry and compare it with the file.  The
 files were written by the code the ledgers guard against, before it
@@ -29,9 +35,10 @@ changed::
 
 Only interfaces that stay put across engine rewrites are used
 (``cpu.execute``, ``FunctionalEngine``, ``PipelineEngine`` and the
-state layout of its injection targets, the injectors' fault-action
-constructors and the snapshot fast path), so the same module records
-with one revision and checks another.
+state layout of its injection targets, the observer slot and its two
+statistics observers, the injectors' fault-action constructors and
+the snapshot fast path), so the same module records with one revision
+and checks another.
 """
 
 from __future__ import annotations
@@ -208,7 +215,28 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _result_fields(result) -> dict:
+class _Strides:
+    """The observer of a fault-free ledger run: calls ``step`` of each
+    of *observers* after every ``every``-th instruction (default 1),
+    counting instructions from reset."""
+
+    def __init__(self, *observers) -> None:
+        self.steps = [(getattr(observer, "every", None) or 1,
+                       observer.step) for observer in observers]
+        self.count = 0
+
+    def step(self, engine) -> None:
+        self.count += 1
+        for every, step in self.steps:
+            if not self.count % every:
+                step(engine)
+
+
+def _every(stride: int, step):
+    return SimpleNamespace(every=stride, step=step)
+
+
+def _result_fields(result, profile=None, stores: int = 0) -> dict:
     out = {
         "status": result.status.value,
         "output_len": len(result.output),
@@ -219,9 +247,8 @@ def _result_fields(result) -> dict:
                        if result.fault_kind is not None else None),
         "fault_in_kernel": result.fault_in_kernel,
     }
-    profile = result.profile
     if profile is not None:
-        footprint = sorted(profile.mem_footprint)
+        footprint = sorted(profile.footprint)
         out["profile"] = {
             "regs_used": sorted(profile.regs_used),
             "mem_footprint_len": len(footprint),
@@ -229,25 +256,36 @@ def _result_fields(result) -> dict:
             "user_instructions": profile.user_instructions,
             "kernel_instructions": profile.kernel_instructions,
             "dest_instructions": profile.dest_instructions,
-            "store_instructions": profile.store_instructions,
+            "store_instructions": stores,
         }
     return out
 
 
 def fault_free_run(workload: str, isa: str, kernel: str) -> dict:
+    from repro.injectors.golden import GoldenProfile
     from repro.kernel.loader import build_system_image
+    from repro.uarch.cpu import KERNEL_MODE
     from repro.uarch.functional import FunctionalEngine
     from repro.uarch.snapshot import functional_digest
     from repro.workloads.suite import load_workload
 
     engine = FunctionalEngine(build_system_image(load_workload(workload,
                                                                isa)),
-                              kernel=kernel, collect_profile=True)
+                              kernel=kernel)
+    profile = GoldenProfile()
     digests = []
-    engine.observer = SimpleNamespace(
-        step=lambda e: digests.append(functional_digest(e)),
-        every=DIGEST_EVERY)
-    out = _result_fields(engine.run())
+    stores = 0
+
+    def count_store(e):
+        nonlocal stores
+        if e.ms.mode != KERNEL_MODE and e.last_instr.d.cls == "store":
+            stores += 1
+
+    engine.observer = _Strides(
+        profile, _every(1, count_store),
+        _every(DIGEST_EVERY, lambda e: digests.append(
+            functional_digest(e))))
+    out = _result_fields(engine.run(), profile, stores)
     out["digests"] = digests
     return out
 
@@ -394,7 +432,7 @@ def _structures_sha(engine) -> str:
 
 def _counter_stats(engine) -> dict:
     """Cache and predictor counters, read off the structures (so
-    runs without ``collect_stats`` and early exits report them too)."""
+    early exits report them too)."""
     out = {name: {"hits": cache.hits, "misses": cache.misses,
                   "writebacks": cache.writebacks,
                   "valid_lines": cache.valid_lines}
@@ -416,8 +454,10 @@ def _floats(value):
     return value
 
 
-def pipeline_result_fields(result) -> dict:
-    """Every :class:`PipelineResult` field (floats as ``repr``)."""
+def pipeline_result_fields(result, occupancy: "dict | None" = None,
+                           stats: "dict | None" = None) -> dict:
+    """Every :class:`PipelineResult` field plus *occupancy* and *stats*
+    (empty when not given; floats as ``repr``)."""
     crossing = result.crossing
     return {
         "status": result.status.value,
@@ -437,8 +477,8 @@ def pipeline_result_fields(result) -> dict:
         "fault_kind": (result.fault_kind.value
                        if result.fault_kind is not None else None),
         "fault_in_kernel": result.fault_in_kernel,
-        "occupancy": _floats(result.occupancy),
-        "stats": _floats(result.stats),
+        "occupancy": _floats(occupancy or {}),
+        "stats": _floats(stats or {}),
     }
 
 
@@ -446,17 +486,22 @@ def pipeline_fault_free_run(workload: str, config_name: str) -> dict:
     from repro.kernel.loader import build_system_image
     from repro.uarch.config import config_by_name
     from repro.uarch.pipeline import PipelineEngine
+    from repro.uarch.snapshot import OccupancySampler
     from repro.workloads.suite import load_workload
 
     config = config_by_name(config_name)
     engine = PipelineEngine(
-        build_system_image(load_workload(workload, config.isa)), config,
-        collect_stats=True)
+        build_system_image(load_workload(workload, config.isa)), config)
+    occupancy = OccupancySampler()
     states = []
-    engine.observer = SimpleNamespace(
-        step=lambda e: states.append(_structures_sha(e)),
-        every=DIGEST_EVERY)
-    out = pipeline_result_fields(engine.run())
+    engine.observer = _Strides(
+        occupancy, _every(DIGEST_EVERY, lambda e: states.append(
+            _structures_sha(e))))
+    result = engine.run()
+    stats = {name: getattr(engine, name).stats()
+             for name in ("l1i", "l1d", "l2")}
+    stats["branch"] = engine.predictor.stats()
+    out = pipeline_result_fields(result, occupancy.averages(), stats)
     out["states"] = states
     return out
 
@@ -577,7 +622,7 @@ def main(argv) -> int:
             prefix="ledger-cache-")
         _write(FUNCTIONAL_RUNS_PATH,
                "FunctionalEngine runs (tests/ledgers.py): fault-free "
-               "workload x ISA x kernel with collect_profile=True and "
+               "workload x ISA x kernel with the golden profile and "
                f"functional_digest every {DIGEST_EVERY} instructions; "
                "faulty pvf/svf runs on the slow path and on a restored "
                "checkpoint",
@@ -588,7 +633,8 @@ def main(argv) -> int:
             prefix="ledger-cache-")
         _write(PIPELINE_RUNS_PATH,
                "PipelineEngine runs (tests/ledgers.py): fault-free "
-               "workload x config with collect_stats=True and the sha256 "
+               "workload x config with the mean occupancy, the cache and "
+               "predictor statistics and the sha256 "
                "of every injection target's state (pipeline_structures) "
                f"every {DIGEST_EVERY} instructions; faulty RF/LSQ/L1I/L1D/"
                "L2 runs on the slow path and on the checkpoint fast path "

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+from types import SimpleNamespace
 
 import pytest
 
+from repro.injectors.golden import GoldenProfile
 from repro.isa.assembler import assemble
 from repro.isa.errors import DecodeError
 from repro.isa.registers import MR64, register_set
@@ -14,7 +16,6 @@ from repro.uarch.functional import (
     FaultAction,
     FunctionalEngine,
     cached_decode,
-    run_functional,
 )
 from repro.workloads.common import (
     data_bytes,
@@ -48,6 +49,13 @@ loop:
 .data
 out: .space 4
 """
+
+
+def _profiled(source):
+    """``(result, GoldenProfile)`` of a fault-free sim-kernel run."""
+    engine = build_engine(source)
+    profile = engine.observer = GoldenProfile()
+    return engine.run(), profile
 
 
 def build_engine(source, **kwargs):
@@ -87,14 +95,12 @@ out: .space 4
         """user_dest indexes only user-mode register writers, so a
         fault scheduled past the user count never fires even though
         kernel instructions keep executing."""
-        program = assemble(COUNTING, MR64)
         # golden dest count
-        golden = run_functional(program, kernel="sim",
-                                collect_profile=True)
+        _, golden = _profiled(COUNTING)
         fired = []
-        engine = FunctionalEngine(build_system_image(program))
+        engine = build_engine(COUNTING)
         engine.schedule(FaultAction(
-            "user_dest", golden.profile.dest_instructions + 10,
+            "user_dest", golden.dest_instructions + 10,
             lambda e: fired.append(True)))
         engine.run()
         assert not fired
@@ -198,24 +204,32 @@ class TestDecodeCache:
 
 class TestProfiles:
     def test_profile_counts_consistent(self):
-        program = assemble(COUNTING, MR64)
-        result = run_functional(program, kernel="sim",
-                                collect_profile=True)
-        profile = result.profile
+        result, profile = _profiled(COUNTING)
         assert profile.user_instructions + profile.kernel_instructions \
             == result.instructions
         assert 0 < profile.dest_instructions < profile.user_instructions
-        assert profile.store_instructions >= 5
         assert 0 not in profile.regs_used
+        assert {4, 5, 6} <= profile.regs_used
 
     def test_footprint_contains_touched_data(self):
-        program = assemble(COUNTING, MR64)
-        result = run_functional(program, kernel="sim",
-                                collect_profile=True)
+        _, profile = _profiled(COUNTING)
         from repro.isa import layout
 
         assert any(layout.USER_DATA_BASE <= a < layout.USER_DATA_BASE
-                   + 0x100 for a in result.profile.mem_footprint)
+                   + 0x100 for a in profile.footprint)
+
+    def test_observer_sees_each_executed_instruction(self):
+        """``last_instr`` is the instruction the step follows: the
+        loop's five stores show up as five user-mode ``sw`` steps."""
+        from repro.uarch.cpu import KERNEL_MODE
+
+        engine = build_engine(COUNTING)
+        seen = []
+        engine.observer = SimpleNamespace(step=lambda e: seen.append(
+            (e.last_instr.op, e.ms.mode == KERNEL_MODE)))
+        result = engine.run()
+        assert len(seen) == result.instructions
+        assert seen.count(("sw", False)) == 5
 
     def test_invalid_kernel_mode_rejected(self):
         with pytest.raises(ValueError):

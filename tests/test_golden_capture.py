@@ -1,13 +1,13 @@
 """One fault-free pipeline run per target.
 
-The gefin checkpoint capture is the target's golden pipeline run: it
-samples occupancy, and ``GoldenRun.cycles`` / ``occupancy`` read its
-final result, while ``golden_run`` itself runs only the functional
-engine.  Two properties keep that sound and cheap:
+The gefin checkpoint capture is the target's golden pipeline run: its
+occupancy observer samples occupancy, and ``GoldenRun.cycles`` /
+``occupancy`` read its final result, while ``golden_run`` itself runs
+only the functional engine.  Two properties keep that sound and cheap:
 
-* sampling occupancy never changes engine state, so a capture that
-  collects stats records the same checkpoints and digests as one that
-  does not;
+* the occupancy observer never changes engine state, so a capture
+  that carries it records the same checkpoints and digests as one
+  that does not;
 * a cold set-up runs the pipeline once per gefin target and never for
   a pvf/svf target.
 """
@@ -30,31 +30,34 @@ from repro.workloads.suite import load_workload
 CONFIG = "cortex-a72"
 
 
-def _capture(workload: str, collect_stats: bool):
-    """A capture run's checkpoints and digests, with or without
-    occupancy sampling."""
+def _capture(workload: str, observer):
+    """A capture run's checkpoints, digests and result, with *observer*
+    attached."""
     config = config_by_name(CONFIG)
     golden = golden_run(workload, CONFIG)
     engine = PipelineEngine(
         build_system_image(load_workload(workload, config.isa)), config,
-        max_instructions=golden.max_instructions,
-        collect_stats=collect_stats)
+        max_instructions=golden.max_instructions)
     hook = snapshot._PipelineCapture(
         snapshot.checkpoint_interval(golden.instructions))
     engine.fastpath = hook
+    engine.observer = observer
     result = engine.run()
     assert result.status.value == "completed"
     return hook.checkpoints, hook.digests, result
 
 
 @pytest.mark.parametrize("workload", ("sha", "crc32"))
-def test_collecting_stats_changes_no_checkpoint(workload):
-    plain, plain_digests, plain_result = _capture(workload, False)
-    stats, stats_digests, stats_result = _capture(workload, True)
-    assert stats_digests == plain_digests
-    assert [cp.state for cp in stats] == [cp.state for cp in plain]
-    assert stats_result.cycles == plain_result.cycles
-    assert stats_result.occupancy and not plain_result.occupancy
+def test_the_occupancy_observer_changes_no_checkpoint(workload):
+    plain, plain_digests, plain_result = _capture(workload, None)
+    sampler = snapshot.OccupancySampler()
+    sampled, sampled_digests, sampled_result = _capture(workload,
+                                                         sampler)
+    assert sampled_digests == plain_digests
+    assert [cp.state for cp in sampled] == [cp.state for cp in plain]
+    assert sampled_result == plain_result
+    assert sampler.averages() == checkpoint_store(
+        workload, CONFIG, engine="pipeline").final["occupancy"]
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from repro.uarch.config import ALL_CONFIGS, CORTEX_A9, CORTEX_A72
 from repro.uarch.exceptions import FaultKind
 from repro.uarch.functional import run_functional
 from repro.uarch.pipeline import PipelineEngine, run_pipeline
+from repro.uarch.snapshot import OccupancySampler
 from repro.workloads.suite import load_workload
 
 FAST_WORKLOADS = ("crc32", "sha", "qsort")
@@ -40,7 +41,9 @@ class TestArchitecturalEquivalence:
     def test_outputs_match_functional(self, workload, config):
         program = load_workload(workload, config.isa)
         functional = run_functional(program, kernel="sim")
-        pipeline = run_pipeline(program, config, collect_stats=True)
+        engine = PipelineEngine(build_system_image(program), config)
+        occupancy = engine.observer = OccupancySampler()
+        pipeline = engine.run()
         assert pipeline.status.value == "completed"
         assert pipeline.output == functional.output
         assert pipeline.exit_code == functional.exit_code
@@ -50,7 +53,7 @@ class TestArchitecturalEquivalence:
         assert pipeline.instructions == pinned["instructions"]
         assert pipeline.kernel_instructions \
             == pinned["kernel_instructions"]
-        assert pipeline.occupancy == pinned["occupancy"]
+        assert occupancy.averages() == pinned["occupancy"]
 
     def test_crash_matches_functional(self):
         src = ".text\n_start:\n    li r4, 0\n    lw r5, 0(r4)\n"
@@ -105,8 +108,10 @@ class TestTimingModel:
 class TestStatsCollection:
     def test_occupancy_sampled(self):
         program = load_workload("sha", MR64)
-        result = run_pipeline(program, CORTEX_A72, collect_stats=True)
-        occ = result.occupancy
+        engine = PipelineEngine(build_system_image(program), CORTEX_A72)
+        sampler = engine.observer = OccupancySampler()
+        engine.run()
+        occ = sampler.averages()
         assert set(occ) == {"RF", "LSQ", "L1I", "L1D", "L2"}
         assert 0.0 < occ["RF"] <= 1.0
         # tiny workloads cannot fill a 2 MiB L2
@@ -115,12 +120,22 @@ class TestStatsCollection:
         # n_arch / n_phys at all times
         assert occ["RF"] >= 32 / 192 - 0.01
 
+    def test_no_sample_before_the_first_stride(self):
+        program = assemble(".text\n_start:\n    li r1, 0\n"
+                           "    syscall\n", MR64)
+        engine = PipelineEngine(build_system_image(program), CORTEX_A72)
+        sampler = engine.observer = OccupancySampler()
+        result = engine.run()
+        assert result.instructions < OccupancySampler.every
+        assert sampler.averages() == {}
+
     def test_cache_stats_present(self):
         program = load_workload("crc32", MR64)
-        result = run_pipeline(program, CORTEX_A72, collect_stats=True)
-        assert result.stats["l1i"]["hits"] > 0
-        assert result.stats["l1d"]["misses"] > 0
-        assert result.stats["branch"]["lookups"] > 0
+        engine = PipelineEngine(build_system_image(program), CORTEX_A72)
+        engine.run()
+        assert engine.l1i.hits > 0
+        assert engine.l1d.misses > 0
+        assert engine.predictor.lookups > 0
 
     def test_kernel_instruction_attribution(self):
         program = load_workload("sha", MR64)
@@ -216,3 +231,29 @@ msg: .ascii "ok"
         assert pipeline.fault_in_kernel is functional.fault_in_kernel \
             is False
         assert pipeline.output == functional.output == b"ok"
+
+
+class TestFetchFastPathAfterAFlip:
+    """Only a live L1I flip can touch the line the fetch fast path
+    holds; L1D and L2 flips leave it in place, so the next fetch adds
+    no L1I lookup and a run can still match the golden digests."""
+
+    @staticmethod
+    def _flipped(structure: str) -> PipelineEngine:
+        program = load_workload("crc32", MR64)
+        engine = PipelineEngine(build_system_image(program), CORTEX_A72,
+                                max_instructions=300)
+        assert engine.run().status.value == "timeout"
+        assert engine._fetch_line_base != -1
+        engine._apply_fault(FaultSpec(structure, engine.fetch_time,
+                                      0, 0, 5, prefer_live=True))
+        assert engine.fault_live
+        return engine
+
+    @pytest.mark.parametrize("structure", ("L1D", "L2"))
+    def test_data_side_flip_keeps_the_fetch_line(self, structure):
+        engine = self._flipped(structure)
+        assert engine._fetch_line_base != -1
+
+    def test_l1i_flip_resets_the_fetch_line(self):
+        assert self._flipped("L1I")._fetch_line_base == -1
