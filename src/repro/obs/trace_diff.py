@@ -168,10 +168,9 @@ class _FunctionalRecorder(FaultTracer):
                        >= max(0, a.when - self.before)
                        for a in engine._actions):
                 return
+            # the window's frames start at the step after the arming
+            # one
             self._armed = True
-            # the arming step's last_mem may be a stale access from an
-            # earlier step, so skip its frame rather than record it
-            engine.last_mem = None
             return
         if "injected" not in self.marks and engine._actions \
                 and all(engine._counters.get(a.counter, 0) > a.when
@@ -190,7 +189,6 @@ class _FunctionalRecorder(FaultTracer):
             self.frames[step] = _functional_state(engine, step)
         else:
             self._done = True
-        engine.last_mem = None
 
 
 class _PipelineRecorder(FaultTracer):
@@ -274,8 +272,6 @@ class _GoldenProbe:
         step = (engine.executed if functional else engine.instructions) - 1
         if step in self.needed:
             self.frames[step] = self._state(engine, step)
-        if functional:
-            engine.last_mem = None
 
 
 def _golden_frames(workload: str, config_name: str, hardened: bool,

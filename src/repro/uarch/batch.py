@@ -340,6 +340,7 @@ class BatchedFunctionalEngine:
         core = eng._core
         has_store = self._store is not None
         max_instructions = eng.max_instructions
+        host = eng.kernel_mode_kind == "host"
         n = self._n
         while not ms.halted:
             if eng.executed >= max_instructions:
@@ -353,7 +354,8 @@ class BatchedFunctionalEngine:
                     and not self._dirty):
                 self._early_stop()
                 return
-            instr, handler, writes, dest, host_syscall = fetch()
+            (instr, handler, _, _, _, dest, _, _, _, _, _, writes,
+             is_syscall) = fetch()
             if self._mem_diff and self._dirty:
                 # lanes about to decode a different word must leave the
                 # batch *before* this slot's trigger fires (counters
@@ -365,7 +367,7 @@ class BatchedFunctionalEngine:
                     for lane in lanes:
                         self._apply(lane)
             counters["commit"] += 1
-            if host_syscall:
+            if is_syscall and host:
                 self._host_syscall_step()
             elif self._dirty:
                 exec_step(instr, handler, dest)

@@ -30,37 +30,99 @@ from ..isa.errors import DecodeError
 from ..isa.registers import register_set
 from ..kernel.loader import SystemImage, build_system_image
 from ..kernel.syscalls import EXIT_CODE_OFFSET, SYS_EXIT, SYS_WRITE
-from .cpu import HANDLERS_BY_XLEN, KERNEL_MODE, CoreAccess, MachineState
+from .cpu import (HANDLERS_BY_XLEN, KERNEL_MODE, VALUE_FORMS, CoreAccess,
+                  MachineState, _link_reg)
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
 
 _PAGE = layout.PAGE_SIZE
-_PAGE_BASE = ~(_PAGE - 1)
+_PAGE_MASK = _PAGE - 1
+_PAGE_BASE = ~_PAGE_MASK
 #: little-endian instruction word at an offset into a page
 _read_word = struct.Struct("<I").unpack_from
 
-#: Shared decode cache: (xlen, word) -> Decoded, or the DecodeError
-#: reason for an illegal word.  Distinct words are few (static
-#: instructions + a handful of corrupted variants), and campaigns run
-#: thousands of executions of the same binaries, so a process-global
-#: cache pays off.  It holds the reason rather than the exception: a
-#: re-raised instance grows its ``__traceback__`` on every raise and
-#: would keep every engine it was raised through alive.
+#: How a run loop executes an instruction word, the ``kind`` of its
+#: decode record (see :func:`decode_record`).  ``_ALU`` is 0, so the
+#: commonest kind is the cheapest test, and the memory kinds sort last.
+_ALU, _BRANCH, _JUMP, _SYS, _CALL, _LOAD, _STORE = range(7)
+_HANDLER_KIND_OF_CLASS = {"branch": _JUMP, "sys": _SYS}
+
+#: Shared decode cache: (xlen, word) -> decode record, or the
+#: DecodeError reason for an illegal word.  Distinct words are few
+#: (static instructions + a handful of corrupted variants), and
+#: campaigns run thousands of executions of the same binaries, so a
+#: process-global cache pays off.  It holds the reason rather than the
+#: exception: a re-raised instance grows its ``__traceback__`` on every
+#: raise and would keep every engine it was raised through alive.
 _DECODE_CACHE: dict[tuple[int, int], object] = {}
 
 
-def cached_decode(word: int, regs) -> Decoded:
+def decode_record(word: int, regs) -> tuple:
+    """Everything a run loop needs to know about one instruction word
+    on register set *regs*: ``(instr, handler, kind, rs1, rs2, dest,
+    fn, operand, imm, nbytes, signed, writes, is_syscall)``.
+
+    ``rs1``/``rs2`` are the architectural sources and ``dest`` the
+    architectural destination (0 means none; ``writes`` is
+    ``dest != 0``).  ``kind`` says how a loop executes the word:
+
+    - ``_ALU``: ``fn(a, b)``, the op's
+      :data:`repro.uarch.cpu.VALUE_FORMS` function, over rs1's value
+      ``a`` and ``b``: rs2's value when there is an rs2, else
+      ``operand``, the value the immediate decodes to (0 for a
+      register-register op);
+    - ``_BRANCH``: taken to ``pc + 4 + imm`` when ``fn(a, b)``;
+    - ``_LOAD``/``_STORE``: ``nbytes`` at ``a + imm``, a load
+      sign-extending when ``signed``, a store writing ``b``;
+    - ``_JUMP``, ``_SYS``, ``_CALL``: ``handler``, the op's
+      :data:`repro.uarch.cpu.HANDLERS_BY_XLEN` entry, through a core
+      adapter; ``is_syscall`` marks the one a host kernel emulates.
+
+    Records live in :data:`_DECODE_CACHE`; an illegal word raises
+    :class:`DecodeError`.
+    """
     key = (regs.xlen, word)
     hit = _DECODE_CACHE.get(key)
     if hit is None:
         try:
-            hit = decode(word, regs)
+            hit = _record(decode(word, regs), regs.xlen)
         except DecodeError as exc:
             hit = exc.reason
         _DECODE_CACHE[key] = hit
     if isinstance(hit, str):
         raise DecodeError(word & WORD_MASK, hit)
     return hit
+
+
+def cached_decode(word: int, regs) -> Decoded:
+    """The :class:`Decoded` of *word* (its decode record's first field)."""
+    return decode_record(word, regs)[0]
+
+
+def _record(instr: Decoded, xlen: int) -> tuple:
+    d = instr.d
+    fmt = d.fmt
+    cls = d.cls
+    op = instr.op
+    rs1 = instr.rs1 if fmt in ("R", "S", "B", "I", "RJ") else 0
+    rs2 = instr.rs2 if fmt in ("R", "S", "B") else 0
+    dest = _dest_reg(instr, xlen)
+    form = VALUE_FORMS[xlen].get(op)
+    fn, operand = None, 0
+    if form is not None:
+        kind = _BRANCH if cls == "branch" else _ALU
+        fn = form.fn
+        if form.imm_mask is not None:
+            operand = instr.imm & form.imm_mask
+    elif cls == "load":
+        kind = _LOAD
+    elif cls == "store":
+        kind = _STORE
+    else:
+        kind = _HANDLER_KIND_OF_CLASS.get(cls, _CALL)
+    return (instr, HANDLERS_BY_XLEN[xlen][op], kind, rs1, rs2, dest, fn,
+            operand, instr.imm, d.mem_bytes, d.mem_signed, dest != 0,
+            op == "syscall")
 
 
 class RunStatus(str, Enum):
@@ -141,16 +203,12 @@ class _FunctionalCore(CoreAccess):
         engine = self.engine
         engine.memory.check_access(addr, nbytes, write=False,
                                    kernel_mode=engine.ms.in_kernel)
-        if engine.observer is not None:
-            engine.last_mem = ("load", addr, nbytes)
         return engine.memory.read_int(addr, nbytes, signed)
 
     def store(self, addr: int, nbytes: int, value: int) -> None:
         engine = self.engine
         engine.memory.check_access(addr, nbytes, write=True,
                                    kernel_mode=engine.ms.in_kernel)
-        if engine.observer is not None:
-            engine.last_mem = ("store", addr, nbytes)
         engine.memory.write_int(addr, value, nbytes)
 
 
@@ -178,18 +236,11 @@ class FunctionalEngine:
         self._core = _FunctionalCore(self)
         self._actions: list[FaultAction] = []
         self._counters = {"commit": 0, "user_dest": 0}
-        #: raw instruction word -> decode record (see _decode_record);
-        #: a corrupted word is simply another key
-        self._records: dict[int, tuple] = {}
-        #: code page base -> whether its (single) region is
-        #: kernel-only: the region is looked up once per page, the
-        #: privilege check still runs on every fetch
-        self._page_kernel_only: dict[int, bool] = {}
         #: optional passive observer (protocol: PipelineEngine.observer);
-        #: while one is attached the core records each memory access
-        #: as ``("load"|"store", addr, nbytes)`` in ``last_mem``, and
-        #: ``last_instr`` is the :class:`Decoded` instruction each
-        #: ``step`` follows.
+        #: before each ``step``, ``last_instr`` is set to the
+        #: :class:`Decoded` instruction the step follows and
+        #: ``last_mem`` to that instruction's memory access,
+        #: ``("load"|"store", addr, nbytes)``, or None.
         self.observer = None
         self.last_mem = None
         self.last_instr = None
@@ -213,10 +264,10 @@ class FunctionalEngine:
     def _fetch(self) -> tuple:
         """Fetch the word at ``ms.pc``; returns its decode record.
 
-        Alignment, the fetch region and privilege are checked on every
-        fetch.  The word is read from the page that holds it now, never
-        from a cached page object: a write into a checkpoint's frozen
-        page (a code flip, a store) swaps in a private copy.
+        Alignment, the fetch region and privilege are checked, in that
+        order.  The word is read from the page that holds it now:
+        ``memory._pages``, else the checkpoint's frozen
+        ``memory._backing``.
         """
         ms = self.ms
         pc = ms.pc
@@ -226,43 +277,22 @@ class FunctionalEngine:
         addr = pc & 0xFFFF_FFFF
         base = addr & _PAGE_BASE
         memory = self.memory
-        kernel_only = self._page_kernel_only.get(base)
-        if kernel_only is None:
-            region = memory.region_of(addr)
-            if region is None:
-                raise SimException(FaultKind.FETCH_FAULT, addr,
-                                   in_kernel=ms.in_kernel)
-            kernel_only = region.kernel_only
-            if region.base <= base and base + _PAGE <= region.end:
-                self._page_kernel_only[base] = kernel_only
-        if kernel_only and ms.mode != KERNEL_MODE:
+        region = memory._page_region.get(base) or memory.page_region(addr)
+        if region is None:
+            raise SimException(FaultKind.FETCH_FAULT, addr,
+                               in_kernel=ms.in_kernel)
+        if region.kernel_only and ms.mode != KERNEL_MODE:
             raise SimException(FaultKind.PRIVILEGE_FAULT, addr,
                                detail="fetch", in_kernel=False)
         page = memory._pages.get(base)
         if page is None and memory._backing:
             page = memory._backing.get(base)
         word = _read_word(page, addr - base)[0] if page is not None else 0
-        record = self._records.get(word)
-        if record is None:
-            record = self._records[word] = self._decode_record(word)
-        return record
-
-    def _decode_record(self, word: int) -> tuple:
-        """Everything the run loops need to know about one instruction
-        word: ``(instr, handler, writes_reg, dest_reg,
-        host_syscall)``.  ``handler`` is the instruction's semantics
-        (:data:`repro.uarch.cpu.HANDLERS_BY_XLEN`), ``dest_reg`` the
-        architectural destination when ``writes_reg``, and
-        ``host_syscall`` marks a syscall the host kernel emulates."""
         try:
-            instr = cached_decode(word, self.regs_meta)
+            return decode_record(word, self.regs_meta)
         except DecodeError:
-            raise SimException(FaultKind.ILLEGAL_INSTRUCTION, self.ms.pc,
-                               in_kernel=self.ms.in_kernel) from None
-        writes = writes_reg(instr)
-        return (instr, HANDLERS_BY_XLEN[self.ms.xlen][instr.op], writes,
-                _dest_reg(instr, self.ms.xlen) if writes else 0,
-                instr.op == "syscall" and self.kernel_mode_kind == "host")
+            raise SimException(FaultKind.ILLEGAL_INSTRUCTION, pc,
+                               in_kernel=ms.in_kernel) from None
 
     def _store_counts(self, executed: int, n_commit: int,
                       n_dest: int) -> None:
@@ -291,11 +321,39 @@ class FunctionalEngine:
             return
         self.regs[1] = self.ms.mask  # -1: unknown syscall
 
+    def _fire(self, actions, executed: int, n_commit: int, n_dest: int,
+              pc: int) -> None:
+        """Apply due *actions*, with the run loop's counters and pc
+        stored on the engine first."""
+        self._store_counts(executed, n_commit, n_dest)
+        self.ms.pc = pc
+        for action in actions:
+            action.apply(self)
+
     def run(self) -> FuncResult:
-        """Execute to completion and classify the raw termination."""
+        """Execute to completion and classify the raw termination.
+
+        The loop executes ``_ALU``, ``_BRANCH``, ``_LOAD`` and
+        ``_STORE`` records itself, on ``regs`` and the memory pages;
+        the other kinds run their handler through the core adapter
+        (DESIGN.md decision 9).
+        """
         ms = self.ms
         core = self._core
-        fetch = self._fetch
+        # Hooks are attached and checkpoints restored before run();
+        # nothing rebinds these objects while the loop runs (they are
+        # only mutated in place).
+        regs = self.regs
+        memory = self.memory
+        check_access = memory.check_access
+        page_regions = memory._page_region
+        pages = memory._pages
+        backing = memory._backing
+        regs_meta = self.regs_meta
+        xlen = regs_meta.xlen
+        mask = ms.mask
+        records = _DECODE_CACHE
+        host = self.kernel_mode_kind == "host"
         status = RunStatus.COMPLETED
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
@@ -304,15 +362,27 @@ class FunctionalEngine:
         every = (getattr(self.observer, "every", None) or 1) if step else 0
         max_instructions = self.max_instructions
         # The trigger streams only count while actions are scheduled.
-        # The instruction and stream counters live in locals and are
-        # stored back (_store_counts) before anything outside the loop
-        # can read them: a fast-path poll, an action, an observer step
-        # and the end of the run.
+        # The instruction and stream counters, the pc and the privilege
+        # mode live in locals.  Counters and pc are stored back before
+        # anything outside the loop can read them: a fast-path poll, an
+        # action, an observer step and the end of the run, and the pc
+        # before a handler.  Only actions and handlers change the pc or
+        # the mode, so both are read back after them.
         counting = bool(self._actions)
         commit_t, dest_t = trigger_tables(self._actions)
         n_commit = self._counters["commit"]
         n_dest = self._counters["user_dest"]
         executed = self.executed
+        pc = ms.pc
+        mode = ms.mode
+        # The code page of the last fetch: its base (-1: none), bytes
+        # (None: never written) and kernel-only flag.  Kept only for a
+        # page one region holds whole, and dropped after every store,
+        # handler and action: a write into a checkpoint's frozen page
+        # swaps in a private copy, which a kept page object would miss.
+        code_base = -1
+        code_page = None
+        code_kernel_only = False
         # one threshold for the watchdog and the next fast-path poll
         limit = (max_instructions if fastpath is None
                  else min(fastpath.next_check, max_instructions))
@@ -322,6 +392,7 @@ class FunctionalEngine:
                     if fastpath is not None \
                             and executed >= fastpath.next_check:
                         self._store_counts(executed, n_commit, n_dest)
+                        ms.pc = pc
                         early = fastpath.poll(self)
                         if early is not None:
                             return early
@@ -329,31 +400,132 @@ class FunctionalEngine:
                     if executed >= max_instructions:
                         status = RunStatus.TIMEOUT
                         break
+
+                # ---- fetch: alignment, region, privilege, decode -----
+                if pc & 3:
+                    raise SimException(FaultKind.MISALIGNED, pc,
+                                       detail="pc",
+                                       in_kernel=mode == KERNEL_MODE)
+                addr = pc & 0xFFFF_FFFF
+                base = addr & _PAGE_BASE
+                if base != code_base:
+                    region = page_regions.get(base)
+                    if region is not None:
+                        code_base = base
+                    else:
+                        # first fetch from the page, or a page no one
+                        # region holds whole: not kept
+                        code_base = -1
+                        region = memory.page_region(addr)
+                        if region is None:
+                            raise SimException(
+                                FaultKind.FETCH_FAULT, addr,
+                                in_kernel=mode == KERNEL_MODE)
+                    code_page = pages.get(base)
+                    if code_page is None and backing:
+                        code_page = backing.get(base)
+                    code_kernel_only = region.kernel_only
+                if code_kernel_only and mode != KERNEL_MODE:
+                    raise SimException(FaultKind.PRIVILEGE_FAULT, addr,
+                                       detail="fetch", in_kernel=False)
+                word = (_read_word(code_page, addr - base)[0]
+                        if code_page is not None else 0)
+                record = records.get((xlen, word))
+                if record.__class__ is not tuple:
+                    try:
+                        record = decode_record(word, regs_meta)
+                    except DecodeError:
+                        raise SimException(
+                            FaultKind.ILLEGAL_INSTRUCTION, pc,
+                            in_kernel=mode == KERNEL_MODE) from None
+                (instr, handler, kind, rs1, rs2, dest, fn, operand, imm,
+                 nbytes, signed, writes, is_syscall) = record
+
                 # fetch first, then fire: a code flip at commit k shows
                 # at the next fetch of that pc
-                instr, handler, writes, dest, host_syscall = fetch()
                 if counting:
                     if commit_t and n_commit in commit_t:
-                        self._store_counts(executed, n_commit, n_dest)
-                        for action in commit_t[n_commit]:
-                            action.apply(self)
+                        self._fire(commit_t[n_commit], executed, n_commit,
+                                   n_dest, pc)
+                        pc = ms.pc
+                        mode = ms.mode
+                        code_base = -1
                     n_commit += 1
-                if host_syscall:
-                    ms.pc += 4
-                    self._host_syscall()
+
+                # ---- execute -----------------------------------------
+                # nothing writes r0, so a missing source (0) reads 0
+                if not kind:
+                    value = fn(regs[rs1], regs[rs2] if rs2 else operand)
+                    if dest:
+                        regs[dest] = value
+                    pc += 4
+                elif kind == _BRANCH:
+                    pc += 4 + imm if fn(regs[rs1], regs[rs2]) else 4
+                elif kind >= _LOAD:
+                    addr = (regs[rs1] + imm) & 0xFFFF_FFFF
+                    off = addr & _PAGE_MASK
+                    base = addr - off
+                    end = off + nbytes
+                    # what the page memo proves safe skips check_access,
+                    # which raises on everything else
+                    region = page_regions.get(base)
+                    if (region is None or end > _PAGE
+                            or region.kernel_only and mode != KERNEL_MODE
+                            or kind == _STORE and not region.writable):
+                        check_access(addr, nbytes, write=kind == _STORE,
+                                     kernel_mode=mode == KERNEL_MODE)
+                    if kind == _LOAD:
+                        if end > _PAGE:
+                            value = memory.read_int(addr, nbytes, signed)
+                        else:
+                            page = pages.get(base)
+                            if page is None and backing:
+                                page = backing.get(base)
+                            value = (0 if page is None else int.from_bytes(
+                                page[off:end], "little", signed=signed))
+                        if dest:
+                            regs[dest] = value & mask
+                    else:
+                        if end > _PAGE:
+                            memory.write_int(addr, regs[rs2], nbytes)
+                        else:
+                            page = pages.get(base)
+                            if page is None:
+                                page = memory._page_for(addr, True)
+                            page[off:end] = (
+                                regs[rs2] & ((1 << (nbytes << 3)) - 1)
+                            ).to_bytes(nbytes, "little")
+                        code_base = -1
+                    pc += 4
                 else:
-                    ms.pc = handler(instr, ms, core)
+                    if is_syscall and host:
+                        pc += 4
+                        ms.pc = pc
+                        self._host_syscall()
+                    else:
+                        ms.pc = pc
+                        pc = handler(instr, ms, core)
+                    mode = ms.mode
+                    code_base = -1
                 executed += 1
-                if counting and writes and ms.mode != KERNEL_MODE:
+
+                if counting and writes and mode != KERNEL_MODE:
                     self.last_dest = dest
                     if dest_t and n_dest in dest_t:
-                        self._store_counts(executed, n_commit, n_dest)
-                        for action in dest_t[n_dest]:
-                            action.apply(self)
+                        self._fire(dest_t[n_dest], executed, n_commit,
+                                   n_dest, pc)
+                        pc = ms.pc
+                        mode = ms.mode
+                        code_base = -1
                     n_dest += 1
                 if every and not executed % every:
                     self._store_counts(executed, n_commit, n_dest)
+                    ms.pc = pc
                     self.last_instr = instr
+                    self.last_mem = (
+                        None if kind < _LOAD else
+                        ("load" if kind == _LOAD else "store", addr,
+                         nbytes))
                     step(self)
         except SimException as exc:
             status = RunStatus.SIM_EXCEPTION
@@ -372,11 +544,12 @@ class FunctionalEngine:
                 context={
                     "engine": "functional",
                     "error": f"{type(exc).__name__}: {exc}",
-                    "pc": ms.pc,
+                    "pc": pc,
                     "instructions": executed,
                 }) from exc
         finally:
             self._store_counts(executed, n_commit, n_dest)
+            ms.pc = pc
 
         return FuncResult(
             status=status,
@@ -405,19 +578,17 @@ class FunctionalEngine:
 
 
 def _dest_reg(instr: Decoded, xlen: int) -> int:
-    """Architectural destination register of a reg-writing instruction."""
+    """Architectural destination register (0: none)."""
+    if instr.d.fmt in ("R", "I", "U") or instr.op == "jalr":
+        return instr.rd
     if instr.op == "jal":
-        return 14 if xlen == 32 else 30
-    return instr.rd
+        return _link_reg(xlen)
+    return 0
 
 
 def writes_reg(instr: Decoded) -> bool:
     """Whether the instruction writes an architectural register != r0."""
-    cls = instr.d.cls
-    if cls in ("store", "branch", "sys"):
-        return instr.op == "jalr" and instr.rd != 0 \
-            or instr.op == "jal"
-    return instr.rd != 0
+    return _dest_reg(instr, 64) != 0
 
 
 def run_functional(user_program, kernel: str = "sim",

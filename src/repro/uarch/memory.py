@@ -66,7 +66,7 @@ class Memory:
         # linear scan is fine and avoids bisect bookkeeping.
         self._regions_sorted = sorted(self.regions, key=lambda r: r.base)
         #: page base -> the region holding the *whole* page, filled by
-        #: check_access (a page a region only partly covers is never
+        #: page_region (a page a region only partly covers is never
         #: memoised, so its accesses keep the full lookup)
         self._page_region: dict[int, Region] = {}
 
@@ -79,6 +79,17 @@ class Memory:
             if region.contains(addr):
                 return region
         return None
+
+    def page_region(self, addr: int) -> Region | None:
+        """The region holding *addr* (None outside every region),
+        remembered in ``_page_region`` when it holds *addr*'s whole
+        page."""
+        region = self.region_of(addr)
+        page = addr & ADDR_MASK & ~_PAGE_MASK
+        if region is not None and region.base <= page \
+                and page + _PAGE <= region.end:
+            self._page_region[page] = region
+        return region
 
     def check_access(self, addr: int, nbytes: int, *, write: bool,
                      kernel_mode: bool) -> None:
@@ -100,15 +111,12 @@ class Memory:
             raise SimException(FaultKind.ACCESS_FAULT, addr,
                                detail="access wraps the address space",
                                in_kernel=kernel_mode)
-        page = addr & ~_PAGE_MASK
-        region = self._page_region.get(page)
+        region = self._page_region.get(addr & ~_PAGE_MASK)
         if region is None:
-            region = self.region_of(addr)
+            region = self.page_region(addr)
             if region is None:
                 raise SimException(FaultKind.ACCESS_FAULT, addr,
                                    in_kernel=kernel_mode)
-            if region.base <= page and page + _PAGE <= region.end:
-                self._page_region[page] = region
         # region.base <= addr holds, so this is region.contains(last)
         if addr + nbytes > region.end:
             raise SimException(FaultKind.ACCESS_FAULT, addr,

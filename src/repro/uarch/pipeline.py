@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..isa import layout
-from ..isa.encoding import Decoded
 from ..isa.errors import DecodeError
 from ..isa.registers import register_set
 from ..kernel.loader import SystemImage
@@ -45,22 +44,13 @@ from ..kernel.syscalls import EXIT_CODE_OFFSET
 from .branch import BranchPredictor
 from .cache import Cache, MemoryPort, TaintProbe
 from .config import MicroarchConfig
-from .cpu import (HANDLERS_BY_XLEN, KERNEL_MODE, VALUE_FORMS, CoreAccess,
-                  MachineState)
+from .cpu import KERNEL_MODE, CoreAccess, MachineState
 from .exceptions import (ContainmentError, DetectTrap, FaultKind,
                          SimException)
-from .functional import RunStatus, _read_word, cached_decode
+from .functional import (_BRANCH, _JUMP, _LOAD, _STORE, _SYS, RunStatus,
+                         _read_word, decode_record)
 from .lsq import LoadStoreQueue
 from .regfile import FREE, LIVE, PhysRegFile
-
-_LINK32, _LINK64 = 14, 30
-
-#: execution kinds of a decode record.  The run loop executes value
-#: ALU ops, value branches, loads and stores itself; the handler kinds
-#: (jumps, sys ops, div/rem) call their handler and differ in what the
-#: frontend does after them.  Memory kinds sort last.
-_ALU, _BRANCH, _JUMP, _SYS, _CALL, _LOAD, _STORE = range(7)
-_HANDLER_KIND_OF_CLASS = {"branch": _JUMP, "sys": _SYS}
 
 
 def fold_coordinates(engine: "PipelineEngine", spec) -> tuple[int, int, int]:
@@ -453,27 +443,15 @@ class PipelineEngine:
             classify_instruction_corruption(pristine, word).value,
             mem_addr=addr)
 
-    def _decode_record(self, instr: Decoded, latencies: dict) -> tuple:
-        """Everything the run loop needs to know about one instruction
-        word: ``(instr, handler, rs1, rs2, dest, kind, fn, operand,
-        imm, nbytes, signed, fu_pool, other_units, fu_busy,
-        latency)``.
-
-        ``rs1``/``rs2`` are the architectural sources and ``dest`` the
-        architectural destination (0 means none).  ``kind`` says how
-        the loop executes the instruction:
-
-        - ``_ALU``: ``fn(a, b)``, the op's
-          :data:`repro.uarch.cpu.VALUE_FORMS` function, over rs1's
-          value ``a`` and ``b``: rs2's value when there is an rs2,
-          else ``operand``, the value the immediate decodes to (0 for
-          a register-register op);
-        - ``_BRANCH``: taken to ``pc + 4 + imm`` when ``fn(a, b)``;
-        - ``_LOAD``/``_STORE``: ``nbytes`` at ``a + imm``, a load
-          sign-extending when ``signed``, a store writing ``b``;
-        - ``_JUMP``, ``_SYS``, ``_CALL``: ``handler``, the op's
-          :data:`repro.uarch.cpu.HANDLERS_BY_XLEN` entry, through the
-          core adapter.
+    def _decode_record(self, record: tuple, latencies: dict) -> tuple:
+        """The run loop's record of one instruction word: the first
+        fields of its shared decode record (see
+        :func:`repro.uarch.functional.decode_record`), ``(instr,
+        handler, kind, rs1, rs2, dest, fn, operand, imm, nbytes,
+        signed)``, and the timing fields ``(fu_pool, other_units,
+        fu_busy, latency)``.  The handler kinds differ in what the
+        frontend does after them: the predictor learns each ``_JUMP``,
+        and a ``_SYS`` op serialises.
 
         ``fu_pool`` is the list of per-unit free times of the
         functional units that execute the instruction, ``other_units``
@@ -481,38 +459,13 @@ class PipelineEngine:
         instruction occupies its unit and ``latency`` its base
         execution latency (loads add the D-cache latency at run time).
         """
-        d = instr.d
-        fmt = d.fmt
-        cls = d.cls
-        op = instr.op
-        xlen = self.regs_meta.xlen
-        rs1 = instr.rs1 if fmt in ("R", "S", "B", "I", "RJ") else 0
-        rs2 = instr.rs2 if fmt in ("R", "S", "B") else 0
-        if fmt in ("R", "I", "U") or op == "jalr":
-            dest = instr.rd
-        elif op == "jal":
-            dest = _LINK32 if xlen == 32 else _LINK64
-        else:
-            dest = 0
-        form = VALUE_FORMS[xlen].get(op)
-        fn, operand = None, 0
-        if form is not None:
-            kind = _BRANCH if cls == "branch" else _ALU
-            fn = form.fn
-            if form.imm_mask is not None:
-                operand = instr.imm & form.imm_mask
-        elif cls == "load":
-            kind = _LOAD
-        elif cls == "store":
-            kind = _STORE
-        else:
-            kind = _HANDLER_KIND_OF_CLASS.get(cls, _CALL)
+        kind = record[2]
+        cls = record[0].d.cls
         fu = self.fu
         pool = fu["mem"] if kind >= _LOAD else fu.get(cls, fu["alu"])
         busy = latencies["div"] if cls == "div" else 1.0
-        return (instr, HANDLERS_BY_XLEN[xlen][op], rs1, rs2, dest, kind,
-                fn, operand, instr.imm, d.mem_bytes, d.mem_signed, pool,
-                tuple(range(1, len(pool))), busy, latencies.get(cls, 1.0))
+        return record[:11] + (pool, tuple(range(1, len(pool))), busy,
+                              latencies.get(cls, 1.0))
 
     # ------------------------------------------------------------------
     # main loop
@@ -703,14 +656,14 @@ class PipelineEngine:
                 record = records.get(word)
                 if record is None:
                     try:
-                        instr = cached_decode(word, regs_meta)
+                        record = decode_record(word, regs_meta)
                     except DecodeError:
                         raise SimException(
                             FaultKind.ILLEGAL_INSTRUCTION, pc,
                             in_kernel=ms.in_kernel) from None
                     record = records[word] = self._decode_record(
-                        instr, latencies)
-                (instr, handler, rs1, rs2, dest, kind, fn, operand, imm,
+                        record, latencies)
+                (instr, handler, kind, rs1, rs2, dest, fn, operand, imm,
                  nbytes, signed, fu_pool, other_units, fu_busy,
                  latency) = record
                 if icache_extra:

@@ -63,7 +63,8 @@ def trace_program(program, start: int = 0, count: int = 200,
             if engine.executed >= max_instructions:
                 status = "timeout"
                 break
-            instr, handler, writes, dest, _ = engine._fetch()
+            (instr, handler, _, _, _, dest, _, _, _, _, _, writes,
+             _) = engine._fetch()
             pc = ms.pc
             ms.pc = handler(instr, ms, engine._core)
             index = engine.executed

@@ -160,8 +160,8 @@ msg: .ascii "ok"
 """
         engine = FunctionalEngine(build_system_image(assemble(src, MR64)))
         result = engine.run()
-        assert engine._page_kernel_only.get(layout.KERNEL_CODE_BASE) \
-            is True
+        assert engine.memory._page_region[
+            layout.KERNEL_CODE_BASE].kernel_only is True
         assert result.fault_kind is FaultKind.PRIVILEGE_FAULT
         assert result.fault_in_kernel is False
         assert result.output == b"ok"

@@ -26,9 +26,10 @@ from repro.kernel.loader import build_system_image
 from repro.uarch import batch
 from repro.uarch.config import CORTEX_A9, CORTEX_A72
 from repro.uarch.cpu import HANDLERS_BY_XLEN, LANE_FORMS, VALUE_FORMS
-from repro.uarch.functional import (FaultAction, FunctionalEngine,
-                                   cached_decode)
-from repro.uarch.pipeline import _ALU, _BRANCH, PipelineEngine
+from repro.uarch.functional import (_ALU, _BRANCH, FaultAction,
+                                   FunctionalEngine, cached_decode,
+                                   decode_record)
+from repro.uarch.pipeline import PipelineEngine
 from repro.workloads.suite import load_workload
 from tests.ledgers import GRID_PC, RD, SEMANTICS_PATH, semantics_cases
 
@@ -152,9 +153,8 @@ def test_pipeline_records_hold_the_value_table(config):
     seen = set()
     for off in range(0, len(text), 4):
         word = int.from_bytes(text[off:off + 4], "little")
-        instr = cached_decode(word, engine.regs_meta)
-        (_, _, _, _, _, kind, fn, operand,
-         *_) = engine._decode_record(instr, {"div": 1.0})
+        (instr, _, kind, _, _, _, fn, operand, *_) = engine._decode_record(
+            decode_record(word, engine.regs_meta), {"div": 1.0})
         form = forms.get(instr.op)
         if form is None:
             assert kind not in (_ALU, _BRANCH) and fn is None
@@ -180,7 +180,7 @@ def test_batch_lane_records_hold_the_lane_forms(config, workload):
     seen = set()
     for off in range(0, len(text), 4):
         word = int.from_bytes(text[off:off + 4], "little")
-        instr = engine._decode_record(word)[0]
+        instr = cached_decode(word, engine.regs_meta)
         kind, fn, operand = batched._lane_record(instr)
         form = forms.get(instr.op)
         if form is None:
