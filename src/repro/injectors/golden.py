@@ -181,11 +181,22 @@ def _golden_key(workload: str, config: MicroarchConfig,
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
+def _memo_of(cached):
+    """Decorate the public face of lru-cached *cached*: a function with
+    the same parameters that passes them all on positionally, so a
+    default left out, passed positionally or by keyword makes one
+    memo entry.  It keeps the cache's ``cache_clear`` and
+    ``cache_info``."""
+    def expose(public):
+        public.cache_clear = cached.cache_clear
+        public.cache_info = cached.cache_info
+        return public
+    return expose
+
+
 @lru_cache(maxsize=None)
-def golden_run(workload: str, config_name: str,
-               hardened: bool = False) -> GoldenRun:
-    """Compute (or load) the golden reference for one configuration
-    (a functional run; the pipeline fields read the capture's store)."""
+def _golden_run(workload: str, config_name: str,
+                hardened: bool) -> GoldenRun:
     config = config_by_name(config_name)
     key = _golden_key(workload, config, hardened)
     path = cache_dir() / f"golden-{workload}-{config.name}-{key}.json"
@@ -222,6 +233,14 @@ def golden_run(workload: str, config_name: str,
     return golden
 
 
+@_memo_of(_golden_run)
+def golden_run(workload: str, config_name: str,
+               hardened: bool = False) -> GoldenRun:
+    """Compute (or load) the golden reference for one configuration
+    (a functional run; the pipeline fields read the capture's store)."""
+    return _golden_run(workload, config_name, hardened)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint stores (the injection fast path; see repro.uarch.snapshot)
 # ---------------------------------------------------------------------------
@@ -232,18 +251,8 @@ STORE_ENGINES = {"gefin": "pipeline", "pvf": "functional-sim",
 
 
 @lru_cache(maxsize=None)
-def checkpoint_store(workload: str, config_name: str,
-                     engine: str = "pipeline", hardened: bool = False):
-    """Build (or load) the golden checkpoint store for one capture run.
-
-    *engine* selects the capture target: ``"pipeline"`` (AVF/HVF
-    runs), ``"functional-sim"`` (PVF) or ``"functional-host"`` (SVF).
-    Stores are cached in-process and on disk next to the golden
-    outputs; the key is salted with the workload/config digests plus
-    both schema versions, so any engine or format change invalidates
-    every stale store.  The pipeline capture is the golden pipeline
-    run: it must retire the functional run's instructions and output.
-    """
+def _checkpoint_store(workload: str, config_name: str, engine: str,
+                      hardened: bool):
     from .. import __version__
     from ..uarch import snapshot
 
@@ -290,6 +299,22 @@ def checkpoint_store(workload: str, config_name: str,
         if stale != path:
             stale.unlink(missing_ok=True)
     return store
+
+
+@_memo_of(_checkpoint_store)
+def checkpoint_store(workload: str, config_name: str,
+                     engine: str = "pipeline", hardened: bool = False):
+    """Build (or load) the golden checkpoint store for one capture run.
+
+    *engine* selects the capture target: ``"pipeline"`` (AVF/HVF
+    runs), ``"functional-sim"`` (PVF) or ``"functional-host"`` (SVF).
+    Stores are cached in-process and on disk next to the golden
+    outputs; the key is salted with the workload/config digests plus
+    both schema versions, so any engine or format change invalidates
+    every stale store.  The pipeline capture is the golden pipeline
+    run: it must retire the functional run's instructions and output.
+    """
+    return _checkpoint_store(workload, config_name, engine, hardened)
 
 
 def replay_golden(workload: str, config_name: str, *,

@@ -22,9 +22,6 @@ there are hardware-masked, as on a real core.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import takewhile
-
 
 class LSQEntry:
     __slots__ = ("valid", "is_store", "addr", "data", "nbytes",
@@ -47,13 +44,14 @@ class LSQEntry:
 class LoadStoreQueue:
     """Circular queue of :class:`LSQEntry`.
 
-    Commit cycles strictly increase in program order, so the entries
-    in flight commit in the order they were allocated.  ``_inflight``
-    keeps them in that order, and :meth:`reclaim` walks it from the
-    oldest entry and stops at the first one that has not committed:
-    exactly the entries a scan of the whole queue would free.  It is a
-    derived index (never captured); :meth:`reindex` rebuilds it after
-    the entries were set from outside.
+    Entries are allocated in ring order, and commit cycles strictly
+    increase in program order, so the entries in flight commit in the
+    order they were allocated: the valid entries are always the
+    ``valid_count`` slots just before ``_next``, oldest first.
+    :meth:`reclaim` walks them from the oldest and stops at the first
+    one that has not committed, which frees exactly the entries a scan
+    of the whole queue would free.  The pipeline's run loop walks the
+    same ring in line.
     """
 
     def __init__(self, size: int, xlen: int) -> None:
@@ -64,9 +62,6 @@ class LoadStoreQueue:
         self.entries = [LSQEntry() for _ in range(size)]
         self._next = 0
         self.valid_count = 0
-        #: valid entries in allocation (= commit) order; may also hold
-        #: entries invalidated since, which reclaim() drops
-        self._inflight: deque = deque()
 
     @property
     def entry_bits(self) -> int:
@@ -77,28 +72,36 @@ class LoadStoreQueue:
         return self.size * self.entry_bits
 
     def reindex(self) -> None:
-        """Rebuild the in-flight order from the entries themselves."""
-        self._inflight = deque(sorted(
-            (e for e in self.entries if e.valid),
-            key=lambda e: e.commit_cycle))
+        """Check that entries set from outside (a restored checkpoint)
+        keep the ring's order: the valid ones are the ``valid_count``
+        slots before ``_next``, with increasing commit cycles."""
+        inflight = [self.entries[self._next - k]
+                    for k in range(self.valid_count, 0, -1)]
+        commits = [e.commit_cycle for e in inflight]
+        if sum(e.valid for e in self.entries) != self.valid_count \
+                or not all(e.valid for e in inflight) \
+                or commits != sorted(commits):
+            raise ValueError("LSQ entries are not in ring order")
 
     def reclaim(self, now: float) -> None:
         """Invalidate entries whose operation has committed."""
-        inflight = self._inflight
-        while inflight:
-            entry = inflight[0]
-            if entry.valid:
-                if entry.commit_cycle > now:
-                    return
-                entry.valid = False
-                self.valid_count -= 1
-            inflight.popleft()
+        entries = self.entries
+        count = self.valid_count
+        while count:
+            entry = entries[self._next - count]
+            if entry.commit_cycle > now:
+                break
+            entry.valid = False
+            count -= 1
+        self.valid_count = count
 
     def reclaimable(self, now: float) -> int:
         """How many entries :meth:`reclaim` at *now* would invalidate."""
-        done = takewhile(lambda e: not e.valid or e.commit_cycle <= now,
-                         self._inflight)
-        return sum(e.valid for e in done)
+        entries = self.entries
+        count = self.valid_count
+        while count and entries[self._next - count].commit_cycle <= now:
+            count -= 1
+        return self.valid_count - count
 
     def allocate(self, now: float) -> tuple[LSQEntry, float]:
         """Allocate the next entry, stalling while the queue is full.
@@ -106,24 +109,18 @@ class LoadStoreQueue:
         Returns ``(entry, stall_until)``.  The caller sets the entry's
         ``commit_cycle`` before the next allocation or reclaim.
         """
-        self.reclaim(now)
         stall_until = now
         if self.valid_count >= self.size:
-            # wait for the oldest in-flight op to commit (reclaim left
-            # it at the head)
-            oldest = self._inflight[0].commit_cycle
+            # full: wait for the oldest in-flight op (the entry about
+            # to be reused) to commit
+            oldest = self.entries[self._next].commit_cycle
             if oldest > stall_until:
                 stall_until = oldest
-            self.reclaim(stall_until)
+        self.reclaim(stall_until)
         entry = self.entries[self._next]
-        if entry.valid:
-            # ring slot still busy: find any free slot (reclaim above
-            # guarantees one exists)
-            entry = next(e for e in self.entries if not e.valid)
         self._next = (self._next + 1) % self.size
         entry.valid = True
         self.valid_count += 1
-        self._inflight.append(entry)
         return entry, stall_until
 
     def occupancy(self) -> float:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from collections import deque
 from dataclasses import dataclass
 
 from ..isa import layout
@@ -50,7 +49,34 @@ from .exceptions import (ContainmentError, DetectTrap, FaultKind,
 from .functional import (_BRANCH, _JUMP, _LOAD, _STORE, _SYS, RunStatus,
                          _read_word, decode_record)
 from .lsq import LoadStoreQueue
-from .regfile import FREE, LIVE, PhysRegFile
+from .regfile import FREE, LIVE, NEVER, PhysRegFile, oldest_first
+
+
+def _window(ring: list, head: int) -> list:
+    """A window ring's cycles, oldest first: the slots no instruction
+    has held yet (0.0) come first from *head* on and are left out."""
+    unused = ring.count(0.0)
+    return oldest_first(ring, (head + unused) % len(ring),
+                        len(ring) - unused)
+
+
+def _window_ring(cycles, size: int) -> list:
+    """The ring, its head at slot 0, that :func:`_window` reads as
+    *cycles* (oldest first, at most *size* of them)."""
+    cycles = list(cycles)
+    if len(cycles) > size:
+        raise ValueError(f"{len(cycles)} cycles overflow a window of "
+                         f"{size}")
+    return [0.0] * (size - len(cycles)) + cycles
+
+
+def _hits_in_line(l1i: Cache, l1d: Cache) -> bool:
+    """Whether the run loop may serve L1 hits itself: neither L1
+    instance has its access methods wrapped, as the capture's
+    :class:`repro.uarch.liveness.LivenessRecorder` wraps them to record
+    every access."""
+    return not ("read" in vars(l1i) or vars(l1d).keys()
+                & {"read", "read_hit", "store_hit"})
 
 
 def fold_coordinates(engine: "PipelineEngine", spec) -> tuple[int, int, int]:
@@ -194,8 +220,15 @@ class PipelineEngine:
         self.fetch_time = 0.0
         self.last_commit = 0.0
         self.reg_ready = [0.0] * config.n_phys_regs
-        self.rob_commits: deque[float] = deque()
-        self.iq_issues: deque[float] = deque()
+        # The ROB and IQ windows: rings of the commit and issue cycles
+        # of the last rob_size / iq_size instructions, the oldest at
+        # rob_head / iq_head (the slot the next instruction takes).  A
+        # slot no instruction has held yet reads 0.0, a cycle before
+        # any fetch, so it never holds fetch back.
+        self.rob_ring = [0.0] * config.rob_size
+        self.rob_head = 0
+        self.iq_ring = [0.0] * config.iq_size
+        self.iq_head = 0
         self.fu = {
             "alu": [0.0] * config.n_alu,
             "mul": [0.0] * config.n_mul,
@@ -251,6 +284,27 @@ class PipelineEngine:
         #: optional ``injected(engine)`` is called once after the
         #: faults are applied and may end the run the same way.
         self.fastpath = None
+
+    # ------------------------------------------------------------------
+    # the ROB and IQ windows, oldest first
+    # ------------------------------------------------------------------
+    @property
+    def rob_commits(self) -> list[float]:
+        """Commit cycles of the instructions in the ROB window."""
+        return _window(self.rob_ring, self.rob_head)
+
+    @property
+    def iq_issues(self) -> list[float]:
+        """Issue cycles of the instructions in the IQ window."""
+        return _window(self.iq_ring, self.iq_head)
+
+    def set_windows(self, rob_commits, iq_issues) -> None:
+        """Lay the ROB and IQ rings out from oldest-first cycles, as
+        :attr:`rob_commits` and :attr:`iq_issues` read them."""
+        self.rob_ring = _window_ring(rob_commits, self.config.rob_size)
+        self.rob_head = 0
+        self.iq_ring = _window_ring(iq_issues, self.config.iq_size)
+        self.iq_head = 0
 
     # ------------------------------------------------------------------
     # crossing / fault bookkeeping
@@ -448,29 +502,44 @@ class PipelineEngine:
         fields of its shared decode record (see
         :func:`repro.uarch.functional.decode_record`), ``(instr,
         handler, kind, rs1, rs2, dest, fn, operand, imm, nbytes,
-        signed)``, and the timing fields ``(fu_pool, other_units,
-        fu_busy, latency)``.  The handler kinds differ in what the
-        frontend does after them: the predictor learns each ``_JUMP``,
-        and a ``_SYS`` op serialises.
+        signed)``, and the timing fields ``(fu_pool, units, fu_busy,
+        latency)``.  The handler kinds differ in what the frontend does
+        after them: the predictor learns each ``_JUMP``, and a ``_SYS``
+        op serialises.
 
         ``fu_pool`` is the list of per-unit free times of the
-        functional units that execute the instruction, ``other_units``
-        the indices after 0 in it, ``fu_busy`` how long the
-        instruction occupies its unit and ``latency`` its base
-        execution latency (loads add the D-cache latency at run time).
+        functional units that execute the instruction, ``units`` its
+        length, ``fu_busy`` how long the instruction occupies its unit
+        and ``latency`` its base execution latency (loads add the
+        D-cache latency at run time).
         """
         kind = record[2]
         cls = record[0].d.cls
         fu = self.fu
         pool = fu["mem"] if kind >= _LOAD else fu.get(cls, fu["alu"])
         busy = latencies["div"] if cls == "div" else 1.0
-        return record[:11] + (pool, tuple(range(1, len(pool))), busy,
+        return record[:11] + (pool, len(pool), busy,
                               latencies.get(cls, 1.0))
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> PipelineResult:
+        """Execute to completion (or until a hook ends the run).
+
+        Past an op's own value function, a common instruction makes no
+        Python-level call and no container-method call: renaming on the
+        register ring, the ROB/IQ/LSQ rings, the page-memo permission
+        test, L1 hits and the predictor update run in line, and each
+        I-cache line's checks and decode records are looked up once
+        per line switch.  The methods they mirror
+        (``PhysRegFile.allocate``, ``LoadStoreQueue.allocate``,
+        ``Memory.check_access``, ``Cache.read_hit``/``store_hit``/
+        ``read``, ``BranchPredictor.update``) stay the reference the
+        tests hold the loop to; ``check_access`` and the cache methods
+        also serve what the loop does not prove simple, and every L1
+        access while the capture's recorder wraps them.
+        """
         from ..obs.metrics import get_registry
 
         registry = get_registry()
@@ -482,8 +551,6 @@ class PipelineEngine:
         inv_commit = 1.0 / config.commit_width
         depth = float(config.frontend_depth)
         penalty = float(config.penalty)
-        rob_size = config.rob_size
-        iq_size = config.iq_size
         max_instructions = self.max_instructions
         max_cycles = self.max_cycles
         latencies = {"alu": float(config.alu_latency),
@@ -496,7 +563,7 @@ class PipelineEngine:
         result: PipelineResult | None = None
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
-        never = float("inf")
+        never = NEVER
         faults = self.faults
 
         # Hooks and per-run state, hoisted to locals.  Hooks are
@@ -508,10 +575,11 @@ class PipelineEngine:
         observer = self.observer
         step = getattr(observer, "step", None)
         every = (getattr(observer, "every", None) or 1) if step else 0
-        reg_read, reg_write, reg_release, lsq_op, mem_access = (
-            getattr(observer, hook, None) for hook in (
-                "reg_read", "reg_write", "reg_release", "lsq_op",
-                "mem_access"))
+        reg_read = getattr(observer, "reg_read", None)
+        reg_write = getattr(observer, "reg_write", None)
+        reg_release = getattr(observer, "reg_release", None)
+        lsq_op = getattr(observer, "lsq_op", None)
+        mem_access = getattr(observer, "mem_access", None)
         core = self._core
         src_vals = self.src_vals
         rf = self.rf
@@ -520,51 +588,106 @@ class PipelineEngine:
         rf_state = rf.state
         rename_map = rf.rename_map
         tainted = rf.tainted
-        free_list = rf.free_list
-        pending_free = rf.pending_free
-        rf_allocate = rf.allocate
+        ring = rf.ring
+        ring_commits = rf.ring_commits
+        ring_size = len(ring)
         reg_ready = self.reg_ready
-        rob_commits = self.rob_commits
-        iq_issues = self.iq_issues
-        rob_full = len(rob_commits) >= rob_size
-        iq_full = len(iq_issues) >= iq_size
+        rob = self.rob_ring
+        rob_size = len(rob)
+        iq = self.iq_ring
+        iq_size = len(iq)
         lsq = self.lsq
-        lsq_allocate = lsq.allocate
-        predictor_update = self.predictor.update
-        region_of = self.memory.region_of
-        check_access = self.memory.check_access
+        lsq_entries = lsq.entries
+        lsq_size = lsq.size
+        predictor = self.predictor
+        counters = predictor.counters
+        counter_mask = predictor.entries - 1
+        btb = predictor.btb
+        btb_mask = predictor.btb_entries - 1
+        memory = self.memory
+        region_of = memory.region_of
+        page_region = memory.page_region
+        page_regions = memory._page_region
+        page_mask = ~(layout.PAGE_SIZE - 1)
+        check_access = memory.check_access
         l1i = self.l1i
         l1d = self.l1d
+        # L1 hits are served here unless the capture's recorder wrapped
+        # the cache methods: then every access goes through them
+        in_line = _hits_in_line(l1i, l1d)
+        l1i_read = l1i.read
+        l1i_sets = l1i.sets
+        l1i_n_sets = l1i.n_sets
         read_hit = l1d.read_hit
         store_hit = l1d.store_hit
         l1d_read = l1d.read
         l1d_write = l1d.write
         l1d_hit_latency = l1d.hit_latency
+        l1d_sets = l1d.sets
+        l1d_n_sets = l1d.n_sets
+        d_line = l1d.line_size
+        d_off = d_line - 1
         probe = self.probe
         line_size = l1i.line_size
-        line_mask = ~(line_size - 1)
+        off_mask = line_size - 1
+        fetch_mask = 0xFFFF_FFFF & ~off_mask
         hit_latency = l1i.hit_latency
         regs_meta = self.regs_meta
 
         # raw instruction word -> decode record (see _decode_record);
         # a corrupted word is simply another key
         records: dict[int, tuple] = {}
-        # I-cache line base -> whether its (single) region is
-        # kernel-only: the region is looked up once per line per run,
-        # the privilege check still runs on every fetch
-        line_kernel_only: dict[int, bool] = {}
-        # the fetch fast path's line (mirrors self._fetch_line*)
-        fetch_line = self._fetch_line
-        fetch_base = self._fetch_line_base
-        fetch_tag = self._fetch_line_tag
-        # Counters and times live in locals and are written back
-        # (_write_back) before anything outside the loop reads them:
-        # fault application, a crossing, a fast-path poll, an observer
-        # step and every exit (the finally).
+        # I-cache line base -> (the line's bytes, its decode records by
+        # offset in the line); a line whose bytes changed (a flip, a
+        # refill from corrupted memory) gets fresh records
+        line_records: dict[int, tuple] = {}
+        # The fetch line: its base (-1: none), Line and records, and
+        # whether it is kernel-only, partly outside its region or holds
+        # corrupted words (the offsets of those words).  A fetch from
+        # it tests only base != fetch_base; fetch_slow sends it through
+        # the per-fetch checks.  Only a line switch (the one way the
+        # loop fills the L1I) and a live L1I flip (which resets
+        # _fetch_line_base) change the line under it.
+        fetch_base = -1
+        fetch_line = None
+        fetch_records: list = []
+        fetch_kernel_only = False
+        fetch_partial = False
+        fetch_taint: "set | None" = None
+        fetch_slow = False
+        icache_extra = 0
+        # the restored fetch line, entered without an I-cache access
+        # while it is still valid
+        resume_line = self._fetch_line
+        resume_base = (self._fetch_line_base
+                       if resume_line is not None and resume_line.valid
+                       and resume_line.tag == self._fetch_line_tag
+                       else -1)
+        # the page of the last load or store, and its region when the
+        # page memo holds it (see Memory.check_access)
+        data_page = -1
+        data_region = None
+        # Counters, times, the pc, the ring heads and the live count
+        # live in locals and are written back (_write_back) before
+        # anything outside the loop reads them: fault application, a
+        # crossing, a fast-path poll, an observer step and every exit
+        # (the finally); the pc also before a handler.  The privilege
+        # mode and the halt flag only change in handlers, so both are
+        # read back after one.
         instructions = self.instructions
         kernel_instructions = self.kernel_instructions
         fetch_time = self.fetch_time
         last_commit = self.last_commit
+        pc = ms.pc
+        in_kernel = ms.mode == KERNEL_MODE
+        halted = ms.halted
+        live_count = rf.live_count
+        free_head = rf.free_head
+        pending_head = rf.pending_head
+        rob_head = self.rob_head
+        iq_head = self.iq_head
+        lsq_next = lsq._next
+        lsq_count = lsq.valid_count
         # the cycle at which the next fault is due
         next_fault = (faults[self._next_fault].cycle
                       if self._next_fault < len(faults) else never)
@@ -573,12 +696,15 @@ class PipelineEngine:
                  else min(fastpath.next_check, max_instructions))
 
         try:
-            while not ms.halted:
+            while not halted:
                 if instructions >= limit or fetch_time > max_cycles:
                     if fastpath is not None \
                             and instructions >= fastpath.next_check:
-                        self._write_back(instructions, kernel_instructions,
-                                         fetch_time, last_commit)
+                        self._write_back(
+                            instructions, kernel_instructions, fetch_time,
+                            last_commit, pc, live_count, free_head,
+                            pending_head, rob_head, iq_head, lsq_next,
+                            lsq_count)
                         result = fastpath.poll(self)
                         if result is not None:
                             break
@@ -588,14 +714,19 @@ class PipelineEngine:
                         status = RunStatus.TIMEOUT
                         break
                 if fetch_time >= next_fault:
-                    self._write_back(instructions, kernel_instructions,
-                                     fetch_time, last_commit)
+                    self._write_back(
+                        instructions, kernel_instructions, fetch_time,
+                        last_commit, pc, live_count, free_head,
+                        pending_head, rob_head, iq_head, lsq_next,
+                        lsq_count)
                     self._apply_due_faults()
                     next_fault = (faults[self._next_fault].cycle
                                   if self._next_fault < len(faults)
                                   else never)
-                    # a live L1I flip invalidates the fetch fast path
-                    fetch_base = self._fetch_line_base
+                    if self._fetch_line_base < 0:
+                        # a live L1I flip: the next fetch goes through
+                        # the I-cache
+                        fetch_base = resume_base = -1
                     if injected is not None:
                         result = injected(self)
                         if result is not None:
@@ -603,72 +734,122 @@ class PipelineEngine:
 
                 # ---- fetch ------------------------------------------
                 fetch = fetch_time + inv_fetch
-                if rob_full:
-                    oldest = rob_commits[0]
-                    if oldest > fetch:
-                        fetch = oldest
-                if iq_full:
-                    oldest = iq_issues[0]
-                    if oldest > fetch:
-                        fetch = oldest
+                oldest = rob[rob_head]
+                if oldest > fetch:
+                    fetch = oldest
+                oldest = iq[iq_head]
+                if oldest > fetch:
+                    fetch = oldest
                 fetch_time = fetch
-                pc = ms.pc
                 if pc & 3:
                     raise SimException(FaultKind.MISALIGNED, pc,
-                                       detail="pc",
-                                       in_kernel=ms.in_kernel)
-                addr = pc & 0xFFFF_FFFF
-                base = addr & line_mask
-                kernel_only = line_kernel_only.get(base)
-                if kernel_only is None:
-                    region = region_of(addr)
+                                       detail="pc", in_kernel=in_kernel)
+                base = pc & fetch_mask
+                if base != fetch_base:
+                    # a line switch: region and privilege, the I-cache
+                    # access and the line's state
+                    addr = pc & 0xFFFF_FFFF
+                    region = page_regions.get(addr & page_mask)
                     if region is None:
-                        raise SimException(FaultKind.FETCH_FAULT, addr,
-                                           in_kernel=ms.in_kernel)
-                    kernel_only = region.kernel_only
-                    if region.base <= base \
-                            and base + line_size <= region.end:
-                        line_kernel_only[base] = kernel_only
-                if kernel_only and ms.mode != KERNEL_MODE:
-                    raise SimException(FaultKind.PRIVILEGE_FAULT, addr,
-                                       detail="fetch", in_kernel=False)
-                icache_extra = 0
-                line = fetch_line
-                if (base != fetch_base or line is None
-                        or not line.valid or line.tag != fetch_tag):
-                    # slow path: go through the I-cache
-                    _, icache_latency, _ = l1i.read(addr, 4, probe)
-                    if icache_latency > hit_latency:
-                        icache_extra = icache_latency - hit_latency
-                    index, fetch_tag = l1i._index_tag(addr)
-                    line = fetch_line = l1i._find(index, fetch_tag)
+                        region = page_region(addr)
+                        if region is None:
+                            raise SimException(FaultKind.FETCH_FAULT,
+                                               addr, in_kernel=in_kernel)
+                    fetch_kernel_only = region.kernel_only
+                    if fetch_kernel_only and not in_kernel:
+                        raise SimException(FaultKind.PRIVILEGE_FAULT,
+                                           addr, detail="fetch",
+                                           in_kernel=False)
+                    fetch_partial = not (region.base <= base and
+                                         base + line_size <= region.end)
+                    if base == resume_base:
+                        line = resume_line
+                    else:
+                        line_addr = addr // line_size
+                        index = line_addr % l1i_n_sets
+                        tag = line_addr // l1i_n_sets
+                        line = None
+                        if in_line:
+                            for line in l1i_sets[index]:
+                                if line.tag == tag and line.valid:
+                                    break
+                            else:
+                                line = None
+                        if line is None:
+                            icache_latency = l1i_read(addr, 4, probe)[1]
+                            if icache_latency > hit_latency:
+                                icache_extra = icache_latency - hit_latency
+                            line = l1i._find(index, tag)
+                        else:
+                            # Cache.read's hit, in line
+                            l1i.hits += 1
+                            tick = l1i._tick + 1
+                            l1i._tick = tick
+                            line.lru = tick
+                        self._fetch_line = line
+                        self._fetch_line_base = base
+                        self._fetch_line_tag = tag
+                    resume_base = -1
                     fetch_base = base
-                    self._fetch_line = line
-                    self._fetch_line_base = base
-                    self._fetch_line_tag = fetch_tag
-                off = addr - base
-                word = _read_word(line.data, off)[0]
-                if line.taint and any(off <= t < off + 4
-                                      for t in line.taint):
-                    self._write_back(instructions, kernel_instructions,
-                                     fetch_time, last_commit)
-                    self._classify_fetch_corruption(addr, word)
-                record = records.get(word)
+                    fetch_line = line
+                    entry = line_records.get(base)
+                    if entry is None or entry[0] != line.data:
+                        entry = line_records[base] = (bytes(line.data),
+                                                      [None] * line_size)
+                    fetch_records = entry[1]
+                    fetch_taint = line.taint
+                    if fetch_taint:
+                        fetch_taint = {t & ~3 for t in fetch_taint}
+                    fetch_slow = (fetch_kernel_only or fetch_partial
+                                  or bool(fetch_taint))
+                if fetch_slow:
+                    # a kernel-only line, one partly outside its region
+                    # or one holding corrupted words: what every fetch
+                    # from it checks
+                    addr = pc & 0xFFFF_FFFF
+                    kernel_only = fetch_kernel_only
+                    if fetch_partial:
+                        region = region_of(addr)
+                        if region is None:
+                            raise SimException(FaultKind.FETCH_FAULT,
+                                               addr, in_kernel=in_kernel)
+                        kernel_only = region.kernel_only
+                    if kernel_only and not in_kernel:
+                        raise SimException(FaultKind.PRIVILEGE_FAULT,
+                                           addr, detail="fetch",
+                                           in_kernel=False)
+                    if fetch_taint and (pc & off_mask) in fetch_taint:
+                        self._write_back(
+                            instructions, kernel_instructions, fetch_time,
+                            last_commit, pc, live_count, free_head,
+                            pending_head, rob_head, iq_head, lsq_next,
+                            lsq_count)
+                        self._classify_fetch_corruption(
+                            addr, _read_word(fetch_line.data,
+                                             pc & off_mask)[0])
+                record = fetch_records[pc & off_mask]
                 if record is None:
-                    try:
-                        record = decode_record(word, regs_meta)
-                    except DecodeError:
-                        raise SimException(
-                            FaultKind.ILLEGAL_INSTRUCTION, pc,
-                            in_kernel=ms.in_kernel) from None
-                    record = records[word] = self._decode_record(
-                        record, latencies)
+                    # first fetch of this word of the line in this run
+                    off = pc & off_mask
+                    word = _read_word(fetch_line.data, off)[0]
+                    record = records.get(word)
+                    if record is None:
+                        try:
+                            shared = decode_record(word, regs_meta)
+                        except DecodeError:
+                            raise SimException(
+                                FaultKind.ILLEGAL_INSTRUCTION, pc,
+                                in_kernel=in_kernel) from None
+                        record = records[word] = self._decode_record(
+                            shared, latencies)
+                    fetch_records[off] = record
                 (instr, handler, kind, rs1, rs2, dest, fn, operand, imm,
-                 nbytes, signed, fu_pool, other_units, fu_busy,
+                 nbytes, signed, fu_pool, units, fu_busy,
                  latency) = record
                 if icache_extra:
                     fetch += icache_extra
                     fetch_time = fetch
+                    icache_extra = 0
 
                 # ---- rename / dispatch ------------------------------
                 dispatch = fetch + depth
@@ -695,51 +876,77 @@ class PipelineEngine:
                     if reg_read is not None:
                         reg_read(phys, ready)
                 if tainted_src and self.crossing is None:
-                    self._write_back(instructions, kernel_instructions,
-                                     fetch_time, last_commit)
+                    self._write_back(
+                        instructions, kernel_instructions, fetch_time,
+                        last_commit, pc, live_count, free_head,
+                        pending_head, rob_head, iq_head, lsq_next,
+                        lsq_count)
                     self.record_crossing("WD", arch_reg=tainted_src)
                 if dest:
-                    # rename, as PhysRegFile.allocate does it: reclaim
-                    # the old mappings whose writers committed by
-                    # dispatch...
-                    freed = 0
-                    while pending_free and pending_free[0][0] <= dispatch:
-                        phys = pending_free.popleft()[1]
+                    # rename on the register ring, as
+                    # PhysRegFile.allocate does it: with no register
+                    # free (the free head's slot is pending) and none
+                    # committed by dispatch, stall for the oldest...
+                    oldest = ring_commits[free_head]
+                    if dispatch < oldest < never:
+                        dispatch = oldest
+                        if dispatch > ready:
+                            ready = dispatch
+                    # ...reclaim the old mappings whose writers
+                    # committed by dispatch (a free slot ends the
+                    # walk)...
+                    while ring_commits[pending_head] <= dispatch:
+                        phys = ring[pending_head]
+                        ring_commits[pending_head] = never
                         rf_state[phys] = FREE
                         if tainted:
                             tainted.discard(phys)
-                        free_list.append(phys)
-                        freed += 1
-                    if free_list:
-                        # ...then take the oldest free register; the
-                        # old mapping's writer_commit is patched after
-                        # commit is known (the entry just appended is
-                        # at the deque's tail)
-                        dest_phys = free_list.popleft()
-                        pending_free.append((never, rename_map[dest]))
-                        rename_map[dest] = dest_phys
-                        rf_state[dest_phys] = LIVE
-                        if tainted:
-                            tainted.discard(dest_phys)
-                        rf.live_count += 1 - freed
-                    else:
-                        rf.live_count -= freed
-                        # no free register: stall until one is reclaimed
-                        dest_phys, stall = rf_allocate(dest, dispatch,
-                                                       never)
-                        if stall > dispatch:
-                            dispatch = stall
-                            if dispatch > ready:
-                                ready = dispatch
+                        live_count -= 1
+                        pending_head += 1
+                        if pending_head == ring_size:
+                            pending_head = 0
+                    # ...then take the oldest free register; its slot
+                    # keeps the old mapping, pending until this
+                    # instruction's commit is known (patched below)
+                    dest_phys = ring[free_head]
+                    ring[free_head] = rename_map[dest]
+                    free_head += 1
+                    if free_head == ring_size:
+                        free_head = 0
+                    rename_map[dest] = dest_phys
+                    rf_state[dest_phys] = LIVE
+                    if tainted:
+                        tainted.discard(dest_phys)
+                    live_count += 1
                 else:
                     dest_phys = -1
 
                 if kind >= _LOAD:
-                    lsq_entry, stall = lsq_allocate(dispatch)
-                    if stall > dispatch:
-                        dispatch = stall
-                        if dispatch > ready:
-                            ready = dispatch
+                    # LoadStoreQueue.allocate on the LSQ ring: the
+                    # in-flight entries are the lsq_count slots before
+                    # lsq_next; stall for the oldest while the queue is
+                    # full, reclaim the committed ones from the oldest,
+                    # then take the slot at lsq_next
+                    if lsq_count:
+                        lsq_entry = lsq_entries[lsq_next - lsq_count]
+                        oldest = lsq_entry.commit_cycle
+                        if lsq_count == lsq_size and oldest > dispatch:
+                            dispatch = oldest
+                            if dispatch > ready:
+                                ready = dispatch
+                        while oldest <= dispatch:
+                            lsq_entry.valid = False
+                            lsq_count -= 1
+                            if not lsq_count:
+                                break
+                            lsq_entry = lsq_entries[lsq_next - lsq_count]
+                            oldest = lsq_entry.commit_cycle
+                    lsq_entry = lsq_entries[lsq_next]
+                    lsq_entry.valid = True
+                    lsq_count += 1
+                    lsq_next += 1
+                    if lsq_next == lsq_size:
+                        lsq_next = 0
 
                 # ---- execute (functional, eager) ---------------------
                 if not kind:
@@ -752,41 +959,91 @@ class PipelineEngine:
                     next_pc = pc + 4
                 elif kind == _BRANCH:
                     next_pc = pc + 4 + imm if fn(a, b) else pc + 4
-                elif kind == _LOAD:
+                elif kind >= _LOAD:
                     addr = (a + imm) & 0xFFFF_FFFF
-                    check_access(addr, nbytes, write=False,
-                                 kernel_mode=ms.mode == KERNEL_MODE)
-                    hit = read_hit(addr, nbytes)
-                    if hit is None:
-                        data, mem_latency, data_tainted = l1d_read(
-                            addr, nbytes, probe)
+                    page = addr & page_mask
+                    if page != data_page:
+                        data_page = page
+                        data_region = page_regions.get(page)
+                    off = addr & d_off
+                    end = off + nbytes
+                    is_store = kind == _STORE
+                    # the page memo proves an access inside one line;
+                    # check_access raises on anything else that is bad
+                    if (data_region is None or end > d_line
+                            or data_region.kernel_only and not in_kernel
+                            or is_store and not data_region.writable):
+                        check_access(addr, nbytes, write=is_store,
+                                     kernel_mode=in_kernel)
+                        data_region = page_regions.get(page)
+                    line = None
+                    if in_line and end <= d_line:
+                        line_addr = addr // d_line
+                        tag = line_addr // l1d_n_sets
+                        for line in l1d_sets[line_addr % l1d_n_sets]:
+                            if line.tag == tag and line.valid:
+                                break
+                        else:
+                            line = None
+                    if not is_store:
+                        if line is not None:
+                            # Cache.read_hit, in line
+                            l1d.hits += 1
+                            tick = l1d._tick + 1
+                            l1d._tick = tick
+                            line.lru = tick
+                            value = int.from_bytes(line.data[off:end],
+                                                   "little")
+                            data_tainted = line.taint and \
+                                not line.taint.isdisjoint(range(off, end))
+                            mem_latency = l1d_hit_latency
+                        else:
+                            hit = None if in_line else read_hit(addr,
+                                                                nbytes)
+                            if hit is None:
+                                data, mem_latency, data_tainted = \
+                                    l1d_read(addr, nbytes, probe)
+                            else:
+                                data, data_tainted = hit
+                                mem_latency = l1d_hit_latency
+                            value = int.from_bytes(data, "little")
+                        if data_tainted and self.crossing is None:
+                            self._write_back(
+                                instructions, kernel_instructions,
+                                fetch_time, last_commit, pc, live_count,
+                                free_head, pending_head, rob_head,
+                                iq_head, lsq_next, lsq_count)
+                            self.record_crossing("WD", mem_addr=addr)
+                        if signed and value & (1 << (8 * nbytes - 1)):
+                            value -= 1 << (8 * nbytes)
+                        if dest_phys >= 0:
+                            values[dest_phys] = value & mask
+                            if tainted:
+                                tainted.discard(dest_phys)
+                        latency = 1.0 + mem_latency
                     else:
-                        data, data_tainted = hit
-                        mem_latency = l1d_hit_latency
-                    if data_tainted and self.crossing is None:
-                        self._write_back(instructions,
-                                         kernel_instructions,
-                                         fetch_time, last_commit)
-                        self.record_crossing("WD", mem_addr=addr)
-                    value = int.from_bytes(data, "little")
-                    if signed and value & (1 << (8 * nbytes - 1)):
-                        value -= 1 << (8 * nbytes)
-                    if dest_phys >= 0:
-                        values[dest_phys] = value & mask
-                        if tainted:
-                            tainted.discard(dest_phys)
-                    latency = 1.0 + mem_latency
-                    next_pc = pc + 4
-                elif kind == _STORE:
-                    addr = (a + imm) & 0xFFFF_FFFF
-                    check_access(addr, nbytes, write=True,
-                                 kernel_mode=ms.mode == KERNEL_MODE)
-                    data = (b & ((1 << (8 * nbytes)) - 1)).to_bytes(
-                        nbytes, "little")
-                    old = store_hit(addr, data)
-                    if old is None:
-                        old, _, _ = l1d_read(addr, nbytes, probe)
-                        l1d_write(addr, data, probe)
+                        data = (b & ((1 << (8 * nbytes)) - 1)).to_bytes(
+                            nbytes, "little")
+                        if line is not None:
+                            # Cache.store_hit, in line
+                            l1d.hits += 2
+                            tick = l1d._tick + 2
+                            l1d._tick = tick
+                            line.lru = tick
+                            line_data = line.data
+                            old = line_data[off:end]
+                            line_data[off:end] = data
+                            if line.taint:
+                                line.taint -= set(range(off, end))
+                                if not line.taint:
+                                    line.taint = None
+                            line.dirty = True
+                        else:
+                            old = None if in_line else store_hit(addr,
+                                                                 data)
+                            if old is None:
+                                old, _, _ = l1d_read(addr, nbytes, probe)
+                                l1d_write(addr, data, probe)
                     next_pc = pc + 4
                 else:
                     # a handler kind reads its sources from src_vals
@@ -796,16 +1053,25 @@ class PipelineEngine:
                     if rs2:
                         src_vals[rs2] = b
                     core.dest_phys = dest_phys
+                    ms.pc = pc
                     next_pc = handler(instr, ms, core)
+                    in_kernel = ms.mode == KERNEL_MODE
+                    halted = ms.halted
 
                 # ---- issue / complete timing -------------------------
                 # the first unit that frees up earliest
-                unit = 0
                 start = fu_pool[0]
-                for k in other_units:
-                    if fu_pool[k] < start:
-                        unit = k
-                        start = fu_pool[k]
+                unit = 0
+                if units == 2:
+                    other = fu_pool[1]
+                    if other < start:
+                        unit = 1
+                        start = other
+                elif units > 2:
+                    for k in range(1, units):
+                        if fu_pool[k] < start:
+                            unit = k
+                            start = fu_pool[k]
                 if ready >= start:
                     start = ready
                 fu_pool[unit] = start + fu_busy
@@ -817,29 +1083,25 @@ class PipelineEngine:
                 if in_order > commit:
                     commit = in_order
                 last_commit = commit
-                # both windows only grow until full, then stay full
-                rob_commits.append(commit)
-                if rob_full:
-                    rob_commits.popleft()
-                else:
-                    rob_full = len(rob_commits) >= rob_size
-                iq_issues.append(start)
-                if iq_full:
-                    iq_issues.popleft()
-                else:
-                    iq_full = len(iq_issues) >= iq_size
+                # the windows' oldest slots take the newest cycles
+                rob[rob_head] = commit
+                rob_head += 1
+                if rob_head == rob_size:
+                    rob_head = 0
+                iq[iq_head] = start
+                iq_head += 1
+                if iq_head == iq_size:
+                    iq_head = 0
 
                 if dest_phys >= 0:
                     reg_ready[dest_phys] = complete
-                    if pending_free:
-                        # patch the reclamation cycle of the old mapping
-                        old_phys = pending_free[-1][1]
-                        pending_free[-1] = (commit, old_phys)
-                        if reg_write is not None:
-                            reg_write(dest_phys, complete)
-                            reg_release(old_phys, commit)
+                    # the old mapping's slot (the newest pending one)
+                    # is reclaimed once this instruction commits
+                    ring_commits[free_head - 1] = commit
+                    if reg_write is not None:
+                        reg_write(dest_phys, complete)
+                        reg_release(ring[free_head - 1], commit)
                 if kind >= _LOAD:
-                    is_store = kind == _STORE
                     if mem_access is not None:
                         mem_access(addr, nbytes, is_store, start)
                         lsq_op(dispatch, commit)
@@ -855,13 +1117,34 @@ class PipelineEngine:
                         lsq_entry.dest_phys = dest_phys
                     lsq_entry.alloc_cycle = dispatch
                     lsq_entry.commit_cycle = commit
-                    lsq_entry.in_kernel = ms.mode == KERNEL_MODE
+                    lsq_entry.in_kernel = in_kernel
 
                 # ---- control flow ------------------------------------
                 if kind:
                     if kind <= _JUMP:
-                        if predictor_update(pc, next_pc != pc + 4,
-                                            next_pc):
+                        # BranchPredictor.update, in line
+                        predictor.lookups += 1
+                        index = (pc >> 2) & counter_mask
+                        counter = counters[index]
+                        if next_pc != pc + 4:
+                            if counter < 3:
+                                counters[index] = counter + 1
+                            slot = (pc >> 2) & btb_mask
+                            target = btb[slot]
+                            # a taken branch mispredicts unless
+                            # predicted taken with its BTB entry holding
+                            # this very target
+                            mispredicted = (counter < 2 or target is None
+                                            or target[0] != pc
+                                            or target[1] != next_pc)
+                            if mispredicted:
+                                btb[slot] = (pc, next_pc)
+                        else:
+                            mispredicted = counter >= 2
+                            if counter:
+                                counters[index] = counter - 1
+                        if mispredicted:
+                            predictor.mispredicts += 1
                             redirect = complete + penalty
                             if redirect > fetch:
                                 fetch_time = redirect
@@ -870,15 +1153,18 @@ class PipelineEngine:
                         redirect = commit + penalty
                         if redirect > fetch:
                             fetch_time = redirect
-                ms.pc = next_pc
+                pc = next_pc
 
                 # ---- bookkeeping -------------------------------------
                 instructions += 1
-                if ms.mode == KERNEL_MODE:
+                if in_kernel:
                     kernel_instructions += 1
                 if every and not instructions % every:
-                    self._write_back(instructions, kernel_instructions,
-                                     fetch_time, last_commit)
+                    self._write_back(
+                        instructions, kernel_instructions, fetch_time,
+                        last_commit, pc, live_count, free_head,
+                        pending_head, rob_head, iq_head, lsq_next,
+                        lsq_count)
                     if kind < _LOAD:
                         self.pending_mem = None
                     elif kind == _LOAD:
@@ -905,13 +1191,15 @@ class PipelineEngine:
                 context={
                     "engine": "pipeline",
                     "error": f"{type(exc).__name__}: {exc}",
-                    "pc": ms.pc,
+                    "pc": pc,
                     "instructions": instructions,
                     "cycle": round(fetch_time, 3),
                 }) from exc
         finally:
-            self._write_back(instructions, kernel_instructions,
-                             fetch_time, last_commit)
+            self._write_back(
+                instructions, kernel_instructions, fetch_time,
+                last_commit, pc, live_count, free_head, pending_head,
+                rob_head, iq_head, lsq_next, lsq_count)
 
         if result is None:
             output, exit_code = self._drain_output()
@@ -934,12 +1222,26 @@ class PipelineEngine:
         return result
 
     def _write_back(self, instructions: int, kernel_instructions: int,
-                    fetch_time: float, last_commit: float) -> None:
-        """Store the run loop's counters and times on the engine."""
+                    fetch_time: float, last_commit: float, pc: int,
+                    live_count: int, free_head: int, pending_head: int,
+                    rob_head: int, iq_head: int, lsq_next: int,
+                    lsq_count: int) -> None:
+        """Store the run loop's locals on the engine and its
+        structures."""
         self.instructions = instructions
         self.kernel_instructions = kernel_instructions
         self.fetch_time = fetch_time
         self.last_commit = last_commit
+        self.ms.pc = pc
+        rf = self.rf
+        rf.live_count = live_count
+        rf.free_head = free_head
+        rf.pending_head = pending_head
+        self.rob_head = rob_head
+        self.iq_head = iq_head
+        lsq = self.lsq
+        lsq._next = lsq_next
+        lsq.valid_count = lsq_count
 
     # ------------------------------------------------------------------
     # DMA drain: coherent, pipeline-bypassing output collection

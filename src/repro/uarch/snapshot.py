@@ -258,8 +258,9 @@ def pipeline_digest(engine: PipelineEngine) -> "str | None":
                                for r, live in zip(ready, state)])
     _put(u, b"rename", "q", rf.rename_map)
     _put(u, b"free", "q", rf.free_list)
-    _put(u, b"pending-commit", "d", [c for c, _ in rf.pending_free])
-    _put(u, b"pending-phys", "q", [p for _, p in rf.pending_free])
+    pending = rf.pending_free
+    _put(u, b"pending-commit", "d", [c for c, _ in pending])
+    _put(u, b"pending-phys", "q", [p for _, p in pending])
     u(repr(("live", rf.live_count)).encode())
     lsq = engine.lsq
     entries = []
@@ -345,8 +346,8 @@ def capture_pipeline(engine: PipelineEngine,
         "ms": (ms.pc, ms.mode, ms.kepc, ms.halted, ms.exit_code),
         "pages": pages,
         "rf": (list(rf.values), list(rf.state), list(rf.rename_map),
-               list(rf.free_list), list(rf.pending_free),
-               sorted(rf.tainted), rf.live_count),
+               rf.free_list, rf.pending_free, sorted(rf.tainted),
+               rf.live_count),
         "lsq": ([(e.valid, e.is_store, e.addr, e.data, e.nbytes,
                   bytes(e.old_data), e.dest_phys, e.alloc_cycle,
                   e.commit_cycle, e.in_kernel) for e in lsq.entries],
@@ -355,8 +356,8 @@ def capture_pipeline(engine: PipelineEngine,
         "pred": (list(pred.counters), list(pred.btb), pred.lookups,
                  pred.mispredicts),
         "timing": (engine.fetch_time, engine.last_commit,
-                   list(engine.reg_ready), list(engine.rob_commits),
-                   list(engine.iq_issues),
+                   list(engine.reg_ready), engine.rob_commits,
+                   engine.iq_issues,
                    {k: list(v) for k, v in engine.fu.items()}),
         "counts": (engine.instructions, engine.kernel_instructions),
         "fetch": _fetch_key(engine),
@@ -395,8 +396,6 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
     exactly as the capture engine would, with whatever faults the
     caller scheduled still pending.
     """
-    from collections import deque
-
     ms = engine.ms
     (ms.pc, ms.mode, ms.kepc, ms.halted, ms.exit_code) = state["ms"]
     engine.memory.restore_pages(state["pages"])
@@ -406,8 +405,7 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
     rf.values = list(values)
     rf.state = list(rstate)
     rf.rename_map = list(rename)
-    rf.free_list = deque(free)
-    rf.pending_free = deque(pending)
+    rf.set_queues(free, pending)
     rf.tainted = set(tainted)
     rf.live_count = live_count
     entries, nxt, valid_count = state["lsq"]
@@ -431,8 +429,7 @@ def restore_pipeline(engine: PipelineEngine, state: dict) -> None:
     (engine.fetch_time, engine.last_commit, reg_ready, rob, iq,
      fu) = state["timing"]
     engine.reg_ready = list(reg_ready)
-    engine.rob_commits = deque(rob)
-    engine.iq_issues = deque(iq)
+    engine.set_windows(rob, iq)
     engine.fu = {k: list(v) for k, v in fu.items()}
     engine.instructions, engine.kernel_instructions = state["counts"]
     base, tag = state["fetch"]

@@ -113,3 +113,19 @@ def test_capture_checked_against_the_functional_reference(cold,
     with pytest.raises(RuntimeError, match="functional reference"):
         checkpoint_store("crc32", CONFIG, engine="pipeline",
                          hardened=False)
+
+
+def test_one_memo_entry_per_target(cold):
+    """A default left out, passed positionally or by keyword makes one
+    memo entry, so a target's store is built or loaded once."""
+    store = checkpoint_store("crc32", CONFIG, engine="pipeline")
+    assert checkpoint_store("crc32", CONFIG, engine="pipeline",
+                            hardened=False) is store
+    assert checkpoint_store("crc32", CONFIG, "pipeline", False) is store
+    assert checkpoint_store("crc32", CONFIG) is store
+    assert checkpoint_store.cache_info().currsize == 1
+    golden = golden_run("crc32", CONFIG)
+    assert golden_run("crc32", CONFIG, hardened=False) is golden
+    assert golden_run("crc32", CONFIG, False) is golden
+    assert golden_run.cache_info().currsize == 1
+    assert len(cold) == 1

@@ -81,20 +81,30 @@ class TestLiveStateChangesDigest:
         assert _changes(state, mutate)
 
     def test_rob_one_entry_longer_with_the_same_prefix(self, state):
+        # the ROB ring holds at most rob_size cycles: the restored
+        # window is the longer one
         def mutate(engine):
-            engine.rob_commits.append(engine.rob_commits[-1] + 1.0)
+            engine.set_windows(engine.rob_commits[:-1], engine.iq_issues)
         assert _changes(state, mutate)
 
     def test_rob_tail_moved_to_the_issue_queue_head(self, state):
         # the concatenated float buffers stay the same; only the
-        # fields' framing tells the two states apart
-        def mutate(engine):
-            engine.iq_issues.appendleft(engine.rob_commits.pop())
-        assert _changes(state, mutate)
+        # fields' framing tells the two states apart (both leave the
+        # IQ's oldest entry out, so its ring has room for one more)
+        engine = _engine(state)
+        rob, iq = engine.rob_commits, engine.iq_issues
+        engine.set_windows(rob, iq[1:])
+        before = snapshot.pipeline_digest(engine)
+        engine.set_windows(rob[:-1], rob[-1:] + iq[1:])
+        after = snapshot.pipeline_digest(engine)
+        assert before is not None and after is not None
+        assert before != after
 
     def test_free_list_order(self, state):
         def mutate(engine):
-            engine.rf.free_list.rotate(1)
+            free = engine.rf.free_list
+            engine.rf.set_queues(free[-1:] + free[:-1],
+                                 engine.rf.pending_free)
         assert _changes(state, mutate)
 
     def test_one_predictor_counter(self, state):
