@@ -266,22 +266,16 @@ def _cmd_trace_fault(args) -> int:
 
 def _instruction_window(args, trace) -> str:
     """A golden instruction-trace window around the injection point."""
-    from .injectors.golden import golden_run
     from .isa.registers import register_set
     from .uarch.config import config_by_name
     from .uarch.trace import trace_program
     from .workloads.suite import load_workload
 
     config = config_by_name(args.config)
-    golden = golden_run(args.workload, args.config,
-                        hardened=args.hardened)
     program = load_workload(args.workload, config.isa,
                             hardened=args.hardened)
     if trace.injector == "gefin":
-        # the pipeline injects on a cycle; map it onto the dynamic
-        # instruction stream through the golden IPC
-        ipc = golden.instructions / max(golden.cycles, 1.0)
-        centre = int(trace.inject_cycle * ipc)
+        centre = _injected_instruction(args, trace.inject_cycle)
     elif trace.injector == "svf":
         # svf counts user instructions that write a register; the
         # window indexes the whole sim-kernel stream
@@ -291,8 +285,37 @@ def _instruction_window(args, trace) -> str:
     start = max(0, centre - args.window // 2)
     window = trace_program(program, start=start, count=args.window)
     head = (f"golden instruction trace around the injection "
-            f"(instructions {start}..{start + args.window}):")
+            f"(instructions {start}..{start + args.window - 1}):")
     return head + "\n" + window.render(register_set(config.isa))
+
+
+def _injected_instruction(args, cycle: float) -> int:
+    """Index of the instruction a pipeline fault at *cycle* lands
+    before, found on the golden run from the checkpoint before it: the
+    fault lands once the fetch clock reaches *cycle*."""
+    from .injectors.golden import checkpoint_store, replay_golden
+
+    store = checkpoint_store(args.workload, args.config, engine="pipeline",
+                             hardened=args.hardened)
+    cp = store.nearest(cycle=cycle)
+    if cp.cycle >= cycle:
+        return cp.instructions
+
+    class Landing:
+        found = None
+
+        def step(self, engine) -> None:
+            if self.found is None and engine.fetch_time >= cycle:
+                self.found = engine.instructions
+
+    landing = Landing()
+    replay_golden(args.workload, args.config, engine="pipeline",
+                  hardened=args.hardened, observer=landing,
+                  start=cp.instructions,
+                  stop=cp.instructions + store.interval)
+    if landing.found is None:      # the run ended first
+        return store.final["instructions"]
+    return landing.found
 
 
 def _user_dest_index(program, when: int) -> int:

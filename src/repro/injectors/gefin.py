@@ -75,20 +75,20 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
 
     The one run path of all three injectors, as the paper's single
     injection infrastructure.  *fastpath* (``None`` defers to
-    ``REPRO_FASTPATH``, on by default) restores the nearest golden
-    checkpoint before the fault fires and stops early once state
-    provably reconverges; results are byte-identical either way.
-    *tracer* is the run's observer (see ``PipelineEngine.observer``):
-    it watches the whole run, so it forces the slow path.  An escaping
-    :class:`ContainmentError` carries the caller's *context*, the
-    fault's coordinates.
+    ``REPRO_FASTPATH``, on by default) alone decides whether the run
+    restores the nearest golden checkpoint before the fault fires.  A
+    restored run also stops early once state provably reconverges,
+    unless *tracer*, the run's observer (see ``PipelineEngine.observer``),
+    is attached: it must see the run to its end.  Results are
+    byte-identical either way.  An escaping :class:`ContainmentError`
+    carries the caller's *context*, the fault's coordinates.
     """
     from ..uarch import snapshot
     from .golden import STORE_ENGINES, checkpoint_store
 
     kind = STORE_ENGINES[injector]
     engine.observer = tracer
-    use_fastpath = tracer is None and snapshot.fastpath_enabled(fastpath)
+    use_fastpath = snapshot.fastpath_enabled(fastpath)
     try:
         if use_fastpath:
             store = checkpoint_store(workload, config_name, engine=kind,
@@ -97,6 +97,8 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
                 snapshot.prepare_pipeline_fastpath(engine, store)
             else:
                 snapshot.prepare_functional_fastpath(engine, store)
+            if tracer is not None:
+                engine.fastpath = None    # no digest or oracle exit
         run = engine.run()
     except ContainmentError as exc:
         raise exc.with_context(injector=injector, workload=workload,

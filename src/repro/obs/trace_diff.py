@@ -1,15 +1,16 @@
 """Cycle-level differential traces: golden vs faulty, step by step.
 
 :mod:`repro.obs.tracing` tells the flip's life story in four coarse
-events; this module records the *state* story.  One capture runs the
-faulty simulation (through the exact campaign ``(seed, index)`` replay
-of :func:`repro.obs.tracing.trace_run`) with a recorder as the run's
-observer, keeping a bounded window of architectural snapshots
-around the injection and the first crossing, then replays the same
-window as a golden replay (:func:`repro.injectors.golden.replay_golden`)
-— resumed from the latest golden checkpoint before the window, so the
-golden pass costs at most one checkpoint interval plus the window
-instead of a full run — and emits per-step *diff frames*:
+events; this module records the *state* story.  One capture forks the
+faulty run of campaign run ``(seed, index)`` from the stored golden run
+(the golden checkpoint before the fault, as an untraced injection run
+restores it) with a recorder as the run's observer, which keeps a window
+of architectural snapshots from the injection and from the first
+crossing.  Up to the injection the faulty run *is* the golden run, so a
+golden replay (:func:`repro.injectors.golden.replay_golden`), resumed
+from the latest golden checkpoint before the window, supplies the
+steps before the injection for both sides, and the golden side of
+every recorded step.  The capture emits per-step *diff frames*:
 changed registers (old -> new), PC, the touched memory word, pipeline
 structure deltas on the microarchitectural engine, and phase /
 kernel-mode annotations.
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from pathlib import Path
 
 from .profiles import N_PHASES, phase_of
@@ -55,10 +55,12 @@ __all__ = [
 
 #: bump when the frame/payload shape changes; loaders reject mismatches.
 #: 2: pvf/svf timelines stamp the outcome at the run's final
-#: dynamic-instruction count
-TRACE_DIFF_SCHEMA_VERSION = 2
+#: dynamic-instruction count; 3: exactly ``before`` golden frames ahead
+#: of the injection
+TRACE_DIFF_SCHEMA_VERSION = 3
 
-#: window bounds in steps (committed instructions) around each anchor
+#: window bounds in steps (committed instructions): ``before`` ahead of
+#: the injection, ``after`` behind each anchor
 DEFAULT_BEFORE = 8
 DEFAULT_AFTER = 24
 
@@ -126,133 +128,68 @@ def _functional_state(engine, step: int) -> dict:
 # ---------------------------------------------------------------------------
 # faulty-pass recorders (engine observers that also collect the trace
 # timeline; must NEVER raise — the run loops wrap any exception in a
-# ContainmentError)
+# ContainmentError).  They record from the injection on: before it, the
+# faulty run is the golden run, and the golden pass supplies the frames.
 # ---------------------------------------------------------------------------
 class _FunctionalRecorder(FaultTracer):
-    """Windowed snapshot recorder for the functional engines.
+    """Window recorder for the functional engines.
 
     Architectural (pvf/svf) faults cross at birth, so both anchors
-    coincide on the step their action fires.  The hot path is a single
-    ``executed`` compare until the trigger counter comes within
-    ``before`` of firing; only then does the pre-context ring start
-    paying for snapshots.
+    coincide on the step their action fires; the recorder keeps that
+    step and the ``after`` steps behind it.
     """
 
-    def __init__(self, before: int, after: int) -> None:
+    def __init__(self, after: int) -> None:
         super().__init__()
-        self.before = before
         self.after = after
         self.frames: dict = {}
         self.marks: dict = {}
-        self._ring: deque = deque(maxlen=before + 1)
-        self._ring_done = False
-        self._armed = False
         self._record_until = -1
-        self._done = False
-        self._skip_below: "int | None" = None
 
     def step(self, engine) -> None:
-        if self._done:
-            return
-        if self._skip_below is None:
-            # trigger counters never outrun `executed`, so this is a
-            # safe constant-time skip for the bulk of the run
-            whens = [a.when for a in engine._actions] or [0]
-            self._skip_below = max(0, min(whens) - self.before)
-        if engine.executed <= self._skip_below:
-            return
         step = engine.executed - 1
-        if not self._armed:
+        if "injected" not in self.marks:
             counters = engine._counters
-            if not any(counters.get(a.counter, 0)
-                       >= max(0, a.when - self.before)
-                       for a in engine._actions):
+            if not engine._actions or any(
+                    counters.get(a.counter, 0) <= a.when
+                    for a in engine._actions):
                 return
-            # the window's frames start at the step after the arming
-            # one
-            self._armed = True
-            return
-        if "injected" not in self.marks and engine._actions \
-                and all(engine._counters.get(a.counter, 0) > a.when
-                        for a in engine._actions):
-            # architectural faults are visible the step they land
-            self.marks["injected"] = step
-            self.marks["crossed"] = step
+            self.marks["injected"] = self.marks["crossed"] = step
             self._record_until = step + self.after
-            for prior_step, state in self._ring:
-                self.frames[prior_step] = state
-            self._ring.clear()
-            self._ring_done = True
-        if not self._ring_done:
-            self._ring.append((step, _functional_state(engine, step)))
-        elif step <= self._record_until:
+        if step <= self._record_until:
             self.frames[step] = _functional_state(engine, step)
-        else:
-            self._done = True
 
 
 class _PipelineRecorder(FaultTracer):
-    """Windowed snapshot recorder for the pipeline engine.
+    """Window recorder for the pipeline engine.
 
     Injection and crossing can be far apart (the latent hardware
-    phase), so the recorder windows around each anchor independently:
-    pre-context ring + window at the injection, window-only at a late
-    crossing, and a two-attribute-read watch in between.
+    phase), so the recorder keeps ``after`` steps behind each anchor:
+    the window at the injection, another at a later crossing, and a
+    two-attribute-read watch in between.
     """
 
-    def __init__(self, before: int, after: int,
-                 cycles_per_instr: float) -> None:
+    def __init__(self, after: int) -> None:
         super().__init__()
-        self.before = before
         self.after = after
         self.frames: dict = {}
         self.marks: dict = {}
-        self._ring: deque = deque(maxlen=before + 1)
-        self._ring_done = False
-        self._armed = False
         self._record_until = -1
-        self._done = False
-        self._cpi = max(cycles_per_instr, 1e-9)
-        self._arm_cycle: "float | None" = None
 
     def _mark(self, kind: str, step: int) -> None:
         self.marks[kind] = step
         self._record_until = max(self._record_until, step + self.after)
-        if not self._ring_done:
-            for prior_step, state in self._ring:
-                self.frames.setdefault(prior_step, state)
-            self._ring.clear()
-            self._ring_done = True
 
     def step(self, engine) -> None:
-        if self._done:
-            return
-        if self._arm_cycle is None:
-            cycle = engine.faults[0].cycle if engine.faults else 0.0
-            # generous margin: the ring needs ~`before` instructions
-            # of pre-context before the injection cycle arrives
-            self._arm_cycle = max(
-                0.0, cycle - (self.before + 8) * self._cpi * 1.5)
         step = engine.instructions - 1
-        if not self._armed:
-            if engine.fetch_time < self._arm_cycle \
-                    and not engine.fault_applied:
+        if "injected" not in self.marks:
+            if not engine.fault_applied:
                 return
-            self._armed = True
-        if "injected" not in self.marks and engine.fault_applied:
             self._mark("injected", step)
         if "crossed" not in self.marks and engine.crossing is not None:
             self._mark("crossed", step)
         if step <= self._record_until:
             self.frames[step] = _pipeline_state(engine, step)
-            return
-        if self._ring_done:
-            # injection window done; keep the cheap crossing watch
-            # alive until the crossing window (if any) also drains
-            if "crossed" in self.marks:
-                self._done = True
-            return
-        self._ring.append((step, _pipeline_state(engine, step)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,45 +240,46 @@ def capture_diff(injector: str, workload: str, config_name: str,
                  after: int = DEFAULT_AFTER) -> dict:
     """Capture one run's golden-vs-faulty differential trace.
 
-    The faulty pass reuses :func:`repro.obs.tracing.trace_run` (the
-    campaign-identical ``(seed, index)`` derivation) with a windowed
-    recorder as the run's observer; an observer forces the scalar slow
-    path, so the recorded run is the plain from-reset trajectory.  The
-    golden pass then replays only the recorded steps.  Returns the
-    versioned JSON payload.
+    The faulty pass replays campaign run ``(seed, index)`` as
+    :func:`repro.obs.tracing.trace_run` does, but forked from the
+    golden run: it restores the golden checkpoint before the fault, as
+    an untraced run does, and a recorder as the run's observer keeps
+    the injection step and the *after* steps behind it (and behind a
+    later crossing).  Until the fault lands the faulty run is the
+    golden run, so the golden pass supplies the *before* steps ahead of
+    the injection for both sides, and the golden side of every
+    recorded step.  Returns the versioned JSON payload.
     """
     from ..injectors.golden import STORE_ENGINES, golden_run
-    from ..injectors.llfi import require_svf_isa
     from ..isa.registers import register_set
     from ..uarch.config import config_by_name
-    from .tracing import trace_run
+    from .tracing import _replay
 
-    engine_kind = STORE_ENGINES.get(injector)
-    if engine_kind is None:
-        raise ValueError(f"unknown injector {injector!r}")
+    recorder = (_PipelineRecorder if injector == "gefin"
+                else _FunctionalRecorder)(after)
+    # validates the injector and its target before anything runs
+    trace, result = _replay(injector, workload, config_name, seed,
+                            index, hardened, recorder, fastpath=None,
+                            structure=structure, model=model)
+    engine_kind = STORE_ENGINES[injector]
     config = config_by_name(config_name)
-    if injector == "svf":
-        require_svf_isa(config.isa)
     golden = golden_run(workload, config_name, hardened=hardened)
     unit = "cycle" if injector == "gefin" else "instruction"
-    if injector == "gefin":
-        cpi = golden.cycles / max(golden.instructions, 1)
-        recorder = _PipelineRecorder(before, after, cpi)
-    else:
-        recorder = _FunctionalRecorder(before, after)
-    trace, result = trace_run(injector, workload, config_name, seed,
-                              index=index, structure=structure,
-                              model=model, hardened=hardened,
-                              tracer=recorder)
+    injected = recorder.marks.get("injected")
+    prior = (range(max(0, injected - before), injected)
+             if injected is not None else ())
     golden_frames = _golden_frames(workload, config_name, hardened,
-                                   set(recorder.frames), engine_kind)
+                                   set(prior) | set(recorder.frames),
+                                   engine_kind)
+    faulty_frames = {step: golden_frames[step] for step in prior}
+    faulty_frames.update(recorder.frames)
 
     regs_meta = register_set(config.isa)
     t_max = golden.cycles if unit == "cycle" \
         else float(golden.instructions)
     frames = []
-    for step in sorted(recorder.frames):
-        faulty = recorder.frames[step]
+    for step in sorted(faulty_frames):
+        faulty = faulty_frames[step]
         gold = golden_frames.get(step)
         regs_diff = {}
         if gold is not None:

@@ -194,40 +194,47 @@ def trace_run(injector: str, workload: str, config_name: str,
     needs *structure*, pvf *model*, svf a 64-bit core.  Returns
     ``(FaultTrace, InjectionResult)``; the result is the campaign
     worker's for the same run.  *tracer* (default a fresh
-    :class:`FaultTracer`) is the run's observer and pins the scalar
-    slow path, so the trajectory is the from-reset one under any
-    ``REPRO_FASTPATH`` or ``REPRO_BATCH``.
+    :class:`FaultTracer`) is the run's observer.  The run takes the
+    scalar slow path from reset, so the trajectory is the from-reset
+    one under any ``REPRO_FASTPATH`` or ``REPRO_BATCH``.
     """
+    return _replay(injector, workload, config_name, seed, index,
+                   hardened, tracer, structure=structure, model=model)
+
+
+def _replay(injector: str, workload: str, config_name: str, seed: int,
+            index: int, hardened: bool, tracer, *,
+            fastpath: "bool | None" = False,
+            structure: "str | None" = None, model: "str | None" = None,
+            prefer_live: bool = True):
+    """Run ``(seed, index)`` traced and tell its story (the injector
+    records the injection, and any crossing, on the tracer).
+    *fastpath* is :func:`repro.injectors.gefin.run_injection`'s: the
+    diff capture passes ``None`` to fork the run from the golden
+    checkpoint before its fault."""
+    from ..injectors.campaign import replay_index
+
     if injector == "gefin":
         if not structure:
             raise ValueError("gefin traces need a structure")
-        return trace_fault(workload, config_name, structure, seed,
-                           index=index, hardened=hardened, tracer=tracer)
-    if injector == "pvf":
+        target = {"structure": structure, "prefer_live": prefer_live}
+    elif injector == "pvf":
         if not model:
             raise ValueError("pvf traces need a model")
-        return _replay("pvf", workload, config_name, seed, index,
-                       hardened, tracer, model=model)
-    if injector == "svf":
+        target = {"model": model}
+    elif injector == "svf":
         from ..injectors.llfi import require_svf_isa
         from ..uarch.config import config_by_name
 
         require_svf_isa(config_by_name(config_name).isa)
-        return _replay("svf", workload, config_name, seed, index,
-                       hardened, tracer)
-    raise ValueError(f"unknown injector {injector!r}")
-
-
-def _replay(injector: str, workload: str, config_name: str, seed: int,
-            index: int, hardened: bool, tracer, **target):
-    """Run ``(seed, index)`` traced and tell its story (the injector
-    records the injection, and any crossing, on the tracer)."""
-    from ..injectors.campaign import replay_index
-
+        target = {}
+    else:
+        raise ValueError(f"unknown injector {injector!r}")
     if tracer is None:
         tracer = FaultTracer()
     result = replay_index(injector, workload, config_name, seed, index,
-                          hardened=hardened, tracer=tracer, **target)
+                          hardened=hardened, fastpath=fastpath,
+                          tracer=tracer, **target)
     injected = tracer.events[0]
     model = target.get("model")
     trace = FaultTrace(

@@ -326,11 +326,13 @@ class Cache:
 
     def taint_of(self, base: int, length: int,
                  probe: TaintProbe | None) -> set | None:
-        """Taint byte-offsets of the line at *base* as served by this level."""
+        """Taint byte-offsets of the line at *base* as served by this
+        level: its own copy's when it holds the line (None when clean),
+        else the level below's."""
         index, tag = self._index_tag(base)
         line = self._find(index, tag)
-        if line is not None and line.taint:
-            return set(line.taint)
+        if line is not None:
+            return set(line.taint) if line.taint else None
         return self.parent.taint_of(base, length, probe)
 
     def write_line(self, base: int, data: bytes, taint: set | None,

@@ -13,8 +13,8 @@ capture run that builds a checkpoint store (:mod:`repro.uarch.snapshot`);
 walks one line's events forward from the injection point with the
 taint rules :mod:`repro.uarch.cache` applies:
 
-* a fill copies the level below's taint up (an L1 takes the L2 line's
-  taint, or main memory's when the L2 line has none);
+* a fill copies the level below's taint up (an L1 takes the L2 copy's
+  taint when the L2 holds the line, else main memory's);
 * a writeback replaces the level below's taint with the writer's;
 * a store clears the taint of the bytes it writes;
 * a clean eviction drops the copy, a dirty one writes it back first;
@@ -106,10 +106,10 @@ class LivenessOracle:
                     continue
                 t1d = t1d.difference(range(los[k], his[k]))
             elif kind == FILL_L1D:
-                t1d = t2 or tm
+                t1d = t2 if in_l2 else tm
                 in_l1d = True
             elif kind == FILL_L1I:
-                t1i = t2 or tm
+                t1i = t2 if in_l2 else tm
             elif kind == FILL_L2:
                 t2 = tm
                 in_l2 = True

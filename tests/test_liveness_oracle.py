@@ -134,7 +134,7 @@ class _Case:
                                 name="oracle-hazard")
         self.golden = PipelineEngine(self._image(), config)
         self.golden.observer = trace = _Trace()
-        result = self.golden.run()
+        self.result = result = self.golden.run()
         assert result.status.value == "completed"
         self.rows = trace.rows
         self.limits = dict(max_instructions=4 * result.instructions,
@@ -152,17 +152,23 @@ class _Case:
         return next(cycle for cycle, next_pc in self.rows
                     if next_pc == pc)
 
+    def spec(self, structure: str, cycle: float, addr: int,
+             way: int = 0, bit: int = 1) -> FaultSpec:
+        """A flip of *bit* of the byte at *addr*, held by way *way* of
+        *structure*, at *cycle*."""
+        cache = {"L1D": self.config.l1d, "L2": self.config.l2}[structure]
+        size = cache.line_size
+        return FaultSpec(structure, cycle,
+                         addr // size % (cache.size // (cache.assoc * size)),
+                         way, addr % size * 8 + bit, prefer_live=False)
+
     def inject(self, structure: str, cycle: float, addr: int,
                way: int = 0, bit: int = 1) -> bool:
         """Flip *bit* of the byte at *addr*, held by way *way* of
         *structure*, at *cycle*, on the slow path and on the gefin fast
         path: the flip must land there and both runs must agree.
         Returns whether the oracle ended the fast run."""
-        cache = {"L1D": self.config.l1d, "L2": self.config.l2}[structure]
-        size = cache.line_size
-        spec = FaultSpec(structure, cycle,
-                         addr // size % (cache.size // (cache.assoc * size)),
-                         way, addr % size * 8 + bit, prefer_live=False)
+        spec = self.spec(structure, cycle, addr, way, bit)
         slow = PipelineEngine(self._image(), self.config, faults=[spec],
                               **self.limits)
         want = slow.run()
@@ -243,13 +249,9 @@ here:
     assert not case.inject("L2", case.before("here"), a)
 
 
-def test_clean_writeback_over_the_l2_copy_keeps_memorys_stale_taint():
-    """The flipped byte reaches memory, a store overwrites it and the
-    clean line is written back over the L2 copy: memory still holds the
-    corrupted copy, and an L1 fill from an untainted L2 line takes
-    memory's taint (``Cache.taint_of``), so the load after it crosses.
-    The walk must follow the same rule."""
-    case = _Case(f"""
+#: a flipped L2 byte reaches memory, a store overwrites it and the clean
+#: line is written back over the L2 copy; memory keeps the corrupted copy
+_STALE_MEMORY_COPY = f"""
     la   r2, a
     li   r3, 77
     sd   r3, 0(r2)
@@ -259,9 +261,31 @@ here:
     sd   r3, 0(r2)       # refilled from memory; the flipped byte stored
     ld   r4, {L1D_ALIAS}(r2)   # the clean line written back over the L2
     ld   r5, 0(r2)       # refilled from the L2 copy, loaded
-""")
+"""
+
+
+def test_clean_writeback_over_the_l2_copy_masks_memorys_stale_taint():
+    """An L1 fill takes the clean L2 copy's taint, not the stale
+    memory copy's under it (``Cache.taint_of``), so the load after it
+    reads correct data and the flip is dead.  The walk must follow the
+    same rule."""
+    case = _Case(_STALE_MEMORY_COPY)
     a = case.program.symbols["a"]
-    assert not case.inject("L2", case.before("here"), a)
+    assert case.inject("L2", case.before("here"), a)
+
+
+def test_fill_from_a_clean_l2_copy_over_stale_memory_is_masked():
+    """The slow path alone: the run ends as golden did, with no
+    architectural crossing."""
+    case = _Case(_STALE_MEMORY_COPY)
+    a = case.program.symbols["a"]
+    run = PipelineEngine(case._image(), case.config,
+                         faults=[case.spec("L2", case.before("here"), a)],
+                         **case.limits).run()
+    assert run.fault_applied and run.fault_live
+    assert run.crossing is None
+    assert (run.status, run.output, run.exit_code) \
+        == (case.result.status, case.result.output, case.result.exit_code)
 
 
 def test_drain_reads_below_an_evicted_l1d_copy():

@@ -25,9 +25,8 @@ from repro.injectors.golden import golden_run
 from repro.isa.registers import MR64
 from repro.kernel.loader import build_system_image
 from repro.obs.profiles import ResidencyProfiler, profile_golden_run
-from repro.obs.trace_diff import (DEFAULT_AFTER, DEFAULT_BEFORE,
-                                  _FunctionalRecorder, _PipelineRecorder,
-                                  capture_diff)
+from repro.obs.trace_diff import (DEFAULT_AFTER, _FunctionalRecorder,
+                                  _PipelineRecorder, capture_diff)
 from repro.obs.tracing import FaultTracer
 from repro.uarch.config import CORTEX_A72
 from repro.uarch.functional import FunctionalEngine
@@ -80,11 +79,9 @@ def crc32_golden():
 
 
 def _pipeline_observers(golden):
-    cpi = golden.cycles / max(golden.instructions, 1)
     return {
         "tracer": lambda: FaultTracer(),
-        "recorder": lambda: _PipelineRecorder(DEFAULT_BEFORE,
-                                              DEFAULT_AFTER, cpi),
+        "recorder": lambda: _PipelineRecorder(DEFAULT_AFTER),
         "profiler": lambda: ResidencyProfiler(CORTEX_A72,
                                               t_max=golden.cycles),
         "lifetime": lambda: LifetimeTracker(xlen=CORTEX_A72.xlen),
@@ -151,7 +148,7 @@ class TestObserversArePassive:
             return engine.run()
 
         bare = run()
-        observer = (_FunctionalRecorder(DEFAULT_BEFORE, DEFAULT_AFTER)
+        observer = (_FunctionalRecorder(DEFAULT_AFTER)
                     if kind == "recorder"
                     else _CosimProbe(_arch_regs_functional))
         observed = run(observer)

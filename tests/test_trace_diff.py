@@ -127,6 +127,37 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
+# the window: `before` golden steps ahead of the injection, `after` from it
+# ---------------------------------------------------------------------------
+#: one run per injector whose flip lands, that never crosses after its
+#: injection window, and whose window fits in the run
+WINDOWED = {
+    "gefin": ("sha", {"structure": "L1D"}, 8),
+    "pvf": ("sha", {"model": "WD"}, 7),
+    "svf": ("sha", {}, 7),
+}
+
+
+@pytest.mark.parametrize("injector", sorted(WINDOWED))
+def test_window_holds_before_golden_steps_then_after(injector):
+    workload, kwargs, seed = WINDOWED[injector]
+    payload = capture_diff(injector, workload, CONFIG, seed, index=0,
+                           **kwargs)
+    window = payload["window"]
+    injected = payload["anchors"]["injected"]
+    assert injected is not None
+    prior = [f for f in payload["frames"] if f["step"] < injected]
+    assert [f["step"] for f in prior] \
+        == list(range(injected - window["before"], injected))
+    assert sum(f["step"] >= injected for f in payload["frames"]) \
+        == window["after"] + 1
+    for frame in prior:
+        # until the fault lands the faulty run is the golden run
+        assert frame["regs"] == {}
+        assert frame["pc"] == frame["golden_pc"]
+
+
+# ---------------------------------------------------------------------------
 # the sidecar store: versioned codec, memoization
 # ---------------------------------------------------------------------------
 class TestSidecarCodec:

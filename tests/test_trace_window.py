@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.isa.registers import MR64
+from repro.obs.trace_diff import capture_diff
 from repro.obs.tracing import trace_run
 from repro.uarch.trace import trace_program
 from repro.workloads.suite import load_workload
@@ -45,3 +46,19 @@ def test_pvf_window_centres_on_the_instruction_count(capsys):
                  "--seed", "8"]) == 0
     assert int(trace.inject_cycle) \
         in _window_range(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("workload, structure, seed", (
+    ("sha", "RF", 7), ("sha", "L1D", 8), ("crc32", "LSQ", 9),
+    ("crc32", "L2", 11)))
+def test_gefin_window_contains_the_injected_instruction(
+        capsys, workload, structure, seed):
+    # the diff capture's injection anchor is the first instruction the
+    # faulty pipeline runs after the flip lands
+    injected = capture_diff("gefin", workload, CONFIG, seed,
+                            structure=structure)["anchors"]["injected"]
+    assert injected is not None
+    assert main(["trace-fault", workload, "--config", CONFIG,
+                 "--injector", "gefin", "--structure", structure,
+                 "--seed", str(seed)]) == 0
+    assert injected in _window_range(capsys.readouterr().out)
