@@ -16,8 +16,9 @@ correctly at another).  Shards execute on a
 raises — or whose process dies and breaks the pool — is retried with
 capped exponential backoff instead of aborting the campaign.  Every
 completed shard is checkpointed atomically (``tempfile`` +
-``os.replace``) into the cache directory, and a re-invocation resumes
-from whatever checkpoints exist.  Because every run is deterministic
+``os.replace``, without ``fsync``) into the cache directory, and a
+re-invocation resumes from whatever checkpoints exist; one an OS
+crash left unreadable is run again.  Because every run is deterministic
 in ``(seed, index)``, a resumed campaign aggregates to byte-identical
 results.
 
@@ -67,6 +68,10 @@ def atomic_write_text(path: "Path | str", text: str) -> None:
     A reader can never observe a partially written file, and two
     concurrent writers race benignly (last rename wins, both files
     are complete).  This is the only way cache files are created.
+    Nothing is synced to disk: a killed process (even ``SIGKILL``)
+    leaves the old file or the whole new one, while after an OS crash
+    a cache file may read empty or garbled, and every reader then
+    discards it and recomputes it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -76,8 +81,6 @@ def atomic_write_text(path: "Path | str", text: str) -> None:
     try:
         with handle:
             handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
         os.replace(handle.name, path)
     except BaseException:
         try:

@@ -274,30 +274,32 @@ def _checkpoint_store(workload: str, config_name: str, engine: str,
             + ("-ft" if hardened else ""))
     path = cache_dir() / f"{stem}-{key}.pkl"
     store = snapshot.load_store(path, key)
-    if store is not None:
-        return store
+    if store is None:
+        def factory():
+            return build_system_image(
+                load_workload(workload, config.isa, hardened=hardened))
 
-    def factory():
-        return build_system_image(
-            load_workload(workload, config.isa, hardened=hardened))
-
+        if engine == "pipeline":
+            store = snapshot.build_pipeline_store(
+                factory, config, golden.max_instructions, interval,
+                key=key)
+        else:
+            store = snapshot.build_functional_store(
+                factory, engine.split("-", 1)[1],
+                golden.max_instructions, interval, key=key)
+        if store.final["output"] != golden.output or (
+                engine == "pipeline"
+                and store.final["instructions"] != golden.instructions):
+            raise RuntimeError(
+                f"checkpoint capture run of {workload} on {config.name} "
+                f"({engine}) diverged from the functional reference")
+        snapshot.save_store(path, store)
+        for stale in path.parent.glob(
+                f"{stem}-{'[0-9a-f]' * len(key)}.pkl"):
+            if stale != path:
+                stale.unlink(missing_ok=True)
     if engine == "pipeline":
-        store = snapshot.build_pipeline_store(
-            factory, config, golden.max_instructions, interval, key=key)
-    else:
-        store = snapshot.build_functional_store(
-            factory, engine.split("-", 1)[1],
-            golden.max_instructions, interval, key=key)
-    if store.final["output"] != golden.output or (
-            engine == "pipeline"
-            and store.final["instructions"] != golden.instructions):
-        raise RuntimeError(
-            f"checkpoint capture run of {workload} on {config.name} "
-            f"({engine}) diverged from the functional reference")
-    snapshot.save_store(path, store)
-    for stale in path.parent.glob(f"{stem}-{'[0-9a-f]' * len(key)}.pkl"):
-        if stale != path:
-            stale.unlink(missing_ok=True)
+        snapshot.decode_code(store, config)
     return store
 
 

@@ -46,15 +46,19 @@ SECONDS_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 
 # Checkpoint fast-path counters (see :mod:`repro.uarch.snapshot`):
 # how often a run started from a restored checkpoint, how much golden
-# prefix it skipped, and how often the early-Masked exit fired (the
-# golden digest or, at injection, the liveness oracle; oracle exits
-# are also counted on their own).
+# prefix it skipped, how often the early-Masked exit fired (the golden
+# digest or, at injection, the dead-state exit or the liveness oracle;
+# oracle exits are also counted on their own), and how often a latent
+# cache flip jumped along the golden run to its first read, over how
+# many instructions.
 FASTPATH_RESTORES = "fastpath.restores"
 FASTPATH_CYCLES_SKIPPED = "fastpath.cycles_skipped"
 FASTPATH_INSTRUCTIONS_SKIPPED = "fastpath.instructions_skipped"
 FASTPATH_EARLY_EXITS = "fastpath.early_exits"
 FASTPATH_INSTRUCTIONS_SAVED = "fastpath.instructions_saved"
 FASTPATH_ORACLE_EXITS = "fastpath.oracle_exits"
+FASTPATH_JUMPS = "fastpath.jumps"
+FASTPATH_INSTRUCTIONS_JUMPED = "fastpath.instructions_jumped"
 
 # Batched bit-parallel engine counters (see :mod:`repro.uarch.batch`):
 # batches executed, lanes packed into them, lanes retired early by the

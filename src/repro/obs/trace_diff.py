@@ -166,7 +166,11 @@ class _PipelineRecorder(FaultTracer):
     Injection and crossing can be far apart (the latent hardware
     phase), so the recorder keeps ``after`` steps behind each anchor:
     the window at the injection, another at a later crossing, and a
-    two-attribute-read watch in between.
+    two-attribute-read watch in between.  Each anchor is the step in
+    progress when the flip lands or first crosses, marked as the
+    engine reports it (``landed``/``crossed``), so a run that ends
+    inside that step keeps it; a step marks an anchor the engine
+    reported before the first step.
     """
 
     def __init__(self, after: int) -> None:
@@ -175,13 +179,28 @@ class _PipelineRecorder(FaultTracer):
         self.frames: dict = {}
         self.marks: dict = {}
         self._record_until = -1
+        #: the step in progress, once a step has told it
+        self._current: "int | None" = None
 
     def _mark(self, kind: str, step: int) -> None:
         self.marks[kind] = step
         self._record_until = max(self._record_until, step + self.after)
 
+    def _anchor(self, kind: str) -> None:
+        if kind not in self.marks and self._current is not None:
+            self._mark(kind, self._current)
+
+    def landed(self, cycle: float, detail: str) -> None:
+        super().landed(cycle, detail)
+        self._anchor("injected")
+
+    def crossed(self, cycle: float, detail: str) -> None:
+        super().crossed(cycle, detail)
+        self._anchor("crossed")
+
     def step(self, engine) -> None:
         step = engine.instructions - 1
+        self._current = step + 1
         if "injected" not in self.marks:
             if not engine.fault_applied:
                 return

@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
+from typing import Callable
 
 from ..isa import layout
 from ..isa.errors import DecodeError
@@ -77,6 +78,58 @@ def _hits_in_line(l1i: Cache, l1d: Cache) -> bool:
     every access."""
     return not ("read" in vars(l1i) or vars(l1d).keys()
                 & {"read", "read_hit", "store_hit"})
+
+
+#: the functional-unit pools, in the order of a run record's pool index
+FU_POOLS = ("alu", "mul", "div", "mem")
+
+
+def run_record(shared: tuple, config: MicroarchConfig) -> tuple:
+    """The run loop's record of one instruction word: the first fields
+    of its shared decode record (see
+    :func:`repro.uarch.functional.decode_record`), ``(instr, handler,
+    kind, rs1, rs2, dest, fn, operand, imm, nbytes, signed)``, and the
+    timing fields ``(pool, units, fu_busy, latency)``.  The handler
+    kinds differ in what the frontend does after them: the predictor
+    learns each ``_JUMP``, and a ``_SYS`` op serialises.
+
+    ``pool`` indexes :data:`FU_POOLS`, the functional units that
+    execute the instruction, ``units`` is how many there are,
+    ``fu_busy`` how long the instruction occupies its unit and
+    ``latency`` its base execution latency (loads add the D-cache
+    latency at run time).  No field belongs to one engine, so every
+    run of a target can share the records of its golden code
+    (:attr:`PipelineEngine.code_records`).
+    """
+    kind = shared[2]
+    cls = shared[0].d.cls
+    pool = (3 if kind >= _LOAD
+            else FU_POOLS.index(cls) if cls in FU_POOLS else 0)
+    units = (config.n_alu, config.n_mul, config.n_div,
+             config.n_mem_ports)[pool]
+    latency = {"alu": config.alu_latency, "mul": config.mul_latency,
+               "div": config.div_latency}.get(cls, 1)
+    busy = config.div_latency if cls == "div" else 1
+    return shared[:11] + (pool, units, float(busy), float(latency))
+
+
+def code_records(lines: dict, config: MicroarchConfig) -> dict:
+    """``{line base: (line bytes, run records by offset)}`` for the
+    code lines *lines* (``{line base: bytes}``): every word decoded
+    (None where it is illegal), so a run that takes an entry never
+    adds to it."""
+    regs = register_set(config.isa)
+    table = {}
+    for base, data in lines.items():
+        records = [None] * len(data)
+        for off in range(0, len(data) - 3, 4):
+            try:
+                shared = decode_record(_read_word(data, off)[0], regs)
+            except DecodeError:
+                continue
+            records[off] = run_record(shared, config)
+        table[base] = (bytes(data), records)
+    return table
 
 
 def fold_coordinates(engine: "PipelineEngine", spec) -> tuple[int, int, int]:
@@ -282,8 +335,15 @@ class PipelineEngine:
         #: ``poll(engine)``; polled at the top of the run loop, and a
         #: non-None poll() return ends the run with that result.  An
         #: optional ``injected(engine)`` is called once after the
-        #: faults are applied and may end the run the same way.
+        #: faults are applied and may end the run the same way, or
+        #: return a jump: a callable that run() applies to the engine
+        #: once the loop's state is written back, before the loop goes
+        #: on from the engine's new state.
         self.fastpath = None
+        #: the golden code lines' run records (see :func:`code_records`),
+        #: shared read-only by every run of one target; a line whose
+        #: bytes differ, or that the table lacks, gets the run's own
+        self.code_records: dict = {}
 
     # ------------------------------------------------------------------
     # the ROB and IQ windows, oldest first
@@ -497,35 +557,33 @@ class PipelineEngine:
             classify_instruction_corruption(pristine, word).value,
             mem_addr=addr)
 
-    def _decode_record(self, record: tuple, latencies: dict) -> tuple:
-        """The run loop's record of one instruction word: the first
-        fields of its shared decode record (see
-        :func:`repro.uarch.functional.decode_record`), ``(instr,
-        handler, kind, rs1, rs2, dest, fn, operand, imm, nbytes,
-        signed)``, and the timing fields ``(fu_pool, units, fu_busy,
-        latency)``.  The handler kinds differ in what the frontend does
-        after them: the predictor learns each ``_JUMP``, and a ``_SYS``
-        op serialises.
-
-        ``fu_pool`` is the list of per-unit free times of the
-        functional units that execute the instruction, ``units`` its
-        length, ``fu_busy`` how long the instruction occupies its unit
-        and ``latency`` its base execution latency (loads add the
-        D-cache latency at run time).
-        """
-        kind = record[2]
-        cls = record[0].d.cls
-        fu = self.fu
-        pool = fu["mem"] if kind >= _LOAD else fu.get(cls, fu["alu"])
-        busy = latencies["div"] if cls == "div" else 1.0
-        return record[:11] + (pool, len(pool), busy,
-                              latencies.get(cls, 1.0))
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> PipelineResult:
         """Execute to completion (or until a hook ends the run).
+
+        A fast-path jump (see :attr:`fastpath`) ends a pass of the loop
+        without ending the run: run() applies it and loops on from the
+        state it leaves.
+        """
+        from ..obs.metrics import get_registry
+
+        registry = get_registry()
+        wall_started = (time.perf_counter() if registry.enabled
+                        else 0.0)
+        result = self._loop()
+        while not isinstance(result, PipelineResult):
+            result(self)
+            result = self._loop()
+        if registry.enabled:
+            self._record_metrics(registry,
+                                 time.perf_counter() - wall_started)
+        return result
+
+    def _loop(self) -> "PipelineResult | Callable":
+        """Run the loop from the engine's state to the run's end, or to
+        a jump, which it returns.
 
         Past an op's own value function, a common instruction makes no
         Python-level call and no container-method call: renaming on the
@@ -540,11 +598,6 @@ class PipelineEngine:
         also serve what the loop does not prove simple, and every L1
         access while the capture's recorder wraps them.
         """
-        from ..obs.metrics import get_registry
-
-        registry = get_registry()
-        wall_started = (time.perf_counter() if registry.enabled
-                        else 0.0)
         config = self.config
         ms = self.ms
         inv_fetch = 1.0 / config.fetch_width
@@ -553,23 +606,20 @@ class PipelineEngine:
         penalty = float(config.penalty)
         max_instructions = self.max_instructions
         max_cycles = self.max_cycles
-        latencies = {"alu": float(config.alu_latency),
-                     "mul": float(config.mul_latency),
-                     "div": float(config.div_latency),
-                     "load": 1.0, "store": 1.0, "branch": 1.0,
-                     "sys": 1.0}
         status = RunStatus.COMPLETED
-        # a fast-path hook's synthesised result, when one ends the run
-        result: PipelineResult | None = None
+        # a fast-path hook's synthesised result, when one ends the run,
+        # or its jump
+        result: "PipelineResult | Callable | None" = None
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
         never = NEVER
         faults = self.faults
 
         # Hooks and per-run state, hoisted to locals.  Hooks are
-        # attached and checkpoints restored before run(); nothing
-        # rebinds these objects while the loop runs (they are only
-        # mutated in place).
+        # attached and checkpoints restored before the loop (a jump
+        # restores one between two passes of it); nothing rebinds
+        # these objects while the loop runs (they are only mutated in
+        # place).
         fastpath = self.fastpath
         injected = getattr(fastpath, "injected", None)
         observer = self.observer
@@ -592,6 +642,7 @@ class PipelineEngine:
         ring_commits = rf.ring_commits
         ring_size = len(ring)
         reg_ready = self.reg_ready
+        fu_pools = tuple(self.fu[name] for name in FU_POOLS)
         rob = self.rob_ring
         rob_size = len(rob)
         iq = self.iq_ring
@@ -634,13 +685,15 @@ class PipelineEngine:
         hit_latency = l1i.hit_latency
         regs_meta = self.regs_meta
 
-        # raw instruction word -> decode record (see _decode_record);
-        # a corrupted word is simply another key
+        # raw instruction word -> run record (see run_record); a
+        # corrupted word is simply another key
         records: dict[int, tuple] = {}
-        # I-cache line base -> (the line's bytes, its decode records by
-        # offset in the line); a line whose bytes changed (a flip, a
-        # refill from corrupted memory) gets fresh records
+        # I-cache line base -> (the line's bytes, its run records by
+        # offset in the line): the shared golden entry while the bytes
+        # match it, else the run's own; a line whose bytes changed (a
+        # flip, a refill from corrupted memory) gets fresh records
         line_records: dict[int, tuple] = {}
+        golden_lines = self.code_records
         # The fetch line: its base (-1: none), Line and records, and
         # whether it is kernel-only, partly outside its region or holds
         # corrupted words (the offsets of those words).  A fetch from
@@ -794,8 +847,10 @@ class PipelineEngine:
                     fetch_line = line
                     entry = line_records.get(base)
                     if entry is None or entry[0] != line.data:
-                        entry = line_records[base] = (bytes(line.data),
-                                                      [None] * line_size)
+                        entry = golden_lines.get(base)
+                        if entry is None or entry[0] != line.data:
+                            entry = (bytes(line.data), [None] * line_size)
+                        line_records[base] = entry
                     fetch_records = entry[1]
                     fetch_taint = line.taint
                     if fetch_taint:
@@ -830,6 +885,8 @@ class PipelineEngine:
                 record = fetch_records[pc & off_mask]
                 if record is None:
                     # first fetch of this word of the line in this run
+                    # (a golden entry lacks only illegal words, which
+                    # raise here, so no run adds to it)
                     off = pc & off_mask
                     word = _read_word(fetch_line.data, off)[0]
                     record = records.get(word)
@@ -840,11 +897,11 @@ class PipelineEngine:
                             raise SimException(
                                 FaultKind.ILLEGAL_INSTRUCTION, pc,
                                 in_kernel=in_kernel) from None
-                        record = records[word] = self._decode_record(
-                            shared, latencies)
+                        record = records[word] = run_record(shared,
+                                                            config)
                     fetch_records[off] = record
                 (instr, handler, kind, rs1, rs2, dest, fn, operand, imm,
-                 nbytes, signed, fu_pool, units, fu_busy,
+                 nbytes, signed, pool, units, fu_busy,
                  latency) = record
                 if icache_extra:
                     fetch += icache_extra
@@ -1060,6 +1117,7 @@ class PipelineEngine:
 
                 # ---- issue / complete timing -------------------------
                 # the first unit that frees up earliest
+                fu_pool = fu_pools[pool]
                 start = fu_pool[0]
                 unit = 0
                 if units == 2:
@@ -1216,9 +1274,6 @@ class PipelineEngine:
                 fault_kind=fault_kind,
                 fault_in_kernel=fault_in_kernel,
             )
-        if registry.enabled:
-            self._record_metrics(registry,
-                                 time.perf_counter() - wall_started)
         return result
 
     def _write_back(self, instructions: int, kernel_instructions: int,

@@ -34,12 +34,23 @@ deterministic simulators:
   LSQ, or main memory — the ESC channel) can never exit early;
 
 * **liveness oracle** — the capture run also records its cache events
-  (:mod:`repro.uarch.liveness`).  A gefin injection whose fault is a
-  cache data flip consults it once, right after the flip lands: a data
-  flip changes nothing but values, so the faulty run follows the
-  golden run until a copy is read.  When the golden events show no
-  load, fetch or drain ever reading a corrupted copy, the run ends
-  there, with the same synthesised result as an early exit.
+  and the pc of every instruction (:mod:`repro.uarch.liveness`).  A
+  gefin injection whose fault is a cache data flip consults it once,
+  right after the flip lands: a data flip changes nothing but values,
+  so the faulty run follows the golden run until a copy is read.  When
+  the golden events show no load, fetch or drain ever reading a
+  corrupted copy, the run ends there, with the same synthesised result
+  as an early exit;
+
+* **jump to the first read** — when they show the first read after a
+  later checkpoint, the run jumps along the golden run instead: it
+  restores the last checkpoint before the read and re-plants there the
+  copies the walk still finds corrupted, so the read, and everything
+  after it, happens as in the run it skipped;
+
+* **dead-state exit** — a flip that lands on dead state (a free
+  physical register, an invalid or committed LSQ slot, an invalid
+  line) changes nothing at all, and its run ends as it lands.
 
 Correctness invariants the digest relies on:
 
@@ -72,21 +83,27 @@ from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from functools import partial
+
+from ..isa.layout import PAGE_SIZE
 from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
                            FASTPATH_EARLY_EXITS,
+                           FASTPATH_INSTRUCTIONS_JUMPED,
                            FASTPATH_INSTRUCTIONS_SAVED,
-                           FASTPATH_INSTRUCTIONS_SKIPPED,
+                           FASTPATH_INSTRUCTIONS_SKIPPED, FASTPATH_JUMPS,
                            FASTPATH_ORACLE_EXITS,
                            FASTPATH_RESTORES, env_flag, get_registry)
 from .cache import Cache, Line
 from .functional import FaultAction, FuncResult, FunctionalEngine, RunStatus
 from .liveness import LivenessOracle, record_liveness
-from .pipeline import PipelineEngine, PipelineResult
+from .pipeline import (PipelineEngine, PipelineResult, code_records,
+                       fold_coordinates)
 
 #: bump on any change to the capture format or digest definition;
 #: invalidates every on-disk checkpoint store (3: the liveness oracle;
-#: 4: the capture run's occupancy in ``final``)
-SNAPSHOT_SCHEMA_VERSION = 4
+#: 4: the capture run's occupancy in ``final``; 5: the pc record,
+#: events keyed by step, and the golden code lines)
+SNAPSHOT_SCHEMA_VERSION = 5
 
 #: cache structures whose data flips the liveness oracle decides
 _ORACLE_STRUCTURES = ("L1I", "L1D", "L2")
@@ -138,6 +155,18 @@ class CheckpointStore:
     #: the capture run's cache events (pipeline stores; None when not
     #: recorded)
     liveness: "LivenessOracle | None" = None
+    #: the bytes of every I-cache line the capture run fetched from,
+    #: by line base, as it started (pipeline stores)
+    code: dict = field(default_factory=dict)
+    #: :func:`repro.uarch.pipeline.code_records` of ``code``, set up by
+    #: :func:`decode_code` and never saved (records hold functions)
+    code_records: dict = field(default_factory=dict, compare=False,
+                               repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["code_records"] = {}
+        return state
 
     def nearest(self, *, cycle: float = float("inf"),
                 instructions: float = float("inf"),
@@ -156,6 +185,14 @@ class CheckpointStore:
                     return best
             best = cp
         return best
+
+    def last_between(self, after: int, until: int) -> "Checkpoint | None":
+        """The latest checkpoint at an instruction count above *after*
+        and at most *until*, if any."""
+        for cp in reversed(self.checkpoints):
+            if cp.instructions <= until:
+                return cp if cp.instructions > after else None
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +595,43 @@ class OccupancySampler:
         return {k: v / self.samples for k, v in self.sums.items()}
 
 
+class _CaptureObserver:
+    """The pipeline capture run's one observer: the liveness recorder
+    after every instruction, the occupancy sampler after every
+    ``OccupancySampler.every``-th, as it would sample on its own."""
+
+    def __init__(self, recorder, occupancy: OccupancySampler) -> None:
+        self.record = recorder.step
+        self.sample = occupancy.step
+        self.sample_every = occupancy.every
+
+    def step(self, engine: PipelineEngine) -> None:
+        self.record(engine)
+        if not engine.instructions % self.sample_every:
+            self.sample(engine)
+
+
 # ---------------------------------------------------------------------------
 # early-exit hooks (installed as engine.fastpath during injection runs)
 # ---------------------------------------------------------------------------
+def _flip_mask(engine: PipelineEngine, spec) -> dict:
+    """``{byte offset: XOR mask}`` of a cache data flip's bits, laid out
+    as :meth:`PipelineEngine._apply_fault` flips them."""
+    cache = {"L1I": engine.l1i, "L1D": engine.l1d,
+             "L2": engine.l2}[spec.structure]
+    width = cache.line_size * 8
+    c = fold_coordinates(engine, spec)[2]
+    mask: dict = {}
+    for k in range(getattr(spec, "n_bits", 1)):
+        byte, bit = divmod((c + k) % width, 8)
+        mask[byte] = mask.get(byte, 0) ^ (1 << bit)
+    return mask
+
+
 class _PipelineFastPath:
-    """Early Masked termination against the golden digest trace and,
-    when ``oracle`` is set, the golden liveness oracle."""
+    """Early Masked termination against the golden digest trace; when
+    the one fault has landed, the dead-state exit and, when ``oracle``
+    is set, the liveness oracle's exit and jump."""
 
     __slots__ = ("store", "next_check", "oracle")
 
@@ -583,23 +651,76 @@ class _PipelineFastPath:
         return self._golden_result(engine)
 
     def injected(self, engine: PipelineEngine):
-        """Called once, right after the engine applied its faults: the
-        golden result when the oracle proves a single cache data flip
-        is never read, else None."""
+        """Called once, right after the engine applied its faults.
+        With one fault, the golden result when the flip hit only dead
+        state or is a cache data flip the oracle proves never read; a
+        jump (see :meth:`_jump`) when such a flip is first read after a
+        later golden checkpoint; else None.  Without an oracle (a store
+        that has none, or a caller that pins the digest exits alone)
+        it decides nothing."""
         oracle = self.oracle
         faults = engine.faults
         if oracle is None or len(faults) != 1:
             return None
+        if not engine.fault_live:
+            return self._golden_result(engine)   # nothing changed
         spec = faults[0]
         if spec.structure not in _ORACLE_STRUCTURES \
-                or getattr(spec, "kind", "data") != "data" \
-                or not oracle.never_read(engine, spec.structure,
-                                         engine.landed_addr):
+                or getattr(spec, "kind", "data") != "data":
             return None
+        addr = engine.landed_addr
+        read = oracle.first_read(engine, spec.structure, addr)
+        if read is None:
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter(FASTPATH_ORACLE_EXITS).inc()
+            return self._golden_result(engine)
+        cp = self.store.last_between(engine.instructions, read)
+        if cp is None:
+            return None
+        copies = oracle.walk(engine, spec.structure, addr,
+                             stop=cp.instructions)[1]
+        return partial(self._jump, cp, addr - addr % oracle.line_size,
+                       copies, _flip_mask(engine, spec),
+                       spec.structure == "L1I")
+
+    def _jump(self, cp: Checkpoint, base: int, copies: dict, mask: dict,
+              l1i_flip: bool, engine: PipelineEngine) -> None:
+        """Move *engine* from its flip to checkpoint *cp*, which the
+        golden run reaches before it reads a corrupted copy: restore
+        *cp* and XOR the flip's *mask* into each copy of the line at
+        *base* that *copies* names tainted, with that taint.  Up to
+        the read the faulty run differs from the golden run only in
+        those copies, so the engine is then where the run it skips
+        would be.  The fault flags, ``landed_addr`` and the applied
+        fault stay as the flip set them."""
+        skipped = cp.instructions - engine.instructions
+        restore_pipeline(engine, cp.state)
+        for name, taint in copies.items():
+            if name == "memory":
+                memory = engine.memory
+                for off in taint:
+                    addr = base + off
+                    memory.write(addr, bytes(
+                        (memory.read(addr, 1)[0] ^ mask[off],)))
+                engine.probe.note_mem_taint(base + off for off in taint)
+                continue
+            cache = {"L1D": engine.l1d, "L1I": engine.l1i,
+                     "L2": engine.l2}[name]
+            line = cache._find(*cache._index_tag(base))
+            data = line.data
+            for off in taint:
+                data[off] ^= mask[off]
+            line.taint = set(taint)
+        if l1i_flip:
+            # as after a live L1I flip: the next fetch goes through
+            # the I-cache
+            engine._fetch_line_base = -1
+        self.next_check = cp.instructions + self.store.interval
         registry = get_registry()
         if registry.enabled:
-            registry.counter(FASTPATH_ORACLE_EXITS).inc()
-        return self._golden_result(engine)
+            registry.counter(FASTPATH_JUMPS).inc()
+            registry.counter(FASTPATH_INSTRUCTIONS_JUMPED).inc(skipped)
 
     def _golden_result(self, engine: PipelineEngine) -> PipelineResult:
         """The capture run's final result, with the engine's own fault
@@ -665,8 +786,8 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
     *max_instructions* must equal injection runs' limit, so the captured
     trajectory is every injection run's pre-fault prefix.  The capture
     is the target's golden pipeline run: it has no cycle limit (theirs
-    derives from its cycles) and an :class:`OccupancySampler` observer,
-    which changes no state.
+    derives from its cycles), and an :class:`OccupancySampler` and the
+    liveness recorder observe it, which changes no state.
     """
     engine = PipelineEngine(image_factory(), config,
                             max_instructions=max_instructions)
@@ -674,10 +795,17 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
     engine.fastpath = hook
     occupancy = engine.observer = OccupancySampler()
     recorder = record_liveness(engine)
+    if recorder is not None:
+        engine.observer = _CaptureObserver(recorder, occupancy)
     result = engine.run()
     if result.status is not RunStatus.COMPLETED:
         raise RuntimeError(
             f"pipeline capture run did not complete: {result.status}")
+    liveness, code = None, {}
+    if recorder is not None:
+        liveness = recorder.finish()
+        code = _code_lines(hook.checkpoints[0].state["pages"],
+                           recorder.pcs[:-1], config.l1i.line_size)
     return CheckpointStore(
         schema=SNAPSHOT_SCHEMA_VERSION, engine="pipeline", key=key,
         interval=interval, checkpoints=hook.checkpoints,
@@ -687,7 +815,25 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
                "instructions": result.instructions,
                "kernel_instructions": result.kernel_instructions,
                "occupancy": occupancy.averages()},
-        liveness=recorder.finish() if recorder is not None else None)
+        liveness=liveness, code=code)
+
+
+def _code_lines(pages: dict, pcs, line_size: int) -> dict:
+    """``{line base: bytes}`` of every line holding one of *pcs*, as
+    the memory *pages* hold it."""
+    out = {}
+    for base in sorted({pc & -line_size for pc in set(pcs)}):
+        page = pages.get(base & -PAGE_SIZE)
+        if page is not None:
+            off = base & (PAGE_SIZE - 1)
+            out[base] = bytes(page[off:off + line_size])
+    return out
+
+
+def decode_code(store: CheckpointStore, config) -> None:
+    """Set up *store*'s shared run records of its golden code lines for
+    *config*, the capture's core (see :attr:`PipelineEngine.code_records`)."""
+    store.code_records = code_records(store.code, config)
 
 
 def build_functional_store(image_factory, kernel: str,
@@ -724,12 +870,14 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
                               store: CheckpointStore) -> Checkpoint:
     """Restore the nearest checkpoint before the engine's earliest
     scheduled fault and install the early-exit hook, which also
-    consults the store's liveness oracle once, when the fault lands."""
+    decides once, when the fault lands, whether the run ends there or
+    jumps; the run shares the store's golden code records."""
     cycle = min(f.cycle for f in engine.faults) if engine.faults \
         else float("inf")
     cp = store.nearest(cycle=cycle)
     restore_pipeline(engine, cp.state)
     engine.fastpath = _PipelineFastPath(store, cp.instructions)
+    engine.code_records = store.code_records
     registry = get_registry()
     if registry.enabled:
         registry.counter(FASTPATH_RESTORES).inc()

@@ -251,6 +251,39 @@ class TestCampaignResume:
         assert not (cache_dir() / "shards" / final.stem).exists()
 
 
+@pytest.mark.parametrize("damage", [b"", b"\0" * 256],
+                         ids=["empty", "nul-filled"])
+@pytest.mark.parametrize("kind", ["shard", "sidecar", "golden"])
+def test_unreadable_cache_files_are_recomputed(tmp_path, monkeypatch, kind,
+                                               damage):
+    """What an OS crash may leave of an unsynced cache file (nothing,
+    or zeros) is discarded, and the re-run aggregates byte-identically
+    and writes the file again."""
+    from repro.injectors import campaign as campaign_mod
+    from repro.injectors import golden
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    # keep the shard checkpoints, as a campaign killed before its
+    # aggregate would
+    monkeypatch.setattr(campaign_mod, "clear_checkpoints", lambda d: None)
+    args = dict(injector="svf", n=6, seed=4343, workers=1, shard_size=2)
+    golden._golden_run.cache_clear()
+    expected = json.dumps(run_campaign("crc32", "cortex-a72",
+                                       **args).to_json())
+    [sidecar] = tmp_path.glob("campaign-svf-crc32-*.json")
+    shards = sorted((tmp_path / "shards" / sidecar.stem).glob("shard-*"))
+    victim = {"shard": shards[1], "sidecar": sidecar,
+              "golden": next(tmp_path.glob("golden-crc32-*.json"))}[kind]
+    if kind != "sidecar":
+        sidecar.unlink()        # else the campaign is read back whole
+    victim.write_bytes(damage)
+    golden._golden_run.cache_clear()
+    again = run_campaign("crc32", "cortex-a72", **args)
+    golden._golden_run.cache_clear()
+    assert json.dumps(again.to_json()) == expected
+    json.loads(victim.read_text())      # written again, whole
+
+
 # ---------------------------------------------------------------------------
 # concurrent campaigns on one cache
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 A gefin run whose fault is a cache data flip consults the checkpoint
 store's liveness oracle once, when the flip lands, and ends there when
 the golden run never reads a corrupted copy
-(:mod:`repro.uarch.liveness`).  Every run the oracle ends must give
-the :class:`InjectionResult` the slow path (``fastpath=False``) gives,
-tag flips must never end there, and the hazards of the taint walk each
-get a program of their own: a writeback over a flipped L2 byte, a
-stale L2 copy refetched into the L1I, a dirty eviction to memory and
-the end-of-run DMA drain.
+(:mod:`repro.uarch.liveness`), or jumps to the last golden checkpoint
+before the first read and re-plants the corrupted copies there.  A
+flip into dead state ends its run as it lands.  Every run the oracle
+ends or jumps, and every dead-state exit, must give the
+:class:`InjectionResult` the slow path (``fastpath=False``) gives, tag
+flips must never end or jump there, and the hazards of the taint walk
+each get a program of their own: a writeback over a flipped L2 byte, a
+stale L2 copy refetched into the L1I, a dirty eviction to memory, a
+store over part of a burst, an L1I word fetched only after its line
+left, and the end-of-run DMA drain.
 """
 
 from __future__ import annotations
@@ -22,19 +26,22 @@ import pytest
 from repro.faults.fault import FaultSpec, sample_campaign
 from repro.injectors.campaign import run_campaign
 from repro.injectors.gefin import run_one_injection
-from repro.injectors.golden import golden_run
+from repro.injectors.golden import checkpoint_store, golden_run
 from repro.isa import layout
 from repro.isa.assembler import assemble
 from repro.isa.registers import MR64
 from repro.kernel.loader import build_system_image
 from repro.kernel.syscalls import EXIT_CODE_OFFSET
 from repro.obs.metrics import (FASTPATH_EARLY_EXITS,
-                               FASTPATH_INSTRUCTIONS_SAVED,
+                               FASTPATH_INSTRUCTIONS_JUMPED,
+                               FASTPATH_INSTRUCTIONS_SAVED, FASTPATH_JUMPS,
                                FASTPATH_ORACLE_EXITS, FASTPATH_RESTORES,
                                MetricsRegistry, get_registry, set_registry)
+from repro.obs.tracing import FaultTracer
 from repro.uarch import liveness, snapshot
 from repro.uarch.config import CORTEX_A72, CacheConfig, config_by_name
 from repro.uarch.pipeline import PipelineEngine
+from repro.workloads.suite import load_workload
 
 
 def _counted(run):
@@ -54,13 +61,15 @@ def _counted(run):
 # ---------------------------------------------------------------------------
 #: (workload, config, hardened); hardening needs a 64-bit core
 GRID = (("crc32", "cortex-a9", False), ("crc32", "cortex-a72", False),
-        ("crc32", "cortex-a72", True))
+        ("crc32", "cortex-a72", True), ("crc32", "cortex-a57", False))
 
 
 @pytest.mark.parametrize("structure", ("L1I", "L1D", "L2"))
 @pytest.mark.parametrize("workload, config_name, hardened", GRID)
 def test_every_oracle_exit_matches_the_slow_path(workload, config_name,
                                                  hardened, structure):
+    """Every oracle exit, jump and dead-state exit of the seeded grid,
+    over both ``prefer_live`` settings and bursts of 1-3 bits."""
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name, hardened=hardened)
     ended = 0
@@ -74,10 +83,14 @@ def test_every_oracle_exit_matches_the_slow_path(workload, config_name,
                 fast, counters = _counted(lambda: run_one_injection(
                     workload, config, spec, golden, hardened=hardened,
                     fastpath=True))
-                if not counters.get(FASTPATH_ORACLE_EXITS):
+                assert counters[FASTPATH_RESTORES] == 1
+                oracle = counters.get(FASTPATH_ORACLE_EXITS) \
+                    or counters.get(FASTPATH_JUMPS)
+                if not (oracle or counters.get(FASTPATH_EARLY_EXITS)):
                     continue
-                assert kind == "data", f"tag flip oracle-ended: {spec}"
-                ended += 1
+                assert kind == "data" or not oracle, \
+                    f"tag flip oracle-ended or jumped: {spec}"
+                ended += bool(counters.get(FASTPATH_ORACLE_EXITS))
                 slow = run_one_injection(workload, config, spec, golden,
                                          hardened=hardened,
                                          fastpath=False)
@@ -153,22 +166,21 @@ class _Case:
                     if next_pc == pc)
 
     def spec(self, structure: str, cycle: float, addr: int,
-             way: int = 0, bit: int = 1) -> FaultSpec:
-        """A flip of *bit* of the byte at *addr*, held by way *way* of
-        *structure*, at *cycle*."""
-        cache = {"L1D": self.config.l1d, "L2": self.config.l2}[structure]
+             way: int = 0, bit: int = 1, n_bits: int = 1) -> FaultSpec:
+        """A flip of *n_bits* bits from *bit* of the byte at *addr*,
+        held by way *way* of *structure*, at *cycle*."""
+        cache = {"L1I": self.config.l1i, "L1D": self.config.l1d,
+                 "L2": self.config.l2}[structure]
         size = cache.line_size
         return FaultSpec(structure, cycle,
                          addr // size % (cache.size // (cache.assoc * size)),
-                         way, addr % size * 8 + bit, prefer_live=False)
+                         way, addr % size * 8 + bit, n_bits=n_bits,
+                         prefer_live=False)
 
-    def inject(self, structure: str, cycle: float, addr: int,
-               way: int = 0, bit: int = 1) -> bool:
-        """Flip *bit* of the byte at *addr*, held by way *way* of
-        *structure*, at *cycle*, on the slow path and on the gefin fast
-        path: the flip must land there and both runs must agree.
-        Returns whether the oracle ended the fast run."""
-        spec = self.spec(structure, cycle, addr, way, bit)
+    def compare(self, spec: FaultSpec, addr: int) -> tuple:
+        """Run *spec* on the slow path and on the gefin fast path: both
+        must land the flip on the byte at *addr* and agree.  Returns
+        the result and the fast run's counters."""
         slow = PipelineEngine(self._image(), self.config, faults=[spec],
                               **self.limits)
         want = slow.run()
@@ -178,7 +190,16 @@ class _Case:
         got, counters = _counted(fast.run)
         assert slow.landed_addr == fast.landed_addr == addr
         assert got == want
-        return bool(counters.get(FASTPATH_ORACLE_EXITS))
+        return got, counters
+
+    def inject(self, structure: str, cycle: float, addr: int,
+               way: int = 0, bit: int = 1) -> bool:
+        """Flip *bit* of the byte at *addr*, held by way *way* of
+        *structure*, at *cycle*, on the slow path and on the gefin fast
+        path: the flip must land there and both runs must agree.
+        Returns whether the oracle ended the fast run."""
+        spec = self.spec(structure, cycle, addr, way, bit)
+        return bool(self.compare(spec, addr)[1].get(FASTPATH_ORACLE_EXITS))
 
 
 def test_l2_flip_under_a_dirty_l1d_copy_dies_at_its_writeback():
@@ -297,18 +318,19 @@ def test_drain_reads_below_an_evicted_l1d_copy():
     index, tag = engine.l2._index_tag(base)
     way = engine.l2.sets[index].index(engine.l2._find(index, tag))
     engine.l2.flip_bit(index, way, 3 * 8)       # byte 3 of the L2 copy
-    clock = engine.l1i._tick + engine.l1d._tick
+    step = engine.instructions
 
     def oracle(*kinds):
         return liveness.LivenessOracle(
             line_size=64, lines=array("q", [base] * len(kinds)),
-            clocks=array("q", [clock] * len(kinds)), kinds=bytes(kinds),
+            steps=array("I", [step] * len(kinds)), kinds=bytes(kinds),
             los=array("H", [0] * len(kinds)),
-            his=array("H", [8] * len(kinds)))
+            his=array("H", [8] * len(kinds)), pcs=b"")
 
-    assert oracle(liveness.DRAIN).never_read(engine, "L2", base + 3)
-    assert not oracle(liveness.DROP_L1D, liveness.DRAIN).never_read(
-        engine, "L2", base + 3)
+    assert oracle(liveness.DRAIN).first_read(engine, "L2", base + 3) \
+        is None
+    assert oracle(liveness.DROP_L1D, liveness.DRAIN).first_read(
+        engine, "L2", base + 3) == step
 
 
 @pytest.mark.parametrize("addr", [
@@ -331,6 +353,243 @@ def test_drained_bytes_are_live_in_the_copy_the_drain_reads(addr):
                                 way=cache.sets[index].index(line))
             assert ended == (name == "L2" and "L1D" in found), name
     assert found
+
+
+# ---------------------------------------------------------------------------
+# jumps to the first read
+# ---------------------------------------------------------------------------
+#: a stretch of ~80 instructions that touches no data line, so a golden
+#: checkpoint (every 64 instructions) lies between a flip and a read
+#: after it
+_DELAY = """
+    li   r7, 40
+delay:
+    addi r7, r7, -1
+    bnez r7, delay
+"""
+
+#: the loaded value into the output, so a wrong re-plant shows there
+_OUTPUT_R5 = """
+    la   r8, out
+    sd   r5, 0(r8)
+"""
+
+#: TINY with a direct-mapped 1 KiB L1I: code one L1I size apart evicts
+TINY_I = dataclasses.replace(TINY, name="tiny-direct-mapped-l1i",
+                             l1i=CacheConfig(1024, 1, latency=1))
+
+
+def _spy_jumps(monkeypatch) -> list:
+    """Each jump's re-planted copies, ``{copy: sorted byte offsets}``."""
+    seen: list = []
+    jump = snapshot._PipelineFastPath._jump
+
+    def spy(self, cp, base, copies, *args):
+        seen.append({name: sorted(taint) for name, taint in copies.items()})
+        return jump(self, cp, base, copies, *args)
+
+    monkeypatch.setattr(snapshot._PipelineFastPath, "_jump", spy)
+    return seen
+
+
+def _jumped(compared: tuple) -> bool:
+    counters = compared[1]
+    assert not counters.get(FASTPATH_ORACLE_EXITS)
+    # a jump is no early exit
+    assert counters.get(FASTPATH_EARLY_EXITS, 0) == 0
+    return counters.get(FASTPATH_JUMPS) == 1 \
+        and counters[FASTPATH_INSTRUCTIONS_JUMPED] > 0
+
+
+def test_jump_across_a_dirty_eviction_replants_memory(monkeypatch):
+    case = _Case(f"""
+    la   r2, a
+    li   r3, 77
+    sd   r3, 0(r2)       # a: dirty in the L1D
+here:
+    ld   r4, {L1D_ALIAS}(r2)   # a written back: dirty in the L2
+    ld   r4, {L2_ALIAS}(r2)    # a written back to memory
+{_DELAY}
+    ld   r5, 0(r2)       # refilled from memory and loaded
+{_OUTPUT_R5}""")
+    a = case.program.symbols["a"]
+    jumps = _spy_jumps(monkeypatch)
+    compared = case.compare(case.spec("L1D", case.before("here"), a), a)
+    assert _jumped(compared)
+    assert jumps == [{"memory": [0]}]
+    assert compared[0].output != case.result.output
+
+
+def test_jump_with_only_the_l2_copy_tainted(monkeypatch):
+    case = _Case(f"""
+    la   r2, a
+    ld   r4, 0(r2)       # a: clean in the L1D and the L2
+here:
+    ld   r4, {L1D_ALIAS}(r2)   # the clean L1D copy is dropped
+{_DELAY}
+    ld   r5, 0(r2)       # refilled from the flipped L2 copy
+{_OUTPUT_R5}""")
+    a = case.program.symbols["a"]
+    jumps = _spy_jumps(monkeypatch)
+    compared = case.compare(case.spec("L2", case.before("here"), a), a)
+    assert _jumped(compared)
+    assert jumps == [{"L2": [0]}]
+    assert compared[0].output != case.result.output
+
+
+def test_jump_replants_the_burst_bytes_a_store_left(monkeypatch):
+    """Bits 6 and 7 of byte 0 and bit 0 of byte 1 flip; a store
+    rewrites byte 0, so only byte 1 is re-planted."""
+    case = _Case(f"""
+    la   r2, a
+    ld   r4, 0(r2)       # a: clean in the L1D
+here:
+    sb   r0, 0(r2)       # clears byte 0 of the burst
+{_DELAY}
+    ld   r5, 0(r2)       # reads byte 1
+{_OUTPUT_R5}""")
+    a = case.program.symbols["a"]
+    jumps = _spy_jumps(monkeypatch)
+    spec = case.spec("L1D", case.before("here"), a, bit=6, n_bits=3)
+    compared = case.compare(spec, a + 1)
+    assert _jumped(compared)
+    assert jumps == [{"L1D": [1]}]
+    assert compared[0].output != case.result.output
+
+
+def test_l1i_word_fetched_only_after_its_line_left_is_masked():
+    """The flipped word's line is evicted (direct-mapped L1I) before the
+    word is fetched again, from a clean refill: Masked at injection."""
+    case = _Case("""
+    li   r9, 2
+again:
+    j    f
+back:
+    addi r9, r9, -1
+    beqz r9, finish
+here:
+    j    alias           # evicts f's line
+.align 64
+f:
+    addi r6, r6, 1       # the flipped word
+    j    back
+    .space 1016          # alias sits one L1I size after f
+alias:
+    j    again
+finish:
+""", TINY_I)
+    f = case.program.symbols["f"]
+    assert case.program.symbols["alias"] - f == TINY_I.l1i.size
+    assert case.inject("L1I", case.before("here"), f)
+
+
+def test_l1i_word_fetched_after_a_later_checkpoint_jumps(monkeypatch):
+    case = _Case(f"""
+    li   r9, 2
+again:
+    j    f
+back:
+    addi r9, r9, -1
+    beqz r9, finish
+here:
+{_DELAY}
+    j    again
+.align 64
+f:
+    addi r6, r6, 1       # the flipped word, fetched again after the delay
+    j    back
+finish:
+""", TINY_I)
+    f = case.program.symbols["f"]
+    jumps = _spy_jumps(monkeypatch)
+    assert _jumped(case.compare(case.spec("L1I", case.before("here"), f),
+                                f))
+    assert jumps == [{"L1I": [0]}]
+
+
+def test_jump_to_the_end_of_run_drain(monkeypatch):
+    """The flipped output byte is first read by the drain."""
+    case = _Case(f"""
+    la   r2, a
+    li   r3, 8
+    li   r1, 1
+    syscall              # a's bytes into the output buffer
+here:
+{_DELAY}
+""", CORTEX_A72)
+    base = layout.OUTPUT_BASE
+    cycle = case.before("here")
+    for way in range(CORTEX_A72.l1d.assoc):
+        spec = case.spec("L1D", cycle, base, way=way)
+        probe = PipelineEngine(case._image(), case.config, faults=[spec],
+                               **case.limits)
+        probe.run()
+        if probe.landed_addr == base:
+            break
+    else:
+        pytest.fail("the output line is not in the L1D")
+    jumps = _spy_jumps(monkeypatch)
+    compared = case.compare(spec, base)
+    assert _jumped(compared)
+    assert "L1D" in jumps[0]
+    run = compared[0]
+    assert run.crossing is None and run.output != case.result.output
+
+
+def test_a_traced_run_neither_jumps_nor_ends_early():
+    """With an observer attached the run is seen to its end."""
+    config = config_by_name("cortex-a72")
+    golden = golden_run("crc32", "cortex-a72")
+    for spec in sample_campaign(config, "L1D", golden.cycles, n=30,
+                                seed=13):
+        plain, counters = _counted(lambda: run_one_injection(
+            "crc32", config, spec, golden, fastpath=True))
+        if counters.get(FASTPATH_JUMPS):
+            break
+    else:
+        pytest.fail("no jump sampled")
+    traced, counters = _counted(lambda: run_one_injection(
+        "crc32", config, spec, golden, tracer=FaultTracer(),
+        fastpath=True))
+    assert traced == plain
+    assert counters[FASTPATH_RESTORES] == 1
+    assert not counters.get(FASTPATH_JUMPS)
+    assert not counters.get(FASTPATH_EARLY_EXITS)
+
+
+# ---------------------------------------------------------------------------
+# dead-state exits
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("structure", ["LSQ", "RF"])
+def test_a_flip_into_dead_state_ends_where_it_lands(structure):
+    """An LSQ slot that is invalid or committed, or a free physical
+    register (``prefer_live=False``), absorbs the flip: the fast run
+    ends as it lands, with the slow path's result."""
+    config = config_by_name("cortex-a72")
+    golden = golden_run("crc32", "cortex-a72")
+    store = checkpoint_store("crc32", "cortex-a72")
+    program = load_workload("crc32", config.isa)
+    limits = dict(max_instructions=golden.max_instructions,
+                  max_cycles=golden.max_cycles)
+    for spec in sample_campaign(config, structure, golden.cycles, n=40,
+                                seed=5, prefer_live=False):
+        slow = PipelineEngine(build_system_image(program), config,
+                              faults=[spec], **limits)
+        slow.observer = tracer = FaultTracer()
+        want = slow.run()
+        if not want.fault_applied or want.fault_live:
+            continue
+        fast = PipelineEngine(build_system_image(program), config,
+                              faults=[spec], **limits)
+        snapshot.prepare_pipeline_fastpath(fast, store)
+        got, counters = _counted(fast.run)
+        assert got == want
+        assert counters[FASTPATH_EARLY_EXITS] == 1
+        assert not counters.get(FASTPATH_ORACLE_EXITS)
+        [landed] = [e.cycle for e in tracer.events if e.kind == "landed"]
+        assert fast.fetch_time == landed
+        return
+    pytest.fail(f"no dead {structure} flip sampled")
 
 
 # ---------------------------------------------------------------------------

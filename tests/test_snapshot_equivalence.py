@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from array import array
 
 import pytest
 
@@ -335,3 +336,42 @@ class TestVersionInvalidation:
         # the schema salt lands in both the key and the file name
         assert captured[0][1] != captured[1][1]
         assert captured[0][0] != captured[1][0]
+
+
+# ---------------------------------------------------------------------------
+# the golden code lines' shared run records
+# ---------------------------------------------------------------------------
+def test_runs_share_the_golden_code_records_and_never_grow_them(
+        config, golden, monkeypatch):
+    from repro.uarch import pipeline
+
+    store = checkpoint_store(WORKLOAD, CONFIG)
+    # the pc of every golden instruction, whose lines the table holds
+    pcs = array("I", store.liveness.pcs)
+    assert len(pcs) == golden.instructions
+    line = config.l1i.line_size
+    table = store.code_records
+    assert set(table) == set(store.code) == {pc & -line for pc in pcs}
+
+    def frozen():
+        return {base: (data, list(records))
+                for base, (data, records) in table.items()}
+
+    before = frozen()
+    built = []
+    run_record = pipeline.run_record
+    monkeypatch.setattr(pipeline, "run_record",
+                        lambda *args: built.append(args) or run_record(*args))
+    # a run whose fault never fires fetches golden code only
+    engine = PipelineEngine(
+        build_system_image(load_workload(WORKLOAD, config.isa)), config,
+        faults=[FaultSpec("RF", golden.cycles * 2, 0, 0)],
+        max_instructions=golden.max_instructions)
+    snapshot.prepare_pipeline_fastpath(engine, store)
+    assert engine.run().output == golden.output
+    assert not built
+    # corrupted instruction words get the run's own records
+    run_campaign(WORKLOAD, CONFIG, injector="gefin", structure="L1I",
+                 n=12, seed=3, use_cache=False, workers=1)
+    assert built
+    assert frozen() == before

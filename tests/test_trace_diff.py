@@ -157,6 +157,22 @@ def test_window_holds_before_golden_steps_then_after(injector):
         assert frame["pc"] == frame["golden_pc"]
 
 
+def test_a_run_that_ends_in_its_injection_step_keeps_its_anchors():
+    """This LSQ flip crosses as it lands and the next instruction
+    crashes, so no step completes after the injection: both anchors
+    are the step that crashed, behind the golden window."""
+    payload = capture_diff("gefin", "crc32", CONFIG, 11, index=0,
+                           structure="LSQ")
+    outcome = payload["outcome"]
+    assert outcome["fault_applied"] and outcome["crossed"]
+    assert outcome["outcome"] == "crash"
+    anchors = payload["anchors"]
+    injected = anchors["injected"]
+    assert injected is not None and anchors["crossed"] == injected
+    assert [f["step"] for f in payload["frames"]] \
+        == list(range(injected - payload["window"]["before"], injected))
+
+
 # ---------------------------------------------------------------------------
 # the sidecar store: versioned codec, memoization
 # ---------------------------------------------------------------------------

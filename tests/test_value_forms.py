@@ -29,7 +29,7 @@ from repro.uarch.cpu import HANDLERS_BY_XLEN, LANE_FORMS, VALUE_FORMS
 from repro.uarch.functional import (_ALU, _BRANCH, FaultAction,
                                    FunctionalEngine, cached_decode,
                                    decode_record)
-from repro.uarch.pipeline import PipelineEngine
+from repro.uarch.pipeline import PipelineEngine, run_record
 from repro.workloads.suite import load_workload
 from tests.ledgers import GRID_PC, RD, SEMANTICS_PATH, semantics_cases
 
@@ -153,8 +153,8 @@ def test_pipeline_records_hold_the_value_table(config):
     seen = set()
     for off in range(0, len(text), 4):
         word = int.from_bytes(text[off:off + 4], "little")
-        (instr, _, kind, _, _, _, fn, operand, *_) = engine._decode_record(
-            decode_record(word, engine.regs_meta), {"div": 1.0})
+        (instr, _, kind, _, _, _, fn, operand, *_) = run_record(
+            decode_record(word, engine.regs_meta), config)
         form = forms.get(instr.op)
         if form is None:
             assert kind not in (_ALU, _BRANCH) and fn is None
