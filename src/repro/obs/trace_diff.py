@@ -37,7 +37,7 @@ from pathlib import Path
 from .profiles import N_PHASES, phase_of
 from .sidecars import read_trace as load_diff
 from .sidecars import trace_path as trace_sidecar_path
-from .tracing import FaultTracer
+from .tracing import FaultTracer, _format_cycle
 
 __all__ = [
     "DEFAULT_AFTER",
@@ -416,25 +416,12 @@ def load_or_capture(injector: str, workload: str, config_name: str,
 # ---------------------------------------------------------------------------
 # ANSI rendering (``repro trace-fault --diff``)
 # ---------------------------------------------------------------------------
-def _coerce_mode(color) -> str:
-    if color is True:
-        return "256"
-    if color is False or color is None:
-        return "off"
-    return color
-
-
 def _hl(text: str, mode: str) -> str:
     if mode == "off":
         return text
     if mode == "256":
         return f"\x1b[38;5;196m{text}\x1b[0m"
     return f"\x1b[1;31m{text}\x1b[0m"
-
-
-def _fmt_step_time(value: float) -> str:
-    return f"{value:.0f}" if float(value).is_integer() \
-        else f"{value:.1f}"
 
 
 def _fmt_mem(access) -> str:
@@ -466,6 +453,10 @@ def frame_diverges(frame: dict) -> bool:
 def render_diff(payload: dict, color="off") -> str:
     """Render one diff payload as ANSI/plain text, changed fields
     highlighted (*color* from ``resolve_color_mode``)."""
+    # not at module level: dashboard's imports (repro.core, then the
+    # injectors) load repro.obs, which loads this module
+    from .dashboard import _coerce_mode
+
     mode = _coerce_mode(color)
     target = payload.get("structure") or payload.get("model") or "-"
     head = (f"trace diff: {payload['injector']}:{payload['workload']}"
@@ -504,7 +495,7 @@ def render_diff(payload: dict, color="off") -> str:
                  if frame["marks"] else "")
         mode_text = "kernel" if frame["in_kernel"] else "user"
         head = (f"  @{frame['step']:>{step_width}}  {unit} "
-                f"{_fmt_step_time(frame['cycle'])}  "
+                f"{_format_cycle(frame['cycle'])}  "
                 f"pc {frame['pc']:#010x}  P{frame['phase']} "
                 f"{mode_text}")
         if marks:

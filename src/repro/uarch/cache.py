@@ -258,65 +258,6 @@ class Cache:
         return latency
 
     # ------------------------------------------------------------------
-    # one-lookup hits (the pipeline's load/store path)
-    # ------------------------------------------------------------------
-    def _hit_line(self, addr: int, nbytes: int) -> "Line | None":
-        """The valid line holding all of ``[addr, addr + nbytes)``, or
-        None on a miss or a line-crossing access."""
-        line_size = self.line_size
-        if (addr & (line_size - 1)) + nbytes > line_size:
-            return None
-        line_addr = addr // line_size
-        tag = line_addr // self.n_sets
-        for line in self.sets[line_addr % self.n_sets]:
-            if line.valid and line.tag == tag:
-                return line
-        return None
-
-    def read_hit(self, addr: int, nbytes: int) -> "tuple[bytes, bool] | None":
-        """:meth:`read` for an access that hits inside one line:
-        ``(data, tainted)``, with the same hit, tick and LRU accounting
-        (the latency is ``hit_latency``).  None on a miss or a
-        line-crossing access, having changed nothing."""
-        addr &= ADDR_MASK
-        line = self._hit_line(addr, nbytes)
-        if line is None:
-            return None
-        self.hits += 1
-        self._tick += 1
-        line.lru = self._tick
-        off = addr & (self.line_size - 1)
-        end = off + nbytes
-        taint = line.taint
-        return (bytes(line.data[off:end]),
-                bool(taint) and any(off <= t < end for t in taint))
-
-    def store_hit(self, addr: int, data: bytes) -> "bytes | None":
-        """:meth:`read` of the old bytes then :meth:`write` of *data*,
-        for a store that hits inside one line: returns the old bytes,
-        leaving the same hits, tick, LRU, taint and dirty state as the
-        two calls (the latency is twice ``hit_latency``).  None on a
-        miss or a line-crossing access, having changed nothing."""
-        addr &= ADDR_MASK
-        nbytes = len(data)
-        line = self._hit_line(addr, nbytes)
-        if line is None:
-            return None
-        self.hits += 2
-        self._tick += 2
-        line.lru = self._tick
-        off = addr & (self.line_size - 1)
-        end = off + nbytes
-        old = bytes(line.data[off:end])
-        line.data[off:end] = data
-        if line.taint:
-            line.taint -= set(range(off, end))
-            if not line.taint:
-                line.taint = None
-        line.dirty = True
-        return old
-
-    # ------------------------------------------------------------------
     # downstream interface (called by the level above)
     # ------------------------------------------------------------------
     def read_line(self, base: int, length: int,

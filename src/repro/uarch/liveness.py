@@ -9,7 +9,11 @@ run's own cache events, without simulating the faulty run at all.
 
 :class:`LivenessRecorder` collects those events during the fault-free
 capture run that builds a checkpoint store (:mod:`repro.uarch.snapshot`),
-together with the pc of every instruction of that run;
+together with the pc of every instruction of that run: each load and
+store from the run's observer step, which sees the instruction's
+``pending_mem``, and fills, evictions, writebacks and the drain from
+wrappers of the out-of-line methods that make them, so the capture runs
+the L1 code every injection run does;
 :class:`LivenessOracle` keeps them as flat arrays sorted by line and
 walks one line's events forward from the injection point with the
 taint rules :mod:`repro.uarch.cache` applies:
@@ -190,88 +194,28 @@ def _copies(t1d, t1i, t2, tm) -> dict:
 
 
 class LivenessRecorder:
-    """Records a capture engine's cache events by wrapping the methods
-    of its L1D, its fills and evictions, its memory port and its drain
-    on the instances, so the engine class, and every injection run,
-    stays untouched.  It is also an observer of the run: its
-    :meth:`step` records the pc of every instruction, which numbers
-    the events' steps."""
+    """Records a capture engine's cache events.  It is an observer of
+    the run: its :meth:`step`, after every instruction, records that
+    instruction's load or store from ``engine.pending_mem`` and the pc
+    of the next one, which numbers the events' steps.  The events the
+    loop's accesses make out of line (fills and evictions, writebacks
+    to the L2 and memory, the drain) come from wrappers of those
+    methods on the instances, so the engine class, and the L1 path
+    every run takes, stays untouched."""
 
     def __init__(self, engine) -> None:
         self.line_size = size = engine.l1d.line_size
+        offset = size - 1
         self.events: list = []
+        self._append = append = self.events.append
         #: the pc of every instruction so far and of the next one, so
         #: the step in progress is ``len(pcs) - 1``
         self.pcs = pcs = array("I", (engine.ms.pc & ADDR_MASK,))
         self._append_pc = pcs.append
-        #: set by a store that missed the one-lookup path: the L1D read
-        #: that follows fetches the old bytes, it is not a load
-        self.store_miss = False
-        l1d, l2 = engine.l1d, engine.l2
-        append = self.events.append
-        offset = size - 1
-
-        def spans(addr: int, nbytes: int) -> bool:
-            return (addr & offset) + nbytes > size
-
-        def opaque(addr: int, nbytes: int, step: int) -> None:
-            end = addr + nbytes
-            while addr < end:
-                append((addr - (addr & offset), step, OPAQUE, 0, 0))
-                addr += size - (addr & offset)
-
-        read_hit, store_hit = l1d.read_hit, l1d.store_hit
-        l1d_read, l1d_write = l1d.read, l1d.write
-
-        def wrapped_read_hit(addr, nbytes):
-            hit = read_hit(addr, nbytes)
-            if hit is not None:
-                addr &= ADDR_MASK
-                off = addr & offset
-                append((addr - off, len(pcs) - 1, LOAD, off, off + nbytes))
-            return hit
-
-        def wrapped_store_hit(addr, data):
-            old = store_hit(addr, data)
-            if old is None:
-                self.store_miss = True
-            else:
-                addr &= ADDR_MASK
-                off = addr & offset
-                append((addr - off, len(pcs) - 1, STORE, off,
-                        off + len(data)))
-            return old
-
-        def wrapped_read(addr, nbytes, probe=None):
-            step = len(pcs) - 1
-            addr &= ADDR_MASK
-            old_bytes, self.store_miss = self.store_miss, False
-            if spans(addr, nbytes):
-                opaque(addr, nbytes, step)
-                return l1d_read(addr, nbytes, probe)
-            out = l1d_read(addr, nbytes, probe)
-            if not old_bytes:
-                off = addr & offset
-                append((addr - off, step, LOAD, off, off + nbytes))
-            return out
-
-        def wrapped_write(addr, data, probe=None):
-            step = len(pcs) - 1
-            addr &= ADDR_MASK
-            if spans(addr, len(data)):
-                opaque(addr, len(data), step)
-                return l1d_write(addr, data, probe)
-            latency = l1d_write(addr, data, probe)
-            off = addr & offset
-            append((addr - off, step, STORE, off, off + len(data)))
-            return latency
-
+        l2 = engine.l2
         #: ``(object, attribute)`` of every wrapper installed
         self.installed: list = []
-        self._install(l1d, read_hit=wrapped_read_hit,
-                      store_hit=wrapped_store_hit, read=wrapped_read,
-                      write=wrapped_write)
-        for cache, fill, drop in ((l1d, FILL_L1D, DROP_L1D),
+        for cache, fill, drop in ((engine.l1d, FILL_L1D, DROP_L1D),
                                   (engine.l1i, FILL_L1I, DROP_L1I),
                                   (l2, FILL_L2, DROP_L2)):
             self._wrap_fill_evict(cache, fill, drop)
@@ -306,7 +250,26 @@ class LivenessRecorder:
         self._install(engine, coherent_read=wrapped_coherent_read)
 
     def step(self, engine) -> None:
-        """Observer step, after every instruction: the next pc."""
+        """Observer step, after every instruction: its load or store,
+        after the fills and evictions that access made, then the next
+        pc.  An access inside one line is a ``LOAD``/``STORE`` of its
+        bytes; a line-crossing one is an ``OPAQUE`` event per line."""
+        mem = engine.pending_mem
+        if mem is not None:
+            size = self.line_size
+            addr, nbytes = mem[1], mem[2]
+            off = addr & (size - 1)
+            step = len(self.pcs) - 1
+            if off + nbytes <= size:
+                self._append((addr - off, step,
+                              STORE if mem[0] == "store" else LOAD, off,
+                              off + nbytes))
+            else:
+                end = addr + nbytes
+                while addr < end:
+                    off = addr & (size - 1)
+                    self._append((addr - off, step, OPAQUE, 0, 0))
+                    addr += size - off
         self._append_pc(engine.ms.pc & ADDR_MASK)
 
     def _install(self, obj, **wrappers) -> None:
@@ -317,7 +280,7 @@ class LivenessRecorder:
     def _wrap_fill_evict(self, cache, fill_kind: int,
                          drop_kind: int) -> None:
         fill, evict = cache._fill, cache._evict
-        append = self.events.append
+        append = self._append
         offset = self.line_size - 1
         pcs = self.pcs
 

@@ -71,15 +71,6 @@ def _window_ring(cycles, size: int) -> list:
     return [0.0] * (size - len(cycles)) + cycles
 
 
-def _hits_in_line(l1i: Cache, l1d: Cache) -> bool:
-    """Whether the run loop may serve L1 hits itself: neither L1
-    instance has its access methods wrapped, as the capture's
-    :class:`repro.uarch.liveness.LivenessRecorder` wraps them to record
-    every access."""
-    return not ("read" in vars(l1i) or vars(l1d).keys()
-                & {"read", "read_hit", "store_hit"})
-
-
 #: the functional-unit pools, in the order of a run record's pool index
 FU_POOLS = ("alu", "mul", "div", "mem")
 
@@ -309,7 +300,9 @@ class PipelineEngine:
         self._core = _PipelineCore(self)
         #: the last instruction's memory access, ``("load", addr,
         #: nbytes)`` or ``("store", addr, nbytes, value, old bytes)``,
-        #: else None; set just before each ``observer.step``
+        #: else None; set just before each ``observer.step`` (the
+        #: trace-diff recorders and the capture's liveness recorder
+        #: read it)
         self.pending_mem: tuple | None = None
         #: optional passive observer: the fault tracer and trace-diff
         #: recorders (repro.obs), the residency profiler, the ACE
@@ -592,11 +585,12 @@ class PipelineEngine:
         I-cache line's checks and decode records are looked up once
         per line switch.  The methods they mirror
         (``PhysRegFile.allocate``, ``LoadStoreQueue.allocate``,
-        ``Memory.check_access``, ``Cache.read_hit``/``store_hit``/
-        ``read``, ``BranchPredictor.update``) stay the reference the
-        tests hold the loop to; ``check_access`` and the cache methods
-        also serve what the loop does not prove simple, and every L1
-        access while the capture's recorder wraps them.
+        ``Memory.check_access``, ``Cache.read``/``write``,
+        ``BranchPredictor.update``) stay the reference the tests hold
+        the loop to; ``check_access`` and the cache methods also serve
+        what the loop does not prove simple: L1 misses and
+        line-crossing accesses.  Every run, the golden capture
+        included, takes this one L1 path.
         """
         config = self.config
         ms = self.ms
@@ -663,14 +657,9 @@ class PipelineEngine:
         check_access = memory.check_access
         l1i = self.l1i
         l1d = self.l1d
-        # L1 hits are served here unless the capture's recorder wrapped
-        # the cache methods: then every access goes through them
-        in_line = _hits_in_line(l1i, l1d)
         l1i_read = l1i.read
         l1i_sets = l1i.sets
         l1i_n_sets = l1i.n_sets
-        read_hit = l1d.read_hit
-        store_hit = l1d.store_hit
         l1d_read = l1d.read
         l1d_write = l1d.write
         l1d_hit_latency = l1d.hit_latency
@@ -821,13 +810,11 @@ class PipelineEngine:
                         line_addr = addr // line_size
                         index = line_addr % l1i_n_sets
                         tag = line_addr // l1i_n_sets
-                        line = None
-                        if in_line:
-                            for line in l1i_sets[index]:
-                                if line.tag == tag and line.valid:
-                                    break
-                            else:
-                                line = None
+                        for line in l1i_sets[index]:
+                            if line.tag == tag and line.valid:
+                                break
+                        else:
+                            line = None
                         if line is None:
                             icache_latency = l1i_read(addr, 4, probe)[1]
                             if icache_latency > hit_latency:
@@ -1034,7 +1021,7 @@ class PipelineEngine:
                                      kernel_mode=in_kernel)
                         data_region = page_regions.get(page)
                     line = None
-                    if in_line and end <= d_line:
+                    if end <= d_line:
                         line_addr = addr // d_line
                         tag = line_addr // l1d_n_sets
                         for line in l1d_sets[line_addr % l1d_n_sets]:
@@ -1044,7 +1031,7 @@ class PipelineEngine:
                             line = None
                     if not is_store:
                         if line is not None:
-                            # Cache.read_hit, in line
+                            # Cache.read's hit, in line
                             l1d.hits += 1
                             tick = l1d._tick + 1
                             l1d._tick = tick
@@ -1055,14 +1042,8 @@ class PipelineEngine:
                                 not line.taint.isdisjoint(range(off, end))
                             mem_latency = l1d_hit_latency
                         else:
-                            hit = None if in_line else read_hit(addr,
-                                                                nbytes)
-                            if hit is None:
-                                data, mem_latency, data_tainted = \
-                                    l1d_read(addr, nbytes, probe)
-                            else:
-                                data, data_tainted = hit
-                                mem_latency = l1d_hit_latency
+                            data, mem_latency, data_tainted = \
+                                l1d_read(addr, nbytes, probe)
                             value = int.from_bytes(data, "little")
                         if data_tainted and self.crossing is None:
                             self._write_back(
@@ -1082,7 +1063,8 @@ class PipelineEngine:
                         data = (b & ((1 << (8 * nbytes)) - 1)).to_bytes(
                             nbytes, "little")
                         if line is not None:
-                            # Cache.store_hit, in line
+                            # Cache.read of the old bytes then
+                            # Cache.write, both hits, in line
                             l1d.hits += 2
                             tick = l1d._tick + 2
                             l1d._tick = tick
@@ -1096,11 +1078,8 @@ class PipelineEngine:
                                     line.taint = None
                             line.dirty = True
                         else:
-                            old = None if in_line else store_hit(addr,
-                                                                 data)
-                            if old is None:
-                                old, _, _ = l1d_read(addr, nbytes, probe)
-                                l1d_write(addr, data, probe)
+                            old, _, _ = l1d_read(addr, nbytes, probe)
+                            l1d_write(addr, data, probe)
                     next_pc = pc + 4
                 else:
                     # a handler kind reads its sources from src_vals

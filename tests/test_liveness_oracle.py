@@ -356,6 +356,126 @@ def test_drained_bytes_are_live_in_the_copy_the_drain_reads(addr):
 
 
 # ---------------------------------------------------------------------------
+# what the capture's recorder records for a load or store
+# ---------------------------------------------------------------------------
+#: two cold, adjacent L1D lines; ``-4(r2)`` with ``r2 = line1`` spans both
+_TWO_LINES = """
+.data
+.align 64
+line0:
+    .space 64
+line1:
+    .space 64
+.text
+"""
+
+
+def _recorded(body: str, **limits) -> tuple:
+    """Run *body* on TINY with a liveness recorder attached, as the
+    capture run attaches it: ``(program, recorder, engine)``."""
+    program = assemble(".text\n_start:\n" + body + _TAIL, MR64,
+                       name="oracle-recorder")
+    engine = PipelineEngine(build_system_image(program), TINY, **limits)
+    engine.observer = recorder = liveness.record_liveness(engine)
+    engine.run()
+    return program, recorder, engine
+
+
+def _step_events(recorder, label_pc: int, base: int) -> tuple:
+    """The step of the first instruction at *label_pc*, and the kinds
+    and byte ranges of the events that step recorded for the line at
+    *base*, in the order they happened."""
+    step = recorder.pcs.index(label_pc)
+    return step, [(kind, lo, hi) for line, at, kind, lo, hi
+                  in recorder.events if at == step and line == base]
+
+
+def _line_of(addr: int) -> tuple:
+    size = TINY.l1d.line_size
+    return addr - addr % size, addr % size
+
+
+def test_a_store_that_misses_records_one_store_and_no_load():
+    """The miss path reads the old bytes before it writes: that read
+    is the store's, not a load."""
+    program, recorder, _ = _recorded("""
+    la   r2, a
+here:
+    sd   r2, 0(r2)       # a: cold
+""")
+    base, off = _line_of(program.symbols["a"])
+    _, events = _step_events(recorder, program.symbols["here"], base)
+    assert events == [(liveness.FILL_L2, 0, 0), (liveness.FILL_L1D, 0, 0),
+                      (liveness.STORE, off, off + 8)]
+
+
+def test_a_load_miss_records_its_fills_then_the_load():
+    program, recorder, _ = _recorded("""
+    la   r2, a
+here:
+    ld   r4, 0(r2)       # a: cold
+""")
+    base, off = _line_of(program.symbols["a"])
+    _, events = _step_events(recorder, program.symbols["here"], base)
+    assert events == [(liveness.FILL_L2, 0, 0), (liveness.FILL_L1D, 0, 0),
+                      (liveness.LOAD, off, off + 8)]
+
+
+def test_a_load_hit_records_one_load():
+    program, recorder, _ = _recorded("""
+    la   r2, a
+    ld   r4, 0(r2)
+here:
+    lw   r5, 4(r2)       # a: in the L1D
+""")
+    base, off = _line_of(program.symbols["a"] + 4)
+    _, events = _step_events(recorder, program.symbols["here"], base)
+    assert events == [(liveness.LOAD, off, off + 4)]
+
+
+@pytest.mark.parametrize("op", ["ld", "sd"])
+def test_a_line_crossing_access_is_opaque_in_both_lines(op):
+    """Cold, each line records its fills, then one ``OPAQUE``."""
+    program, recorder, _ = _recorded(f"""
+    la   r2, line1
+here:
+    {op}   r4, -4(r2)
+{_TWO_LINES}""")
+    for label in ("line0", "line1"):
+        _, events = _step_events(recorder, program.symbols["here"],
+                                 program.symbols[label])
+        assert events == [(liveness.FILL_L2, 0, 0),
+                          (liveness.FILL_L1D, 0, 0),
+                          (liveness.OPAQUE, 0, 0)], label
+
+
+@pytest.mark.parametrize("op", ["ld", "sd"])
+def test_a_line_crossing_access_reads_a_flip_in_either_line(op):
+    """Whatever byte of either line a flip hits, the walk stops at the
+    line-crossing access: it does not model which bytes it touched."""
+    body = f"""
+    la   r2, line1
+    ld   r5, 0(r2)       # line1 into the L1D
+    ld   r5, -8(r2)      # line0 into the L1D
+here:
+    {op}   r4, -4(r2)
+{_TWO_LINES}"""
+    program, recorder, engine = _recorded(body)
+    assert engine.ms.halted
+    oracle = recorder.finish()
+    step = recorder.pcs.index(program.symbols["here"])
+    for addr in (program.symbols["line0"] + 1, program.symbols["line1"]
+                 + 40):
+        _, _, stopped = _recorded(body, max_instructions=step)
+        assert stopped.instructions == step
+        l1d = stopped.l1d
+        index, tag = l1d._index_tag(addr)
+        way = l1d.sets[index].index(l1d._find(index, tag))
+        assert l1d.flip_bit(index, way, addr % 64 * 8)["live"]
+        assert oracle.first_read(stopped, "L1D", addr) == step
+
+
+# ---------------------------------------------------------------------------
 # jumps to the first read
 # ---------------------------------------------------------------------------
 #: a stretch of ~80 instructions that touches no data line, so a golden

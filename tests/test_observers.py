@@ -6,7 +6,8 @@ probes — watches one execution without changing it.  The passivity
 tests run the same faulty execution with and without each observer
 and require every result field to match (floats by ``repr``).  The
 ledger tests pin what each observer itself records, in
-``corpus/ledger/observers.json``.
+``corpus/ledger/observers.json``, the capture run's liveness recorder
+included: its oracle arrays and the capture's checkpoint digests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro.obs.profiles import ResidencyProfiler, profile_golden_run
 from repro.obs.trace_diff import (DEFAULT_AFTER, _FunctionalRecorder,
                                   _PipelineRecorder, capture_diff)
 from repro.obs.tracing import FaultTracer
-from repro.uarch.config import CORTEX_A72
+from repro.uarch import snapshot
+from repro.uarch.config import CORTEX_A72, config_by_name
 from repro.uarch.functional import FunctionalEngine
 from repro.uarch.pipeline import PipelineEngine
 from repro.workloads.suite import load_workload
@@ -68,6 +70,25 @@ def _attach(engine, observer) -> None:
 def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True)
                           .encode()).hexdigest()
+
+
+def _liveness_digest(workload: str, config_name: str) -> str:
+    """sha256 of a freshly built pipeline capture's liveness oracle
+    (each array's bytes, length first) and checkpoint digests."""
+    config = config_by_name(config_name)
+    golden = golden_run(workload, config_name)
+    store = snapshot.build_pipeline_store(
+        lambda: build_system_image(load_workload(workload, config.isa)),
+        config, golden.max_instructions,
+        snapshot.checkpoint_interval(golden.instructions))
+    oracle = store.liveness
+    h = hashlib.sha256()
+    for part in (oracle.lines, oracle.steps, oracle.kinds, oracle.los,
+                 oracle.his, oracle.pcs):
+        data = bytes(part)
+        h.update(len(data).to_bytes(8, "little") + data)
+    h.update(json.dumps(sorted(store.digests.items())).encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +204,10 @@ class TestObserverLedger:
                                index=0, **target)
         assert _digest(payload) \
             == LEDGER["capture_diff_sha256"][injector]
+
+    @pytest.mark.parametrize("config_name", ("cortex-a9", "cortex-a15",
+                                             "cortex-a57", "cortex-a72"))
+    @pytest.mark.parametrize("workload", ("crc32", "sha", "qsort"))
+    def test_capture_liveness(self, workload, config_name):
+        assert _liveness_digest(workload, config_name) \
+            == LEDGER["liveness_sha256"][f"{workload}/{config_name}"]

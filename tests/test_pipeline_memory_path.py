@@ -1,9 +1,10 @@
 """Loads and stores the pipeline's run loop executes in place.
 
 ``PipelineEngine.run`` runs every load and store itself: the access
-check, the one-lookup L1D hit (``Cache.read_hit``/``store_hit``), the
-``read``/``write`` fallback for misses and line-crossing accesses, the
-WD crossing on corrupted bytes, sign extension and the LSQ entry.  The
+check, the L1D hit inside one line (served in line, as ``Cache.read``
+and ``write`` would serve it), the ``read``/``write`` fallback for
+misses and line-crossing accesses, the WD crossing on corrupted bytes,
+sign extension and the LSQ entry.  The
 ledger workloads need not reach every one of those paths, so a small
 program here does: every load and store width, accesses that straddle
 a 64-byte L1D line, cold misses, and stores followed by loads of the
@@ -152,7 +153,7 @@ def _site_before(program, config, label: str, addr: int) -> tuple:
 
 @pytest.mark.parametrize("isa", [MR32, MR64])
 @pytest.mark.parametrize("label, offset, byte", [
-    ("hit", 5, 5),            # one-lookup hit: Cache.read_hit
+    ("hit", 5, 5),            # an L1D hit, served in line
     ("straddle", 62, 63),     # line-crossing: the Cache.read fallback
 ])
 def test_l1d_flip_in_a_loaded_byte_crosses_at_the_load(isa, label,

@@ -4,9 +4,6 @@ algorithms, and the geometries the engines refuse to model.
 * ``LoadStoreQueue.reclaim`` walks the in-flight entries in allocation
   order and stops at the first uncommitted one; it must free exactly
   what a scan of every entry frees.
-* ``Cache.read_hit``/``store_hit`` serve a hit inside one line with one
-  lookup; they must leave the same bytes, counters, tick, LRU, dirty
-  and taint state as ``read`` (and ``read`` + ``write`` for a store).
 * ``Memory.check_access`` memoises a page's region; every access must
   raise exactly what the full region lookup raises.
 * ``BranchPredictor.update`` must count and train exactly as
@@ -25,7 +22,7 @@ from repro.isa import layout
 from repro.isa.registers import MR64
 from repro.kernel.loader import build_system_image
 from repro.uarch.branch import BranchPredictor
-from repro.uarch.cache import Cache, MemoryPort, TaintProbe
+from repro.uarch.cache import Cache, MemoryPort
 from repro.uarch.config import CORTEX_A72, CacheConfig
 from repro.uarch.exceptions import SimException
 from repro.uarch.lsq import LoadStoreQueue
@@ -147,72 +144,6 @@ def test_reindex_restores_the_commit_order():
     assert [e.valid for e in copy.entries] == [False, False, True, False]
     _, stall = copy.allocate(6.5)
     assert stall == 6.5 and copy.valid_count == 2
-
-
-# ---------------------------------------------------------------------------
-# one-lookup L1D hits
-# ---------------------------------------------------------------------------
-def _hierarchy():
-    memory = Memory(regions=[Region("all", 0, 1 << 16)])
-    for addr in range(0, 4096, 8):
-        memory.write(addr, (addr * 0x9E37_79B9).to_bytes(8, "little"))
-    port = MemoryPort(memory, 50)
-    l2 = Cache("L2", 1024, 2, 32, 8, port)
-    return Cache("L1D", 256, 2, 32, 2, l2), TaintProbe()
-
-
-def _cache_state(cache):
-    return (cache.hits, cache.misses, cache.writebacks, cache.valid_lines,
-            cache._tick,
-            [[(line.valid, line.tag, line.dirty, line.lru,
-               bytes(line.data), sorted(line.taint or ()))
-              for line in ways] for ways in cache.sets])
-
-
-@settings(max_examples=120, deadline=None)
-@given(ops=st.lists(st.tuples(st.sampled_from(["load", "store", "flip"]),
-                              st.integers(0, 1023), st.integers(1, 8),
-                              st.integers(0, 255)),
-                    min_size=1, max_size=50))
-def test_hit_paths_match_read_and_write(ops):
-    fast, fast_probe = _hierarchy()
-    slow, slow_probe = _hierarchy()
-    for op, addr, nbytes, byte in ops:
-        if op == "flip":
-            for cache in (fast, slow):
-                cache.flip_bit(addr % cache.n_sets, byte % cache.assoc,
-                               byte)
-        elif op == "load":
-            hit = fast.read_hit(addr, nbytes)
-            if hit is None:
-                got = fast.read(addr, nbytes, fast_probe)
-            else:
-                got = (hit[0], fast.hit_latency, hit[1])
-            assert got == slow.read(addr, nbytes, slow_probe)
-        else:
-            data = bytes([byte]) * nbytes
-            old = fast.store_hit(addr, data)
-            if old is None:
-                old, latency, _ = fast.read(addr, nbytes, fast_probe)
-                latency += fast.write(addr, data, fast_probe)
-            else:
-                latency = 2 * fast.hit_latency
-            ref_old, ref_latency, _ = slow.read(addr, nbytes, slow_probe)
-            ref_latency += slow.write(addr, data, slow_probe)
-            assert (old, latency) == (ref_old, ref_latency)
-        assert _cache_state(fast) == _cache_state(slow)
-        assert _cache_state(fast.parent) == _cache_state(slow.parent)
-
-
-def test_line_crossing_and_miss_fall_back_untouched():
-    cache, probe = _hierarchy()
-    cache.read(0, 4, probe)
-    before = _cache_state(cache)
-    assert cache.read_hit(30, 4) is None        # crosses into line 32
-    assert cache.store_hit(30, b"abcd") is None
-    assert cache.read_hit(512, 4) is None       # miss
-    assert cache.store_hit(512, b"ab") is None
-    assert _cache_state(cache) == before
 
 
 # ---------------------------------------------------------------------------
