@@ -76,9 +76,7 @@ def _functional_action(case: FuzzCase, golden) -> FaultAction:
     else:
         raise ValueError(f"unknown functional target {target!r}")
 
-    action = FaultAction("commit", int(case.cycle), apply)
-    action.origin = origin
-    return action
+    return FaultAction("commit", int(case.cycle), apply, origin=origin)
 
 
 def _batch_differential(case: FuzzCase, config, action: FaultAction,
@@ -106,7 +104,7 @@ def _batch_differential(case: FuzzCase, config, action: FaultAction,
                          "lanes": lanes,
                          "scalar": scalar.outcome,
                          "batched": result.outcome,
-                         "origin": getattr(action, "origin", None)})
+                         "origin": action.origin})
 
 
 def execute_case(case: FuzzCase, hardened: bool = False):

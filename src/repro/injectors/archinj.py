@@ -55,11 +55,11 @@ def _wd_action(rng: random.Random, golden: GoldenRun,
             if reg:
                 engine.regs[reg] ^= 1 << bit
 
-        action = FaultAction("commit", when, apply)
-        action.origin = (f"architectural register {reg}, bit {bit} "
-                         f"at instruction {when}")
-        action.site_bit = bit
-        return action
+        return FaultAction(
+            "commit", when, apply,
+            origin=(f"architectural register {reg}, bit {bit} "
+                    f"at instruction {when}"),
+            site_bit=bit, target=("reg", reg, 1 << bit))
     granule = rng.choice(golden.footprint)
     bit = rng.randrange(64)
     addr = granule + bit // 8
@@ -69,11 +69,11 @@ def _wd_action(rng: random.Random, golden: GoldenRun,
         byte = engine.memory.read(addr, 1)[0]
         engine.memory.write(addr, bytes([byte ^ mask]))
 
-    action = FaultAction("commit", when, apply)
-    action.origin = (f"program-flow memory {addr:#010x}, "
-                     f"bit {bit % 8} at instruction {when}")
-    action.site_bit = bit
-    return action
+    return FaultAction(
+        "commit", when, apply,
+        origin=(f"program-flow memory {addr:#010x}, "
+                f"bit {bit % 8} at instruction {when}"),
+        site_bit=bit, target=("mem", addr, mask))
 
 
 def _code_flip_action(rng: random.Random, golden: GoldenRun,
@@ -93,12 +93,12 @@ def _code_flip_action(rng: random.Random, golden: GoldenRun,
         word = engine.memory.read_int(addr, 4)
         engine.memory.write_int(addr, word ^ mask, 4)
 
-    action = FaultAction("commit", when, apply)
-    action.origin = (f"instruction word "
-                     f"{'opcode' if opcode_field else 'operand'} "
-                     f"bit {bit} at instruction {when}")
-    action.site_bit = bit
-    return action
+    return FaultAction(
+        "commit", when, apply,
+        origin=(f"instruction word "
+                f"{'opcode' if opcode_field else 'operand'} "
+                f"bit {bit} at instruction {when}"),
+        site_bit=bit)
 
 
 def _pc_flip_action(rng: random.Random, golden: GoldenRun) -> FaultAction:
@@ -109,10 +109,9 @@ def _pc_flip_action(rng: random.Random, golden: GoldenRun) -> FaultAction:
     def apply(engine: FunctionalEngine) -> None:
         engine.ms.pc ^= 1 << bit
 
-    action = FaultAction("commit", when, apply)
-    action.origin = f"PC bit {bit} at instruction {when}"
-    action.site_bit = bit
-    return action
+    return FaultAction("commit", when, apply,
+                       origin=f"PC bit {bit} at instruction {when}",
+                       site_bit=bit)
 
 
 def build_pvf_action(model: str, rng: random.Random, golden: GoldenRun,
@@ -148,9 +147,8 @@ def run_one_arch(injector: str, engine: FunctionalEngine, workload: str,
     """The scalar pvf/svf run on *engine* (shared with
     :func:`repro.injectors.llfi.run_one_svf`)."""
     engine.schedule(action)
-    origin = getattr(action, "origin",
-                     "destination register" if injector == "svf"
-                     else "architectural state")
+    origin = action.origin or ("destination register" if injector == "svf"
+                               else "architectural state")
     if tracer is not None:
         tracer.injected(float(action.when), origin)
         # architecture-level faults are visible from birth: landing
@@ -184,5 +182,5 @@ def arch_result(injector: str, result, golden: GoldenRun,
         crossed=True,   # architecture-level faults start visible
         inject_cycle=float(action.when),
         crossing_cycle=float(action.when),
-        site_bit=getattr(action, "site_bit", None),
+        site_bit=action.site_bit,
     )

@@ -124,8 +124,7 @@ def _run_batched(injector: str, workload: str, isa: str, actions,
             except ContainmentError as exc:
                 raise exc.with_context(
                     injector=injector, workload=workload, isa=isa,
-                    origin=getattr(action, "origin",
-                                   "architectural state"),
+                    origin=action.origin or "architectural state",
                     inject_cycle=float(action.when),
                     hardened=hardened, batched=True)
         results.append(arch_result(injector, run, golden, action))

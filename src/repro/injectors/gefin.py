@@ -79,12 +79,15 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
     restores the nearest golden checkpoint before the fault fires.  A
     restored run also stops early once state provably reconverges,
     unless *tracer*, the run's observer (see ``PipelineEngine.observer``),
-    is attached: it must see the run to its end.  Results are
-    byte-identical either way.  An escaping :class:`ContainmentError`
-    carries the caller's *context*, the fault's coordinates.
+    is attached: it must see the run to its end.  An untraced pvf run
+    also gets the golden run's :func:`~repro.injectors.golden.arch_liveness`,
+    so a flip its action names ends as it lands when dead, or jumps to
+    its first read.  Results are byte-identical either way.  An
+    escaping :class:`ContainmentError` carries the caller's *context*,
+    the fault's coordinates.
     """
     from ..uarch import snapshot
-    from .golden import STORE_ENGINES, checkpoint_store
+    from .golden import STORE_ENGINES, arch_liveness, checkpoint_store
 
     kind = STORE_ENGINES[injector]
     engine.observer = tracer
@@ -95,6 +98,10 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
                                      hardened=hardened)
             if kind == "pipeline":
                 snapshot.prepare_pipeline_fastpath(engine, store)
+            elif injector == "pvf" and tracer is None:
+                snapshot.prepare_functional_fastpath(
+                    engine, store,
+                    arch_liveness(workload, config_name, hardened))
             else:
                 snapshot.prepare_functional_fastpath(engine, store)
             if tracer is not None:

@@ -319,6 +319,25 @@ def checkpoint_store(workload: str, config_name: str,
     return _checkpoint_store(workload, config_name, engine, hardened)
 
 
+def arch_liveness(workload: str, config_name: str,
+                  hardened: bool = False):
+    """The golden functional-sim run's
+    :class:`~repro.uarch.snapshot.ArchLiveness`: recorded by one
+    :func:`replay_golden` on first demand and held, never saved, on the
+    target's functional-sim checkpoint store."""
+    from ..uarch import snapshot
+
+    store = checkpoint_store(workload, config_name, engine="functional-sim",
+                             hardened=hardened)
+    if store.arch_liveness is None:
+        recorder = snapshot.ArchLivenessRecorder()
+        result = replay_golden(workload, config_name,
+                               engine="functional-sim", hardened=hardened,
+                               observer=recorder)
+        store.arch_liveness = recorder.finish(result)
+    return store.arch_liveness
+
+
 def replay_golden(workload: str, config_name: str, *,
                   engine: str = "pipeline", hardened: bool = False,
                   observer=None, start: int = 0,

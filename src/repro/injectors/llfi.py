@@ -47,11 +47,10 @@ def _dest_flip_action(rng: random.Random, golden: GoldenRun,
         if dest:
             engine.regs[dest] ^= 1 << bit
 
-    action = FaultAction("user_dest", when, apply)
-    action.origin = (f"destination register of user instruction "
-                     f"{when}, bit {bit}")
-    action.site_bit = bit
-    return action
+    return FaultAction("user_dest", when, apply,
+                       origin=(f"destination register of user "
+                               f"instruction {when}, bit {bit}"),
+                       site_bit=bit)
 
 
 def run_one_svf(workload: str, isa: str, action: FaultAction,

@@ -156,11 +156,21 @@ class FaultAction:
     ``when`` is the 0-based index in that stream; ``apply`` receives
     the engine.  For ``user_dest`` the action fires *after* the
     instruction executed (so it can flip the just-written result).
+
+    The injectors describe what they flip: ``origin`` in words (traces
+    and containment reports), ``site_bit`` the bit within its entry,
+    and ``target`` a persistent flip's location, ``("reg", index,
+    mask)`` or ``("mem", addr, mask)``, that ``apply`` XORs with
+    ``mask`` and nothing else; a fast-path hook may decide the run
+    from it (see :class:`repro.uarch.snapshot.ArchLiveness`).
     """
 
     counter: str
     when: int
     apply: object  # Callable[[FunctionalEngine], None]
+    origin: "str | None" = None
+    site_bit: "int | None" = None
+    target: "tuple | None" = None
 
 
 #: the trigger streams a :class:`FaultAction` can name
@@ -247,7 +257,12 @@ class FunctionalEngine:
         #: optional checkpoint hook (see repro.uarch.snapshot): an
         #: object with ``next_check`` (executed-instruction count) and
         #: ``poll(engine)``; polled at the top of the run loop, and a
-        #: non-None poll() return ends the run with that result.
+        #: non-None poll() return ends the run with that result.  An
+        #: optional ``injected(engine)`` is called right after each
+        #: ``commit`` action fires and may end the run the same way,
+        #: or return a jump: a callable that run() applies to the
+        #: engine, with the loop's state written back, before the loop
+        #: goes on from the engine's new state.
         self.fastpath = None
 
     # ------------------------------------------------------------------
@@ -341,8 +356,9 @@ class FunctionalEngine:
         ms = self.ms
         core = self._core
         # Hooks are attached and checkpoints restored before run();
-        # nothing rebinds these objects while the loop runs (they are
-        # only mutated in place).
+        # nothing but a fast-path jump rebinds these objects while the
+        # loop runs (they are only mutated in place), and the loop
+        # reads them again after one.
         regs = self.regs
         memory = self.memory
         check_access = memory.check_access
@@ -358,6 +374,7 @@ class FunctionalEngine:
         fault_kind: FaultKind | None = None
         fault_in_kernel = False
         fastpath = self.fastpath
+        injected = getattr(fastpath, "injected", None)
         step = getattr(self.observer, "step", None)
         every = (getattr(self.observer, "every", None) or 1) if step else 0
         max_instructions = self.max_instructions
@@ -450,6 +467,25 @@ class FunctionalEngine:
                         pc = ms.pc
                         mode = ms.mode
                         code_base = -1
+                        if injected is not None:
+                            decided = injected(self)
+                            if decided.__class__ is FuncResult:
+                                return decided
+                            if decided is not None:
+                                # a jump: restart the iteration at the
+                                # engine's new state
+                                decided(self)
+                                regs = self.regs
+                                pages = memory._pages
+                                backing = memory._backing
+                                executed = self.executed
+                                n_commit = self._counters["commit"]
+                                n_dest = self._counters["user_dest"]
+                                pc = ms.pc
+                                mode = ms.mode
+                                limit = min(fastpath.next_check,
+                                            max_instructions)
+                                continue
                     n_commit += 1
 
                 # ---- execute -----------------------------------------
@@ -575,6 +611,15 @@ class FunctionalEngine:
             return self.ms.exit_code
         return self.memory.read_int(
             layout.KERNEL_DATA_BASE + EXIT_CODE_OFFSET, 4)
+
+
+def collected_ranges(output_len: int) -> tuple:
+    """``(addr, nbytes)`` of the memory a sim-kernel run's end reads
+    when it collects *output_len* output bytes: the output length word,
+    the output bytes and the exit-code word
+    (:meth:`FunctionalEngine._collect_output`, ``_collect_exit_code``)."""
+    return ((layout.OUTPUT_LEN_ADDR, 4), (layout.OUTPUT_BASE, output_len),
+            (layout.KERNEL_DATA_BASE + EXIT_CODE_OFFSET, 4))
 
 
 def _dest_reg(instr: Decoded, xlen: int) -> int:

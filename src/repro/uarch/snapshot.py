@@ -50,7 +50,17 @@ deterministic simulators:
 
 * **dead-state exit** — a flip that lands on dead state (a free
   physical register, an invalid or committed LSQ slot, an invalid
-  line) changes nothing at all, and its run ends as it lands.
+  line) changes nothing at all, and its run ends as it lands;
+
+* **architectural flips** — the functional counterpart of the last
+  three: a pvf WD flip of one register or memory byte persists until
+  it is overwritten, and the faulty run follows the golden run until
+  it reads the flipped location.  :class:`ArchLiveness`, a record of
+  the golden functional-sim run built on first demand, tells as the
+  flip fires whether the golden run next overwrites the location or
+  never reads it again (the run ends there with the golden result),
+  or where it first reads it (the run jumps to the last checkpoint
+  before that read and applies the flip again).
 
 Correctness invariants the digest relies on:
 
@@ -80,10 +90,11 @@ import os
 import pickle
 import tempfile
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
-
 from functools import partial
+from operator import itemgetter
+from pathlib import Path
 
 from ..isa.layout import PAGE_SIZE
 from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
@@ -94,7 +105,8 @@ from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
                            FASTPATH_ORACLE_EXITS,
                            FASTPATH_RESTORES, env_flag, get_registry)
 from .cache import Cache, Line
-from .functional import FaultAction, FuncResult, FunctionalEngine, RunStatus
+from .functional import (FaultAction, FuncResult, FunctionalEngine,
+                         RunStatus, collected_ranges, decode_record)
 from .liveness import LivenessOracle, record_liveness
 from .pipeline import (PipelineEngine, PipelineResult, code_records,
                        fold_coordinates)
@@ -162,10 +174,15 @@ class CheckpointStore:
     #: :func:`decode_code` and never saved (records hold functions)
     code_records: dict = field(default_factory=dict, compare=False,
                                repr=False)
+    #: the golden run's :class:`ArchLiveness` (functional-sim stores),
+    #: built on first demand and never saved
+    arch_liveness: "ArchLiveness | None" = field(default=None,
+                                                 compare=False, repr=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["code_records"] = {}
+        state.pop("arch_liveness", None)
         return state
 
     def nearest(self, *, cycle: float = float("inf"),
@@ -356,7 +373,7 @@ def capture_pipeline(engine: PipelineEngine,
     """Capture complete pipeline state at a top-of-loop boundary.
 
     *intern* (optional) dedups identical byte blobs (pages, cache
-    lines) across the checkpoints of one store.
+    lines, LSQ old bytes) across the checkpoints of one store.
     """
     ms = engine.ms
     rf = engine.rf
@@ -386,8 +403,9 @@ def capture_pipeline(engine: PipelineEngine,
                rf.free_list, rf.pending_free, sorted(rf.tainted),
                rf.live_count),
         "lsq": ([(e.valid, e.is_store, e.addr, e.data, e.nbytes,
-                  bytes(e.old_data), e.dest_phys, e.alloc_cycle,
-                  e.commit_cycle, e.in_kernel) for e in lsq.entries],
+                  _intern_bytes(bytes(e.old_data), intern), e.dest_phys,
+                  e.alloc_cycle, e.commit_cycle, e.in_kernel)
+                 for e in lsq.entries],
                 lsq._next, lsq.valid_count),
         "caches": caches,
         "pred": (list(pred.counters), list(pred.btb), pred.lookups,
@@ -612,6 +630,133 @@ class _CaptureObserver:
 
 
 # ---------------------------------------------------------------------------
+# architectural liveness (pvf WD flips)
+# ---------------------------------------------------------------------------
+@dataclass
+class ArchLiveness:
+    """When the golden functional-sim run reads and writes each
+    register and memory byte, keyed by step (the index of its
+    instruction).
+
+    ``rs1s``/``rs2s``/``dests`` hold each step's source and destination
+    registers (0: none), from its decode record; no handler reads or
+    writes any other register.  ``fetches`` holds, as native ``"I"``
+    array bytes, the pc that each step after the first fetches.  The
+    memory events are each load and store, and the end of the run's
+    reads (:func:`repro.uarch.functional.collected_ranges`) as loads at
+    the step after the last, cut at 8-byte granules and sorted by
+    granule (stably, so each granule's events stay in step order): the
+    bytes ``los[k]`` up to ``his[k]`` of granule ``granules[k]``,
+    stored when ``stores[k]``."""
+
+    rs1s: bytes
+    rs2s: bytes
+    dests: bytes
+    fetches: bytes
+    granules: array       # "q"
+    steps: array          # "I"
+    los: bytes
+    his: bytes
+    stores: bytes
+
+    def first_read(self, target: tuple, step: int) -> "int | None":
+        """The step of the golden run's first read of *target*'s
+        location (see :class:`repro.uarch.functional.FaultAction`),
+        flipped at the top of step *step*, after its fetch; None when
+        the golden run overwrites the location first or never reads it
+        again, so the flip is dead.  A step that reads and writes the
+        location reads it."""
+        kind, where, _mask = target
+        if kind == "reg":
+            if not where:
+                return None      # r0 reads 0 whatever it holds
+            needle = bytes((where,))
+            found = [at for at in (self.rs1s.find(needle, step),
+                                   self.rs2s.find(needle, step))
+                     if at >= 0]
+            if not found:
+                return None
+            read = min(found)
+            write = self.dests.find(needle, step)
+            return None if 0 <= write < read else read
+        read = self._first_fetch(where & ~3, step)
+        granules, los, his = self.granules, self.los, self.his
+        granule, off = where & ~7, where & 7
+        first = bisect_left(granules, granule)
+        end = bisect_right(granules, granule, first)
+        for k in range(bisect_left(self.steps, step, first, end), end):
+            if los[k] <= off < his[k]:
+                at = self.steps[k]
+                if read is not None and read <= at:
+                    break        # a step fetches before its access
+                return None if self.stores[k] else at
+        return read
+
+    def _first_fetch(self, word: int, step: int) -> "int | None":
+        """The first step after *step* that fetches the word at
+        *word*."""
+        fetches = self.fetches
+        needle = array("I", (word,)).tobytes()
+        at = fetches.find(needle, 4 * step)
+        while at > 0 and at & 3:     # a match across two pcs
+            at = fetches.find(needle, at + 1)
+        return None if at < 0 else (at >> 2) + 1
+
+
+class ArchLivenessRecorder:
+    """Observer of a fault-free functional-sim run from reset that
+    collects its :class:`ArchLiveness`; it steps after every
+    instruction."""
+
+    def __init__(self) -> None:
+        #: rs1, rs2 and dest of every step so far
+        self.operands = bytearray()
+        #: the pc after every step so far
+        self.pcs = array("I")
+        #: ``(step, addr, nbytes, is store)`` of every access so far
+        self.accesses: list = []
+        #: instruction word -> its three operand bytes
+        self._operands: dict = {}
+
+    def step(self, engine) -> None:
+        word = engine.last_instr.raw
+        operands = self._operands.get(word)
+        if operands is None:
+            record = decode_record(word, engine.regs_meta)
+            operands = self._operands[word] = bytes(record[3:6])
+        self.operands += operands
+        mem = engine.last_mem
+        if mem is not None:
+            self.accesses.append((engine.executed - 1, mem[1], mem[2],
+                                  mem[0] == "store"))
+        self.pcs.append(engine.ms.pc & 0xFFFF_FFFF)
+
+    def finish(self, result: FuncResult) -> ArchLiveness:
+        """The record of the run that ended with *result*."""
+        accesses = self.accesses + [
+            (result.instructions, addr, nbytes, False)
+            for addr, nbytes in collected_ranges(len(result.output))]
+        events = []
+        for step, addr, nbytes, store in accesses:
+            end = addr + nbytes
+            while addr < end:
+                off = addr & 7
+                seg = min(end - addr, 8 - off)
+                events.append((addr - off, step, off, off + seg, store))
+                addr += seg
+        granules, steps, los, his, stores = list(zip(
+            *sorted(events, key=itemgetter(0)))) or [()] * 5
+        operands = self.operands
+        return ArchLiveness(
+            rs1s=bytes(operands[0::3]), rs2s=bytes(operands[1::3]),
+            dests=bytes(operands[2::3]),
+            # the last pc is the one after the final instruction
+            fetches=self.pcs[:-1].tobytes(),
+            granules=array("q", granules), steps=array("I", steps),
+            los=bytes(los), his=bytes(his), stores=bytes(stores))
+
+
+# ---------------------------------------------------------------------------
 # early-exit hooks (installed as engine.fastpath during injection runs)
 # ---------------------------------------------------------------------------
 def _flip_mask(engine: PipelineEngine, spec) -> dict:
@@ -745,11 +890,17 @@ class _PipelineFastPath:
 
 
 class _FunctionalFastPath:
-    __slots__ = ("store", "next_check")
+    """Early Masked termination against the golden digest trace; when
+    ``liveness`` is set, the oracle's exit and jump of the one action
+    that names its flip's ``target``."""
 
-    def __init__(self, store: CheckpointStore, start: int) -> None:
+    __slots__ = ("store", "next_check", "liveness")
+
+    def __init__(self, store: CheckpointStore, start: int,
+                 liveness: "ArchLiveness | None" = None) -> None:
         self.store = store
         self.next_check = start
+        self.liveness = liveness
 
     def poll(self, engine: FunctionalEngine):
         store = self.store
@@ -761,7 +912,50 @@ class _FunctionalFastPath:
         expect = store.digests.get(engine.executed)
         if expect is None or functional_digest(engine) != expect:
             return None
-        final = store.final
+        return self._golden_result(engine)
+
+    def injected(self, engine: FunctionalEngine):
+        """Called right after a ``commit`` action fired.  With one
+        action, which names its ``target``: the golden result when the
+        golden run overwrites the flipped location before reading it,
+        or never reads it again; a jump (see :meth:`_jump`) when it
+        first reads it after a later golden checkpoint; else None.
+        Without a liveness record it decides nothing."""
+        liveness = self.liveness
+        actions = engine._actions
+        if liveness is None or len(actions) != 1 \
+                or actions[0].target is None:
+            return None
+        read = liveness.first_read(actions[0].target, engine.executed)
+        if read is None:
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter(FASTPATH_ORACLE_EXITS).inc()
+            return self._golden_result(engine)
+        cp = self.store.last_between(engine.executed, read)
+        if cp is None:
+            return None
+        return partial(self._jump, cp, actions[0])
+
+    def _jump(self, cp: Checkpoint, action: FaultAction,
+              engine: FunctionalEngine) -> None:
+        """Move *engine* from *action*'s flip to checkpoint *cp*, which
+        the golden run reaches before it reads the flipped location:
+        restore *cp* and apply *action* again, which XORs its target's
+        mask in.  Up to the read the faulty run differs from the golden
+        run only there."""
+        skipped = cp.instructions - engine.executed
+        restore_functional(engine, cp.state)
+        action.apply(engine)
+        self.next_check = cp.instructions + self.store.interval
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(FASTPATH_JUMPS).inc()
+            registry.counter(FASTPATH_INSTRUCTIONS_JUMPED).inc(skipped)
+
+    def _golden_result(self, engine: FunctionalEngine) -> FuncResult:
+        """The capture run's final result."""
+        final = self.store.final
         registry = get_registry()
         if registry.enabled:
             registry.counter(FASTPATH_EARLY_EXITS).inc()
@@ -888,13 +1082,17 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
 
 
 def prepare_functional_fastpath(engine: FunctionalEngine,
-                                store: CheckpointStore) -> Checkpoint:
+                                store: CheckpointStore,
+                                liveness: "ArchLiveness | None" = None
+                                ) -> Checkpoint:
     """Restore the nearest checkpoint before every scheduled action's
-    trigger and install the early-exit hook."""
+    trigger and install the early-exit hook, which, given the golden
+    run's *liveness*, also decides once, when an action's flip fires,
+    whether the run ends there or jumps."""
     cp = (store.nearest(actions=engine._actions) if engine._actions
           else store.checkpoints[0])
     restore_functional(engine, cp.state)
-    engine.fastpath = _FunctionalFastPath(store, cp.instructions)
+    engine.fastpath = _FunctionalFastPath(store, cp.instructions, liveness)
     registry = get_registry()
     if registry.enabled:
         registry.counter(FASTPATH_RESTORES).inc()
