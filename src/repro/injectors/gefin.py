@@ -80,9 +80,10 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
     restored run also stops early once state provably reconverges,
     unless *tracer*, the run's observer (see ``PipelineEngine.observer``),
     is attached: it must see the run to its end.  An untraced pvf run
-    also gets the golden run's :func:`~repro.injectors.golden.arch_liveness`,
-    so a flip its action names ends as it lands when dead, or jumps to
-    its first read.  Results are byte-identical either way.  An
+    whose action names its flip's ``target`` (a WD flip) also gets the
+    golden run's :func:`~repro.injectors.golden.arch_liveness`, so the
+    flip ends as it lands when dead, or jumps to its first read; no
+    other run builds that record.  Results are byte-identical either way.  An
     escaping :class:`ContainmentError` carries the caller's *context*,
     the fault's coordinates.
     """
@@ -98,7 +99,8 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
                                      hardened=hardened)
             if kind == "pipeline":
                 snapshot.prepare_pipeline_fastpath(engine, store)
-            elif injector == "pvf" and tracer is None:
+            elif injector == "pvf" and tracer is None and any(
+                    action.target is not None for action in engine._actions):
                 snapshot.prepare_functional_fastpath(
                     engine, store,
                     arch_liveness(workload, config_name, hardened))

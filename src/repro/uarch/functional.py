@@ -47,14 +47,33 @@ _read_word = struct.Struct("<I").unpack_from
 _ALU, _BRANCH, _JUMP, _SYS, _CALL, _LOAD, _STORE = range(7)
 _HANDLER_KIND_OF_CLASS = {"branch": _JUMP, "sys": _SYS}
 
-#: Shared decode cache: (xlen, word) -> decode record, or the
-#: DecodeError reason for an illegal word.  Distinct words are few
-#: (static instructions + a handful of corrupted variants), and
-#: campaigns run thousands of executions of the same binaries, so a
-#: process-global cache pays off.  It holds the reason rather than the
-#: exception: a re-raised instance grows its ``__traceback__`` on every
-#: raise and would keep every engine it was raised through alive.
-_DECODE_CACHE: dict[tuple[int, int], object] = {}
+#: Shared decode cache, under two key shapes:
+#:
+#: - ``(xlen, word)`` -> decode record, or the DecodeError reason for
+#:   an illegal word.  It holds the reason rather than the exception:
+#:   a re-raised instance grows its ``__traceback__`` on every raise
+#:   and would keep every engine it was raised through alive.
+#: - ``(xlen, pc, word)`` -> the straight-line block that starts at a
+#:   block leader *pc* whose first word is *word*: the number of times
+#:   ``run()`` has entered the leader so far, until the entry that
+#:   makes it hot builds the block (:func:`_build_block`), or None when
+#:   no block can be built there.
+#:
+#: Distinct words and leaders are few (static code + a handful of
+#: corrupted variants), and campaigns run thousands of executions of
+#: the same binaries, so a process-global cache pays off.
+_DECODE_CACHE: dict[tuple, object] = {}
+
+#: A leader's block is built on its ``_HOT_ENTRIES``-th entry, when it
+#: runs at least ``_MIN_BLOCK`` instructions; a block holds at most
+#: ``_MAX_BLOCK``.
+_HOT_ENTRIES = 4
+_MIN_BLOCK = 3
+_MAX_BLOCK = 64
+#: a trigger count no run reaches
+_NEVER = 1 << 62
+#: a block's frozen pages when no checkpoint was restored
+_NO_PAGES: dict = {}
 
 
 def decode_record(word: int, regs) -> tuple:
@@ -123,6 +142,103 @@ def _record(instr: Decoded, xlen: int) -> tuple:
     return (instr, HANDLERS_BY_XLEN[xlen][op], kind, rs1, rs2, dest, fn,
             operand, instr.imm, d.mem_bytes, d.mem_signed, dest != 0,
             op == "syscall")
+
+
+def _build_block(page, off: int, pc: int, regs) -> "tuple | None":
+    """The straight-line block at *pc*, offset *off* into its code
+    *page*: ``(fn, n, off, end, code, dests, lasts, stores)``, or None
+    when fewer than ``_MIN_BLOCK`` instructions qualify.
+
+    A block is the longest run of ``_ALU``, ``_LOAD`` and ``_STORE``
+    words from *pc* on the page, up to ``_MAX_BLOCK``, plus one
+    ``_BRANCH`` after them.  ``fn(regs, pages, backing, page_regions,
+    user)`` runs its ``n`` instructions, the code of ``page[off:end]``
+    (= *code*), as one generated function: the decode records'
+    register indices, operands and branch targets are its constants,
+    and it calls their :data:`repro.uarch.cpu.VALUE_FORMS` functions.
+    It returns the next pc, or ``~k`` to leave after its first *k*
+    instructions: at a load or store that the page memo does not prove
+    safe, at instruction *k*, which the caller then runs itself, and
+    after a store into the block's own code page.  ``dests[k]`` and
+    ``lasts[k]`` are the number of register writes among the first *k*
+    instructions and the last register they write (0: none);
+    ``stores`` tells whether the block holds a store.
+    """
+    if page is None:
+        return None
+    xlen = regs.xlen
+    mask = (1 << xlen) - 1
+    code_base = (pc & 0xFFFF_FFFF) - off
+    lines = ["def block(regs, pages, backing, page_regions, user):"]
+    namespace: dict = {}
+    dests, lasts = [0], [0]
+    stores = False
+    tail = None
+    for k in range(min(_MAX_BLOCK, (_PAGE - off) >> 2)):
+        try:
+            (_, _, kind, rs1, rs2, dest, fn, operand, imm, nbytes, signed,
+             _, _) = decode_record(_read_word(page, off + 4 * k)[0], regs)
+        except DecodeError:
+            kind = None
+        here = pc + 4 * k
+        exit_ = f"return {~k}"
+        if kind == _BRANCH and here + 4 + imm >= 0:
+            namespace[f"f{k}"] = fn
+            tail = (f"return {here + 4 + imm} if f{k}(regs[{rs1}], "
+                    f"regs[{rs2}]) else {here + 4}")
+        elif kind == _ALU:
+            if dest:
+                namespace[f"f{k}"] = fn
+                second = f"regs[{rs2}]" if rs2 else repr(operand)
+                lines.append(
+                    f"    regs[{dest}] = f{k}(regs[{rs1}], {second})")
+        elif kind == _LOAD or kind == _STORE:
+            lines += [
+                f"    a = (regs[{rs1}] + {imm}) & 0xFFFFFFFF",
+                f"    o = a & {_PAGE_MASK}",
+                f"    if o > {_PAGE - nbytes}: {exit_}",
+                "    b = a - o",
+                "    r = page_regions.get(b)",
+            ]
+            if kind == _LOAD:
+                lines += [
+                    f"    if r is None or user and r.kernel_only: {exit_}",
+                    "    p = pages.get(b)",
+                    "    if p is None:",
+                    "        p = backing.get(b)",
+                    f"        if p is None: {exit_}",
+                ]
+                if dest:
+                    lines.append(
+                        f"    regs[{dest}] = int.from_bytes("
+                        f"p[o:o + {nbytes}], 'little', signed={signed})"
+                        f" & {mask}")
+            else:
+                stores = True
+                lines += [
+                    "    if r is None or user and r.kernel_only"
+                    f" or not r.writable: {exit_}",
+                    "    p = pages.get(b)",
+                    f"    if p is None: {exit_}",
+                    f"    p[o:o + {nbytes}] = (regs[{rs2}] & "
+                    f"{(1 << (nbytes << 3)) - 1}).to_bytes({nbytes}, "
+                    "'little')",
+                    f"    if b == {code_base}: return {~(k + 1)}",
+                ]
+        else:
+            break
+        dests.append(dests[-1] + (dest != 0))
+        lasts.append(dest or lasts[-1])
+        if kind == _BRANCH:
+            break
+    n = len(dests) - 1
+    if n < _MIN_BLOCK:
+        return None
+    lines.append(f"    {tail or f'return {pc + 4 * n}'}")
+    exec(compile("\n".join(lines), f"<block {pc:#x}>", "exec"), namespace)
+    return (namespace["block"], n, off, off + 4 * n,
+            bytes(page[off:off + 4 * n]), tuple(dests), tuple(lasts),
+            stores)
 
 
 class RunStatus(str, Enum):
@@ -351,7 +467,12 @@ class FunctionalEngine:
         The loop executes ``_ALU``, ``_BRANCH``, ``_LOAD`` and
         ``_STORE`` records itself, on ``regs`` and the memory pages;
         the other kinds run their handler through the core adapter
-        (DESIGN.md decision 9).
+        (DESIGN.md decision 9).  Both come from :data:`_DECODE_CACHE`:
+        a word's decode record under ``(xlen, word)``, and under
+        ``(xlen, pc, word)`` the straight-line block a hot leader runs
+        as one call (:func:`_build_block`), unless a poll, the
+        watchdog limit or a trigger falls inside it, an observer is
+        attached, or its code bytes have changed.
         """
         ms = self.ms
         core = self._core
@@ -403,6 +524,14 @@ class FunctionalEngine:
         # one threshold for the watchdog and the next fast-path poll
         limit = (max_instructions if fastpath is None
                  else min(fastpath.next_check, max_instructions))
+        # Blocks run only without an observer, from a leader: the first
+        # pc, and the pc after a branch, a handler, an action, a jump or
+        # a block; and only when no poll, watchdog limit or due trigger
+        # falls inside them.  commit_next and dest_next are the next
+        # due trigger counts, re-read after every fire and jump.
+        leader = True
+        commit_next = _next_trigger(commit_t, n_commit)
+        dest_next = _next_trigger(dest_t, n_dest)
         try:
             while not ms.halted:
                 if executed >= limit:
@@ -447,6 +576,49 @@ class FunctionalEngine:
                                        detail="fetch", in_kernel=False)
                 word = (_read_word(code_page, addr - base)[0]
                         if code_page is not None else 0)
+
+                # ---- block: the straight run from a leader -----------
+                if leader:
+                    leader = False
+                    if code_base == base and not every:
+                        key = (xlen, pc, word)
+                        block = records.get(key, 0)
+                        if block.__class__ is tuple:
+                            (run_block, n, off, end, code, dests, lasts,
+                             stores) = block
+                            user = mode != KERNEL_MODE
+                            if (executed + n <= limit
+                                    and n_commit + n <= commit_next
+                                    and (n_dest + dests[n] <= dest_next
+                                         or not user)
+                                    and code_page[off:end] == code):
+                                nxt = run_block(regs, pages,
+                                                backing or _NO_PAGES,
+                                                page_regions, user)
+                                if nxt >= 0:
+                                    k = n
+                                    pc = nxt
+                                    leader = True
+                                else:
+                                    # a side exit: instruction k runs
+                                    # next, word by word
+                                    k = ~nxt
+                                    pc += 4 * k
+                                executed += k
+                                if counting:
+                                    n_commit += k
+                                    if user and dests[k]:
+                                        n_dest += dests[k]
+                                        self.last_dest = lasts[k]
+                                if stores:
+                                    code_base = -1
+                                continue
+                        elif block is not None:
+                            records[key] = (
+                                block + 1 if block + 1 < _HOT_ENTRIES
+                                else _build_block(code_page, addr - base,
+                                                  pc, regs_meta))
+
                 record = records.get((xlen, word))
                 if record.__class__ is not tuple:
                     try:
@@ -467,6 +639,8 @@ class FunctionalEngine:
                         pc = ms.pc
                         mode = ms.mode
                         code_base = -1
+                        leader = True
+                        commit_next = _next_trigger(commit_t, n_commit + 1)
                         if injected is not None:
                             decided = injected(self)
                             if decided.__class__ is FuncResult:
@@ -485,6 +659,9 @@ class FunctionalEngine:
                                 mode = ms.mode
                                 limit = min(fastpath.next_check,
                                             max_instructions)
+                                commit_next = _next_trigger(commit_t,
+                                                            n_commit)
+                                dest_next = _next_trigger(dest_t, n_dest)
                                 continue
                     n_commit += 1
 
@@ -497,6 +674,7 @@ class FunctionalEngine:
                     pc += 4
                 elif kind == _BRANCH:
                     pc += 4 + imm if fn(regs[rs1], regs[rs2]) else 4
+                    leader = True
                 elif kind >= _LOAD:
                     addr = (regs[rs1] + imm) & 0xFFFF_FFFF
                     off = addr & _PAGE_MASK
@@ -543,6 +721,7 @@ class FunctionalEngine:
                         pc = handler(instr, ms, core)
                     mode = ms.mode
                     code_base = -1
+                    leader = True
                 executed += 1
 
                 if counting and writes and mode != KERNEL_MODE:
@@ -553,6 +732,8 @@ class FunctionalEngine:
                         pc = ms.pc
                         mode = ms.mode
                         code_base = -1
+                        leader = True
+                        dest_next = _next_trigger(dest_t, n_dest + 1)
                     n_dest += 1
                 if every and not executed % every:
                     self._store_counts(executed, n_commit, n_dest)
@@ -611,6 +792,11 @@ class FunctionalEngine:
             return self.ms.exit_code
         return self.memory.read_int(
             layout.KERNEL_DATA_BASE + EXIT_CODE_OFFSET, 4)
+
+
+def _next_trigger(table: dict, count: int) -> int:
+    """The first trigger count of *table* at or after *count*."""
+    return min((when for when in table if when >= count), default=_NEVER)
 
 
 def collected_ranges(output_len: int) -> tuple:

@@ -81,6 +81,22 @@ class TestCampaignMachinery:
                  + campaign.detected())
         assert total == pytest.approx(campaign.occupancy_weight)
 
+    def test_woi_campaign_builds_no_wd_liveness_record(self, monkeypatch):
+        """Only a WD action names a ``target``, so a WOI-only campaign
+        leaves the golden run's ``arch_liveness`` unbuilt; its results
+        are the slow path's."""
+        from repro.injectors.golden import checkpoint_store
+
+        store = checkpoint_store("crc32", "cortex-a72",
+                                 engine="functional-sim")
+        monkeypatch.setattr(store, "arch_liveness", None)
+        kwargs = dict(injector="pvf", model="WOI", n=8, seed=1,
+                      use_cache=False, workers=1, batch_lanes=0)
+        fast = run_campaign("crc32", CORTEX_A72, fastpath=True, **kwargs)
+        assert store.arch_liveness is None
+        slow = run_campaign("crc32", CORTEX_A72, fastpath=False, **kwargs)
+        assert fast.to_json() == slow.to_json()
+
     def test_occupancy_weight_bounds(self):
         campaign = run_campaign("sha", CORTEX_A72, injector="gefin",
                                 structure="L2", n=6, seed=7)
