@@ -1,4 +1,4 @@
-"""Golden liveness oracle for cache data flips.
+"""Golden liveness oracle for cache data flips and register flips.
 
 A flip in cache *data* changes nothing but values: until a corrupted
 copy is read, by a load, an instruction fetch or the end-of-run DMA
@@ -41,6 +41,15 @@ instruction count).  A fault lands at the top of the run loop, before
 its step's fetch, so one bisection finds the first event after the
 flip, and a checkpoint taken at instruction count *n* has seen exactly
 the events of steps below *n*.
+
+A register flip likewise changes one value: the faulty run follows
+the golden run until an instruction reads the flipped register.
+:class:`RegisterLiveness` gives each golden step's source and
+destination registers, from the pc record and the run records of the
+golden code, so the first read is a ``bytes.find``; and it tells when
+every use of the value is a copy (stored, and loaded back only into
+registers that are themselves only copied) that dies unread, as a
+trap frame's save and restore does.
 """
 
 from __future__ import annotations
@@ -186,6 +195,190 @@ class LivenessOracle:
             if at >= 0 and (found is None or at < found):
                 found = at
         return None if found is None else found >> 2
+
+
+def first_reg_read(rs1s: bytes, rs2s: bytes, dests: bytes, reg: int,
+                   step: int) -> "int | None":
+    """The first step from *step* on that reads register *reg*, given
+    each step's source registers *rs1s*/*rs2s* and destination *dests*
+    (one byte per step, 0: none); None when a step writes *reg* first,
+    or none reads it again.  A step that reads and writes it reads it;
+    r0 is never read."""
+    if not reg:
+        return None
+    needle = bytes((reg,))
+    found = [at for at in (rs1s.find(needle, step),
+                           rs2s.find(needle, step)) if at >= 0]
+    if not found:
+        return None
+    read = min(found)
+    write = dests.find(needle, step)
+    return None if 0 <= write < read else read
+
+
+#: the registers and stored byte ranges one copy walk follows at most
+#: (:meth:`RegisterLiveness.only_copied`); past it the walk gives up
+COPY_WALK_LIMIT = 64
+
+
+@dataclass
+class RegisterLiveness:
+    """When the golden pipeline run reads and writes each architectural
+    register, keyed by step: the record the fast path decides register
+    flips from.
+
+    ``rs1s``/``rs2s``/``dests`` hold each step's source and destination
+    registers (0: none), one byte per step, from the run record of the
+    word at the step's pc in the oracle's pc record.  The run loop reads
+    a register only as an instruction's rs1 or rs2 (a handler reads its
+    sources from the loop's ``src_vals``) and writes one only as its
+    renamed dest.  ``steps`` holds ``oracle.steps`` as native ``"I"``
+    array bytes, where ``bytes.find`` finds a step's events."""
+
+    oracle: LivenessOracle
+    rs1s: bytes
+    rs2s: bytes
+    dests: bytes
+    steps: bytes
+
+    def first_read(self, reg: int, step: int) -> "int | None":
+        """The step of the golden run's first read of register *reg*
+        from step *step* on (see :func:`first_reg_read`)."""
+        return first_reg_read(self.rs1s, self.rs2s, self.dests, reg, step)
+
+    def only_copied(self, reg: int, flipped: int, step: int) -> bool:
+        """Whether the golden run, from the top of step *step* on, only
+        copies register *reg*'s value, whose bytes *flipped* (a bit per
+        byte) are corrupted, and every copy dies unread: the register
+        is read only as a store's data, and each stored corrupted byte
+        is, until a store overwrites it, read only by loads into
+        registers that are themselves only copied.  A copy must never
+        be an operand, a branch or handler source or an address, nor
+        lie in a word fetched after it is stored, in bytes the
+        end-of-run drain reads or in a line an ``OPAQUE`` access
+        touches.  Then a run whose register held the corruption
+        differs from the golden run only in values no later step
+        reads, once the first read has been made.  False also when the
+        walk outgrows :data:`COPY_WALK_LIMIT`."""
+        oracle = self.oracle
+        rs1s, rs2s, dests = self.rs1s, self.rs2s, self.dests
+        lines, steps, kinds = oracle.lines, oracle.steps, oracle.kinds
+        los, his = oracle.los, oracle.his
+        regs = [(reg, flipped, step)]
+        # (line base, corrupted offsets as a bit per byte, store step)
+        stored: list = []
+        budget = COPY_WALK_LIMIT
+        while regs or stored:
+            budget -= 1
+            if budget < 0:
+                return False
+            if regs:
+                reg, flipped, step = regs.pop()
+                needle = bytes((reg,))
+                write = dests.find(needle, step)
+                # the writing step's own sources are read first
+                end = write + 1 if write >= 0 else len(dests)
+                if rs1s.find(needle, step, end) >= 0:
+                    return False    # an operand or an address
+                at = rs2s.find(needle, step, end)
+                while at >= 0:
+                    store = self._store_at(at)
+                    if store is None:
+                        return False    # not a store's data
+                    base, lo, hi = store
+                    offsets = (flipped & ((1 << (hi - lo)) - 1)) << lo
+                    if offsets:
+                        stored.append((base, offsets, at))
+                    at = rs2s.find(needle, at + 1, end)
+                continue
+            base, offsets, step = stored.pop()
+            if oracle._first_fetch(base, _offsets(offsets),
+                                   step + 1) is not None:
+                return False
+            first = bisect_left(lines, base)
+            end = bisect_right(lines, base, first)
+            for k in range(bisect_right(steps, step, first, end), end):
+                kind = kinds[k]
+                if kind == OPAQUE:
+                    return False
+                if kind != LOAD and kind != STORE and kind != DRAIN:
+                    continue    # a fill, drop or writeback moves values
+                lo, hi = los[k], his[k]
+                hit = offsets & ((1 << hi) - (1 << lo))
+                if not hit:
+                    continue
+                if kind == DRAIN:
+                    return False
+                if kind == STORE:
+                    offsets ^= hit
+                    if not offsets:
+                        break
+                    continue
+                dest = dests[steps[k]]
+                if dest:
+                    n = hi - lo
+                    loaded = hit >> lo
+                    if loaded >> (n - 1):
+                        # the sign bit's byte: any upper byte may differ
+                        loaded |= 0xFF ^ ((1 << n) - 1)
+                    regs.append((dest, loaded, steps[k] + 1))
+        return True
+
+    def _store_at(self, step: int) -> "tuple | None":
+        """``(line base, lo, hi)`` of the store step *step* makes inside
+        one line, else None."""
+        oracle = self.oracle
+        kinds, steps = oracle.kinds, self.steps
+        needle = array("I", (step,)).tobytes()
+        at = steps.find(needle)
+        while at >= 0:
+            if not at & 3:
+                k = at >> 2
+                kind = kinds[k]
+                if kind == STORE:
+                    return oracle.lines[k], oracle.los[k], oracle.his[k]
+                if kind == LOAD or kind == OPAQUE:
+                    return None
+            at = steps.find(needle, at + 1)
+        return None
+
+
+def _offsets(bits: int) -> list:
+    """The byte offsets a bit-per-byte mask sets."""
+    return [off for off in range(bits.bit_length()) if bits >> off & 1]
+
+
+def register_liveness(oracle: LivenessOracle,
+                      code_records: dict) -> "RegisterLiveness | None":
+    """The :class:`RegisterLiveness` of *oracle*'s golden run, whose code
+    lines have the run records *code_records* (see
+    :func:`repro.uarch.pipeline.code_records`); None when a pc has no
+    record, or the golden run stores into a code line, so the records
+    may not be the words it ran."""
+    size = oracle.line_size
+    lines, kinds = oracle.lines, oracle.kinds
+    for base in code_records:
+        first = bisect_left(lines, base)
+        end = bisect_right(lines, base, first)
+        if any(kinds[k] in (STORE, OPAQUE) for k in range(first, end)):
+            return None
+    pcs = memoryview(oracle.pcs).cast("I")
+    operands = {}
+    for pc in set(pcs):
+        entry = code_records.get(pc - pc % size)
+        record = entry[1][pc % size] if entry is not None else None
+        if record is None:
+            return None
+        operands[pc] = bytes(record[3:6])
+    # one step at a time: a join would hold a reference per step
+    packed = bytearray()
+    extend = packed.extend
+    for pc in pcs:
+        extend(operands[pc])
+    return RegisterLiveness(
+        oracle=oracle, rs1s=bytes(packed[0::3]),
+        rs2s=bytes(packed[1::3]), dests=bytes(packed[2::3]),
+        steps=oracle.steps.tobytes())
 
 
 def _copies(t1d, t1i, t2, tm) -> dict:

@@ -289,6 +289,13 @@ class PipelineEngine:
         #: absolute address of the cache byte the last data flip landed
         #: on (None when it hit dead state); read by the liveness oracle
         self.landed_addr: int | None = None
+        #: ``(physical register, XOR mask)`` of the last flip whose one
+        #: effect is on a register's value: an RF flip into a live
+        #: register, or an LSQ flip of an in-flight load's data, which
+        #: flips the load's destination (-1 and 0 when that is no
+        #: longer live, so the flip changed nothing); else None.  Read
+        #: by the fast path's register decisions
+        self.landed_reg: tuple | None = None
 
         # --- control -------------------------------------------------
         self.max_instructions = max_instructions
@@ -410,10 +417,14 @@ class PipelineEngine:
                     self._trace_landing("RF: no live register")
                     return
                 phys = live[a % len(live)]
+            mask = 0
             for k in range(n_bits):
-                info = self.rf.flip_bit(phys,
-                                        (b + k) % self.rf.xlen)
+                bit = (b + k) % self.rf.xlen
+                info = self.rf.flip_bit(phys, bit)
                 self.fault_live = self.fault_live or info["live"]
+                mask ^= 1 << bit
+            if info["live"]:
+                self.landed_reg = (phys, mask)
             self._trace_landing(f"RF: physical register {phys}, "
                                 f"bit {b % self.rf.xlen}")
             return
@@ -461,6 +472,8 @@ class PipelineEngine:
             f"@ {entry.addr:#010x})")
         n_bits = getattr(spec, "n_bits", 1)
         if fld == "data":
+            if not entry.is_store:
+                self.landed_reg = (-1, 0)
             for k in range(n_bits):
                 self._flip_lsq_data_bit(entry, bit + k)
         else:  # address field
@@ -486,11 +499,15 @@ class PipelineEngine:
                 self.record_crossing("WD", mem_addr=addr)
         else:
             # corrupt the load's destination register if still live
+            phys, mask = self.landed_reg
             if entry.dest_phys >= 0 \
                     and self.rf.state[entry.dest_phys]:
-                self.rf.values[entry.dest_phys] ^= \
-                    1 << (bit % self.rf.xlen)
-                self.rf.tainted.add(entry.dest_phys)
+                phys = entry.dest_phys
+                flip = 1 << (bit % self.rf.xlen)
+                self.rf.values[phys] ^= flip
+                self.rf.tainted.add(phys)
+                mask ^= flip
+            self.landed_reg = (phys, mask)
 
     def _taint_line(self, addr: int) -> None:
         index, tag = self.l1d._index_tag(addr)
@@ -773,6 +790,9 @@ class PipelineEngine:
                         result = injected(self)
                         if result is not None:
                             break
+                        # the hook may have brought its next poll
+                        # forward
+                        limit = min(fastpath.next_check, max_instructions)
 
                 # ---- fetch ------------------------------------------
                 fetch = fetch_time + inv_fetch

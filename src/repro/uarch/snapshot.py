@@ -60,7 +60,16 @@ deterministic simulators:
   flip fires whether the golden run next overwrites the location or
   never reads it again (the run ends there with the golden result),
   or where it first reads it (the run jumps to the last checkpoint
-  before that read and applies the flip again).
+  before that read and applies the flip again);
+
+* **register flips** — a flip of a live physical register's value (an
+  RF flip, or an LSQ flip of an in-flight load's data) is decided the
+  same way from the store's :class:`~repro.uarch.liveness.RegisterLiveness`:
+  the run ends as it lands when no architectural register holds the
+  flipped one or the golden run overwrites it first or never reads
+  it again, ends right after its first read when every golden use of
+  the value is a copy that dies unread, and jumps to the last
+  checkpoint before that read otherwise.
 
 Correctness invariants the digest relies on:
 
@@ -107,7 +116,8 @@ from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
 from .cache import Cache, Line
 from .functional import (FaultAction, FuncResult, FunctionalEngine,
                          RunStatus, collected_ranges, decode_record)
-from .liveness import LivenessOracle, record_liveness
+from .liveness import (LivenessOracle, RegisterLiveness, first_reg_read,
+                       record_liveness, register_liveness)
 from .pipeline import (PipelineEngine, PipelineResult, code_records,
                        fold_coordinates)
 
@@ -178,12 +188,29 @@ class CheckpointStore:
     #: built on first demand and never saved
     arch_liveness: "ArchLiveness | None" = field(default=None,
                                                  compare=False, repr=False)
+    #: the golden run's :class:`RegisterLiveness` (pipeline stores),
+    #: built on first demand by :meth:`register_liveness` and never
+    #: saved; False when none can be built
+    reg_liveness: "RegisterLiveness | bool | None" = field(
+        default=None, compare=False, repr=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["code_records"] = {}
         state.pop("arch_liveness", None)
+        state.pop("reg_liveness", None)
         return state
+
+    def register_liveness(self) -> "RegisterLiveness | None":
+        """The golden run's register record, from the oracle's pc record
+        and ``code_records``, built on first demand; None when the store
+        has no oracle or the record cannot be built (see
+        :func:`repro.uarch.liveness.register_liveness`)."""
+        if self.reg_liveness is None:
+            self.reg_liveness = self.liveness is not None and (
+                register_liveness(self.liveness, self.code_records)
+                or False)
+        return self.reg_liveness or None
 
     def nearest(self, *, cycle: float = float("inf"),
                 instructions: float = float("inf"),
@@ -647,7 +674,11 @@ class ArchLiveness:
     the step after the last, cut at 8-byte granules and sorted by
     granule (stably, so each granule's events stay in step order): the
     bytes ``los[k]`` up to ``his[k]`` of granule ``granules[k]``,
-    stored when ``stores[k]``."""
+    stored when ``stores[k]``.  The pipeline's counterpart for register
+    flips, :class:`~repro.uarch.liveness.RegisterLiveness`, derives
+    the same three register bytes per step from the pipeline capture,
+    and both find a register's first read with
+    :func:`~repro.uarch.liveness.first_reg_read`."""
 
     rs1s: bytes
     rs2s: bytes
@@ -668,17 +699,8 @@ class ArchLiveness:
         location reads it."""
         kind, where, _mask = target
         if kind == "reg":
-            if not where:
-                return None      # r0 reads 0 whatever it holds
-            needle = bytes((where,))
-            found = [at for at in (self.rs1s.find(needle, step),
-                                   self.rs2s.find(needle, step))
-                     if at >= 0]
-            if not found:
-                return None
-            read = min(found)
-            write = self.dests.find(needle, step)
-            return None if 0 <= write < read else read
+            return first_reg_read(self.rs1s, self.rs2s, self.dests, where,
+                                  step)
         read = self._first_fetch(where & ~3, step)
         granules, los, his = self.granules, self.los, self.his
         granule, off = where & ~7, where & 7
@@ -773,21 +795,36 @@ def _flip_mask(engine: PipelineEngine, spec) -> dict:
     return mask
 
 
+def _flipped_bytes(mask: int) -> int:
+    """A bit per byte of the register value that XOR *mask* changes."""
+    return sum(1 << k for k in range(8) if mask >> (8 * k) & 0xFF)
+
+
 class _PipelineFastPath:
     """Early Masked termination against the golden digest trace; when
     the one fault has landed, the dead-state exit and, when ``oracle``
-    is set, the liveness oracle's exit and jump."""
+    is set, the liveness oracle's and the register record's exits and
+    jumps.  ``exit_at`` is the instruction count at which a register
+    flip's copy exit ends the run (see :meth:`_register_flip`)."""
 
-    __slots__ = ("store", "next_check", "oracle")
+    __slots__ = ("store", "next_check", "oracle", "exit_at")
 
     def __init__(self, store: CheckpointStore, start: int) -> None:
         self.store = store
         self.next_check = start
         self.oracle: "LivenessOracle | None" = store.liveness
+        self.exit_at: "int | float" = float("inf")
 
     def poll(self, engine: PipelineEngine):
         store = self.store
-        self.next_check = engine.instructions + store.interval
+        at = engine.instructions
+        if at == self.exit_at:
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter(FASTPATH_ORACLE_EXITS).inc()
+            return self._golden_result(engine)
+        # every poll but the exit step's is on the checkpoint grid
+        self.next_check = min(at + store.interval, self.exit_at)
         if engine._next_fault < len(engine.faults):
             return None  # convergence guard: fault not yet applied
         expect = store.digests.get(engine.instructions)
@@ -798,8 +835,10 @@ class _PipelineFastPath:
     def injected(self, engine: PipelineEngine):
         """Called once, right after the engine applied its faults.
         With one fault, the golden result when the flip hit only dead
-        state or is a cache data flip the oracle proves never read; a
-        jump (see :meth:`_jump`) when such a flip is first read after a
+        state, is a cache data flip the oracle proves never read, or
+        a register flip the golden run never reads (see
+        :meth:`_register_flip`); a jump (see :meth:`_jump` and
+        :meth:`_jump_register`) when such a flip is first read after a
         later golden checkpoint; else None.  Without an oracle (a store
         that has none, or a caller that pins the digest exits alone)
         it decides nothing."""
@@ -809,6 +848,8 @@ class _PipelineFastPath:
             return None
         if not engine.fault_live:
             return self._golden_result(engine)   # nothing changed
+        if engine.landed_reg is not None:
+            return self._register_flip(engine)
         spec = faults[0]
         if spec.structure not in _ORACLE_STRUCTURES \
                 or getattr(spec, "kind", "data") != "data":
@@ -828,6 +869,55 @@ class _PipelineFastPath:
         return partial(self._jump, cp, addr - addr % oracle.line_size,
                        copies, _flip_mask(engine, spec),
                        spec.structure == "L1I")
+
+    def _register_flip(self, engine: PipelineEngine):
+        """Decide a flip whose one effect is on a physical register's
+        value (``engine.landed_reg``) from the golden run's
+        :class:`RegisterLiveness`.  The faulty run follows the golden
+        run until it reads the architectural register that holds the
+        flipped one: when none holds it, or the golden run overwrites
+        it first or never reads it again, the golden result.  When
+        every golden use of the value is a copy that dies unread (a
+        trap frame's save and restore), the run ends with the golden
+        result right after the first read, which records the
+        crossing: ``exit_at``.  And when a golden checkpoint lies
+        after the flip and at or before the read, a jump there."""
+        record = self.store.register_liveness()
+        if record is None:
+            return None
+        phys, mask = engine.landed_reg
+        rename_map = engine.rf.rename_map
+        # a register left out of the map is never read again
+        reg = rename_map.index(phys) if phys in rename_map else 0
+        step = engine.instructions
+        read = record.first_read(reg, step)
+        if read is None:
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter(FASTPATH_ORACLE_EXITS).inc()
+            return self._golden_result(engine)
+        if record.only_copied(reg, _flipped_bytes(mask), step):
+            self.exit_at = read + 1
+            self.next_check = min(self.next_check, self.exit_at)
+        cp = self.store.last_between(step, read)
+        if cp is None:
+            return None
+        return partial(self._jump_register, cp, reg, mask)
+
+    def _jump_register(self, cp: Checkpoint, reg: int, mask: int,
+                       engine: PipelineEngine) -> None:
+        """Move *engine* from its register flip to checkpoint *cp*,
+        which the golden run reaches before it reads register *reg*:
+        restore *cp* and XOR *mask* into the physical register that
+        holds *reg* there, tainted.  Up to the read the faulty run
+        differs from the golden run only there."""
+        skipped = cp.instructions - engine.instructions
+        restore_pipeline(engine, cp.state)
+        rf = engine.rf
+        phys = rf.rename_map[reg]
+        rf.values[phys] ^= mask
+        rf.tainted.add(phys)
+        self._jumped(cp, skipped)
 
     def _jump(self, cp: Checkpoint, base: int, copies: dict, mask: dict,
               l1i_flip: bool, engine: PipelineEngine) -> None:
@@ -861,7 +951,14 @@ class _PipelineFastPath:
             # as after a live L1I flip: the next fetch goes through
             # the I-cache
             engine._fetch_line_base = -1
-        self.next_check = cp.instructions + self.store.interval
+        self._jumped(cp, skipped)
+
+    def _jumped(self, cp: Checkpoint, skipped: int) -> None:
+        """A jump's bookkeeping: the next poll, on the grid after *cp*
+        or at the exit step, and the counters of *skipped*
+        instructions."""
+        self.next_check = min(cp.instructions + self.store.interval,
+                              self.exit_at)
         registry = get_registry()
         if registry.enabled:
             registry.counter(FASTPATH_JUMPS).inc()
@@ -1028,6 +1125,7 @@ def decode_code(store: CheckpointStore, config) -> None:
     """Set up *store*'s shared run records of its golden code lines for
     *config*, the capture's core (see :attr:`PipelineEngine.code_records`)."""
     store.code_records = code_records(store.code, config)
+    store.reg_liveness = None     # built from the records on demand
 
 
 def build_functional_store(image_factory, kernel: str,
