@@ -14,7 +14,8 @@ own copy.
 Prints, per workload and per end-to-end metric of ``BENCHMARK.json``,
 one row of the table format EXPERIMENTS.md uses — median [lower
 quartile, upper quartile] of each side, change ÷ parent, and in how
-many pairs the change was better — then each pair's values.  Exits 1
+many pairs the change was better — then each pair's values and the
+median [quartiles] of the per-pair change ÷ parent ratios.  Exits 1
 if any run was not ``correct`` or had failed injections.
 """
 
@@ -99,15 +100,26 @@ def summarize(workload: str, pairs: list) -> list:
 
 
 def per_pair(workload: str, pairs: list, seeds: list) -> list:
+    """Notes under the table: per metric, each pair's values, and the
+    median [quartiles] of each pair's change ÷ parent ratio.  Pair *k*
+    runs at its own seed, so the sides' quartiles mix the seeds'
+    different work with host noise; the ratios hold only the noise and
+    the change."""
     lines = []
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
-        cells = ", ".join(
-            f"{seed} {_num(p['metrics'][name]['value'])}/"
-            f"{_num(c['metrics'][name]['value'])}"
-            for seed, (p, c) in zip(seeds, pairs))
+        values = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                  for p, c in pairs]
+        cells = ", ".join(f"{seed} {_num(p)}/{_num(c)}"
+                          for seed, (p, c) in zip(seeds, values))
         lines.append(f"Per pair (seed parent/change), `{workload}` "
                      f"`{name}`: {cells}.")
+        ratios = [c / p for p, c in values if p]
+        if ratios:
+            median, q1, q3 = spread(ratios)
+            lines.append(f"Per-pair change ÷ parent, `{workload}` "
+                         f"`{name}`: {median:.3g}x [{q1:.3g}x, "
+                         f"{q3:.3g}x].")
     return lines
 
 

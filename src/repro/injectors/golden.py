@@ -322,20 +322,22 @@ def checkpoint_store(workload: str, config_name: str,
 def arch_liveness(workload: str, config_name: str,
                   hardened: bool = False):
     """The golden functional-sim run's
-    :class:`~repro.uarch.snapshot.ArchLiveness`: recorded by one
+    :class:`~repro.uarch.liveness.RegisterLiveness` (see
+    :func:`repro.uarch.snapshot.functional_liveness`), recorded by one
     :func:`replay_golden` on first demand and held, never saved, on the
-    target's functional-sim checkpoint store."""
+    target's functional-sim checkpoint store; None when none can be
+    built."""
     from ..uarch import snapshot
 
     store = checkpoint_store(workload, config_name, engine="functional-sim",
                              hardened=hardened)
-    if store.arch_liveness is None:
-        recorder = snapshot.ArchLivenessRecorder()
-        result = replay_golden(workload, config_name,
-                               engine="functional-sim", hardened=hardened,
-                               observer=recorder)
-        store.arch_liveness = recorder.finish(result)
-    return store.arch_liveness
+    if store.reg_liveness is None:
+        store.reg_liveness = snapshot.functional_liveness(
+            store, config_by_name(config_name),
+            lambda observer: replay_golden(
+                workload, config_name, engine="functional-sim",
+                hardened=hardened, observer=observer)) or False
+    return store.reg_liveness or None
 
 
 def replay_golden(workload: str, config_name: str, *,

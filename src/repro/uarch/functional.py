@@ -278,7 +278,9 @@ class FaultAction:
     and ``target`` a persistent flip's location, ``("reg", index,
     mask)`` or ``("mem", addr, mask)``, that ``apply`` XORs with
     ``mask`` and nothing else; a fast-path hook may decide the run
-    from it (see :class:`repro.uarch.snapshot.ArchLiveness`).
+    from the golden run's first read of it
+    (:meth:`repro.uarch.liveness.RegisterLiveness.first_read` and
+    ``first_byte_read``).
     """
 
     counter: str

@@ -50,6 +50,13 @@ golden code, so the first read is a ``bytes.find``; and it tells when
 every use of the value is a copy (stored, and loaded back only into
 registers that are themselves only copied) that dies unread, as a
 trap frame's save and restore does.
+
+The same record serves pvf WD flips of a register or a memory byte.
+The recorder then observes a replay of the golden functional-sim run,
+which has no caches: its lines are :data:`GRANULE` bytes, its events
+each load and store cut at them and the end-of-run reads as
+``DRAIN`` events, and :meth:`RegisterLiveness.first_byte_read` finds a
+byte's first load, drain or fetch before any store covering it.
 """
 
 from __future__ import annotations
@@ -67,6 +74,10 @@ from .memory import ADDR_MASK
 
 #: the copies of one line, in :meth:`LivenessOracle.walk`'s result
 COPIES = ("L1D", "L1I", "L2", "memory")
+
+#: the line size of a functional-sim run's record: the most bytes one
+#: load or store touches
+GRANULE = 8
 
 _CLEAN: frozenset = frozenset()
 
@@ -197,25 +208,6 @@ class LivenessOracle:
         return None if found is None else found >> 2
 
 
-def first_reg_read(rs1s: bytes, rs2s: bytes, dests: bytes, reg: int,
-                   step: int) -> "int | None":
-    """The first step from *step* on that reads register *reg*, given
-    each step's source registers *rs1s*/*rs2s* and destination *dests*
-    (one byte per step, 0: none); None when a step writes *reg* first,
-    or none reads it again.  A step that reads and writes it reads it;
-    r0 is never read."""
-    if not reg:
-        return None
-    needle = bytes((reg,))
-    found = [at for at in (rs1s.find(needle, step),
-                           rs2s.find(needle, step)) if at >= 0]
-    if not found:
-        return None
-    read = min(found)
-    write = dests.find(needle, step)
-    return None if 0 <= write < read else read
-
-
 #: the registers and stored byte ranges one copy walk follows at most
 #: (:meth:`RegisterLiveness.only_copied`); past it the walk gives up
 COPY_WALK_LIMIT = 64
@@ -223,17 +215,17 @@ COPY_WALK_LIMIT = 64
 
 @dataclass
 class RegisterLiveness:
-    """When the golden pipeline run reads and writes each architectural
-    register, keyed by step: the record the fast path decides register
-    flips from.
+    """When a golden run reads and writes each architectural register
+    and memory byte, keyed by step: the record the fast path decides
+    register flips (pipeline) and WD flips (functional-sim) from.
 
     ``rs1s``/``rs2s``/``dests`` hold each step's source and destination
     registers (0: none), one byte per step, from the run record of the
-    word at the step's pc in the oracle's pc record.  The run loop reads
-    a register only as an instruction's rs1 or rs2 (a handler reads its
-    sources from the loop's ``src_vals``) and writes one only as its
-    renamed dest.  ``steps`` holds ``oracle.steps`` as native ``"I"``
-    array bytes, where ``bytes.find`` finds a step's events."""
+    word at the step's pc in the oracle's pc record.  The run loops
+    read a register only as an instruction's rs1 or rs2 (a pipeline
+    handler reads its sources from the loop's ``src_vals``) and write
+    one only as its dest.  ``steps`` holds ``oracle.steps`` as native
+    ``"I"`` array bytes, where ``bytes.find`` finds a step's events."""
 
     oracle: LivenessOracle
     rs1s: bytes
@@ -242,9 +234,43 @@ class RegisterLiveness:
     steps: bytes
 
     def first_read(self, reg: int, step: int) -> "int | None":
-        """The step of the golden run's first read of register *reg*
-        from step *step* on (see :func:`first_reg_read`)."""
-        return first_reg_read(self.rs1s, self.rs2s, self.dests, reg, step)
+        """The first step from *step* on that reads register *reg*;
+        None when a step writes it first, or none reads it again.  A
+        step that reads and writes it reads it; r0 is never read."""
+        if not reg:
+            return None
+        needle = bytes((reg,))
+        found = [at for at in (self.rs1s.find(needle, step),
+                               self.rs2s.find(needle, step)) if at >= 0]
+        if not found:
+            return None
+        read = min(found)
+        write = self.dests.find(needle, step)
+        return None if 0 <= write < read else read
+
+    def first_byte_read(self, addr: int, step: int) -> "int | None":
+        """The step of the golden run's first read of the memory byte
+        at *addr*, flipped at the top of step *step*, after that step's
+        fetch: the first load or drain of the byte, or later fetch of
+        its word, that comes before any store covering it; None when a
+        store comes first or nothing reads it again.  A step fetches
+        before its access.  For records whose accesses are cut at
+        lines (a functional-sim run's)."""
+        oracle = self.oracle
+        off = addr % oracle.line_size
+        base = addr - off
+        read = oracle._first_fetch(base, (off,), step + 1)
+        lines, steps = oracle.lines, oracle.steps
+        los, his = oracle.los, oracle.his
+        first = bisect_left(lines, base)
+        end = bisect_right(lines, base, first)
+        for k in range(bisect_left(steps, step, first, end), end):
+            if los[k] <= off < his[k]:
+                at = steps[k]
+                if read is not None and read <= at:
+                    break
+                return None if oracle.kinds[k] == STORE else at
+        return read
 
     def only_copied(self, reg: int, flipped: int, step: int) -> bool:
         """Whether the golden run, from the top of step *step* on, only
@@ -387,27 +413,39 @@ def _copies(t1d, t1i, t2, tm) -> dict:
 
 
 class LivenessRecorder:
-    """Records a capture engine's cache events.  It is an observer of
-    the run: its :meth:`step`, after every instruction, records that
-    instruction's load or store from ``engine.pending_mem`` and the pc
-    of the next one, which numbers the events' steps.  The events the
-    loop's accesses make out of line (fills and evictions, writebacks
-    to the L2 and memory, the drain) come from wrappers of those
-    methods on the instances, so the engine class, and the L1 path
-    every run takes, stays untouched."""
+    """Records a golden run's events as an observer of it: its step,
+    after every instruction, records that instruction's load or store
+    and the pc of the next one, which numbers the events' steps.
 
-    def __init__(self, engine) -> None:
-        self.line_size = size = engine.l1d.line_size
-        offset = size - 1
+    Given the pipeline capture *engine* (:func:`record_liveness`), the
+    access comes from ``engine.pending_mem``, a line-crossing one as an
+    ``OPAQUE`` event per line, and the events the loop's accesses make
+    out of line (fills and evictions, writebacks to the L2 and memory,
+    the drain) come from wrappers of those methods on the instances, so
+    the engine class, and the L1 path every run takes, stays
+    untouched.  Without one the recorder observes a functional-sim run
+    from reset at *pc*, which has no caches: the access comes from
+    ``engine.last_mem``, cut at lines, and :meth:`drain` records the
+    end-of-run reads."""
+
+    def __init__(self, line_size: int, pc: int, engine=None) -> None:
+        self.line_size = line_size
         self.events: list = []
-        self._append = append = self.events.append
+        self._append = self.events.append
         #: the pc of every instruction so far and of the next one, so
         #: the step in progress is ``len(pcs) - 1``
-        self.pcs = pcs = array("I", (engine.ms.pc & ADDR_MASK,))
-        self._append_pc = pcs.append
-        l2 = engine.l2
+        self.pcs = array("I", (pc & ADDR_MASK,))
+        self._append_pc = self.pcs.append
         #: ``(object, attribute)`` of every wrapper installed
         self.installed: list = []
+        if engine is None:
+            self.step = self._functional_step
+        else:
+            self._wrap(engine)
+
+    def _wrap(self, engine) -> None:
+        append, pcs, size = self._append, self.pcs, self.line_size
+        l2 = engine.l2
         for cache, fill, drop in ((engine.l1d, FILL_L1D, DROP_L1D),
                                   (engine.l1i, FILL_L1I, DROP_L1I),
                                   (l2, FILL_L2, DROP_L2)):
@@ -430,23 +468,17 @@ class LivenessRecorder:
         coherent_read = engine.coherent_read
 
         def wrapped_coherent_read(addr, nbytes):
-            step = len(pcs) - 1
-            at, left = addr, nbytes
-            while left:
-                off = at & offset
-                seg = min(left, size - off)
-                append((at - off, step, DRAIN, off, off + seg))
-                at += seg
-                left -= seg
+            _cut(append, DRAIN, len(pcs) - 1, addr, nbytes, size)
             return coherent_read(addr, nbytes)
 
         self._install(engine, coherent_read=wrapped_coherent_read)
 
     def step(self, engine) -> None:
-        """Observer step, after every instruction: its load or store,
-        after the fills and evictions that access made, then the next
-        pc.  An access inside one line is a ``LOAD``/``STORE`` of its
-        bytes; a line-crossing one is an ``OPAQUE`` event per line."""
+        """Observer step of the pipeline capture, after every
+        instruction: its load or store, after the fills and evictions
+        that access made, then the next pc.  An access inside one line
+        is a ``LOAD``/``STORE`` of its bytes; a line-crossing one is an
+        ``OPAQUE`` event per line."""
         mem = engine.pending_mem
         if mem is not None:
             size = self.line_size
@@ -464,6 +496,25 @@ class LivenessRecorder:
                     self._append((addr - off, step, OPAQUE, 0, 0))
                     addr += size - off
         self._append_pc(engine.ms.pc & ADDR_MASK)
+
+    def _functional_step(self, engine) -> None:
+        """Observer step of a functional-sim run: its load or store, a
+        ``LOAD``/``STORE`` event per line it touches, then the next
+        pc."""
+        mem = engine.last_mem
+        if mem is not None:
+            _cut(self._append, STORE if mem[0] == "store" else LOAD,
+                 len(self.pcs) - 1, mem[1], mem[2], self.line_size)
+        self._append_pc(engine.ms.pc & ADDR_MASK)
+
+    def drain(self, ranges) -> None:
+        """Record the end of a functional-sim run's reads, ``(addr,
+        nbytes)`` *ranges* (see
+        :func:`repro.uarch.functional.collected_ranges`), as ``DRAIN``
+        events of the step after the last."""
+        step = len(self.pcs) - 1
+        for addr, nbytes in ranges:
+            _cut(self._append, DRAIN, step, addr, nbytes, self.line_size)
 
     def _install(self, obj, **wrappers) -> None:
         for name, wrapper in wrappers.items():
@@ -518,4 +569,17 @@ def record_liveness(engine) -> "LivenessRecorder | None":
              engine.l2.line_size}
     if len(sizes) != 1:
         return None
-    return LivenessRecorder(engine)
+    return LivenessRecorder(sizes.pop(), engine.ms.pc, engine)
+
+
+def _cut(append, kind: int, step: int, addr: int, nbytes: int,
+         size: int) -> None:
+    """*append* a *kind* event of step *step* for each line of
+    *size* bytes that the *nbytes* at *addr* touch, with their
+    offsets."""
+    while nbytes:
+        off = addr & (size - 1)
+        seg = min(nbytes, size - off)
+        append((addr - off, step, kind, off, off + seg))
+        addr += seg
+        nbytes -= seg

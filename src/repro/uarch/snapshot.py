@@ -52,16 +52,6 @@ deterministic simulators:
   physical register, an invalid or committed LSQ slot, an invalid
   line) changes nothing at all, and its run ends as it lands;
 
-* **architectural flips** — the functional counterpart of the last
-  three: a pvf WD flip of one register or memory byte persists until
-  it is overwritten, and the faulty run follows the golden run until
-  it reads the flipped location.  :class:`ArchLiveness`, a record of
-  the golden functional-sim run built on first demand, tells as the
-  flip fires whether the golden run next overwrites the location or
-  never reads it again (the run ends there with the golden result),
-  or where it first reads it (the run jumps to the last checkpoint
-  before that read and applies the flip again);
-
 * **register flips** — a flip of a live physical register's value (an
   RF flip, or an LSQ flip of an in-flight load's data) is decided the
   same way from the store's :class:`~repro.uarch.liveness.RegisterLiveness`:
@@ -69,7 +59,16 @@ deterministic simulators:
   flipped one or the golden run overwrites it first or never reads
   it again, ends right after its first read when every golden use of
   the value is a copy that dies unread, and jumps to the last
-  checkpoint before that read otherwise.
+  checkpoint before that read otherwise;
+
+* **architectural flips** — the functional counterpart: a pvf WD flip
+  of one register or memory byte persists until it is overwritten.
+  The same record type, of the golden functional-sim run and built on
+  first demand, ends its run as the flip fires when the golden run
+  overwrites the location first or never reads it again, or jumps it
+  to the last checkpoint before the first read, where the flip is
+  applied again.  Cache, register and WD flips all go through one
+  decision, ``_FastPath._decide``.
 
 Correctness invariants the digest relies on:
 
@@ -99,14 +98,12 @@ import os
 import pickle
 import tempfile
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 
 from ..isa.layout import PAGE_SIZE
-from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
+from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED, FASTPATH_DIGEST_EXITS,
                            FASTPATH_EARLY_EXITS,
                            FASTPATH_INSTRUCTIONS_JUMPED,
                            FASTPATH_INSTRUCTIONS_SAVED,
@@ -115,9 +112,9 @@ from ..obs.metrics import (FASTPATH_CYCLES_SKIPPED,
                            FASTPATH_RESTORES, env_flag, get_registry)
 from .cache import Cache, Line
 from .functional import (FaultAction, FuncResult, FunctionalEngine,
-                         RunStatus, collected_ranges, decode_record)
-from .liveness import (LivenessOracle, RegisterLiveness, first_reg_read,
-                       record_liveness, register_liveness)
+                         RunStatus, collected_ranges)
+from .liveness import (GRANULE, LivenessOracle, LivenessRecorder,
+                       RegisterLiveness, record_liveness, register_liveness)
 from .pipeline import (PipelineEngine, PipelineResult, code_records,
                        fold_coordinates)
 
@@ -184,12 +181,9 @@ class CheckpointStore:
     #: :func:`decode_code` and never saved (records hold functions)
     code_records: dict = field(default_factory=dict, compare=False,
                                repr=False)
-    #: the golden run's :class:`ArchLiveness` (functional-sim stores),
-    #: built on first demand and never saved
-    arch_liveness: "ArchLiveness | None" = field(default=None,
-                                                 compare=False, repr=False)
-    #: the golden run's :class:`RegisterLiveness` (pipeline stores),
-    #: built on first demand by :meth:`register_liveness` and never
+    #: the golden run's :class:`RegisterLiveness`, built on first
+    #: demand (pipeline stores: :meth:`register_liveness`;
+    #: functional-sim stores: :func:`functional_liveness`) and never
     #: saved; False when none can be built
     reg_liveness: "RegisterLiveness | bool | None" = field(
         default=None, compare=False, repr=False)
@@ -197,7 +191,6 @@ class CheckpointStore:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["code_records"] = {}
-        state.pop("arch_liveness", None)
         state.pop("reg_liveness", None)
         return state
 
@@ -657,128 +650,6 @@ class _CaptureObserver:
 
 
 # ---------------------------------------------------------------------------
-# architectural liveness (pvf WD flips)
-# ---------------------------------------------------------------------------
-@dataclass
-class ArchLiveness:
-    """When the golden functional-sim run reads and writes each
-    register and memory byte, keyed by step (the index of its
-    instruction).
-
-    ``rs1s``/``rs2s``/``dests`` hold each step's source and destination
-    registers (0: none), from its decode record; no handler reads or
-    writes any other register.  ``fetches`` holds, as native ``"I"``
-    array bytes, the pc that each step after the first fetches.  The
-    memory events are each load and store, and the end of the run's
-    reads (:func:`repro.uarch.functional.collected_ranges`) as loads at
-    the step after the last, cut at 8-byte granules and sorted by
-    granule (stably, so each granule's events stay in step order): the
-    bytes ``los[k]`` up to ``his[k]`` of granule ``granules[k]``,
-    stored when ``stores[k]``.  The pipeline's counterpart for register
-    flips, :class:`~repro.uarch.liveness.RegisterLiveness`, derives
-    the same three register bytes per step from the pipeline capture,
-    and both find a register's first read with
-    :func:`~repro.uarch.liveness.first_reg_read`."""
-
-    rs1s: bytes
-    rs2s: bytes
-    dests: bytes
-    fetches: bytes
-    granules: array       # "q"
-    steps: array          # "I"
-    los: bytes
-    his: bytes
-    stores: bytes
-
-    def first_read(self, target: tuple, step: int) -> "int | None":
-        """The step of the golden run's first read of *target*'s
-        location (see :class:`repro.uarch.functional.FaultAction`),
-        flipped at the top of step *step*, after its fetch; None when
-        the golden run overwrites the location first or never reads it
-        again, so the flip is dead.  A step that reads and writes the
-        location reads it."""
-        kind, where, _mask = target
-        if kind == "reg":
-            return first_reg_read(self.rs1s, self.rs2s, self.dests, where,
-                                  step)
-        read = self._first_fetch(where & ~3, step)
-        granules, los, his = self.granules, self.los, self.his
-        granule, off = where & ~7, where & 7
-        first = bisect_left(granules, granule)
-        end = bisect_right(granules, granule, first)
-        for k in range(bisect_left(self.steps, step, first, end), end):
-            if los[k] <= off < his[k]:
-                at = self.steps[k]
-                if read is not None and read <= at:
-                    break        # a step fetches before its access
-                return None if self.stores[k] else at
-        return read
-
-    def _first_fetch(self, word: int, step: int) -> "int | None":
-        """The first step after *step* that fetches the word at
-        *word*."""
-        fetches = self.fetches
-        needle = array("I", (word,)).tobytes()
-        at = fetches.find(needle, 4 * step)
-        while at > 0 and at & 3:     # a match across two pcs
-            at = fetches.find(needle, at + 1)
-        return None if at < 0 else (at >> 2) + 1
-
-
-class ArchLivenessRecorder:
-    """Observer of a fault-free functional-sim run from reset that
-    collects its :class:`ArchLiveness`; it steps after every
-    instruction."""
-
-    def __init__(self) -> None:
-        #: rs1, rs2 and dest of every step so far
-        self.operands = bytearray()
-        #: the pc after every step so far
-        self.pcs = array("I")
-        #: ``(step, addr, nbytes, is store)`` of every access so far
-        self.accesses: list = []
-        #: instruction word -> its three operand bytes
-        self._operands: dict = {}
-
-    def step(self, engine) -> None:
-        word = engine.last_instr.raw
-        operands = self._operands.get(word)
-        if operands is None:
-            record = decode_record(word, engine.regs_meta)
-            operands = self._operands[word] = bytes(record[3:6])
-        self.operands += operands
-        mem = engine.last_mem
-        if mem is not None:
-            self.accesses.append((engine.executed - 1, mem[1], mem[2],
-                                  mem[0] == "store"))
-        self.pcs.append(engine.ms.pc & 0xFFFF_FFFF)
-
-    def finish(self, result: FuncResult) -> ArchLiveness:
-        """The record of the run that ended with *result*."""
-        accesses = self.accesses + [
-            (result.instructions, addr, nbytes, False)
-            for addr, nbytes in collected_ranges(len(result.output))]
-        events = []
-        for step, addr, nbytes, store in accesses:
-            end = addr + nbytes
-            while addr < end:
-                off = addr & 7
-                seg = min(end - addr, 8 - off)
-                events.append((addr - off, step, off, off + seg, store))
-                addr += seg
-        granules, steps, los, his, stores = list(zip(
-            *sorted(events, key=itemgetter(0)))) or [()] * 5
-        operands = self.operands
-        return ArchLiveness(
-            rs1s=bytes(operands[0::3]), rs2s=bytes(operands[1::3]),
-            dests=bytes(operands[2::3]),
-            # the last pc is the one after the final instruction
-            fetches=self.pcs[:-1].tobytes(),
-            granules=array("q", granules), steps=array("I", steps),
-            los=bytes(los), his=bytes(his), stores=bytes(stores))
-
-
-# ---------------------------------------------------------------------------
 # early-exit hooks (installed as engine.fastpath during injection runs)
 # ---------------------------------------------------------------------------
 def _flip_mask(engine: PipelineEngine, spec) -> dict:
@@ -800,29 +671,76 @@ def _flipped_bytes(mask: int) -> int:
     return sum(1 << k for k in range(8) if mask >> (8 * k) & 0xFF)
 
 
-class _PipelineFastPath:
-    """Early Masked termination against the golden digest trace; when
-    the one fault has landed, the dead-state exit and, when ``oracle``
-    is set, the liveness oracle's and the register record's exits and
-    jumps.  ``exit_at`` is the instruction count at which a register
-    flip's copy exit ends the run (see :meth:`_register_flip`)."""
+class _FastPath:
+    """What the early-exit hooks of both engines share: the one
+    decision of a flip from the step of its golden first read, the
+    jump bookkeeping and the exit counters.  ``exit_at`` is the
+    instruction count at which a copy exit ends the run (see
+    :meth:`_PipelineFastPath._register_flip`)."""
 
-    __slots__ = ("store", "next_check", "oracle", "exit_at")
+    __slots__ = ("store", "next_check", "exit_at")
 
     def __init__(self, store: CheckpointStore, start: int) -> None:
         self.store = store
         self.next_check = start
-        self.oracle: "LivenessOracle | None" = store.liveness
         self.exit_at: "int | float" = float("inf")
+
+    def _decide(self, engine, step: int, read: "int | None", jump):
+        """Decide a flip that landed at the top of step *step* and that
+        the golden run first reads at step *read*: with no read, the
+        golden result, counted as an oracle exit; with a golden
+        checkpoint after *step* and at or before *read*, ``jump(cp)``
+        for the last one, the engine's move there, which the engine
+        applies next (the next poll is then on the grid after it, or
+        at the exit step); else None, and the run goes on."""
+        if read is None:
+            return self._exit(engine, FASTPATH_ORACLE_EXITS)
+        cp = self.store.last_between(step, read)
+        if cp is None:
+            return None
+        self.next_check = min(cp.instructions + self.store.interval,
+                              self.exit_at)
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(FASTPATH_JUMPS).inc()
+            registry.counter(FASTPATH_INSTRUCTIONS_JUMPED).inc(
+                cp.instructions - step)
+        return jump(cp)
+
+    def _exit(self, engine, counter: str):
+        """The golden result, counted in *counter* too."""
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(counter).inc()
+        return self._golden_result(engine)
+
+    def _exited(self, at: int) -> None:
+        """An early exit's counters, for a run ended at instruction
+        count *at*."""
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(FASTPATH_EARLY_EXITS).inc()
+            registry.counter(FASTPATH_INSTRUCTIONS_SAVED).inc(
+                self.store.final["instructions"] - at)
+
+
+class _PipelineFastPath(_FastPath):
+    """Early Masked termination against the golden digest trace; when
+    the one fault has landed, the dead-state exit and, when ``oracle``
+    is set, the liveness oracle's and the register record's exits and
+    jumps."""
+
+    __slots__ = ("oracle",)
+
+    def __init__(self, store: CheckpointStore, start: int) -> None:
+        super().__init__(store, start)
+        self.oracle: "LivenessOracle | None" = store.liveness
 
     def poll(self, engine: PipelineEngine):
         store = self.store
         at = engine.instructions
         if at == self.exit_at:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(FASTPATH_ORACLE_EXITS).inc()
-            return self._golden_result(engine)
+            return self._exit(engine, FASTPATH_ORACLE_EXITS)
         # every poll but the exit step's is on the checkpoint grid
         self.next_check = min(at + store.interval, self.exit_at)
         if engine._next_fault < len(engine.faults):
@@ -830,18 +748,16 @@ class _PipelineFastPath:
         expect = store.digests.get(engine.instructions)
         if expect is None or pipeline_digest(engine) != expect:
             return None
-        return self._golden_result(engine)
+        return self._exit(engine, FASTPATH_DIGEST_EXITS)
 
     def injected(self, engine: PipelineEngine):
         """Called once, right after the engine applied its faults.
         With one fault, the golden result when the flip hit only dead
-        state, is a cache data flip the oracle proves never read, or
-        a register flip the golden run never reads (see
-        :meth:`_register_flip`); a jump (see :meth:`_jump` and
-        :meth:`_jump_register`) when such a flip is first read after a
-        later golden checkpoint; else None.  Without an oracle (a store
-        that has none, or a caller that pins the digest exits alone)
-        it decides nothing."""
+        state; a cache data flip is decided (see :meth:`_decide`) from
+        the oracle's first read, and a register flip from the register
+        record (see :meth:`_register_flip`); else None.  Without an
+        oracle (a store that has none, or a caller that pins the
+        digest exits alone) it decides nothing."""
         oracle = self.oracle
         faults = engine.faults
         if oracle is None or len(faults) != 1:
@@ -855,33 +771,27 @@ class _PipelineFastPath:
                 or getattr(spec, "kind", "data") != "data":
             return None
         addr = engine.landed_addr
-        read = oracle.first_read(engine, spec.structure, addr)
-        if read is None:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(FASTPATH_ORACLE_EXITS).inc()
-            return self._golden_result(engine)
-        cp = self.store.last_between(engine.instructions, read)
-        if cp is None:
-            return None
-        copies = oracle.walk(engine, spec.structure, addr,
-                             stop=cp.instructions)[1]
-        return partial(self._jump, cp, addr - addr % oracle.line_size,
-                       copies, _flip_mask(engine, spec),
-                       spec.structure == "L1I")
+
+        def jump(cp: Checkpoint):
+            copies = oracle.walk(engine, spec.structure, addr,
+                                 stop=cp.instructions)[1]
+            return partial(self._jump, cp, addr - addr % oracle.line_size,
+                           copies, _flip_mask(engine, spec),
+                           spec.structure == "L1I")
+
+        return self._decide(engine, engine.instructions,
+                            oracle.first_read(engine, spec.structure, addr),
+                            jump)
 
     def _register_flip(self, engine: PipelineEngine):
         """Decide a flip whose one effect is on a physical register's
         value (``engine.landed_reg``) from the golden run's
         :class:`RegisterLiveness`.  The faulty run follows the golden
         run until it reads the architectural register that holds the
-        flipped one: when none holds it, or the golden run overwrites
-        it first or never reads it again, the golden result.  When
-        every golden use of the value is a copy that dies unread (a
-        trap frame's save and restore), the run ends with the golden
-        result right after the first read, which records the
-        crossing: ``exit_at``.  And when a golden checkpoint lies
-        after the flip and at or before the read, a jump there."""
+        flipped one (none: never read).  When every golden use of the
+        value is a copy that dies unread (a trap frame's save and
+        restore), the run ends with the golden result right after the
+        first read, which records the crossing: ``exit_at``."""
         record = self.store.register_liveness()
         if record is None:
             return None
@@ -891,18 +801,12 @@ class _PipelineFastPath:
         reg = rename_map.index(phys) if phys in rename_map else 0
         step = engine.instructions
         read = record.first_read(reg, step)
-        if read is None:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(FASTPATH_ORACLE_EXITS).inc()
-            return self._golden_result(engine)
-        if record.only_copied(reg, _flipped_bytes(mask), step):
+        if read is not None \
+                and record.only_copied(reg, _flipped_bytes(mask), step):
             self.exit_at = read + 1
             self.next_check = min(self.next_check, self.exit_at)
-        cp = self.store.last_between(step, read)
-        if cp is None:
-            return None
-        return partial(self._jump_register, cp, reg, mask)
+        return self._decide(engine, step, read, lambda cp: partial(
+            self._jump_register, cp, reg, mask))
 
     def _jump_register(self, cp: Checkpoint, reg: int, mask: int,
                        engine: PipelineEngine) -> None:
@@ -911,13 +815,11 @@ class _PipelineFastPath:
         restore *cp* and XOR *mask* into the physical register that
         holds *reg* there, tainted.  Up to the read the faulty run
         differs from the golden run only there."""
-        skipped = cp.instructions - engine.instructions
         restore_pipeline(engine, cp.state)
         rf = engine.rf
         phys = rf.rename_map[reg]
         rf.values[phys] ^= mask
         rf.tainted.add(phys)
-        self._jumped(cp, skipped)
 
     def _jump(self, cp: Checkpoint, base: int, copies: dict, mask: dict,
               l1i_flip: bool, engine: PipelineEngine) -> None:
@@ -929,7 +831,6 @@ class _PipelineFastPath:
         those copies, so the engine is then where the run it skips
         would be.  The fault flags, ``landed_addr`` and the applied
         fault stay as the flip set them."""
-        skipped = cp.instructions - engine.instructions
         restore_pipeline(engine, cp.state)
         for name, taint in copies.items():
             if name == "memory":
@@ -951,28 +852,12 @@ class _PipelineFastPath:
             # as after a live L1I flip: the next fetch goes through
             # the I-cache
             engine._fetch_line_base = -1
-        self._jumped(cp, skipped)
-
-    def _jumped(self, cp: Checkpoint, skipped: int) -> None:
-        """A jump's bookkeeping: the next poll, on the grid after *cp*
-        or at the exit step, and the counters of *skipped*
-        instructions."""
-        self.next_check = min(cp.instructions + self.store.interval,
-                              self.exit_at)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(FASTPATH_JUMPS).inc()
-            registry.counter(FASTPATH_INSTRUCTIONS_JUMPED).inc(skipped)
 
     def _golden_result(self, engine: PipelineEngine) -> PipelineResult:
         """The capture run's final result, with the engine's own fault
         flags and crossing."""
+        self._exited(engine.instructions)
         final = self.store.final
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(FASTPATH_EARLY_EXITS).inc()
-            registry.counter(FASTPATH_INSTRUCTIONS_SAVED).inc(
-                final["instructions"] - engine.instructions)
         return PipelineResult(
             status=RunStatus.COMPLETED,
             output=final["output"],
@@ -986,18 +871,17 @@ class _PipelineFastPath:
         )
 
 
-class _FunctionalFastPath:
+class _FunctionalFastPath(_FastPath):
     """Early Masked termination against the golden digest trace; when
-    ``liveness`` is set, the oracle's exit and jump of the one action
-    that names its flip's ``target``."""
+    ``record`` is set, its decision of the one action that names its
+    flip's ``target``."""
 
-    __slots__ = ("store", "next_check", "liveness")
+    __slots__ = ("record",)
 
     def __init__(self, store: CheckpointStore, start: int,
-                 liveness: "ArchLiveness | None" = None) -> None:
-        self.store = store
-        self.next_check = start
-        self.liveness = liveness
+                 record: "RegisterLiveness | None" = None) -> None:
+        super().__init__(store, start)
+        self.record = record
 
     def poll(self, engine: FunctionalEngine):
         store = self.store
@@ -1009,30 +893,25 @@ class _FunctionalFastPath:
         expect = store.digests.get(engine.executed)
         if expect is None or functional_digest(engine) != expect:
             return None
-        return self._golden_result(engine)
+        return self._exit(engine, FASTPATH_DIGEST_EXITS)
 
     def injected(self, engine: FunctionalEngine):
         """Called right after a ``commit`` action fired.  With one
-        action, which names its ``target``: the golden result when the
-        golden run overwrites the flipped location before reading it,
-        or never reads it again; a jump (see :meth:`_jump`) when it
-        first reads it after a later golden checkpoint; else None.
-        Without a liveness record it decides nothing."""
-        liveness = self.liveness
+        action, which names its ``target``, the flip is decided (see
+        :meth:`_decide`) from the golden run's first read of the
+        flipped register or memory byte; else None.  Without a record
+        it decides nothing."""
+        record = self.record
         actions = engine._actions
-        if liveness is None or len(actions) != 1 \
+        if record is None or len(actions) != 1 \
                 or actions[0].target is None:
             return None
-        read = liveness.first_read(actions[0].target, engine.executed)
-        if read is None:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(FASTPATH_ORACLE_EXITS).inc()
-            return self._golden_result(engine)
-        cp = self.store.last_between(engine.executed, read)
-        if cp is None:
-            return None
-        return partial(self._jump, cp, actions[0])
+        kind, where, _mask = actions[0].target
+        step = engine.executed
+        read = (record.first_read(where, step) if kind == "reg"
+                else record.first_byte_read(where, step))
+        return self._decide(engine, step, read, lambda cp: partial(
+            self._jump, cp, actions[0]))
 
     def _jump(self, cp: Checkpoint, action: FaultAction,
               engine: FunctionalEngine) -> None:
@@ -1041,23 +920,13 @@ class _FunctionalFastPath:
         restore *cp* and apply *action* again, which XORs its target's
         mask in.  Up to the read the faulty run differs from the golden
         run only there."""
-        skipped = cp.instructions - engine.executed
         restore_functional(engine, cp.state)
         action.apply(engine)
-        self.next_check = cp.instructions + self.store.interval
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(FASTPATH_JUMPS).inc()
-            registry.counter(FASTPATH_INSTRUCTIONS_JUMPED).inc(skipped)
 
     def _golden_result(self, engine: FunctionalEngine) -> FuncResult:
         """The capture run's final result."""
+        self._exited(engine.executed)
         final = self.store.final
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(FASTPATH_EARLY_EXITS).inc()
-            registry.counter(FASTPATH_INSTRUCTIONS_SAVED).inc(
-                final["instructions"] - engine.executed)
         return FuncResult(
             status=RunStatus.COMPLETED,
             output=final["output"],
@@ -1128,6 +997,24 @@ def decode_code(store: CheckpointStore, config) -> None:
     store.reg_liveness = None     # built from the records on demand
 
 
+def functional_liveness(store: CheckpointStore, config,
+                        replay) -> "RegisterLiveness | None":
+    """The :class:`RegisterLiveness` of the golden functional-sim run
+    whose capture is *store*, on *config*'s ISA: ``replay(observer)``
+    runs that run once more with the recorder attached and returns its
+    result.  Its lines are :data:`~repro.uarch.liveness.GRANULE` bytes,
+    and its register bytes come from its pc record and the words at
+    those pcs as the run started, as a pipeline store's do; None when
+    they cannot (see :func:`repro.uarch.liveness.register_liveness`)."""
+    start = store.checkpoints[0].state
+    recorder = LivenessRecorder(GRANULE, start["ms"][0])
+    result = replay(recorder)
+    recorder.drain(collected_ranges(len(result.output)))
+    oracle = recorder.finish()
+    code = _code_lines(start["pages"], recorder.pcs[:-1], GRANULE)
+    return register_liveness(oracle, code_records(code, config))
+
+
 def build_functional_store(image_factory, kernel: str,
                            max_instructions: int, interval: int,
                            key: str = "") -> CheckpointStore:
@@ -1181,16 +1068,16 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
 
 def prepare_functional_fastpath(engine: FunctionalEngine,
                                 store: CheckpointStore,
-                                liveness: "ArchLiveness | None" = None
+                                record: "RegisterLiveness | None" = None
                                 ) -> Checkpoint:
     """Restore the nearest checkpoint before every scheduled action's
     trigger and install the early-exit hook, which, given the golden
-    run's *liveness*, also decides once, when an action's flip fires,
+    run's *record*, also decides once, when an action's flip fires,
     whether the run ends there or jumps."""
     cp = (store.nearest(actions=engine._actions) if engine._actions
           else store.checkpoints[0])
     restore_functional(engine, cp.state)
-    engine.fastpath = _FunctionalFastPath(store, cp.instructions, liveness)
+    engine.fastpath = _FunctionalFastPath(store, cp.instructions, record)
     registry = get_registry()
     if registry.enabled:
         registry.counter(FASTPATH_RESTORES).inc()

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from ..isa.disassembler import format_instr
 from ..kernel.loader import build_system_image
-from ..uarch.exceptions import DetectTrap, SimException
-from ..uarch.functional import FunctionalEngine
+from ..uarch.functional import FunctionalEngine, RunStatus, decode_record
 
 
 @dataclass
@@ -49,43 +48,51 @@ class Trace:
         return "\n".join(lines)
 
 
+class _Window:
+    """Observer of a functional run: a :class:`TraceEntry` for every
+    instruction from index *start* on, with the mode it left."""
+
+    def __init__(self, engine: FunctionalEngine, start: int) -> None:
+        self.start = start
+        self.entries: list = []
+        #: the pc of the instruction the next step follows
+        self.pc = engine.ms.pc
+
+    def step(self, engine: FunctionalEngine) -> None:
+        pc, self.pc = self.pc, engine.ms.pc
+        index = engine.executed - 1
+        if index < self.start:
+            return
+        instr = engine.last_instr
+        regs = engine.regs_meta
+        entry = TraceEntry(index=index, pc=pc,
+                           text=format_instr(instr, regs, pc=pc),
+                           in_kernel=engine.ms.in_kernel)
+        dest = decode_record(instr.raw, regs)[5]
+        if dest:
+            entry.dest = dest
+            entry.dest_value = engine.regs[dest]
+        self.entries.append(entry)
+
+
 def trace_program(program, start: int = 0, count: int = 200,
                   max_instructions: int = 500_000) -> Trace:
-    """Execute *program* and capture a window of its dynamic trace."""
-    engine = FunctionalEngine(build_system_image(program),
-                              kernel="sim",
-                              max_instructions=max_instructions)
-    ms = engine.ms
-    trace = Trace()
-    status = "completed"
-    try:
-        while not ms.halted:
-            if engine.executed >= max_instructions:
-                status = "timeout"
-                break
-            (instr, handler, _, _, _, dest, _, _, _, _, _, writes,
-             _) = engine._fetch()
-            pc = ms.pc
-            ms.pc = handler(instr, ms, engine._core)
-            index = engine.executed
-            engine.executed += 1
-            if index < start:
-                continue
-            if index >= start + count:
-                trace.truncated = True
-                status = "window-closed"
-                break
-            entry = TraceEntry(
-                index=index, pc=pc,
-                text=format_instr(instr, engine.regs_meta, pc=pc),
-                in_kernel=ms.in_kernel)
-            if writes:
-                entry.dest = dest
-                entry.dest_value = engine.regs[dest]
-            trace.entries.append(entry)
-    except SimException as exc:
-        status = f"sim-exception: {exc}"
-    except DetectTrap:
-        status = "detected"
-    trace.status = status
+    """Execute *program* and capture a window of its dynamic trace.
+
+    The window observes :meth:`FunctionalEngine.run`, whose instruction
+    limit is lowered so that the run ends once the instruction after
+    the window has run."""
+    end = start + count
+    engine = FunctionalEngine(build_system_image(program), kernel="sim",
+                              max_instructions=min(max_instructions, end + 1))
+    window = engine.observer = _Window(engine, start)
+    result = engine.run()
+    closed = result.instructions > end
+    trace = Trace(entries=window.entries[:count], truncated=closed)
+    if closed:
+        trace.status = "window-closed"
+    elif result.status is RunStatus.SIM_EXCEPTION:
+        trace.status = f"sim-exception: {result.fault_kind.value}"
+    else:
+        trace.status = result.status.value
     return trace

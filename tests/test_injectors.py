@@ -89,11 +89,11 @@ class TestCampaignMachinery:
 
         store = checkpoint_store("crc32", "cortex-a72",
                                  engine="functional-sim")
-        monkeypatch.setattr(store, "arch_liveness", None)
+        monkeypatch.setattr(store, "reg_liveness", None)
         kwargs = dict(injector="pvf", model="WOI", n=8, seed=1,
                       use_cache=False, workers=1, batch_lanes=0)
         fast = run_campaign("crc32", CORTEX_A72, fastpath=True, **kwargs)
-        assert store.arch_liveness is None
+        assert store.reg_liveness is None
         slow = run_campaign("crc32", CORTEX_A72, fastpath=False, **kwargs)
         assert fast.to_json() == slow.to_json()
 

@@ -38,3 +38,18 @@ def test_rows_follow_the_experiments_table_format():
 
 def test_spread_of_one_value():
     assert perf_pairs.spread([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_notes_give_the_spread_of_per_pair_ratios():
+    """Each pair's change ÷ parent, summarised apart from the seeds'
+    spread: the sides' quartiles here are wide, the ratios all 2x."""
+    pairs = [(_result(rate, 0.2, 40), _result(2 * rate, 0.2, 40))
+             for rate in (50, 100, 150, 200)]
+    notes = perf_pairs.per_pair("gefin-avf", pairs, [1, 2, 3, 4])
+    assert notes[0] == ("Per pair (seed parent/change), `gefin-avf` "
+                        "`injections_per_s`: 1 50/100, 2 100/200, "
+                        "3 150/300, 4 200/400.")
+    assert notes[1] == ("Per-pair change ÷ parent, `gefin-avf` "
+                        "`injections_per_s`: 2x [2x, 2x].")
+    assert notes[3].endswith("`setup_s`: 1x [1x, 1x].")
+    assert len(notes) == 6

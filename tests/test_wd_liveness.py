@@ -3,7 +3,8 @@
 An untraced pvf run whose one action names its flip's target (a WD
 flip of a register or a memory byte) asks the golden functional-sim
 run's record, as the flip fires, when the golden run next touches the
-flipped location (:class:`repro.uarch.snapshot.ArchLiveness`).  A flip
+flipped location (:class:`repro.uarch.liveness.RegisterLiveness`, the
+record gefin register flips use).  A flip
 the golden run overwrites first, or never reads again, ends its run
 there with the golden result; a flip whose first read lies after a
 later golden checkpoint jumps there and flips the location again.
@@ -24,7 +25,7 @@ import pytest
 
 from repro.injectors.archinj import build_pvf_action, run_one_pvf
 from repro.injectors.campaign import run_campaign
-from repro.injectors.golden import golden_run
+from repro.injectors.golden import arch_liveness, golden_run
 from repro.isa import layout
 from repro.isa.assembler import assemble
 from repro.isa.registers import MR64, register_set
@@ -36,8 +37,12 @@ from repro.obs.metrics import (FASTPATH_EARLY_EXITS,
                                FASTPATH_ORACLE_EXITS, FASTPATH_RESTORES,
                                MetricsRegistry, set_registry)
 from repro.obs.tracing import FaultTracer
+from repro.uarch import liveness as lv
 from repro.uarch import snapshot
-from repro.uarch.functional import FaultAction, FunctionalEngine
+from repro.uarch.config import config_by_name
+from repro.uarch.functional import (FaultAction, FunctionalEngine,
+                                    collected_ranges, decode_record)
+from repro.workloads.suite import load_workload
 
 
 def _counted(run):
@@ -80,6 +85,103 @@ def test_every_wd_exit_and_jump_matches_the_slow_path(workload, hardened):
             tally[1] += counters.get(FASTPATH_JUMPS, 0)
     assert all(exits and jumps for exits, jumps in decided.values()), \
         decided
+
+
+class _Uses:
+    """Observer of a functional-sim run: per step, the registers its
+    instruction reads and writes (from its own word's decode record),
+    its memory access, and its pc."""
+
+    def __init__(self, engine) -> None:
+        self.pcs = [engine.ms.pc]
+        self.reads: list = []
+        self.writes: list = []
+        self.mems: list = []
+
+    def step(self, engine) -> None:
+        record = decode_record(engine.last_instr.raw, engine.regs_meta)
+        self.reads.append({record[3], record[4]} - {0})
+        self.writes.append(record[5])
+        self.mems.append(engine.last_mem)
+        self.pcs.append(engine.ms.pc)
+
+
+def _timelines(uses: _Uses, output_len: int) -> tuple:
+    """``({reg: [(step, is read)]}, {byte: [(step, is fetch, is
+    store)]})`` in the order the run touches them: a step reads its
+    registers before it writes one, and fetches before its access; the
+    end of the run reads its collected ranges at the step after the
+    last."""
+    regs: dict = {}
+    for step, (reads, write) in enumerate(zip(uses.reads, uses.writes)):
+        for reg in reads:
+            regs.setdefault(reg, []).append((step, True))
+        if write:
+            regs.setdefault(write, []).append((step, False))
+    memory: dict = {}
+    n = len(uses.mems)
+    for step in range(n):
+        pc = uses.pcs[step]
+        for addr in range(pc, pc + 4):
+            memory.setdefault(addr, []).append((step, True, False))
+        mem = uses.mems[step]
+        if mem is not None:
+            kind, addr, nbytes = mem
+            for byte in range(addr, addr + nbytes):
+                memory.setdefault(byte, []).append(
+                    (step, False, kind == "store"))
+    for addr, nbytes in collected_ranges(output_len):
+        for byte in range(addr, addr + nbytes):
+            memory.setdefault(byte, []).append((n, False, False))
+    return regs, memory
+
+
+def _reference_reg(timeline: list, step: int) -> "int | None":
+    for at, read in timeline:
+        if at >= step:
+            return at if read else None
+    return None
+
+
+def _reference_byte(timeline: list, step: int) -> "int | None":
+    """The flip lands after step *step*'s fetch."""
+    for at, fetch, store in timeline:
+        if at > step or at == step and not fetch:
+            return None if store else at
+    return None
+
+
+@pytest.mark.parametrize("workload, hardened", GRID)
+def test_first_reads_match_a_scan_of_the_golden_run(workload, hardened):
+    """A seeded sample of registers and bytes, each flipped at a step
+    around one of its uses: the record's first read is the first use
+    from there on in the replay's own steps, None when it is a write
+    (a store covering the byte) or there is none."""
+    record = arch_liveness(workload, "cortex-a72", hardened=hardened)
+    engine = FunctionalEngine(build_system_image(load_workload(
+        workload, MR64, hardened=hardened)))
+    engine.observer = uses = _Uses(engine)
+    result = engine.run()
+    assert result.status.value == "completed"
+    regs, memory = _timelines(uses, len(result.output))
+    n = len(uses.mems)
+    rng = random.Random(7)
+    seen = {"reg": set(), "mem": set()}
+    for kind, timelines, first, reference in (
+            ("reg", regs, record.first_read, _reference_reg),
+            ("mem", memory, record.first_byte_read, _reference_byte)):
+        locations = sorted(timelines)
+        for _ in range(300):
+            where = rng.choice(locations)
+            if rng.random() < 0.2:
+                step = rng.randrange(n + 1)
+            else:
+                step = rng.choice(timelines[where])[0] + rng.randint(-1, 1)
+                step = min(max(step, 0), n)
+            want = reference(timelines[where], step)
+            assert first(where, step) == want, (kind, where, step)
+            seen[kind].add(want is None)
+    assert seen == {"reg": {True, False}, "mem": {True, False}}
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +229,8 @@ class _Case:
         self.program = assemble(".text\n_start:\n" + body + _TAIL, MR64,
                                 name="wd-liveness")
         golden = FunctionalEngine(self._image())
-        golden.observer = recorder = snapshot.ArchLivenessRecorder()
         self.result = result = golden.run()
         assert result.status.value == "completed"
-        self.liveness = recorder.finish(result)
         pcs = _Pcs()
         traced = FunctionalEngine(self._image())
         traced.observer = pcs
@@ -139,6 +239,14 @@ class _Case:
         self.max_instructions = 4 * result.instructions
         self.store = snapshot.build_functional_store(
             self._image, "sim", self.max_instructions, INTERVAL)
+        self.liveness = snapshot.functional_liveness(
+            self.store, config_by_name("cortex-a72"), self._replay)
+        assert self.liveness is not None
+
+    def _replay(self, observer):
+        engine = FunctionalEngine(self._image())
+        engine.observer = observer
+        return engine.run()
 
     def _image(self):
         return build_system_image(self.program)
@@ -210,7 +318,7 @@ flip:
     sd   r5, 0(r2)
 """)
     flip, both = case.at("flip"), case.at("both")
-    assert case.liveness.first_read(("reg", 5, 2), flip) == both
+    assert case.liveness.first_read(5, flip) == both
     # flipped right at the step that reads and writes it: no later
     # checkpoint before the read, so the run goes on
     run, counters = case.inject("reg", 5, both)
@@ -235,7 +343,7 @@ flip:
     assert counters[FASTPATH_EARLY_EXITS] == 1
     assert run.output == case.result.output
     # r0 reads 0 whatever it holds
-    assert case.liveness.first_read(("reg", 0, 2), 0) is None
+    assert case.liveness.first_read(0, 0) is None
 
 
 @pytest.mark.parametrize("store, dead", (("sd   r7, 0(r4)", True),
@@ -265,7 +373,7 @@ def test_an_output_byte_never_reloaded_is_read_at_the_end():
     when = case.at("after_write")
     n = case.result.instructions
     out = layout.OUTPUT_BASE
-    assert case.liveness.first_read(("mem", out + 2, 1), when) == n
+    assert case.liveness.first_byte_read(out + 2, when) == n
     run, counters = case.inject("mem", out + 2, when)
     assert _jumped(counters)
     assert run.output != case.result.output
@@ -285,12 +393,12 @@ def test_a_flip_into_the_output_length_word_is_read_at_the_end():
 def test_a_flip_into_the_exit_code_word_is_read_at_the_end():
     case = _Case("")
     word = layout.KERNEL_DATA_BASE + EXIT_CODE_OFFSET
-    liveness = case.liveness
+    oracle = case.liveness.oracle
     # flipped after the exit syscall stores the code
-    when = 1 + max(step for step, granule, store in zip(
-        liveness.steps, liveness.granules, liveness.stores)
-        if granule == word & ~7 and store)
-    assert liveness.first_read(("mem", word, 1), when) \
+    when = 1 + max(step for step, line, kind in zip(
+        oracle.steps, oracle.lines, oracle.kinds)
+        if line == word & ~7 and kind == lv.STORE)
+    assert case.liveness.first_byte_read(word, when) \
         == case.result.instructions
     run, counters = case.inject("mem", word, when)
     assert not _exited(counters)
@@ -308,14 +416,13 @@ flip:
 """)
     word = case.program.symbols["word"]
     flip = case.at("flip")
-    assert case.liveness.first_read(("mem", word, 1), flip) \
-        == case.at("word")
+    assert case.liveness.first_byte_read(word, flip) == case.at("word")
     run, counters = case.inject("mem", word, flip, bit=0)
     assert _jumped(counters)
     assert run.output != case.result.output
     # flipped one step before its fetch
     before = case.at("word") - 1
-    assert case.liveness.first_read(("mem", word, 1), before) == before + 1
+    assert case.liveness.first_byte_read(word, before) == before + 1
     run, counters = case.inject("mem", word, before, bit=0)
     assert not _exited(counters)
     assert run.output != case.result.output
