@@ -107,7 +107,7 @@ def run_injection(injector: str, engine, to_result, *, workload: str,
             else:
                 snapshot.prepare_functional_fastpath(engine, store)
             if tracer is not None:
-                engine.fastpath = None    # no digest or oracle exit
+                engine.fastpath = None    # no early exit or jump
         run = engine.run()
     except ContainmentError as exc:
         raise exc.with_context(injector=injector, workload=workload,

@@ -46,9 +46,10 @@ SECONDS_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 
 # Checkpoint fast-path counters (see :mod:`repro.uarch.snapshot`):
 # how often a run started from a restored checkpoint, how much golden
-# prefix it skipped, how often the early-Masked exit fired (the golden
-# digest or, at injection, the dead-state exit or a liveness record;
-# digest exits and oracle exits are also counted on their own), and
+# prefix it skipped, how often the early-Masked exit fired (a
+# functional run's golden digest or, at injection, the dead-state exit
+# or a liveness record; digest exits and oracle exits are also counted
+# on their own), and
 # how often a latent flip jumped along the golden run to its first
 # read, over how many instructions.
 FASTPATH_RESTORES = "fastpath.restores"

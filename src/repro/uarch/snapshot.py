@@ -14,24 +14,25 @@ deterministic simulators:
   run;
 
 * **checkpoint stores** — a fault-free *capture run* records a
-  checkpoint every ``interval`` instructions (plus a canonical state
-  digest per boundary and the final result).  Injectors restore the
-  nearest checkpoint at-or-before the injection point instead of
-  simulating from reset (:func:`prepare_pipeline_fastpath` /
+  checkpoint every ``interval`` instructions (plus the final result,
+  and for the functional engine a canonical state digest per
+  boundary).  Injectors restore the nearest checkpoint at-or-before
+  the injection point instead of simulating from reset
+  (:func:`prepare_pipeline_fastpath` /
   :func:`prepare_functional_fastpath`);
 
-* **early Masked termination** — after every scheduled fault has been
-  applied, the engine compares its canonical digest against the golden
-  digest at each boundary.  The digest covers *all* state that can
-  influence future behaviour or the final result (including timing
-  state and instruction counters) and refuses to match while any
-  taint survives anywhere, so an early exit is only declared once the
-  run has provably reconverged onto the golden trajectory — the
-  remainder of the run is then synthesised from the capture run's own
-  final result, byte-identical to running it out.  This guard is what
-  keeps WOI/ESC semantics and FPM classification unchanged: a fault
-  whose corruption still lingers (in a register, a cache line, the
-  LSQ, or main memory — the ESC channel) can never exit early;
+* **early Masked termination** (functional engine) — after every
+  scheduled action has fired, the engine compares its canonical digest
+  against the golden digest at each boundary.  The digest covers *all*
+  state that can influence future behaviour or the final result
+  (registers, memory, machine state and host output), so an early
+  exit is only declared once the run has provably reconverged onto the
+  golden trajectory — the remainder of the run is then synthesised
+  from the capture run's own final result, byte-identical to running
+  it out.  This guard is what keeps WOI/ESC semantics unchanged: a
+  fault whose corruption still lingers in a register or in memory can
+  never exit early.  Pipeline runs end early only through the
+  decisions below, made once as their flip lands;
 
 * **liveness oracle** — the capture run also records its cache events
   and the pc of every instruction (:mod:`repro.uarch.liveness`).  A
@@ -70,17 +71,18 @@ deterministic simulators:
   applied again.  Cache, register and WD flips all go through one
   decision, ``_FastPath._decide``.
 
-Correctness invariants the digest relies on:
+Correctness invariants the fast path relies on:
 
 * pipeline faults fire at the first top-of-loop where
   ``spec.cycle <= fetch_time`` and ``fetch_time`` is strictly
   increasing, so restoring any boundary with ``cycle <= spec.cycle``
   preserves the firing point exactly;
-* dead state is excluded from the digest precisely where the engines
-  never read it back: FREE physical registers (always rewritten
-  before becoming readable), invalid cache lines/LSQ slots (fills and
-  allocations overwrite them), replacement metadata of invalid lines;
-* the fetch fast-path line reference is digested (and restored) as
+* the dead-state exit trusts, and :func:`pipeline_digest` excludes,
+  exactly the dead state the engines never read back: FREE physical
+  registers (always rewritten before becoming readable), invalid
+  cache lines/LSQ slots (fills and allocations overwrite them),
+  replacement metadata of invalid lines;
+* the fetch fast-path line reference is captured (and restored) as
   its *effective* key — ``(-1, -1)`` whenever the cached line no
   longer satisfies the fetch's coherence check, which is exactly the
   condition under which the reference is unreachable.
@@ -121,8 +123,9 @@ from .pipeline import (PipelineEngine, PipelineResult, code_records,
 #: bump on any change to the capture format or digest definition;
 #: invalidates every on-disk checkpoint store (3: the liveness oracle;
 #: 4: the capture run's occupancy in ``final``; 5: the pc record,
-#: events keyed by step, and the golden code lines)
-SNAPSHOT_SCHEMA_VERSION = 5
+#: events keyed by step, and the golden code lines; 6: no pipeline
+#: digests, no per-checkpoint digest)
+SNAPSHOT_SCHEMA_VERSION = 6
 
 #: cache structures whose data flips the liveness oracle decides
 _ORACLE_STRUCTURES = ("L1I", "L1D", "L2")
@@ -153,7 +156,6 @@ class Checkpoint:
     instructions: int            # boundary position (retired instructions)
     cycle: float                 # pipeline fetch_time (0.0 for functional)
     counters: dict               # functional trigger counters at capture
-    digest: str                  # canonical state digest at this boundary
     state: dict                  # engine-specific captured state
 
 
@@ -166,7 +168,8 @@ class CheckpointStore:
     key: str                     # cache key the store was built under
     interval: int
     checkpoints: list = field(default_factory=list)
-    #: boundary instruction count -> golden digest (early-exit oracle)
+    #: boundary instruction count -> golden digest (functional stores'
+    #: early-exit oracle; empty in pipeline stores)
     digests: dict = field(default_factory=dict)
     #: final-result fields of the capture run (synthesised on early
     #: exit); a pipeline store's also hold its structure occupancies
@@ -303,7 +306,12 @@ def pipeline_digest(engine: PipelineEngine) -> "str | None":
     come before any hashing.  Register, cache-metadata, timing and
     predictor-counter state is hashed as raw ``array``/``bytes``
     buffers; the small rest (control state, LSQ, occupied BTB slots,
-    counters) as ``repr``."""
+    counters) as ``repr``.
+
+    No run calls it: pipeline runs end early only through the
+    decisions made as their flip lands.  It stays as the canonical
+    state of a pipeline for inspection, and as the lookup site
+    ``perfbench/spans.py`` traces."""
     rf = engine.rf
     if rf.tainted or engine.probe.mem_taint:
         return None
@@ -562,19 +570,14 @@ class _PipelineCapture:
         self.interval = interval
         self.next_check = 0
         self.checkpoints: list = []
-        self.digests: dict = {}
         self._intern: dict = {}
 
     def poll(self, engine: PipelineEngine):
-        digest = pipeline_digest(engine)
-        assert digest is not None, "capture runs are fault-free"
         self.checkpoints.append(Checkpoint(
             instructions=engine.instructions,
             cycle=engine.fetch_time,
             counters={},
-            digest=digest,
             state=capture_pipeline(engine, self._intern)))
-        self.digests[engine.instructions] = digest
         self.next_check = engine.instructions + self.interval
         return None
 
@@ -593,7 +596,6 @@ class _FunctionalCapture:
             instructions=engine.executed,
             cycle=0.0,
             counters=dict(engine._counters),
-            digest=digest,
             state=capture_functional(engine, self._intern)))
         self.digests[engine.executed] = digest
         self.next_check = engine.executed + self.interval
@@ -674,16 +676,15 @@ def _flipped_bytes(mask: int) -> int:
 class _FastPath:
     """What the early-exit hooks of both engines share: the one
     decision of a flip from the step of its golden first read, the
-    jump bookkeeping and the exit counters.  ``exit_at`` is the
-    instruction count at which a copy exit ends the run (see
-    :meth:`_PipelineFastPath._register_flip`)."""
+    jump counters and the exit counters.  ``next_check`` is the
+    instruction count of the engine's next ``poll``."""
 
-    __slots__ = ("store", "next_check", "exit_at")
+    __slots__ = ("store", "next_check")
 
-    def __init__(self, store: CheckpointStore, start: int) -> None:
+    def __init__(self, store: CheckpointStore,
+                 next_check: "int | float") -> None:
         self.store = store
-        self.next_check = start
-        self.exit_at: "int | float" = float("inf")
+        self.next_check = next_check
 
     def _decide(self, engine, step: int, read: "int | None", jump):
         """Decide a flip that landed at the top of step *step* and that
@@ -691,15 +692,12 @@ class _FastPath:
         golden result, counted as an oracle exit; with a golden
         checkpoint after *step* and at or before *read*, ``jump(cp)``
         for the last one, the engine's move there, which the engine
-        applies next (the next poll is then on the grid after it, or
-        at the exit step); else None, and the run goes on."""
+        applies next; else None, and the run goes on."""
         if read is None:
             return self._exit(engine, FASTPATH_ORACLE_EXITS)
         cp = self.store.last_between(step, read)
         if cp is None:
             return None
-        self.next_check = min(cp.instructions + self.store.interval,
-                              self.exit_at)
         registry = get_registry()
         if registry.enabled:
             registry.counter(FASTPATH_JUMPS).inc()
@@ -725,30 +723,21 @@ class _FastPath:
 
 
 class _PipelineFastPath(_FastPath):
-    """Early Masked termination against the golden digest trace; when
-    the one fault has landed, the dead-state exit and, when ``oracle``
-    is set, the liveness oracle's and the register record's exits and
-    jumps."""
+    """The pipeline's early exits and jumps, all decided once, when the
+    one fault has landed: the dead-state exit and, when ``oracle`` is
+    set, the liveness oracle's and the register record's.  The engine
+    polls only where a copy exit ends the run (see
+    :meth:`_register_flip`); else never."""
 
     __slots__ = ("oracle",)
 
-    def __init__(self, store: CheckpointStore, start: int) -> None:
-        super().__init__(store, start)
+    def __init__(self, store: CheckpointStore) -> None:
+        super().__init__(store, float("inf"))
         self.oracle: "LivenessOracle | None" = store.liveness
 
-    def poll(self, engine: PipelineEngine):
-        store = self.store
-        at = engine.instructions
-        if at == self.exit_at:
-            return self._exit(engine, FASTPATH_ORACLE_EXITS)
-        # every poll but the exit step's is on the checkpoint grid
-        self.next_check = min(at + store.interval, self.exit_at)
-        if engine._next_fault < len(engine.faults):
-            return None  # convergence guard: fault not yet applied
-        expect = store.digests.get(engine.instructions)
-        if expect is None or pipeline_digest(engine) != expect:
-            return None
-        return self._exit(engine, FASTPATH_DIGEST_EXITS)
+    def poll(self, engine: PipelineEngine) -> PipelineResult:
+        """The copy exit, at the one step :meth:`_register_flip` set."""
+        return self._exit(engine, FASTPATH_ORACLE_EXITS)
 
     def injected(self, engine: PipelineEngine):
         """Called once, right after the engine applied its faults.
@@ -757,7 +746,7 @@ class _PipelineFastPath(_FastPath):
         the oracle's first read, and a register flip from the register
         record (see :meth:`_register_flip`); else None.  Without an
         oracle (a store that has none, or a caller that pins the
-        digest exits alone) it decides nothing."""
+        restore alone) it decides nothing."""
         oracle = self.oracle
         faults = engine.faults
         if oracle is None or len(faults) != 1:
@@ -791,7 +780,7 @@ class _PipelineFastPath(_FastPath):
         flipped one (none: never read).  When every golden use of the
         value is a copy that dies unread (a trap frame's save and
         restore), the run ends with the golden result right after the
-        first read, which records the crossing: ``exit_at``."""
+        first read, which records the crossing: its one poll."""
         record = self.store.register_liveness()
         if record is None:
             return None
@@ -803,8 +792,7 @@ class _PipelineFastPath(_FastPath):
         read = record.first_read(reg, step)
         if read is not None \
                 and record.only_copied(reg, _flipped_bytes(mask), step):
-            self.exit_at = read + 1
-            self.next_check = min(self.next_check, self.exit_at)
+            self.next_check = read + 1
         return self._decide(engine, step, read, lambda cp: partial(
             self._jump_register, cp, reg, mask))
 
@@ -872,9 +860,9 @@ class _PipelineFastPath(_FastPath):
 
 
 class _FunctionalFastPath(_FastPath):
-    """Early Masked termination against the golden digest trace; when
-    ``record`` is set, its decision of the one action that names its
-    flip's ``target``."""
+    """Early Masked termination against the golden digest trace, polled
+    on the checkpoint grid; when ``record`` is set, its decision of the
+    one action that names its flip's ``target``."""
 
     __slots__ = ("record",)
 
@@ -919,9 +907,10 @@ class _FunctionalFastPath(_FastPath):
         the golden run reaches before it reads the flipped location:
         restore *cp* and apply *action* again, which XORs its target's
         mask in.  Up to the read the faulty run differs from the golden
-        run only there."""
+        run only there.  The next poll is on the grid after *cp*."""
         restore_functional(engine, cp.state)
         action.apply(engine)
+        self.next_check = cp.instructions + self.store.interval
 
     def _golden_result(self, engine: FunctionalEngine) -> FuncResult:
         """The capture run's final result."""
@@ -969,7 +958,6 @@ def build_pipeline_store(image_factory, config, max_instructions: int,
     return CheckpointStore(
         schema=SNAPSHOT_SCHEMA_VERSION, engine="pipeline", key=key,
         interval=interval, checkpoints=hook.checkpoints,
-        digests=hook.digests,
         final={"output": result.output, "exit_code": result.exit_code,
                "cycles": result.cycles,
                "instructions": result.instructions,
@@ -1055,7 +1043,7 @@ def prepare_pipeline_fastpath(engine: PipelineEngine,
         else float("inf")
     cp = store.nearest(cycle=cycle)
     restore_pipeline(engine, cp.state)
-    engine.fastpath = _PipelineFastPath(store, cp.instructions)
+    engine.fastpath = _PipelineFastPath(store)
     engine.code_records = store.code_records
     registry = get_registry()
     if registry.enabled:

@@ -5,9 +5,9 @@ occupancy observer samples occupancy, and ``GoldenRun.cycles`` /
 ``occupancy`` read its final result, while ``golden_run`` itself runs
 only the functional engine.  Two properties keep that sound and cheap:
 
-* the occupancy observer never changes engine state, so a capture
-  that carries it records the same checkpoints and digests as one
-  that does not;
+* the capture's observers (the occupancy sampler and the liveness
+  recorder) never change engine state, so a capture that carries them
+  records the same checkpoints as one that does not;
 * a cold set-up runs the pipeline once per gefin target and never for
   a pvf/svf target.
 """
@@ -24,15 +24,16 @@ from repro.injectors.golden import checkpoint_store, golden_run
 from repro.kernel.loader import build_system_image
 from repro.uarch import snapshot
 from repro.uarch.config import config_by_name
+from repro.uarch.liveness import record_liveness
 from repro.uarch.pipeline import PipelineEngine
 from repro.workloads.suite import load_workload
 
 CONFIG = "cortex-a72"
 
 
-def _capture(workload: str, observer):
-    """A capture run's checkpoints, digests and result, with *observer*
-    attached."""
+def _capture(workload: str, observe=lambda engine: None):
+    """A capture run's checkpoints and result, with the observer that
+    ``observe(engine)`` returns attached."""
     config = config_by_name(CONFIG)
     golden = golden_run(workload, CONFIG)
     engine = PipelineEngine(
@@ -41,23 +42,39 @@ def _capture(workload: str, observer):
     hook = snapshot._PipelineCapture(
         snapshot.checkpoint_interval(golden.instructions))
     engine.fastpath = hook
-    engine.observer = observer
+    engine.observer = observe(engine)
     result = engine.run()
     assert result.status.value == "completed"
-    return hook.checkpoints, hook.digests, result
+    return hook.checkpoints, result
 
 
 @pytest.mark.parametrize("workload", ("sha", "crc32"))
 def test_the_occupancy_observer_changes_no_checkpoint(workload):
-    plain, plain_digests, plain_result = _capture(workload, None)
+    plain, plain_result = _capture(workload)
     sampler = snapshot.OccupancySampler()
-    sampled, sampled_digests, sampled_result = _capture(workload,
-                                                         sampler)
-    assert sampled_digests == plain_digests
+    sampled, sampled_result = _capture(workload, lambda engine: sampler)
     assert [cp.state for cp in sampled] == [cp.state for cp in plain]
     assert sampled_result == plain_result
     assert sampler.averages() == checkpoint_store(
         workload, CONFIG, engine="pipeline").final["occupancy"]
+
+
+@pytest.mark.parametrize("workload", ("sha", "crc32"))
+def test_the_capture_observer_changes_no_checkpoint(workload):
+    """The capture's one observer, the liveness recorder with the
+    occupancy sampler, leaves every checkpoint as a plain capture's."""
+    plain, plain_result = _capture(workload)
+    recorders = []
+
+    def observe(engine):
+        recorders.append(record_liveness(engine))
+        return snapshot._CaptureObserver(recorders[0],
+                                         snapshot.OccupancySampler())
+
+    observed, observed_result = _capture(workload, observe)
+    assert recorders[0] is not None and recorders[0].pcs
+    assert [cp.state for cp in observed] == [cp.state for cp in plain]
+    assert observed_result == plain_result
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ tests run the same faulty execution with and without each observer
 and require every result field to match (floats by ``repr``).  The
 ledger tests pin what each observer itself records, in
 ``corpus/ledger/observers.json``, the capture run's liveness recorder
-included: its oracle arrays and the capture's checkpoint digests.
+included: its oracle arrays.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _digest(payload) -> str:
 
 def _liveness_digest(workload: str, config_name: str) -> str:
     """sha256 of a freshly built pipeline capture's liveness oracle
-    (each array's bytes, length first) and checkpoint digests."""
+    (each array's bytes, length first)."""
     config = config_by_name(config_name)
     golden = golden_run(workload, config_name)
     store = snapshot.build_pipeline_store(
@@ -87,7 +87,6 @@ def _liveness_digest(workload: str, config_name: str) -> str:
                  oracle.his, oracle.pcs):
         data = bytes(part)
         h.update(len(data).to_bytes(8, "little") + data)
-    h.update(json.dumps(sorted(store.digests.items())).encode())
     return h.hexdigest()
 
 

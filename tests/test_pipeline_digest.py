@@ -1,18 +1,14 @@
-"""Sensitivity of the pipeline's fast-path digest.
+"""Sensitivity of the pipeline's canonical state digest.
 
-``snapshot.pipeline_digest`` decides when an injection run has
-reconverged onto the golden run and may stop early.  It must change
-with every piece of live state (a missed difference would end a
-diverged run early with the golden result) and must not change with
-dead state (a spurious difference only costs speed, but the digest is
-defined to exclude it).  The fields are hashed as length-prefixed
-binary buffers, so state moved from one field into the next must
-change it too.
+``snapshot.pipeline_digest`` says whether two pipeline states have the
+same future.  It must change with every piece of live state (a missed
+difference would call two diverged states equal) and must not change
+with dead state (the digest is defined to exclude it).  The fields
+are hashed as length-prefixed binary buffers, so state moved from one
+field into the next must change it too.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -54,6 +50,19 @@ def _changes(state, mutate) -> bool:
     return before != after
 
 
+class _DigestAt:
+    """Fast-path hook that digests the engine once, at boundary *at*."""
+
+    def __init__(self, at: int) -> None:
+        self.next_check = at
+        self.digest = None
+
+    def poll(self, engine):
+        self.digest = snapshot.pipeline_digest(engine)
+        self.next_check = float("inf")
+        return None
+
+
 def _live_phys(engine) -> int:
     return next(p for p in range(1, engine.rf.n_phys)
                 if engine.rf.state[p] == LIVE)
@@ -66,9 +75,16 @@ def _valid_line(cache):
 
 class TestLiveStateChangesDigest:
     def test_restore_reproduces_the_captured_digest(self, state):
+        # the restored state digests as the capture run did when it
+        # reached the same boundary from the checkpoint before
         store = checkpoint_store(WORKLOAD, CONFIG)
-        cp = store.checkpoints[len(store.checkpoints) // 2]
-        assert snapshot.pipeline_digest(_engine(state)) == cp.digest
+        mid = len(store.checkpoints) // 2
+        engine = _engine(store.checkpoints[mid - 1].state)
+        hook = _DigestAt(store.checkpoints[mid].instructions)
+        engine.fastpath = hook
+        engine.run()
+        assert hook.digest is not None
+        assert snapshot.pipeline_digest(_engine(state)) == hook.digest
 
     def test_live_register_value(self, state):
         def mutate(engine):
@@ -179,29 +195,3 @@ class TestDeadStateLeavesDigest:
         engine = _engine(state)
         _valid_line(engine.l2).taint = {0}
         assert snapshot.pipeline_digest(engine) is None
-
-
-def test_previous_schema_store_is_rebuilt_not_loaded(tmp_path,
-                                                     monkeypatch):
-    """A store pickled under the previous schema (no liveness oracle)
-    sits where a current store would be found: it is discarded and
-    rebuilt."""
-    current = snapshot.SNAPSHOT_SCHEMA_VERSION
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    checkpoint_store.cache_clear()
-    try:
-        fresh = checkpoint_store("crc32", CONFIG)
-        (path,) = tmp_path.glob("checkpoints-crc32-*-pipeline-*.pkl")
-        stale = pickle.loads(path.read_bytes())
-        stale.schema = current - 1
-        stale.digests = {n: "stale" for n in stale.digests}
-        stale.liveness = None
-        snapshot.save_store(path, stale)
-        checkpoint_store.cache_clear()
-        rebuilt = checkpoint_store("crc32", CONFIG)
-    finally:
-        checkpoint_store.cache_clear()
-    assert rebuilt.schema == current
-    assert rebuilt.digests == fresh.digests
-    assert rebuilt.liveness is not None
-    assert pickle.loads(path.read_bytes()).schema == current

@@ -597,7 +597,7 @@ def test_register_exits_and_jumps_are_counted(tmp_path, monkeypatch):
 
 
 PINNED = {FASTPATH_RESTORES: 16, FASTPATH_ORACLE_EXITS: 12,
-          FASTPATH_EARLY_EXITS: 14, FASTPATH_JUMPS: 4,
+          FASTPATH_EARLY_EXITS: 12, FASTPATH_JUMPS: 4,
           FASTPATH_INSTRUCTIONS_JUMPED: 7456}
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import random
 from array import array
 
@@ -75,20 +76,29 @@ class TestRoundTrip:
 
     def test_pipeline_restore_is_lossless(self, config, golden):
         store = checkpoint_store(WORKLOAD, CONFIG, engine="pipeline")
-        assert store.checkpoints[0].instructions == 0
-        picks = {0, len(store.checkpoints) // 2,
-                 len(store.checkpoints) - 1}
+        checkpoints = store.checkpoints
+        assert checkpoints[0].instructions == 0
+        picks = {0, len(checkpoints) // 2, len(checkpoints) - 1}
         for i in sorted(picks):
-            cp = store.checkpoints[i]
+            cp = checkpoints[i]
             engine = PipelineEngine(
                 self._image(config), config,
                 max_instructions=golden.max_instructions,
                 max_cycles=golden.max_cycles)
             snapshot.restore_pipeline(engine, cp.state)
-            # the restored state digests identically to the capture...
-            assert snapshot.pipeline_digest(engine) == cp.digest
-            # ...and runs out to the capture run's exact final result
+            # the restored state captures exactly as the checkpoint,
+            # dead slots included...
+            assert snapshot.capture_pipeline(engine) == cp.state
+            # ...a run from it captures every later checkpoint exactly...
+            hook = snapshot._PipelineCapture(store.interval)
+            hook.next_check = cp.instructions + store.interval
+            engine.fastpath = hook
             result = engine.run()
+            assert [(c.instructions, c.cycle, c.state)
+                    for c in hook.checkpoints] == \
+                [(c.instructions, c.cycle, c.state)
+                 for c in checkpoints[i + 1:]]
+            # ...and runs out to the capture run's exact final result
             assert result.status.value == "completed"
             assert result.output == store.final["output"]
             assert result.exit_code == store.final["exit_code"]
@@ -109,7 +119,8 @@ class TestRoundTrip:
                 self._image(config), kernel=kernel,
                 max_instructions=golden.max_instructions)
             snapshot.restore_functional(engine, cp.state)
-            assert snapshot.functional_digest(engine) == cp.digest
+            assert snapshot.functional_digest(engine) == \
+                store.digests[cp.instructions]
             result = engine.run()
             assert result.status.value == "completed"
             assert result.output == store.final["output"]
@@ -259,7 +270,7 @@ class TestVersionInvalidation:
         store = snapshot.CheckpointStore(
             schema=snapshot.SNAPSHOT_SCHEMA_VERSION, engine="pipeline",
             key="k1", interval=64,
-            checkpoints=[snapshot.Checkpoint(0, 0.0, {}, "d", {})],
+            checkpoints=[snapshot.Checkpoint(0, 0.0, {}, {})],
             digests={0: "d"}, final={"output": b""})
         path = tmp_path / "store.pkl"
         snapshot.save_store(path, store)
@@ -274,6 +285,33 @@ class TestVersionInvalidation:
                             snapshot.SNAPSHOT_SCHEMA_VERSION + 1)
         assert snapshot.load_store(path, "k1") is None
         assert not path.exists()
+
+    def test_previous_schema_store_is_rebuilt_not_loaded(self, tmp_path,
+                                                         monkeypatch):
+        """A store pickled under the previous schema (no liveness
+        oracle) sits where a current store would be found: it is
+        discarded and rebuilt."""
+        current = snapshot.SNAPSHOT_SCHEMA_VERSION
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        checkpoint_store.cache_clear()
+        try:
+            fresh = checkpoint_store(WORKLOAD, CONFIG)
+            (path,) = tmp_path.glob(
+                f"checkpoints-{WORKLOAD}-*-pipeline-*.pkl")
+            stale = pickle.loads(path.read_bytes())
+            stale.schema = current - 1
+            stale.checkpoints = stale.checkpoints[:1]
+            stale.liveness = None
+            snapshot.save_store(path, stale)
+            checkpoint_store.cache_clear()
+            rebuilt = checkpoint_store(WORKLOAD, CONFIG)
+        finally:
+            checkpoint_store.cache_clear()
+        assert rebuilt.schema == current
+        assert rebuilt.checkpoints == fresh.checkpoints
+        assert rebuilt.liveness is not None
+        assert rebuilt.liveness == fresh.liveness
+        assert pickle.loads(path.read_bytes()).schema == current
 
     def test_corrupt_store_is_unlinked(self, tmp_path):
         path = tmp_path / "store.pkl"
