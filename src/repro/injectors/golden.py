@@ -7,15 +7,15 @@ sampling), the set of architecturally used registers and the memory
 footprint (PVF fault populations), and the average structure
 occupancies (variance-reduced AVF estimation).
 
-:func:`golden_run` runs only the functional engine; the cycle count
-and occupancies come from the pipeline checkpoint capture, a target's
-one fault-free pipeline run, which pvf/svf campaigns never need.
-Every other fault-free run (the residency profiler, the ACE lifetime
-analysis, the golden side of a trace diff) is a fork of the golden
-run through :func:`replay_golden`.
+:func:`golden_run` starts no engine: it reads the functional-sim and
+pipeline checkpoint captures, a target's one fault-free run of each
+engine (pvf/svf campaigns never need the pipeline).  Every other
+fault-free run (the profile and WD record of :func:`arch_liveness`,
+the residency profiler, the ACE lifetime analysis, the golden side of
+a trace diff) is a fork of the golden run through :func:`replay_golden`.
 
 Golden data is deterministic per (workload, ISA/config, hardened), so
-it is cached both in-process and on disk.
+it is cached in-process and on disk, as the checkpoint stores.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -32,14 +32,13 @@ from ..uarch.config import MicroarchConfig, config_by_name
 from ..uarch.cpu import KERNEL_MODE
 from ..uarch.functional import FunctionalEngine, writes_reg
 from ..workloads.suite import load_workload
-from .engine import atomic_write_text
 
 #: watchdog multipliers relative to the golden run
 WATCHDOG_INSTR_FACTOR = 4
 WATCHDOG_CYCLE_FACTOR = 5
 
-#: schema version salting every on-disk cache key (golden runs,
-#: campaign results, checkpoint stores).  Bump whenever the result
+#: schema version salting every on-disk cache key (campaign results,
+#: checkpoint stores).  Bump whenever the result
 #: format or engine semantics change in a way that could silently mix
 #: stale entries with fresh ones (e.g. the fast-path introduction);
 #: old entries then simply miss and are recomputed.  Schema 4: the
@@ -48,7 +47,7 @@ CACHE_SCHEMA_VERSION = 4
 
 
 def cache_dir() -> Path:
-    """Directory for on-disk campaign/golden caches."""
+    """Directory for on-disk campaign and checkpoint-store caches."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         path = Path(env)
@@ -66,50 +65,42 @@ class GoldenRun:
     config_name: str
     hardened: bool
 
-    # functional (architectural) reference
+    # functional (architectural) reference: the functional-sim final result
     output: bytes = b""
     exit_code: int = 0
     instructions: int = 0
-    kernel_instructions: int = 0
-    user_instructions: int = 0
     dest_instructions: int = 0
-    regs_used: list = field(default_factory=list)
-    footprint: list = field(default_factory=list)   # 8-byte granules
 
     @property
     def max_instructions(self) -> int:
         return max(1000, WATCHDOG_INSTR_FACTOR * self.instructions)
 
+    # the golden profile (GoldenProfile; footprint: 8-byte granules),
+    # recorded with the WD first-read record by one replay on demand
+    regs_used = property(lambda self: self._profile("regs_used"))
+    footprint = property(lambda self: self._profile("footprint"))
+    kernel_instructions = property(
+        lambda self: self._profile("kernel_instructions"))
+    user_instructions = property(
+        lambda self: self._profile("user_instructions"))
+
+    def _profile(self, name: str):
+        return _replayed(self.workload, self.config_name,
+                         self.hardened).profile[name]
+
     # pipeline (microarchitectural) reference: the final result of the
     # pipeline checkpoint store's capture run
-    @property
-    def _pipeline(self) -> dict:
+    cycles = property(lambda self: self._pipeline("cycles"))
+    occupancy = property(lambda self: self._pipeline("occupancy"))
+
+    def _pipeline(self, name: str):
         return checkpoint_store(self.workload, self.config_name,
                                 engine="pipeline",
-                                hardened=self.hardened).final
-
-    @property
-    def cycles(self) -> float:
-        return self._pipeline["cycles"]
-
-    @property
-    def occupancy(self) -> dict:
-        return self._pipeline["occupancy"]
+                                hardened=self.hardened).final[name]
 
     @property
     def max_cycles(self) -> float:
         return max(10_000.0, WATCHDOG_CYCLE_FACTOR * self.cycles)
-
-    def to_json(self) -> dict:
-        data = self.__dict__.copy()
-        data["output"] = self.output.hex()
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GoldenRun":
-        data = dict(data)
-        data["output"] = bytes.fromhex(data["output"])
-        return cls(**data)
 
 
 class GoldenProfile:
@@ -161,24 +152,11 @@ def workload_digest(workload: str, isa: str, hardened: bool) -> str:
 def config_digest(config: MicroarchConfig) -> str:
     """Digest of every parameter of a core configuration.
 
-    Keys golden/campaign caches so that editing a preset (or defining
+    Keys store/campaign caches so that editing a preset (or defining
     a custom core under an existing name) can never resurrect stale
     results.
     """
     return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
-
-
-def _golden_key(workload: str, config: MicroarchConfig,
-                hardened: bool) -> str:
-    from .. import __version__
-
-    # "functional": golden files without pipeline fields, which a
-    # checkout that still reads them from the file never finds
-    blob = json.dumps([CACHE_SCHEMA_VERSION, "functional", __version__,
-                       workload, config.name, hardened,
-                       workload_digest(workload, config.isa, hardened),
-                       config_digest(config)]).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
 
 
 def _memo_of(cached):
@@ -197,47 +175,25 @@ def _memo_of(cached):
 @lru_cache(maxsize=None)
 def _golden_run(workload: str, config_name: str,
                 hardened: bool) -> GoldenRun:
-    config = config_by_name(config_name)
-    key = _golden_key(workload, config, hardened)
-    path = cache_dir() / f"golden-{workload}-{config.name}-{key}.json"
-    if path.exists():
-        try:
-            return GoldenRun.from_json(json.loads(path.read_text()))
-        except (ValueError, TypeError, KeyError, OSError):
-            # stale/corrupt entry; missing_ok tolerates two processes
-            # racing to remove the same one
-            path.unlink(missing_ok=True)
-
-    engine = FunctionalEngine(build_system_image(
-        load_workload(workload, config.isa, hardened=hardened)))
-    profile = engine.observer = GoldenProfile()
-    func = engine.run()
-    if func.status.value != "completed":
-        raise RuntimeError(
-            f"golden functional run of {workload} on {config.isa} "
-            f"did not complete: {func.status}")
-    golden = GoldenRun(
+    final = checkpoint_store(workload, config_name,
+                             engine="functional-sim",
+                             hardened=hardened).final
+    return GoldenRun(
         workload=workload,
-        config_name=config.name,
+        config_name=config_by_name(config_name).name,
         hardened=hardened,
-        output=func.output,
-        exit_code=func.exit_code,
-        instructions=func.instructions,
-        kernel_instructions=profile.kernel_instructions,
-        user_instructions=profile.user_instructions,
-        dest_instructions=profile.dest_instructions,
-        regs_used=sorted(profile.regs_used),
-        footprint=sorted(profile.footprint),
+        output=final["output"],
+        exit_code=final["exit_code"],
+        instructions=final["instructions"],
+        dest_instructions=final["dest_instructions"],
     )
-    atomic_write_text(path, json.dumps(golden.to_json()))
-    return golden
 
 
 @_memo_of(_golden_run)
 def golden_run(workload: str, config_name: str,
                hardened: bool = False) -> GoldenRun:
-    """Compute (or load) the golden reference for one configuration
-    (a functional run; the pipeline fields read the capture's store)."""
+    """The golden reference for one configuration: the final result
+    of its functional-sim checkpoint store, built or loaded on demand."""
     return _golden_run(workload, config_name, hardened)
 
 
@@ -259,13 +215,16 @@ def _checkpoint_store(workload: str, config_name: str, engine: str,
     if engine not in STORE_ENGINES.values():
         raise ValueError(f"unknown checkpoint engine {engine!r}")
     config = config_by_name(config_name)
-    golden = golden_run(workload, config_name, hardened)
-    interval = snapshot.checkpoint_interval(golden.instructions)
+    pipeline = engine == "pipeline"
+    golden = (None if engine == "functional-sim"     # it is the golden run
+              else golden_run(workload, config_name, hardened))
+    # the grid's constants: a functional capture picks its interval
     blob = json.dumps([CACHE_SCHEMA_VERSION,
                        snapshot.SNAPSHOT_SCHEMA_VERSION, __version__,
                        workload, config.name, engine, hardened,
                        workload_digest(workload, config.isa, hardened),
-                       config_digest(config), interval]).encode()
+                       config_digest(config), snapshot.MIN_INTERVAL,
+                       snapshot.TARGET_CHECKPOINTS]).encode()
     key = hashlib.sha256(blob).hexdigest()[:24]
     # one file per target: a fresh store replaces those saved under
     # older keys; the hardened tag keeps plain and hardened stores
@@ -279,16 +238,16 @@ def _checkpoint_store(workload: str, config_name: str, engine: str,
             return build_system_image(
                 load_workload(workload, config.isa, hardened=hardened))
 
-        if engine == "pipeline":
+        if pipeline:
             store = snapshot.build_pipeline_store(
-                factory, config, golden.max_instructions, interval,
-                key=key)
+                factory, config, golden.max_instructions,
+                snapshot.checkpoint_interval(golden.instructions), key=key)
         else:
             store = snapshot.build_functional_store(
-                factory, engine.split("-", 1)[1],
-                golden.max_instructions, interval, key=key)
-        if store.final["output"] != golden.output or (
-                engine == "pipeline"
+                factory, engine.split("-", 1)[1], key=key)
+        if golden is not None and (
+                store.final["output"] != golden.output
+                or pipeline
                 and store.final["instructions"] != golden.instructions):
             raise RuntimeError(
                 f"checkpoint capture run of {workload} on {config.name} "
@@ -298,7 +257,7 @@ def _checkpoint_store(workload: str, config_name: str, engine: str,
                 f"{stem}-{'[0-9a-f]' * len(key)}.pkl"):
             if stale != path:
                 stale.unlink(missing_ok=True)
-    if engine == "pipeline":
+    if pipeline:
         snapshot.decode_code(store, config)
     return store
 
@@ -310,34 +269,57 @@ def checkpoint_store(workload: str, config_name: str,
 
     *engine* selects the capture target: ``"pipeline"`` (AVF/HVF
     runs), ``"functional-sim"`` (PVF) or ``"functional-host"`` (SVF).
-    Stores are cached in-process and on disk next to the golden
-    outputs; the key is salted with the workload/config digests plus
+    Stores are cached in-process and on disk next to the campaign
+    results; the key is salted with the workload/config digests plus
     both schema versions, so any engine or format change invalidates
-    every stale store.  The pipeline capture is the golden pipeline
-    run: it must retire the functional run's instructions and output.
+    every stale store.  The functional-sim capture is the golden run;
+    the pipeline capture must retire its instructions and output, and
+    the functional-host capture must print its output.
     """
     return _checkpoint_store(workload, config_name, engine, hardened)
 
 
-def arch_liveness(workload: str, config_name: str,
-                  hardened: bool = False):
-    """The golden functional-sim run's
-    :class:`~repro.uarch.liveness.RegisterLiveness` (see
-    :func:`repro.uarch.snapshot.functional_liveness`), recorded by one
-    :func:`replay_golden` on first demand and held, never saved, on the
-    target's functional-sim checkpoint store; None when none can be
-    built."""
+class _Both:
+    """Two observers of one run, stepped in turn."""
+
+    def __init__(self, first, second) -> None:
+        self.first, self.second = first.step, second.step
+
+    def step(self, engine) -> None:
+        self.first(engine)
+        self.second(engine)
+
+
+def _replayed(workload: str, config_name: str, hardened: bool):
+    """The target's functional-sim store, holding its golden run's
+    :class:`~repro.uarch.liveness.RegisterLiveness` and
+    :class:`GoldenProfile` result, recorded by one :func:`replay_golden`
+    on first demand and never saved."""
     from ..uarch import snapshot
 
     store = checkpoint_store(workload, config_name, engine="functional-sim",
                              hardened=hardened)
-    if store.reg_liveness is None:
+    if store.profile is None:
+        profile = GoldenProfile()
         store.reg_liveness = snapshot.functional_liveness(
             store, config_by_name(config_name),
-            lambda observer: replay_golden(
+            lambda recorder: replay_golden(
                 workload, config_name, engine="functional-sim",
-                hardened=hardened, observer=observer)) or False
-    return store.reg_liveness or None
+                hardened=hardened,
+                observer=_Both(recorder, profile))) or False
+        store.profile = {
+            "regs_used": sorted(profile.regs_used),
+            "footprint": sorted(profile.footprint),
+            "kernel_instructions": profile.kernel_instructions,
+            "user_instructions": profile.user_instructions}
+    return store
+
+
+def arch_liveness(workload: str, config_name: str,
+                  hardened: bool = False):
+    """The golden functional-sim run's ``RegisterLiveness`` (see
+    :func:`_replayed`); None when none can be built."""
+    return _replayed(workload, config_name, hardened).reg_liveness or None
 
 
 def replay_golden(workload: str, config_name: str, *,

@@ -88,9 +88,9 @@ Correctness invariants the fast path relies on:
   condition under which the reference is unreachable.
 
 The fast path is controlled by ``REPRO_FASTPATH`` (truthy default)
-and the ``--no-fastpath`` CLI escape hatch; checkpoint density is
-fixed by :func:`checkpoint_interval` (about ``TARGET_CHECKPOINTS`` per
-capture run).
+and the ``--no-fastpath`` CLI escape hatch; a pipeline capture is
+spaced by :func:`checkpoint_interval`, and a functional capture, the
+golden run itself, picks its own grid (:class:`_FunctionalCapture`).
 """
 
 from __future__ import annotations
@@ -124,14 +124,17 @@ from .pipeline import (PipelineEngine, PipelineResult, code_records,
 #: invalidates every on-disk checkpoint store (3: the liveness oracle;
 #: 4: the capture run's occupancy in ``final``; 5: the pc record,
 #: events keyed by step, and the golden code lines; 6: no pipeline
-#: digests, no per-checkpoint digest)
-SNAPSHOT_SCHEMA_VERSION = 6
+#: digests, no per-checkpoint digest; 7: self-thinning functional grid)
+SNAPSHOT_SCHEMA_VERSION = 7
 
 #: cache structures whose data flips the liveness oracle decides
 _ORACLE_STRUCTURES = ("L1I", "L1D", "L2")
 
 #: default number of checkpoints per capture run
 TARGET_CHECKPOINTS = 16
+
+#: the finest checkpoint spacing, in instructions
+MIN_INTERVAL = 64
 
 def fastpath_enabled(explicit: "bool | None" = None) -> bool:
     """Resolve the fast-path switch: explicit flag > ``REPRO_FASTPATH``
@@ -143,7 +146,7 @@ def fastpath_enabled(explicit: "bool | None" = None) -> bool:
 
 def checkpoint_interval(total_instructions: int) -> int:
     """Checkpoint spacing in instructions for a run of the given size."""
-    return max(64, total_instructions // TARGET_CHECKPOINTS)
+    return max(MIN_INTERVAL, total_instructions // TARGET_CHECKPOINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +193,13 @@ class CheckpointStore:
     #: saved; False when none can be built
     reg_liveness: "RegisterLiveness | bool | None" = field(
         default=None, compare=False, repr=False)
+    #: the golden run's profile (functional-sim stores), never saved
+    profile: "dict | None" = field(default=None, compare=False, repr=False)
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["code_records"] = {}
-        state.pop("reg_liveness", None)
-        return state
+        # what is built on demand is never saved
+        return {**self.__dict__, "code_records": {}, "reg_liveness": None,
+                "profile": None}
 
     def register_liveness(self) -> "RegisterLiveness | None":
         """The golden run's register record, from the oracle's pc record
@@ -583,6 +587,11 @@ class _PipelineCapture:
 
 
 class _FunctionalCapture:
+    """Capture a checkpoint and its digest every ``interval``
+    instructions; where one more would make over ``2 *
+    TARGET_CHECKPOINTS`` after the first, drop every other one and
+    double the interval instead."""
+
     def __init__(self, interval: int) -> None:
         self.interval = interval
         self.next_check = 0
@@ -591,14 +600,21 @@ class _FunctionalCapture:
         self._intern: dict = {}
 
     def poll(self, engine: FunctionalEngine):
-        digest = functional_digest(engine)
-        self.checkpoints.append(Checkpoint(
-            instructions=engine.executed,
-            cycle=0.0,
-            counters=dict(engine._counters),
-            state=capture_functional(engine, self._intern)))
-        self.digests[engine.executed] = digest
-        self.next_check = engine.executed + self.interval
+        checkpoints = self.checkpoints
+        if len(checkpoints) > 2 * TARGET_CHECKPOINTS:
+            # an odd multiple of the interval: off the thinned grid
+            del checkpoints[1::2]
+            self.interval *= 2
+            self.digests = {cp.instructions: self.digests[cp.instructions]
+                            for cp in checkpoints}
+        else:
+            self.digests[engine.executed] = functional_digest(engine)
+            checkpoints.append(Checkpoint(
+                instructions=engine.executed,
+                cycle=0.0,
+                counters=dict(engine._counters),
+                state=capture_functional(engine, self._intern)))
+        self.next_check = checkpoints[-1].instructions + self.interval
         return None
 
 
@@ -1003,17 +1019,17 @@ def functional_liveness(store: CheckpointStore, config,
     return register_liveness(oracle, code_records(code, config))
 
 
-def build_functional_store(image_factory, kernel: str,
-                           max_instructions: int, interval: int,
-                           key: str = "") -> CheckpointStore:
-    """Capture run for the functional engine (``sim`` or ``host``).
+def build_functional_store(image_factory, kernel: str, key: str = "",
+                           interval: int = MIN_INTERVAL) -> CheckpointStore:
+    """Capture run for the functional engine (``sim`` or ``host``),
+    on a grid that starts at *interval*.
 
     A never-firing dummy action is scheduled so the trigger counters
     advance exactly as they do in injection runs (the engine only
-    counts trigger streams while actions are scheduled).
+    counts trigger streams while actions are scheduled); ``final``
+    keeps the last ``user_dest`` count as ``dest_instructions``.
     """
-    engine = FunctionalEngine(image_factory(), kernel=kernel,
-                              max_instructions=max_instructions)
+    engine = FunctionalEngine(image_factory(), kernel=kernel)
     engine.schedule(FaultAction("commit", -1, lambda _engine: None))
     hook = _FunctionalCapture(interval)
     engine.fastpath = hook
@@ -1024,10 +1040,11 @@ def build_functional_store(image_factory, kernel: str,
             f"{result.status}")
     return CheckpointStore(
         schema=SNAPSHOT_SCHEMA_VERSION, engine=f"functional-{kernel}",
-        key=key, interval=interval, checkpoints=hook.checkpoints,
+        key=key, interval=hook.interval, checkpoints=hook.checkpoints,
         digests=hook.digests,
         final={"output": result.output, "exit_code": result.exit_code,
-               "instructions": result.instructions})
+               "instructions": result.instructions,
+               "dest_instructions": engine._counters["user_dest"]})
 
 
 # ---------------------------------------------------------------------------

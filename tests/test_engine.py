@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -267,21 +268,32 @@ def test_unreadable_cache_files_are_recomputed(tmp_path, monkeypatch, kind,
     # aggregate would
     monkeypatch.setattr(campaign_mod, "clear_checkpoints", lambda d: None)
     args = dict(injector="svf", n=6, seed=4343, workers=1, shard_size=2)
-    golden._golden_run.cache_clear()
+
+    def forget():
+        golden.golden_run.cache_clear()
+        golden.checkpoint_store.cache_clear()
+
+    forget()
     expected = json.dumps(run_campaign("crc32", "cortex-a72",
                                        **args).to_json())
     [sidecar] = tmp_path.glob("campaign-svf-crc32-*.json")
     shards = sorted((tmp_path / "shards" / sidecar.stem).glob("shard-*"))
+    # the golden run's cache file is its functional-sim checkpoint store
     victim = {"shard": shards[1], "sidecar": sidecar,
-              "golden": next(tmp_path.glob("golden-crc32-*.json"))}[kind]
+              "golden": next(tmp_path.glob(
+                  "checkpoints-crc32-*-functional-sim-*.pkl"))}[kind]
     if kind != "sidecar":
         sidecar.unlink()        # else the campaign is read back whole
     victim.write_bytes(damage)
-    golden._golden_run.cache_clear()
+    forget()
     again = run_campaign("crc32", "cortex-a72", **args)
-    golden._golden_run.cache_clear()
+    forget()
     assert json.dumps(again.to_json()) == expected
-    json.loads(victim.read_text())      # written again, whole
+    # written again, whole
+    if kind == "golden":
+        pickle.loads(victim.read_bytes())
+    else:
+        json.loads(victim.read_text())
 
 
 # ---------------------------------------------------------------------------

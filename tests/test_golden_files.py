@@ -1,23 +1,31 @@
 """The tracked golden references are what ``golden_run`` computes.
 
-``tests/.test-cache`` holds one ``golden-*.json`` file per (workload,
+``corpus/golden`` holds one ``golden-*.json`` file per (workload,
 config, hardened) target the suite runs, hardened sha, crc32 and
-smooth among them.  Recomputing each in an empty cache must write the
-same file under the same name, so these files pin the functional
-engine and the golden-profile observer that fill a :class:`GoldenRun`.
+smooth among them.  Each was written by the golden functional run that
+``golden_run`` once made itself.  Recomputing a target in an empty
+cache must give every :class:`GoldenRun` field its file holds, so
+these files pin the functional engine, the functional-sim checkpoint
+capture whose final result ``golden_run`` reads, and the
+golden-profile observer of the replay behind its profile fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.injectors.golden import golden_run
+from repro.injectors.golden import GoldenRun, checkpoint_store, golden_run
 
-TRACKED = sorted((Path(__file__).parent / ".test-cache").glob(
+TRACKED = sorted((Path(__file__).parent / "corpus" / "golden").glob(
     "golden-*.json"))
+
+#: the profile properties a reference holds besides the fields
+PROFILE = {"regs_used", "footprint", "kernel_instructions",
+           "user_instructions"}
 
 
 def test_every_target_is_tracked():
@@ -30,12 +38,17 @@ def test_every_target_is_tracked():
 def test_golden_file_is_recomputed_byte_identical(path, tmp_path,
                                                   monkeypatch):
     tracked = json.loads(path.read_text())
+    assert set(tracked) == PROFILE | {
+        f.name for f in dataclasses.fields(GoldenRun)}
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     golden_run.cache_clear()
+    checkpoint_store.cache_clear()
     try:
         golden = golden_run(tracked["workload"], tracked["config_name"],
                             tracked["hardened"])
+        got = {name: getattr(golden, name) for name in tracked}
     finally:
         golden_run.cache_clear()
-    assert golden.to_json() == tracked
-    assert (tmp_path / path.name).read_text() == path.read_text()
+        checkpoint_store.cache_clear()
+    got["output"] = golden.output.hex()
+    assert got == tracked

@@ -161,18 +161,22 @@ def test_a_fresh_store_replaces_only_its_targets_stale_stores(
     checkpoint_store.cache_clear()
     stem = f"checkpoints-crc32-{CONFIG}"
     old = "0" * 24
-    stale = tmp_path / f"{stem}-pipeline-{old}.pkl"
+    # a pipeline store is built on the golden run, the functional-sim
+    # capture, so that store is fresh too
+    stale = [tmp_path / f"{stem}-pipeline-{old}.pkl",
+             tmp_path / f"{stem}-functional-sim-{old}.pkl"]
     keep = [tmp_path / f"{stem}-pipeline-ft-{old}.pkl",
-            tmp_path / f"{stem}-functional-sim-{old}.pkl",
             tmp_path / f"checkpoints-sha-{CONFIG}-pipeline-{old}.pkl"]
-    for path in [stale] + keep:
+    for path in stale + keep:
         path.write_bytes(b"decoy")
     try:
         checkpoint_store("crc32", CONFIG)
     finally:
         golden_run.cache_clear()
         checkpoint_store.cache_clear()
-    fresh = [path for path in tmp_path.glob(f"{stem}-pipeline-*.pkl")
-             if path not in keep]
-    assert len(fresh) == 1 and fresh[0] != stale
+    for engine in ("pipeline", "functional-sim"):
+        fresh = [path for path in tmp_path.glob(f"{stem}-{engine}-*.pkl")
+                 if path not in keep]
+        assert len(fresh) == 1 and fresh[0] not in stale
     assert all(path.exists() for path in keep)
+    assert not any(path.exists() for path in stale)

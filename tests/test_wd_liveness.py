@@ -238,7 +238,7 @@ class _Case:
         self.pcs = pcs.pcs
         self.max_instructions = 4 * result.instructions
         self.store = snapshot.build_functional_store(
-            self._image, "sim", self.max_instructions, INTERVAL)
+            self._image, "sim", interval=INTERVAL)
         self.liveness = snapshot.functional_liveness(
             self.store, config_by_name("cortex-a72"), self._replay)
         assert self.liveness is not None
@@ -492,4 +492,4 @@ def test_wd_exits_and_jumps_are_counted(tmp_path, monkeypatch):
 
 PINNED = {FASTPATH_RESTORES: 16, FASTPATH_ORACLE_EXITS: 4,
           FASTPATH_EARLY_EXITS: 4, FASTPATH_JUMPS: 10,
-          FASTPATH_INSTRUCTIONS_JUMPED: 10884}
+          FASTPATH_INSTRUCTIONS_JUMPED: 11452}
