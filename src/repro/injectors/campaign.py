@@ -19,13 +19,14 @@ plus Leveugle-style margins of error for every proportion.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import random
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from ..faults.fault import sample_uniform
@@ -144,12 +145,19 @@ def _decode_one(entry):
     return InjectionResult(**entry)
 
 
+def _encode_one(result) -> dict:
+    """*result*'s fields in field order, as ``asdict`` gives them: all
+    are immutable scalars, so a copy of the instance dict does without
+    ``asdict``'s deep copy of each."""
+    return dict(result.__dict__)
+
+
 def _encode_many(results):
-    return [asdict(result) for result in results]
+    return [_encode_one(result) for result in results]
 
 
 def _decode_many(entry):
-    return [InjectionResult(**fields) for fields in entry]
+    return [InjectionResult(**item) for item in entry]
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +279,14 @@ class CampaignResult:
     def to_json(self) -> dict:
         from . import golden as golden_mod
 
-        data = asdict(self)
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["results"] = _encode_many(self.results)
+        data["plan"] = copy.deepcopy(self.plan)
         # version-salt the stored entry itself (in addition to the
         # cache *key*), so entries written by a different engine
         # schema are recognised as stale even if they land on the
         # same path (e.g. copied caches)
         data["schema"] = golden_mod.CACHE_SCHEMA_VERSION
-        data["results"] = [asdict(r) for r in self.results]
         return data
 
     @classmethod
@@ -693,7 +702,7 @@ def run_campaign(workload: str, config: "MicroarchConfig | str",
     results = run_sharded(
         setup.worker(batched), tasks, workers=setup.workers,
         shard_size=shard_size, checkpoint_dir=checkpoint_dir,
-        encode=_encode_many if batched else asdict,
+        encode=_encode_many if batched else _encode_one,
         decode=_decode_many if batched else _decode_one,
         events=setup.events, progress=reporter,
         outcome_key=None if batched else attrgetter("outcome"),

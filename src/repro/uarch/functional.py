@@ -47,7 +47,7 @@ _read_word = struct.Struct("<I").unpack_from
 _ALU, _BRANCH, _JUMP, _SYS, _CALL, _LOAD, _STORE = range(7)
 _HANDLER_KIND_OF_CLASS = {"branch": _JUMP, "sys": _SYS}
 
-#: Shared decode cache, under two key shapes:
+#: Shared decode cache, under three key shapes:
 #:
 #: - ``(xlen, word)`` -> decode record, or the DecodeError reason for
 #:   an illegal word.  It holds the reason rather than the exception:
@@ -58,6 +58,9 @@ _HANDLER_KIND_OF_CLASS = {"branch": _JUMP, "sys": _SYS}
 #:   ``run()`` has entered the leader so far, until the entry that
 #:   makes it hot builds the block (:func:`_build_block`), or None when
 #:   no block can be built there.
+#: - ``(xlen, shape)``, *shape* a tuple -> the factory that binds the
+#:   blocks of that shape (:func:`_build_block`).  The variants of
+#:   flipped blocks live in their run's own table, never here.
 #:
 #: Distinct words and leaders are few (static code + a handful of
 #: corrupted variants), and campaigns run thousands of executions of
@@ -66,8 +69,11 @@ _DECODE_CACHE: dict[tuple, object] = {}
 
 #: A leader's block is built on its ``_HOT_ENTRIES``-th entry, when it
 #: runs at least ``_MIN_BLOCK`` instructions; a block holds at most
-#: ``_MAX_BLOCK``.
+#: ``_MAX_BLOCK``.  Within one run, a leader binds a variant of its
+#: block from the current bytes when the block fails its code check
+#: for the ``_VARIANT_FAILS``-th time.
 _HOT_ENTRIES = 4
+_VARIANT_FAILS = 2
 _MIN_BLOCK = 3
 _MAX_BLOCK = 64
 #: a trigger count no run reaches
@@ -153,78 +159,48 @@ def _build_block(page, off: int, pc: int, regs) -> "tuple | None":
     words from *pc* on the page, up to ``_MAX_BLOCK``, plus one
     ``_BRANCH`` after them.  ``fn(regs, pages, backing, page_regions,
     user)`` runs its ``n`` instructions, the code of ``page[off:end]``
-    (= *code*), as one generated function: the decode records'
-    register indices, operands and branch targets are its constants,
-    and it calls their :data:`repro.uarch.cpu.VALUE_FORMS` functions.
-    It returns the next pc, or ``~k`` to leave after its first *k*
-    instructions: at a load or store that the page memo does not prove
-    safe, at instruction *k*, which the caller then runs itself, and
-    after a store into the block's own code page.  ``dests[k]`` and
-    ``lasts[k]`` are the number of register writes among the first *k*
-    instructions and the last register they write (0: none);
-    ``stores`` tells whether the block holds a store.
+    (= *code*), as one generated function (:func:`_block_factory`).
+    ``dests[k]`` and ``lasts[k]`` are the number of register writes
+    among the first *k* instructions and the last register they write
+    (0: none); ``stores`` tells whether the block holds a store.
+
+    The function is bound from a factory compiled once per block
+    *shape*: entry *k* of the shape fixes the code of instruction *k*,
+    its kind, its memory width and signedness, and which operands
+    exist; a block that ends without a branch adds ``(None,)``, its
+    fall-through.  Entry *k* of ``values`` holds what that code reads:
+    register indices, immediates, branch targets, the code page's base
+    and the op's :data:`repro.uarch.cpu.VALUE_FORMS` function, which
+    the factory binds as closure cells.  The factory is kept in
+    :data:`_DECODE_CACHE` under ``(xlen, shape)``, so a block that
+    differs from one seen before only in its values (say, by a flipped
+    register index or immediate) costs a closure, not a compile.
     """
     if page is None:
         return None
-    xlen = regs.xlen
-    mask = (1 << xlen) - 1
     code_base = (pc & 0xFFFF_FFFF) - off
-    lines = ["def block(regs, pages, backing, page_regions, user):"]
-    namespace: dict = {}
+    shape: list = []
+    values: list = []
     dests, lasts = [0], [0]
-    stores = False
-    tail = None
     for k in range(min(_MAX_BLOCK, (_PAGE - off) >> 2)):
         try:
             (_, _, kind, rs1, rs2, dest, fn, operand, imm, nbytes, signed,
              _, _) = decode_record(_read_word(page, off + 4 * k)[0], regs)
         except DecodeError:
-            kind = None
+            break
         here = pc + 4 * k
-        exit_ = f"return {~k}"
         if kind == _BRANCH and here + 4 + imm >= 0:
-            namespace[f"f{k}"] = fn
-            tail = (f"return {here + 4 + imm} if f{k}(regs[{rs1}], "
-                    f"regs[{rs2}]) else {here + 4}")
+            shape.append((kind,))
+            values.append((here + 4 + imm, fn, rs1, rs2, here + 4))
         elif kind == _ALU:
-            if dest:
-                namespace[f"f{k}"] = fn
-                second = f"regs[{rs2}]" if rs2 else repr(operand)
-                lines.append(
-                    f"    regs[{dest}] = f{k}(regs[{rs1}], {second})")
-        elif kind == _LOAD or kind == _STORE:
-            lines += [
-                f"    a = (regs[{rs1}] + {imm}) & 0xFFFFFFFF",
-                f"    o = a & {_PAGE_MASK}",
-                f"    if o > {_PAGE - nbytes}: {exit_}",
-                "    b = a - o",
-                "    r = page_regions.get(b)",
-            ]
-            if kind == _LOAD:
-                lines += [
-                    f"    if r is None or user and r.kernel_only: {exit_}",
-                    "    p = pages.get(b)",
-                    "    if p is None:",
-                    "        p = backing.get(b)",
-                    f"        if p is None: {exit_}",
-                ]
-                if dest:
-                    lines.append(
-                        f"    regs[{dest}] = int.from_bytes("
-                        f"p[o:o + {nbytes}], 'little', signed={signed})"
-                        f" & {mask}")
-            else:
-                stores = True
-                lines += [
-                    "    if r is None or user and r.kernel_only"
-                    f" or not r.writable: {exit_}",
-                    "    p = pages.get(b)",
-                    f"    if p is None: {exit_}",
-                    f"    p[o:o + {nbytes}] = (regs[{rs2}] & "
-                    f"{(1 << (nbytes << 3)) - 1}).to_bytes({nbytes}, "
-                    "'little')",
-                    f"    if b == {code_base}: return {~(k + 1)}",
-                ]
+            shape.append((kind, dest != 0, dest != 0 and rs2 != 0))
+            values.append((dest, fn, rs1, rs2 or operand) if dest else ())
+        elif kind == _LOAD:
+            shape.append((kind, nbytes, signed, dest != 0))
+            values.append((rs1, imm, dest) if dest else (rs1, imm))
+        elif kind == _STORE:
+            shape.append((kind, nbytes))
+            values.append((rs1, imm, rs2, code_base))
         else:
             break
         dests.append(dests[-1] + (dest != 0))
@@ -234,11 +210,87 @@ def _build_block(page, off: int, pc: int, regs) -> "tuple | None":
     n = len(dests) - 1
     if n < _MIN_BLOCK:
         return None
-    lines.append(f"    {tail or f'return {pc + 4 * n}'}")
-    exec(compile("\n".join(lines), f"<block {pc:#x}>", "exec"), namespace)
-    return (namespace["block"], n, off, off + 4 * n,
-            bytes(page[off:off + 4 * n]), tuple(dests), tuple(lasts),
-            stores)
+    if shape[-1][0] != _BRANCH:
+        shape.append((None,))
+        values.append((pc + 4 * n,))
+    key = (regs.xlen, tuple(shape))
+    factory = _DECODE_CACHE.get(key)
+    if factory is None:
+        factory = _DECODE_CACHE[key] = _block_factory(key[1], values,
+                                                      regs.xlen)
+    return (factory(*[v for entry in values for v in entry]), n, off,
+            off + 4 * n, bytes(page[off:off + 4 * n]), tuple(dests),
+            tuple(lasts), any(form[0] == _STORE for form in shape))
+
+
+def _block_factory(shape: tuple, values: list, xlen: int):
+    """The factory of the blocks of *shape* (see :func:`_build_block`),
+    ``factory(*cells) -> block``: *cells* are one block's values,
+    flattened, and value *i* of entry *k* becomes the block's closure
+    cell ``c{k}_{i}``.  *values* are the values of one block of that
+    shape; only their number per entry counts here.
+
+    The block returns the next pc, or ``~k`` to leave after its first
+    *k* instructions: at a load or store that the page memo does not
+    prove safe, at instruction *k*, which the caller then runs itself,
+    and after a store into the block's own code page.
+    """
+    mask = (1 << xlen) - 1
+    lines = []
+    for k, form in enumerate(shape):
+        kind = form[0]
+        t = [f"c{k}_{i}" for i in range(5)]
+        exit_ = f"return {~k}"
+        if kind is None:
+            lines.append(f"return {t[0]}")
+        elif kind == _BRANCH:
+            lines.append(f"return {t[0]} if {t[1]}(regs[{t[2]}], "
+                         f"regs[{t[3]}]) else {t[4]}")
+        elif kind == _ALU:
+            if form[1]:
+                second = f"regs[{t[3]}]" if form[2] else t[3]
+                lines.append(f"regs[{t[0]}] = {t[1]}(regs[{t[2]}], "
+                             f"{second})")
+        else:
+            nbytes = form[1]
+            lines += [
+                f"a = (regs[{t[0]}] + {t[1]}) & 0xFFFFFFFF",
+                f"o = a & {_PAGE_MASK}",
+                f"if o > {_PAGE - nbytes}: {exit_}",
+                "b = a - o",
+                "r = page_regions.get(b)",
+            ]
+            if kind == _LOAD:
+                lines += [
+                    f"if r is None or user and r.kernel_only: {exit_}",
+                    "p = pages.get(b)",
+                    "if p is None:",
+                    "    p = backing.get(b)",
+                    f"    if p is None: {exit_}",
+                ]
+                if form[3]:
+                    lines.append(
+                        f"regs[{t[2]}] = int.from_bytes(p[o:o + {nbytes}],"
+                        f" 'little', signed={form[2]}) & {mask}")
+            else:
+                lines += [
+                    "if r is None or user and r.kernel_only"
+                    f" or not r.writable: {exit_}",
+                    "p = pages.get(b)",
+                    f"if p is None: {exit_}",
+                    f"p[o:o + {nbytes}] = (regs[{t[2]}] & "
+                    f"{(1 << (nbytes << 3)) - 1}).to_bytes({nbytes}, "
+                    "'little')",
+                    f"if b == {t[3]}: return {~(k + 1)}",
+                ]
+    cells = ", ".join(f"c{k}_{i}" for k, entry in enumerate(values)
+                      for i in range(len(entry)))
+    body = "".join(f"\n        {line}" for line in lines)
+    namespace: dict = {}
+    exec(compile(f"def factory({cells}):\n"
+                 "    def block(regs, pages, backing, page_regions, user):"
+                 f"{body}\n    return block", "<block>", "exec"), namespace)
+    return namespace["factory"]
 
 
 class RunStatus(str, Enum):
@@ -473,8 +525,14 @@ class FunctionalEngine:
         a word's decode record under ``(xlen, word)``, and under
         ``(xlen, pc, word)`` the straight-line block a hot leader runs
         as one call (:func:`_build_block`), unless a poll, the
-        watchdog limit or a trigger falls inside it, an observer is
-        attached, or its code bytes have changed.
+        watchdog limit or a trigger falls inside it, or an observer is
+        attached.  A block whose code bytes have changed (a WOI/WI
+        flip, a store into code) does not run; from its second failed
+        code check in this run on, the leader runs a run-local variant
+        built from the current bytes instead (:func:`_variant`), under
+        the same tests, bound once per leader from its shape's
+        factory.  A variant whose own bytes change leaves its leader
+        to run word by word.
         """
         ms = self.ms
         core = self._core
@@ -532,6 +590,8 @@ class FunctionalEngine:
         # falls inside them.  commit_next and dest_next are the next
         # due trigger counts, re-read after every fire and jump.
         leader = True
+        # leader pc -> its failed code checks, variant or None this run
+        variants: dict = {}
         commit_next = _next_trigger(commit_t, n_commit)
         dest_next = _next_trigger(dest_t, n_dest)
         try:
@@ -588,12 +648,25 @@ class FunctionalEngine:
                         if block.__class__ is tuple:
                             (run_block, n, off, end, code, dests, lasts,
                              stores) = block
+                            if code_page[off:end] != code:
+                                # flipped or stored-into code: the
+                                # leader's variant, if its bytes hold
+                                block = variants.get(pc, 0)
+                                if (block.__class__ is not tuple
+                                        or code_page[block[2]:block[3]]
+                                        != block[4]):
+                                    block = _variant(variants, pc, block,
+                                                     code_page, off,
+                                                     regs_meta)
+                                if block is not None:
+                                    (run_block, n, off, end, code, dests,
+                                     lasts, stores) = block
                             user = mode != KERNEL_MODE
-                            if (executed + n <= limit
+                            if (block is not None
+                                    and executed + n <= limit
                                     and n_commit + n <= commit_next
                                     and (n_dest + dests[n] <= dest_next
-                                         or not user)
-                                    and code_page[off:end] == code):
+                                         or not user)):
                                 nxt = run_block(regs, pages,
                                                 backing or _NO_PAGES,
                                                 page_regions, user)
@@ -794,6 +867,29 @@ class FunctionalEngine:
             return self.ms.exit_code
         return self.memory.read_int(
             layout.KERNEL_DATA_BASE + EXIT_CODE_OFFSET, 4)
+
+
+def _variant(variants: dict, pc: int, seen, page, off: int,
+             regs) -> "tuple | None":
+    """The variant block to run at leader *pc*, whose block failed its
+    code check, or None to run it word by word.
+
+    *seen* is what the run's *variants* table holds for *pc*: the
+    number of failed checks so far (0 when absent), None for no
+    variant, or a bound variant whose own bytes have changed since.
+    On the ``_VARIANT_FAILS``-th failed check the leader binds a
+    variant from the current bytes of *page* (:func:`_build_block`);
+    one that changes again, like a leader with no variant, runs word
+    by word for the rest of the run, so a leader binds at most once.
+    """
+    if seen.__class__ is int:
+        seen += 1
+        if seen >= _VARIANT_FAILS:
+            seen = _build_block(page, off, pc, regs)
+    else:
+        seen = None
+    variants[pc] = seen
+    return seen if seen.__class__ is tuple else None
 
 
 def _next_trigger(table: dict, count: int) -> int:

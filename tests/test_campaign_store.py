@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
-from repro.injectors.campaign import _campaign_path, run_campaign
+from repro.injectors.campaign import (CampaignResult, _campaign_path,
+                                      _encode_many, _encode_one,
+                                      run_campaign)
+from repro.injectors.gefin import InjectionResult
 from repro.injectors.golden import cache_dir, workload_digest
 
 
@@ -66,3 +70,30 @@ class TestParallelPath:
         assert default_workers(1000) == 3
         monkeypatch.delenv("REPRO_WORKERS")
         assert default_workers(4) == 1
+
+
+class TestEncoding:
+    def test_results_encode_as_asdict_does(self):
+        """The one result encoder gives ``asdict``'s fields in its
+        order, and ``to_json`` the bytes of ``asdict`` over the whole
+        campaign, with the plan a copy."""
+        from repro.injectors.golden import CACHE_SCHEMA_VERSION
+
+        results = [InjectionResult("sdc", fpm="WOI", fault_applied=True,
+                                   cycles=12.5, crossing_cycle=3.0,
+                                   site_bit=7),
+                   InjectionResult("crash", crash_kind="access-fault")]
+        for result in results:
+            assert list(_encode_one(result).items()) == \
+                list(asdict(result).items())
+        assert _encode_many(results) == [asdict(r) for r in results]
+        plan = {"classes": [{"phase": 0, "trials": 2}], "wilson": [0, 1]}
+        campaign = CampaignResult("pvf", "sha", "cortex-a72", 2, 1,
+                                  model="WOI", results=results, plan=plan)
+        want = asdict(campaign)
+        want["schema"] = CACHE_SCHEMA_VERSION
+        data = campaign.to_json()
+        assert json.dumps(data) == json.dumps(want)
+        assert data["plan"] == plan and data["plan"] is not plan
+        assert data["plan"]["classes"][0] is not plan["classes"][0]
+        assert CampaignResult.from_json(data) == campaign

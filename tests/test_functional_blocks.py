@@ -9,17 +9,22 @@ run; each case then checks the end state against
 ``test_functional_loop.reference_run``, and the targeted ones check
 what must keep a block from running or make it leave early: code
 flips, actions, faults, page-memo misses, stores into code, the
-watchdog, fast-path polls and an observer.
+watchdog, fast-path polls and an observer.  A block whose code a flip
+or store changed runs, from its second failed check in a run, as a
+run-local variant built from the current bytes; those cases check the
+variant against the same reference.
 """
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.injectors.campaign import run_campaign
 from repro.isa import layout
 from repro.isa.assembler import assemble
 from repro.isa.registers import ISA_NAMES, MR64, register_set
@@ -55,28 +60,47 @@ def _write(symbol: str, nbytes: int) -> str:
 """
 
 
+def _binds_a_variant(page, off, pc, regs) -> bool:
+    """Whether ``run()`` calls ``_build_block`` for a variant: the
+    leader already holds a built block, whose code check failed."""
+    word = int.from_bytes(page[off:off + 4], "little")
+    return functional._DECODE_CACHE.get(
+        (regs.xlen, pc, word)).__class__ is tuple
+
+
 @pytest.fixture
 def spy(monkeypatch):
     """A fresh decode cache, and counts of the block calls and of the
-    instructions blocks ran, side exits included."""
+    instructions blocks ran, side exits included; the same counts of
+    the run-local variants (``variant_calls``, ...); each block built
+    (``blocks``) and each variant bound (``variants``)."""
     monkeypatch.setattr(functional, "_DECODE_CACHE", {})
-    seen = SimpleNamespace(calls=0, instructions=0, exits=0)
+    seen = SimpleNamespace(calls=0, instructions=0, exits=0, blocks=[],
+                           variants=[], variant_calls=0,
+                           variant_instructions=0, variant_exits=0)
     build = functional._build_block
 
+    def counted(block, prefix: str):
+        fn, n = block[0], block[1]
+
+        def call(*args):
+            nxt = fn(*args)
+            for name, count in (("calls", 1),
+                                ("instructions", n if nxt >= 0 else ~nxt),
+                                ("exits", nxt < 0)):
+                setattr(seen, prefix + name,
+                        getattr(seen, prefix + name) + count)
+            return nxt
+
+        return (call,) + block[1:]
+
     def counted_build(page, off, pc, regs):
+        variant = _binds_a_variant(page, off, pc, regs)
         block = build(page, off, pc, regs)
         if block is None:
             return None
-        fn, n = block[0], block[1]
-
-        def counted(*args):
-            nxt = fn(*args)
-            seen.calls += 1
-            seen.instructions += n if nxt >= 0 else ~nxt
-            seen.exits += nxt < 0
-            return nxt
-
-        return (counted,) + block[1:]
+        (seen.variants if variant else seen.blocks).append(block)
+        return counted(block, "variant_" if variant else "")
 
     monkeypatch.setattr(functional, "_build_block", counted_build)
     return seen
@@ -238,6 +262,146 @@ def test_commit_flip_into_a_built_blocks_word(spy, frozen):
     assert _counter_output(end) == (TRIPS, 2 * late + 6 * (TRIPS - late))
     # built on the loop's fourth entry, run up to the flip's trip only
     assert spy.calls == late - functional._HOT_ENTRIES - 1
+
+
+def _flipped_counter(isa: str, state, late: int, imm: int = 6):
+    """A build of COUNTER whose loop head's visit *late* flips the
+    loop's second word, ``addi r6, r6, 2``, into ``addi r6, r6,
+    <imm>``."""
+    program = _program(COUNTER, isa)
+    target = program.symbols["loop"] + 4
+    mask = _word("addi r6, r6, 2", isa) ^ _word(f"addi r6, r6, {imm}", isa)
+
+    def flip(engine):
+        engine.memory.write_int(
+            target, engine.memory.read_int(target, 4) ^ mask, 4)
+
+    def build():
+        engine = _engine(program, state=state)
+        engine.schedule(FaultAction("commit", _visit(late), flip))
+        return engine
+
+    return build
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["fresh", "restored"])
+@pytest.mark.parametrize("isa", ISA_NAMES)
+def test_a_flipped_block_runs_as_a_variant(spy, isa, frozen):
+    """After a flip into the built block's second word, the trip after
+    the flip's fails the block's code check and runs word by word; from
+    the second failed entry on, the leader runs one variant of the
+    flipped bytes, bound once, and the old block never runs again."""
+    late = 6
+    state = _checkpoint(_program(COUNTER, isa)) if frozen else None
+    end = _both(_flipped_counter(isa, state, late))
+    assert _counter_output(end) == (TRIPS, 2 * late + 6 * (TRIPS - late))
+    assert spy.calls == late - functional._HOT_ENTRIES - 1
+    assert [variant[1] for variant in spy.variants] == [4]
+    assert spy.variant_calls == TRIPS - late - 2
+    assert spy.variant_instructions == 4 * spy.variant_calls
+
+
+def test_the_decode_cache_holds_shape_factories_not_variants(spy):
+    """Blocks are bound from factories compiled once per block shape
+    and kept in the decode cache.  A flip to another immediate keeps
+    the shape of the loop's block, so each run's variant shares the
+    block's code, bound from its factory with no compile; the variant
+    itself stays out of the cache and dies with its run."""
+    for imm in (6, 10):
+        _flipped_counter(MR64, None, 6, imm)().run()
+    factories = {key: value for key, value
+                 in functional._DECODE_CACHE.items()
+                 if len(key) == 2 and key[1].__class__ is tuple}
+    # every factory binds some block the runs built: none is the
+    # variants' own
+    assert factories and {
+        key for key, factory in factories.items() for block in spy.blocks
+        if block[0].__code__ in factory.__code__.co_consts} == set(factories)
+    first, second = spy.variants
+    (loop,) = [block for block in spy.blocks if block[2] == first[2]]
+    assert first[0].__code__ is second[0].__code__ is loop[0].__code__
+    assert first[0] is not second[0] and first[0].__closure__ is not None
+    # the cached blocks are the built ones, none of them a variant
+    cached = [value[1:] for value in functional._DECODE_CACHE.values()
+              if value.__class__ is tuple and len(value) == 8]
+    assert sorted(cached) == sorted(block[1:] for block in spy.blocks)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["fresh", "restored"])
+@pytest.mark.parametrize("isa", ISA_NAMES)
+def test_a_variant_whose_bytes_change_again(spy, isa, frozen):
+    """Every trip stores a new immediate into the word after its store,
+    inside the loop's block: the second failed entry binds a variant,
+    the next finds the variant's bytes changed too, and the leader runs
+    word by word from then on; no second variant is bound."""
+    one, two = _word("addi r5, r5, 1", isa), _word("addi r5, r5, 2", isa)
+    src = f"""
+.text
+_start:
+    la   r2, patch
+    li   r3, {one}
+    li   r8, {two - one}
+    li   r4, {TRIPS}
+    li   r5, 0
+loop:
+    add  r3, r3, r8
+    sw   r3, 0(r2)
+patch:
+    addi r5, r5, 1
+    addi r4, r4, -1
+    bnez r4, loop
+    la   r2, out
+    sw   r5, 0(r2)
+{_write("out", 4)}
+{EXIT}
+.data
+out: .space 4
+"""
+    program = _program(src, isa)
+    state = _checkpoint(program) if frozen else None
+    end = _both(lambda: _engine(program, state=state))
+    assert int.from_bytes(end["output"], "little") == sum(
+        range(2, TRIPS + 2))
+    assert len(spy.variants) == 1 and spy.variant_calls == 1
+    assert spy.calls == 0
+
+
+@pytest.mark.parametrize("new", ["div", "illegal"])
+@pytest.mark.parametrize("isa", ISA_NAMES)
+def test_a_variant_ends_before_a_handler_or_illegal_word(spy, monkeypatch,
+                                                         isa, new):
+    """A WI flip, at the eighth word of a trip, turns LOOP's sixth
+    word into a handler kind (``div``) or an illegal word: the variant
+    holds the five words before it, and the word runs on the word-by-
+    word path, ``div`` through its handler, the illegal word raising
+    ILLEGAL_INSTRUCTION at its own pc.  The illegal word ends the run
+    on the next trip, so there the variant binds on the first failed
+    code check."""
+    program = _program(LOOP, isa)
+    target = program.symbols["loop"] + 20
+    word = _word("div r11, r5, r4", isa) if new == "div" else 0xFFFF_FFFF
+    late = 6
+    if new == "illegal":
+        monkeypatch.setattr(functional, "_VARIANT_FAILS", 1)
+
+    def build():
+        engine = _engine(program)
+        # five instructions before the loop, then eleven a trip
+        engine.schedule(FaultAction(
+            "commit", 5 + 11 * late + 7,
+            lambda e: e.memory.write_int(target, word, 4)))
+        return engine
+
+    end = _both(build)
+    assert [variant[1] for variant in spy.variants] == [5]
+    if new == "div":
+        assert end["status"] == "completed"
+        assert spy.variant_calls == TRIPS - late - 2
+    else:
+        assert end["status"] == "sim-exception"
+        assert end["fault_kind"] is FaultKind.ILLEGAL_INSTRUCTION
+        assert end["ms"][0] == target
+        assert spy.variant_calls == 1
 
 
 def test_commit_action_inside_a_block(spy):
@@ -625,3 +789,31 @@ def test_looped_random_programs_match_the_reference(source, isa, kernel):
                and value.__class__ is tuple
                for key, value in functional._DECODE_CACHE.items()
                if len(key) == 3)
+
+
+@pytest.mark.parametrize("model", ["WOI", "WI"])
+@pytest.mark.parametrize("workload", ["sha", "crc32"])
+def test_variants_change_no_campaign_result(monkeypatch, workload, model):
+    """pvf code-flip campaigns give byte-identical results with the
+    run-local variants bound and with none ever bound."""
+    binds = []
+    build = functional._build_block
+
+    def counted_build(page, off, pc, regs):
+        if _binds_a_variant(page, off, pc, regs):
+            binds.append(pc)
+        return build(page, off, pc, regs)
+
+    def campaign() -> str:
+        monkeypatch.setattr(functional, "_DECODE_CACHE", {})
+        return json.dumps(run_campaign(
+            workload, "cortex-a72", injector="pvf", model=model, n=32,
+            seed=1, use_cache=False).to_json())
+
+    monkeypatch.setattr(functional, "_build_block", counted_build)
+    with_variants = campaign()
+    assert binds
+    binds.clear()
+    monkeypatch.setattr(functional, "_VARIANT_FAILS", functional._NEVER)
+    assert campaign() == with_variants
+    assert not binds
